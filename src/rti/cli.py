@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .experiment import ConfigError, PhaseError, read_config_file, run_experiment
 from .simulator import ScenarioError, read_scenario_file, simulate
 from .traceio import write_trace_file, write_truth_file
@@ -55,10 +57,10 @@ def _cmd_simulate(args) -> int:
     write_truth_file(
         out_dir / "truth.csv", truth, first_tick=scenario.calibration_rounds
     )
-    received = sum(1 for r in trace if r.received)
+    received = int(np.count_nonzero(~np.isnan(trace.rssi)))
     print(f"mode: {scenario.mode}")
     print(f"ticks: {scenario.total_ticks} ({scenario.calibration_rounds} calibration)")
-    print(f"records: {len(trace)} ({received} received)")
+    print(f"records: {trace.rssi.size} ({received} received)")
     print(f"wrote {out_dir / 'trace.csv'}")
     print(f"wrote {out_dir / 'truth.csv'}")
     return EXIT_OK

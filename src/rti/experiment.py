@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import build_weight_matrix
+from .geometry import NUM_DIRECTIONS, build_weight_matrix
 from .imaging import (
     build_reconstructor,
     reconstruct,
@@ -26,9 +26,9 @@ from .linkstats import (
     batch_window_variance,
     calibrate,
     channel_stream,
-    extract_streams,
     fn_fp_sweep,
     format_stream,
+    forward_fill,
     omni_stream,
     pattern_stream,
 )
@@ -76,10 +76,13 @@ class SelectionConfig:
             raise ConfigError(
                 f"selection method must be one of {SELECTION_METHODS}, got {self.method!r}"
             )
-        if not 1 <= self.n_transmitter <= 6 or not 1 <= self.n_receiver <= 6:
-            raise ConfigError("selection n_transmitter and n_receiver must be in [1, 6]")
-        if not 1 <= self.k <= 36:
-            raise ConfigError("selection k must be in [1, 36]")
+        n = NUM_DIRECTIONS
+        if not 1 <= self.n_transmitter <= n or not 1 <= self.n_receiver <= n:
+            raise ConfigError(
+                f"selection n_transmitter and n_receiver must be in [1, {n}]"
+            )
+        if not 1 <= self.k <= n * n:
+            raise ConfigError(f"selection k must be in [1, {n * n}]")
 
 
 @dataclass(frozen=True)
@@ -228,34 +231,35 @@ def compute_stat_matrix(
     grows with the number of aggregated streams, so images are formed from
     the deviation above it rather than from the raw value.
     """
-    series = extract_streams(trace, trace.num_ticks)
-    ordered: list[StreamKey] = []
-    row_of: dict[StreamKey, int] = {}
-    for link in layout.links:
-        for key in streams_by_link[link]:
-            if key not in row_of:
-                row_of[key] = len(ordered)
-                ordered.append(key)
-    missing = [k for k in ordered if k not in series]
+    ordered = list(
+        dict.fromkeys(key for link in layout.links for key in streams_by_link[link])
+    )
+    missing = [k for k in ordered if k not in trace.column]
     if missing:
         raise PhaseError(
             "statistics: trace has no records for streams "
             + ", ".join(format_stream(k) for k in missing)
         )
-    # A stream never heard during calibration has no baseline to measure
-    # change against; leave it out the way a deployment survey would.
-    dead = {
-        key for key in ordered
-        if np.isnan(series[key].filled[:first_tick]).all()
-    }
-    if dead:
-        ordered = [key for key in ordered if key not in dead]
-        if not ordered:
-            raise PhaseError("statistics: no stream was received in calibration")
-        row_of = {key: i for i, key in enumerate(ordered)}
-    filled = np.stack([series[key].filled for key in ordered])
+    if trace.num_ticks < first_tick + num_ticks:
+        raise PhaseError(
+            f"statistics: trace has {trace.num_ticks} ticks, tracking needs "
+            f"{first_tick + num_ticks}"
+        )
+    variance = method.endswith("var") or method == "vRTI"
+    raw = np.ascontiguousarray(trace.rssi[:, [trace.column[k] for k in ordered]].T)
+    # The statistic at tick t needs a reception by tick t - lag. A stream
+    # whose statistic is undefined over the whole calibration region has no
+    # baseline to measure change against; leave it out the way a deployment
+    # survey would.
+    lag = window - 1 if variance else 0
+    alive = ~np.isnan(raw[:, : max(first_tick - lag, 0)]).all(axis=1)
+    ordered = [key for key, ok in zip(ordered, alive) if ok]
+    if not ordered:
+        raise PhaseError("statistics: no stream has a defined statistic in calibration")
+    row_of = {key: i for i, key in enumerate(ordered)}
+    filled = forward_fill(raw[alive])
 
-    if method.endswith("var") or method == "vRTI":
+    if variance:
         per_stream = batch_window_variance(filled, window)
         cal_region = per_stream[:, window - 1 : first_tick]
     else:
@@ -265,16 +269,10 @@ def compute_stat_matrix(
         cal_region = per_stream[:, :first_tick]
 
     region = per_stream[:, first_tick : first_tick + num_ticks]
-    if np.isnan(region).any():
-        rows = sorted(set(np.argwhere(np.isnan(region))[:, 0].tolist()))
-        names = ", ".join(format_stream(ordered[r]) for r in rows[:5])
-        raise PhaseError(
-            f"statistics: undefined values in tracking window for {names}"
-        )
     stats = np.zeros((num_ticks, layout.num_links))
     baseline = np.zeros(layout.num_links)
     for i, link in enumerate(layout.links):
-        rows = [row_of[key] for key in streams_by_link[link] if key not in dead]
+        rows = [row_of[key] for key in streams_by_link[link] if key in row_of]
         if not rows:
             continue  # silent link: contributes no evidence
         stats[:, i] = region[rows].sum(axis=0)
@@ -379,11 +377,14 @@ def evaluate_method(
     measurements = np.zeros((scenario.rounds, 2))
     estimates = np.zeros((scenario.rounds, 2))
     frames = []
-    for t in range(scenario.rounds):
-        frame = reconstruct(reconstructor, change[t], time=cal + t)
-        frames.append(frame)
-        measurements[t] = argmax_voxel(frame, scenario.grid)
-        estimates[t] = tracker.update(measurements[t], time=cal + t)
+    try:
+        for t in range(scenario.rounds):
+            frame = reconstruct(reconstructor, change[t], time=cal + t)
+            frames.append(frame)
+            measurements[t] = argmax_voxel(frame, scenario.grid)
+            estimates[t] = tracker.update(measurements[t], time=cal + t)
+    except Exception as exc:
+        raise PhaseError(f"tracking: {exc}") from exc
 
     errors = np.hypot(
         estimates[:, 0] - truth[:, 0], estimates[:, 1] - truth[:, 1]

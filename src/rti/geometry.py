@@ -9,6 +9,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 TAU = 2.0 * math.pi
+# Switched-beam antenna directions per node, evenly spaced over the circle.
+NUM_DIRECTIONS = 6
 
 
 class LayoutError(ValueError):
@@ -30,11 +32,6 @@ class NodeSpec:
     x: float
     y: float
     antenna_zero_bearing: float = 0.0
-    num_directions: int = 6
-
-    def __post_init__(self) -> None:
-        if self.num_directions < 1:
-            raise ValueError(f"node {self.id}: num_directions must be >= 1")
 
     @property
     def position(self) -> tuple[float, float]:
@@ -174,11 +171,9 @@ class NetworkLayout:
 
 def direction_bearing(node: NodeSpec, direction: int) -> float:
     """Absolute bearing (radians) of one antenna direction of a node."""
-    if not 1 <= direction <= node.num_directions:
-        raise ValueError(
-            f"direction {direction} outside [1, {node.num_directions}]"
-        )
-    return node.antenna_zero_bearing + (direction - 1) * TAU / node.num_directions
+    if not 1 <= direction <= NUM_DIRECTIONS:
+        raise ValueError(f"direction {direction} outside [1, {NUM_DIRECTIONS}]")
+    return node.antenna_zero_bearing + (direction - 1) * TAU / NUM_DIRECTIONS
 
 
 def angle_to_link(node: NodeSpec, direction: int, other: NodeSpec) -> float:
@@ -307,8 +302,3 @@ def format_layout(nodes: Sequence[NodeSpec]) -> str:
 def read_layout_file(path) -> list[NodeSpec]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_layout(fh.read())
-
-
-def write_layout_file(path, nodes: Sequence[NodeSpec]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_layout(nodes))

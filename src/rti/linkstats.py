@@ -8,19 +8,28 @@ combination. Omni traffic has one stream per link, multichannel traffic one
 per (link, channel), directional traffic one per (link, pattern pair).
 Stream keys are tuples (tx_id, rx_id, channel, tx_dir, rx_dir) with None in
 the unused slots.
+
+Traces
+------
+A trace is columnar: one RSS column per stream and one row per tick, with
+NaN where a packet was lost. Every stream attempts one packet per tick, so
+the array has no holes other than lost packets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .geometry import PatternPair
 
 StreamKey = tuple  # (tx_id, rx_id, channel | None, tx_dir | None, rx_dir | None)
+
+MODES = ("omni", "multichannel", "directional")
 
 
 class MissingCalibrationError(KeyError):
@@ -31,37 +40,14 @@ class InsufficientWindowError(ValueError):
     """A statistic window holds fewer than two usable values."""
 
 
-@dataclass(frozen=True)
-class RssRecord:
-    """One packet reception attempt as logged by the collector."""
-
-    tick: int
-    tx_id: int
-    rx_id: int
-    mode: str  # "omni" | "multichannel" | "directional"
-    channel: int | None
-    tx_dir: int | None
-    rx_dir: int | None
-    tx_power_dbm: float
-    seq: int
-    received: bool
-    rssi_dbm: float | None
-
-    def __post_init__(self) -> None:
-        has_channel = self.channel is not None
-        has_pattern = self.tx_dir is not None or self.rx_dir is not None
-        if has_channel and has_pattern:
-            raise ValueError("record cannot carry both channel and pattern fields")
-        if has_pattern and (self.tx_dir is None or self.rx_dir is None):
-            raise ValueError("pattern records need both tx_dir and rx_dir")
-        if self.received and self.rssi_dbm is None:
-            raise ValueError("received record without rssi")
-        if not self.received and self.rssi_dbm is not None:
-            raise ValueError("lost record must not carry rssi")
-
-    @property
-    def stream(self) -> StreamKey:
-        return (self.tx_id, self.rx_id, self.channel, self.tx_dir, self.rx_dir)
+def check_stream(key: StreamKey) -> None:
+    """Raise ValueError unless ``key`` is a well-formed stream key."""
+    _tx, _rx, channel, tx_dir, rx_dir = key
+    has_pattern = tx_dir is not None or rx_dir is not None
+    if channel is not None and has_pattern:
+        raise ValueError("a stream cannot carry both channel and pattern fields")
+    if has_pattern and (tx_dir is None or rx_dir is None):
+        raise ValueError("pattern streams need both tx_dir and rx_dir")
 
 
 def omni_stream(link: tuple[int, int]) -> StreamKey:
@@ -84,47 +70,68 @@ def format_stream(stream: StreamKey) -> str:
     return f"{tag} omni"
 
 
-@dataclass(frozen=True)
-class LinkStatVector:
-    """Per-link statistic values for one tick, in layout link order."""
+@dataclass(frozen=True, eq=False)
+class RssTrace:
+    """Every reception attempt of a run, as one (ticks, streams) RSS array.
 
-    time: int
-    values: np.ndarray
+    ``rssi[t, s]`` is the RSS of ``streams[s]`` at tick t, NaN for a lost
+    packet. All streams share one mode and one transmit power.
+    """
+
+    mode: str
+    tx_power_dbm: float
+    streams: tuple[StreamKey, ...]
+    rssi: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("link statistics must form a 1-D vector")
-        if np.any(values < 0):
-            raise ValueError("link statistics are nonnegative by construction")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass
-class RssTrace:
-    """An ordered list of reception attempts."""
-
-    records: list[RssRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm!r}")
+        streams = tuple(tuple(key) for key in self.streams)
+        for key in streams:
+            check_stream(key)
+        if len(set(streams)) != len(streams):
+            raise ValueError("duplicate streams in trace")
+        rssi = np.ascontiguousarray(self.rssi, dtype=float)
+        if rssi.ndim != 2 or rssi.shape[1] != len(streams):
+            raise ValueError(
+                f"rssi must be shaped (ticks, {len(streams)}), got {rssi.shape}"
+            )
+        bad = np.argwhere(np.isinf(rssi))
+        if bad.size:
+            tick, col = bad[0]
+            raise ValueError(
+                f"{format_stream(streams[col])} tick {tick}: non-finite rssi"
+            )
+        object.__setattr__(self, "streams", streams)
+        object.__setattr__(self, "rssi", rssi)
 
     @property
     def num_ticks(self) -> int:
-        return max((r.tick for r in self.records), default=-1) + 1
+        return self.rssi.shape[0]
 
-    def in_window(self, t1: int, t2: int) -> Iterable[RssRecord]:
-        """Records with t1 <= tick <= t2."""
-        return (r for r in self.records if t1 <= r.tick <= t2)
+    @cached_property
+    def column(self) -> dict[StreamKey, int]:
+        """Column index of each stream."""
+        return {key: i for i, key in enumerate(self.streams)}
 
-    def streams(self) -> list[StreamKey]:
-        seen: dict[StreamKey, None] = {}
-        for r in self.records:
-            seen.setdefault(r.stream, None)
-        return list(seen)
+    def window(self, t1: int, t2: int) -> np.ndarray:
+        """Rows of ticks t1..t2 (inclusive) that lie inside the trace."""
+        return self.rssi[max(t1, 0) : max(t2 + 1, 0)]
+
+
+def sum_over_ticks(values: np.ndarray) -> np.ndarray:
+    """Per-column sums of a (ticks, streams) block, NaN counting as zero.
+
+    Ticks are added one at a time, in tick order. numpy's own reduction
+    switches to pairwise summation for a single column, which would change
+    the last bits of a mean.
+    """
+    total = np.zeros(values.shape[1:])
+    for row in values:
+        total += np.where(np.isnan(row), 0.0, row)
+    return total
 
 
 @dataclass(frozen=True)
@@ -151,30 +158,26 @@ def calibrate(
     """Mean received RSS per stream over the calibration window.
 
     When ``streams`` is given only those streams are calibrated; otherwise
-    every stream appearing in the window is. A candidate stream with zero
-    received packets in the window raises MissingCalibrationError.
+    every stream of the trace is. A candidate stream with zero received
+    packets in the window raises MissingCalibrationError.
     """
     t1, t2 = window
     if t2 < t1:
         raise ValueError(f"empty calibration window ({t1}, {t2})")
-    sums: dict[StreamKey, float] = {}
-    counts: dict[StreamKey, int] = {}
-    seen: dict[StreamKey, None] = {}
-    for rec in trace.in_window(t1, t2):
-        seen.setdefault(rec.stream, None)
-        if rec.received:
-            sums[rec.stream] = sums.get(rec.stream, 0.0) + rec.rssi_dbm
-            counts[rec.stream] = counts.get(rec.stream, 0) + 1
-    wanted = list(streams) if streams is not None else list(seen)
-    if not wanted:
-        raise ValueError("no streams in calibration window")
-    missing = [s for s in wanted if counts.get(s, 0) == 0]
+    block = trace.window(t1, t2)
+    wanted = list(trace.streams if streams is None else streams)
+    if not wanted or not len(block):
+        raise ValueError(f"no streams in calibration window ({t1}, {t2})")
+    counts = np.count_nonzero(~np.isnan(block), axis=0)
+    sums = sum_over_ticks(block)
+    column = trace.column
+    missing = [s for s in wanted if s not in column or counts[column[s]] == 0]
     if missing:
         raise MissingCalibrationError(
             "streams with zero received packets in calibration window: "
             + ", ".join(format_stream(s) for s in missing)
         )
-    means = {s: sums[s] / counts[s] for s in wanted}
+    means = {s: float(sums[column[s]] / counts[column[s]]) for s in wanted}
     return CalibrationTable(window=(t1, t2), means=means)
 
 
@@ -286,74 +289,13 @@ def fn_fp_sweep(
 # ------------------------------------------------------ stream machinery
 
 
-class StreamSeries:
-    """Tick-aligned RSS values for one stream with carry-forward filling.
-
-    Lost packets repeat the last received RSS; ticks before the first
-    reception stay NaN and never produce usable windows.
-    """
-
-    def __init__(self, num_ticks: int):
-        self.raw = np.full(num_ticks, np.nan)
-        self.received = np.zeros(num_ticks, dtype=bool)
-        self._filled: np.ndarray | None = None
-
-    def record(self, tick: int, rssi: float | None) -> None:
-        if rssi is not None:
-            self.raw[tick] = rssi
-            self.received[tick] = True
-        self._filled = None
-
-    @property
-    def filled(self) -> np.ndarray:
-        if self._filled is None:
-            self._filled = forward_fill(self.raw)
-        return self._filled
-
-    def value(self, tick: int) -> float:
-        v = self.filled[tick]
-        if math.isnan(v):
-            raise InsufficientWindowError(
-                f"no reception on or before tick {tick}"
-            )
-        return float(v)
-
-    def window(self, tick: int, v: int) -> np.ndarray:
-        """The v filled values ending at ``tick`` (inclusive)."""
-        if v < 2:
-            raise InsufficientWindowError("window length must be >= 2")
-        start = tick - v + 1
-        if start < 0:
-            raise InsufficientWindowError(
-                f"window of {v} does not fit before tick {tick}"
-            )
-        values = self.filled[start : tick + 1]
-        if np.isnan(values).any():
-            raise InsufficientWindowError(
-                f"window ending at tick {tick} has unfilled values"
-            )
-        return values.copy()
-
-
 def forward_fill(values: np.ndarray) -> np.ndarray:
-    """Propagate the last non-NaN value forward; leading NaNs stay NaN."""
+    """Propagate the last non-NaN value forward along the last axis; leading
+    NaNs stay NaN."""
     values = np.asarray(values, dtype=float)
-    idx = np.where(~np.isnan(values), np.arange(values.size), 0)
-    np.maximum.accumulate(idx, out=idx)
-    return values[idx]
-
-
-def extract_streams(trace: RssTrace, num_ticks: int | None = None) -> dict[StreamKey, StreamSeries]:
-    """Group a trace into per-stream tick-aligned series."""
-    if num_ticks is None:
-        num_ticks = trace.num_ticks
-    series: dict[StreamKey, StreamSeries] = {}
-    for rec in trace.records:
-        s = series.get(rec.stream)
-        if s is None:
-            s = series[rec.stream] = StreamSeries(num_ticks)
-        s.record(rec.tick, rec.rssi_dbm)
-    return series
+    idx = np.where(np.isnan(values), 0, np.arange(values.shape[-1]))
+    np.maximum.accumulate(idx, axis=-1, out=idx)
+    return np.take_along_axis(values, idx, axis=-1)
 
 
 def batch_window_variance(filled: np.ndarray, v: int) -> np.ndarray:

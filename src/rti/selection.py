@@ -7,10 +7,12 @@ All tie-breaks order pairs ascending lexicographically by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .geometry import NetworkLayout, PatternPair, angle_to_link
-from .linkstats import RssTrace
+import numpy as np
+
+from .geometry import NUM_DIRECTIONS, NetworkLayout, PatternPair, angle_to_link
+from .linkstats import RssTrace, sum_over_ticks
 
 Link = tuple[int, int]
 
@@ -49,11 +51,11 @@ def _sorted_directions(node, other, n: int) -> list[int]:
     Angles are rounded to 1e-12 rad before comparison so that symmetric
     directions tie exactly and fall back to the lower direction index.
     """
-    if not 1 <= n <= node.num_directions:
-        raise ValueError(f"n must be in [1, {node.num_directions}], got {n}")
+    if not 1 <= n <= NUM_DIRECTIONS:
+        raise ValueError(f"n must be in [1, {NUM_DIRECTIONS}], got {n}")
     keyed = [
         (round(angle_to_link(node, d, other), 12), d)
-        for d in range(1, node.num_directions + 1)
+        for d in range(1, NUM_DIRECTIONS + 1)
     ]
     keyed.sort()
     return [d for _, d in keyed[:n]]
@@ -75,12 +77,23 @@ def select_location(
     return [PatternPair(t, r) for t in tx_dirs for r in rx_dirs]
 
 
-def all_pairs(num_directions: int = 6) -> list[PatternPair]:
+def all_pairs() -> list[PatternPair]:
     """Every pattern pair in lexicographic order."""
     return [
         PatternPair(t, r)
-        for t in range(1, num_directions + 1)
-        for r in range(1, num_directions + 1)
+        for t in range(1, NUM_DIRECTIONS + 1)
+        for r in range(1, NUM_DIRECTIONS + 1)
+    ]
+
+
+def _pattern_columns(
+    trace: RssTrace, link: Link | None = None
+) -> list[tuple[Link, PatternPair, int]]:
+    """(link, pair, column) of the trace's pattern streams, of one link or all."""
+    return [
+        ((tx, rx), PatternPair(tx_dir, rx_dir), col)
+        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
+        if tx_dir is not None and (link is None or (tx, rx) == link)
     ]
 
 
@@ -89,20 +102,16 @@ def compute_fade_levels(trace: RssTrace, window: tuple[int, int]) -> FadeLevelTa
     t1, t2 = window
     if t2 < t1:
         raise ValueError(f"empty fade-level window ({t1}, {t2})")
-    levels: dict[Link, dict[PatternPair, float]] = {}
-    saw_directional = False
-    for rec in trace.in_window(t1, t2):
-        if rec.tx_dir is None:
-            continue
-        saw_directional = True
-        if not rec.received:
-            continue
-        link = (rec.tx_id, rec.rx_id)
-        pair = PatternPair(rec.tx_dir, rec.rx_dir)
-        per_link = levels.setdefault(link, {})
-        per_link[pair] = per_link.get(pair, 0.0) + (rec.rssi_dbm - rec.tx_power_dbm)
-    if not saw_directional:
+    block = trace.window(t1, t2)
+    columns = _pattern_columns(trace)
+    if not columns or not len(block):
         raise ValueError("no directional records in fade-level window")
+    heard = np.count_nonzero(~np.isnan(block), axis=0)
+    h = sum_over_ticks(block - trace.tx_power_dbm)
+    levels: dict[Link, dict[PatternPair, float]] = {}
+    for link, pair, col in columns:
+        if heard[col]:
+            levels.setdefault(link, {})[pair] = float(h[col])
     return FadeLevelTable(window=(t1, t2), levels=levels)
 
 
@@ -128,23 +137,20 @@ def select_prr(
 ) -> list[PatternPair]:
     """Top-k pairs by packet reception ratio over the window.
 
-    PRR divides received packets by transmission attempts (every record of the
-    pair counts as one attempt). Pairs with zero receptions are ineligible.
+    PRR divides received packets by transmission attempts; every stream
+    attempts one packet per tick. Pairs with zero receptions are ineligible.
     Ties rank ascending lexicographic.
     """
     t1, t2 = window
     if t2 < t1:
         raise ValueError(f"empty PRR window ({t1}, {t2})")
-    sent: dict[PatternPair, int] = {}
-    got: dict[PatternPair, int] = {}
-    for rec in trace.in_window(t1, t2):
-        if rec.tx_dir is None or (rec.tx_id, rec.rx_id) != link:
-            continue
-        pair = PatternPair(rec.tx_dir, rec.rx_dir)
-        sent[pair] = sent.get(pair, 0) + 1
-        if rec.received:
-            got[pair] = got.get(pair, 0) + 1
-    eligible = {pair: got[pair] / sent[pair] for pair in got}
+    block = trace.window(t1, t2)
+    got = np.count_nonzero(~np.isnan(block), axis=0)
+    eligible = {
+        pair: int(got[col]) / len(block)
+        for _link, pair, col in _pattern_columns(trace, link)
+        if got[col]
+    }
     if not eligible:
         raise ValueError(f"no eligible pairs for link {link[0]}->{link[1]}")
     if not 1 <= k <= len(eligible):
@@ -164,14 +170,13 @@ def select_for_layout(
     n_transmitter: int = 2,
     n_receiver: int = 2,
     k: int = 9,
-    num_directions: int = 6,
 ) -> SelectionResult:
     """Apply one selection method to every link of a layout."""
     pairs_by_link: dict[Link, list[PatternPair]] = {}
     if method == "all":
         params = {}
         for link in layout.links:
-            pairs_by_link[link] = all_pairs(num_directions)
+            pairs_by_link[link] = all_pairs()
     elif method == "location":
         params = {"n_transmitter": n_transmitter, "n_receiver": n_receiver}
         for link in layout.links:
@@ -253,7 +258,3 @@ def write_selection_file(path, result: SelectionResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_selection(result))
 
-
-def read_selection_file(path) -> SelectionResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_selection(fh.read())

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
+    NUM_DIRECTIONS,
     NetworkLayout,
     NodeSpec,
     PatternPair,
@@ -43,10 +44,9 @@ from .geometry import (
     ellipse_contains,
     segments_intersect,
 )
-from .linkstats import RssRecord, RssTrace
+from .linkstats import MODES, RssTrace
 
 VALID_CHANNELS = (11, 15, 18, 21, 26)
-MODES = ("omni", "multichannel", "directional")
 
 
 class ScenarioError(ValueError):
@@ -78,10 +78,6 @@ class AntennaGainModel:
         return (g_tx + g_rx - 2.0 * self.g_min_db) / (
             2.0 * (self.g_max_db - self.g_min_db)
         )
-
-
-def antenna_gain(model: AntennaGainModel, angle: float) -> float:
-    return model.gain(angle)
 
 
 @dataclass(frozen=True)
@@ -246,9 +242,8 @@ def _stream_kinds(scenario: Scenario) -> list[tuple[int | None, PatternPair | No
         return [(None, None)]
     if scenario.mode == "multichannel":
         return [(ch, None) for ch in sorted(scenario.channels)]
-    return [
-        (None, PatternPair(t, r)) for t in range(1, 7) for r in range(1, 7)
-    ]
+    directions = range(1, NUM_DIRECTIONS + 1)
+    return [(None, PatternPair(t, r)) for t in directions for r in directions]
 
 
 def _stream_rng(seed: int, tx: int, rx: int, kind) -> np.random.Generator:
@@ -284,9 +279,8 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
     person's position per tracking tick, shaped (rounds, 2); it is empty when
     the scenario has no trajectory.
 
-    Every stream produces exactly one record per tick (received or lost),
-    ordered tick-major, then transmitter, then receiver, then channel or
-    pattern pair. `seq` repeats the tick.
+    Every stream attempts one packet per tick. The trace's streams are
+    ordered by transmitter, then receiver, then channel or pattern pair.
 
     The static fading draw of a stream depends only on (seed, stream), so
     calibration and tracking see the same propagation environment.
@@ -308,27 +302,18 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
     model = gain_model if scenario.mode == "directional" else omni_model
     kinds = _stream_kinds(scenario)
 
-    # Per-link, per-tick obstruction masks shared by all streams of the link.
-    link_masks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for tx_id, rx_id in layout.links:
-        in_person = np.zeros(total, dtype=bool)
-        in_wide = np.zeros(total, dtype=bool)
-        if positions is not None:
-            tx = layout.node(tx_id)
-            rx = layout.node(rx_id)
-            for t in range(scenario.rounds):
-                p = positions[t]
-                tick = cal + t
-                if ellipse_contains(tx.position, rx.position, p, params.person_lambda_m):
-                    in_person[tick] = True
-                if ellipse_contains(tx.position, rx.position, p, params.agitation_lambda_m):
-                    in_wide[tick] = True
-        link_masks[(tx_id, rx_id)] = (in_person, in_wide)
+    # Per-tick, per-link obstruction masks shared by all streams of the link.
+    in_person = np.zeros((total, layout.num_links), dtype=bool)
+    in_wide = np.zeros((total, layout.num_links), dtype=bool)
+    if positions is not None:
+        in_person[cal:] = obstructed_mask(layout, positions, params.person_lambda_m)
+        in_wide[cal:] = obstructed_mask(layout, positions, params.agitation_lambda_m)
 
     # Physics per stream, vectorised over ticks.
     rho = params.fading_directivity_coupling
-    per_stream: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for tx_id, rx_id in layout.links:
+    streams = []
+    columns = []
+    for link, (tx_id, rx_id) in enumerate(layout.links):
         tx = layout.node(tx_id)
         rx = layout.node(rx_id)
         d = layout.link_distance(tx_id, rx_id)
@@ -342,7 +327,6 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         # A person next to a wall shifts a through-wall link's mean level far
         # less than a clear link's, yet their motion still agitates it.
         shadow_scale = params.wall_shadow_factor ** walls_crossed
-        in_person, in_wide = link_masks[(tx_id, rx_id)]
         for kind in kinds:
             channel, pair = kind
             if pair is not None:
@@ -373,38 +357,15 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
                 agitation = 0.0
 
             p_rx = np.full(total, params.tx_power_dbm + g_tx + g_rx - path_loss - wall_loss + fade)
-            p_rx -= shadow * in_person
-            p_rx += agitation * agit_draws * in_wide
+            p_rx -= shadow * in_person[:, link]
+            p_rx += agitation * agit_draws * in_wide[:, link]
             p_rx += noise + drift
             received = uniforms < reception_probability(p_rx, params)
-            per_stream[(tx_id, rx_id, channel, pair)] = (p_rx, received)
+            streams.append((tx_id, rx_id, channel, *(pair or (None, None))))
+            columns.append(np.where(received, p_rx, np.nan))
 
-    records = []
-    for tick in range(total):
-        for tx_node in layout.nodes:
-            for rx_node in layout.nodes:
-                if tx_node.id == rx_node.id:
-                    continue
-                for kind in kinds:
-                    channel, pair = kind
-                    p_rx, received = per_stream[(tx_node.id, rx_node.id, channel, pair)]
-                    ok = bool(received[tick])
-                    records.append(
-                        RssRecord(
-                            tick=tick,
-                            tx_id=tx_node.id,
-                            rx_id=rx_node.id,
-                            mode=scenario.mode,
-                            channel=channel,
-                            tx_dir=pair.tx_direction if pair else None,
-                            rx_dir=pair.rx_direction if pair else None,
-                            tx_power_dbm=params.tx_power_dbm,
-                            seq=tick,
-                            received=ok,
-                            rssi_dbm=float(p_rx[tick]) if ok else None,
-                        )
-                    )
-    return RssTrace(records), truth
+    rssi = np.stack(columns, axis=1)
+    return RssTrace(scenario.mode, params.tx_power_dbm, tuple(streams), rssi), truth
 
 
 def obstructed_mask(

@@ -1,19 +1,24 @@
 """CSV serialisation of RSS traces and ground-truth tracks.
 
-Trace files carry one row per reception attempt. Fields that do not apply
-to the record's mode are left empty (channel on omni rows, direction columns
-on multichannel rows, RSSI on lost packets). Floats are written with repr so
-a write/read cycle is exact.
+Trace files carry one row per reception attempt, tick-major, with `seq`
+equal to the tick. Fields that do not apply to the stream are left empty
+(channel on omni rows, direction columns on multichannel rows, RSSI on lost
+packets). Floats are written with repr so a write/read cycle is exact.
+
+The reader is the trace's ingest check: every row must be well formed, the
+file must share one mode and one transmit power, and every (tick, stream)
+cell must appear exactly once.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .linkstats import RssRecord, RssTrace
+from .linkstats import MODES, RssTrace, StreamKey, check_stream, format_stream
 
 TRACE_HEADER = [
     "tick",
@@ -37,61 +42,62 @@ class TraceParseError(ValueError):
 
 
 def _opt(value) -> str:
-    return "" if value is None else repr(value)
+    return "" if value is None else str(value)
 
 
 def write_trace_file(path, trace: RssTrace) -> None:
+    # Rows are assembled by hand, with the CSV writer's line ending: every
+    # field is a number or a mode name, none of which would need quoting.
+    streams = [
+        f"{tx},{rx},{trace.mode},{_opt(ch)},{_opt(td)},{_opt(rd)},{trace.tx_power_dbm!r},"
+        for tx, rx, ch, td, rd in trace.streams
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in trace:
-            writer.writerow(
-                [
-                    r.tick,
-                    r.tx_id,
-                    r.rx_id,
-                    r.mode,
-                    "" if r.channel is None else r.channel,
-                    "" if r.tx_dir is None else r.tx_dir,
-                    "" if r.rx_dir is None else r.rx_dir,
-                    repr(r.tx_power_dbm),
-                    r.seq,
-                    "true" if r.received else "false",
-                    _opt(r.rssi_dbm),
-                ]
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        for tick, row in enumerate(trace.rssi.tolist()):
+            fh.write(
+                "".join(
+                    f"{tick},{stream}{tick},false,\r\n"
+                    if math.isnan(rssi)
+                    else f"{tick},{stream}{tick},true,{rssi!r}\r\n"
+                    for stream, rssi in zip(streams, row)
+                )
             )
 
 
-def _parse_record(row: list[str], line: int) -> RssRecord:
+def _parse_stream(row: list[str]) -> tuple[str, float, StreamKey]:
+    """Mode, transmit power and stream key of one row."""
+
     def opt_int(text: str) -> int | None:
         return None if text == "" else int(text)
 
-    def opt_float(text: str) -> float | None:
-        return None if text == "" else float(text)
+    mode, power = row[3], float(row[7])
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not math.isfinite(power):
+        raise ValueError(f"non-finite tx power {row[7]!r}")
+    key = (int(row[1]), int(row[2]), opt_int(row[4]), opt_int(row[5]), opt_int(row[6]))
+    check_stream(key)
+    return mode, power, key
 
-    received_text = row[9].strip().lower()
-    if received_text not in ("true", "false"):
-        raise TraceParseError(
-            f"line {line}: received must be true or false, got {row[9]!r}"
-        )
-    return RssRecord(
-        tick=int(row[0]),
-        tx_id=int(row[1]),
-        rx_id=int(row[2]),
-        mode=row[3],
-        channel=opt_int(row[4]),
-        tx_dir=opt_int(row[5]),
-        rx_dir=opt_int(row[6]),
-        tx_power_dbm=float(row[7]),
-        seq=int(row[8]),
-        received=received_text == "true",
-        rssi_dbm=opt_float(row[10]),
-    )
+
+def _where(key: StreamKey | None, tick: int | None) -> str:
+    parts = [format_stream(key)] if key is not None else []
+    if tick is not None:
+        parts.append(f"tick {tick}")
+    return " ".join(parts) + ": " if parts else ""
 
 
 def read_trace_file(path) -> RssTrace:
+    """Parse and check a trace file; any problem raises TraceParseError."""
     path = Path(path)
-    records: list[RssRecord] = []
+    known: dict[tuple[str, ...], tuple[int, StreamKey]] = {}  # raw fields -> stream
+    columns: dict[StreamKey, int] = {}
+    first: tuple[str, float] | None = None  # the first row's mode and tx power
+    ticks: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    lines: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -109,13 +115,71 @@ def read_trace_file(path) -> RssTrace:
                 raise TraceParseError(
                     f"line {line}: expected {len(TRACE_HEADER)} fields, got {len(row)}"
                 )
+            key = tick = None
             try:
-                records.append(_parse_record(row, line))
-            except (ValueError, TypeError) as exc:
-                if isinstance(exc, TraceParseError):
-                    raise
-                raise TraceParseError(f"line {line}: {exc}") from exc
-    return RssTrace(records)
+                tick = int(row[0])
+                fields = tuple(row[1:8])
+                stream = known.get(fields)
+                if stream is None:
+                    mode, power, key = _parse_stream(row)
+                    if first is None:
+                        first = (mode, power)
+                    elif (mode, power) != first:
+                        raise ValueError(
+                            f"mode {mode!r} and tx power {power!r} differ from "
+                            f"the first row's {first[0]!r} and {first[1]!r}"
+                        )
+                    stream = known[fields] = (columns.setdefault(key, len(columns)), key)
+                col, key = stream
+                if tick < 0:
+                    raise ValueError("negative tick")
+                received = row[9].strip().lower()
+                if received not in ("true", "false"):
+                    raise ValueError(f"received must be true or false, got {row[9]!r}")
+                if received == "true":
+                    if not row[10]:
+                        raise ValueError("received row without rssi")
+                    rssi = float(row[10])
+                    if not math.isfinite(rssi):
+                        raise ValueError(f"non-finite rssi {row[10]!r}")
+                elif row[10]:
+                    raise ValueError("lost row must not carry rssi")
+                else:
+                    rssi = math.nan
+                if int(row[8]) != tick:
+                    raise ValueError(f"seq {row[8]} differs from the tick")
+            except ValueError as exc:
+                raise TraceParseError(f"line {line}: {_where(key, tick)}{exc}") from exc
+            ticks.append(tick)
+            cols.append(col)
+            values.append(rssi)
+            lines.append(line)
+    if first is None:
+        raise TraceParseError(f"{path}: trace file has no rows")
+
+    # Every (tick, stream) cell exactly once: that is what makes each stream
+    # attempt one packet per tick.
+    keys = list(columns)
+    num_streams = len(keys)
+    cells = np.asarray(ticks) * num_streams + np.asarray(cols)
+    order = np.argsort(cells, kind="stable")
+    repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        earlier = lines[int(np.flatnonzero(cells == cells[i])[0])]
+        raise TraceParseError(
+            f"line {lines[i]}: {_where(keys[cols[i]], ticks[i])}"
+            f"duplicate of line {earlier}"
+        )
+    num_ticks = max(ticks) + 1
+    if cells.size != num_ticks * num_streams:
+        seen = np.zeros(num_ticks * num_streams, dtype=bool)
+        seen[cells] = True
+        tick, col = divmod(int(np.argmin(seen)), num_streams)
+        raise TraceParseError(f"{path}: no row for {format_stream(keys[col])} tick {tick}")
+    rssi = np.empty(cells.size)
+    rssi[cells] = values
+    return RssTrace(first[0], first[1], tuple(keys), rssi.reshape(num_ticks, num_streams))
 
 
 def write_truth_file(path, truth: np.ndarray, first_tick: int = 0) -> None:

@@ -37,7 +37,7 @@ from rti.linkstats import (
     crti_var_stat,
     drti_mean_stat,
     drti_var_stat,
-    extract_streams,
+    forward_fill,
     mrti_stat,
     pattern_stream,
     vrti_stat,
@@ -242,9 +242,8 @@ def test_criterion_04_directional_variance_response_outgrows_omni():
             trace, truth = simulate(scn, params)
             mask = obstructed_mask(scenario.layout, truth, params.person_lambda_m)
             obstructed = mask[:, scenario.layout.links.index((0, 1))]
-            series = extract_streams(trace, trace.num_ticks)
-            keys = [k for k in series if (k[0], k[1]) == (0, 1)]
-            filled = np.stack([series[k].filled for k in keys])
+            cols = [i for i, key in enumerate(trace.streams) if key[:2] == (0, 1)]
+            filled = np.stack([forward_fill(trace.rssi[:, i]) for i in cols])
             var = batch_window_variance(filled, 10)
             tracking = var[:, scenario.calibration_rounds :]
             per_mode[mode] = float(np.nanmean(tracking[:, obstructed]))

@@ -17,9 +17,13 @@ from rti.experiment import (
     evaluate_method,
     mode_for_method,
     read_config_file,
+    compute_stat_matrix,
     run_experiment,
+    streams_for_method,
 )
-from rti.geometry import NetworkLayout, NodeSpec, build_grid
+from rti.geometry import NetworkLayout, NodeSpec, build_grid, build_weight_matrix
+from rti.imaging import build_reconstructor
+from rti.presets import COMPARISON_IMAGING, COMPARISON_TRACKING, nlos_7node
 from rti.simulator import (
     PropagationParams,
     Scenario,
@@ -359,3 +363,53 @@ def test_silent_link_contributes_no_evidence(tmp_path):
     alive = scenario.layout.links.index((0, 2))
     assert result.stats[:, alive].max() > 0.0
     assert np.isfinite(result.metrics["rmse_kalman_m"])
+
+
+def test_tracking_failure_names_the_phase():
+    # A prebuilt reconstructor for a three-node layout cannot image the
+    # square's twelve links.
+    scenario = square_scenario(rounds=3, cal=4)
+    trace, truth = simulate(scenario, QUIET)
+    other = NetworkLayout(square_layout().nodes[:3])
+    weights = build_weight_matrix(scenario.grid, other, 0.5)
+    reconstructor = build_reconstructor(weights, 5.0, "identity")
+    config = ExperimentConfig(
+        scenario=Path("unused"), method="mRTI", out_dir=Path("unused")
+    )
+    with pytest.raises(PhaseError, match="tracking: expected 6 link statistics"):
+        evaluate_method(config, scenario, QUIET, trace, truth, reconstructor)
+
+
+@pytest.mark.parametrize("selector", ["all", "fadelevel"])
+def test_stream_first_heard_late_in_calibration_is_left_out(selector):
+    # On this through-wall seed, stream 5->0 pair (3,5) is first heard at
+    # tick 39 of 40 calibration ticks: its 10-tick variance is undefined over
+    # the whole calibration region, so it has no baseline and is dropped
+    # like a stream never heard at all.
+    scenario, params = nlos_7node(4275914066)
+    scenario = replace(scenario, mode="directional")
+    trace, truth = simulate(scenario, params)
+    config = ExperimentConfig(
+        scenario=Path("unused"),
+        method="dRTI-var",
+        out_dir=Path("unused"),
+        selection=SelectionConfig(method=selector),
+        imaging=COMPARISON_IMAGING,
+        tracking=COMPARISON_TRACKING,
+    )
+    ev = evaluate_method(config, scenario, params, trace, truth)
+    assert np.isfinite(ev.stats).all()
+    assert np.isfinite(ev.metrics["rmse_kalman_m"])
+
+    late = (5, 0, None, 3, 5)
+    cal = scenario.calibration_rounds
+    first = np.flatnonzero(~np.isnan(trace.rssi[:, trace.column[late]]))[0]
+    assert cal - 10 < first < cal
+    streams = streams_for_method(scenario.layout, "dRTI-var", (), ev.selection)
+    assert late in streams[(5, 0)]
+    streams[(5, 0)] = [key for key in streams[(5, 0)] if key != late]
+    stats, baseline = compute_stat_matrix(
+        trace, scenario.layout, "dRTI-var", streams, 10, cal, scenario.rounds
+    )
+    assert np.array_equal(stats, ev.stats)
+    assert np.array_equal(baseline, ev.baseline)

@@ -10,9 +10,7 @@ from rti.linkstats import (
     CalibrationTable,
     InsufficientWindowError,
     MissingCalibrationError,
-    RssRecord,
     RssTrace,
-    StreamSeries,
     batch_window_variance,
     calibrate,
     channel_stream,
@@ -21,7 +19,6 @@ from rti.linkstats import (
     crti_var_stat,
     drti_mean_stat,
     drti_var_stat,
-    extract_streams,
     fn_fp_sweep,
     forward_fill,
     mrti_stat,
@@ -31,20 +28,13 @@ from rti.linkstats import (
 )
 
 
-def omni_record(tick, rssi, tx=0, rx=1, received=True):
-    return RssRecord(
-        tick=tick, tx_id=tx, rx_id=rx, mode="omni", channel=None,
-        tx_dir=None, rx_dir=None, tx_power_dbm=0.0, seq=tick,
-        received=received, rssi_dbm=rssi if received else None,
-    )
-
-
-def pattern_record(tick, rssi, pair, tx=0, rx=1, received=True):
-    return RssRecord(
-        tick=tick, tx_id=tx, rx_id=rx, mode="directional", channel=None,
-        tx_dir=pair[0], rx_dir=pair[1], tx_power_dbm=0.0, seq=tick,
-        received=received, rssi_dbm=rssi if received else None,
-    )
+def omni_trace(rows, links=((0, 1),)):
+    """A columnar omni trace: one row of RSS per tick, one column per link,
+    None for a lost packet."""
+    rssi = np.array(
+        [[np.nan if v is None else v for v in row] for row in rows], dtype=float
+    ).reshape(len(rows), len(links))
+    return RssTrace("omni", 0.0, tuple(omni_stream(link) for link in links), rssi)
 
 
 def two_pass_variance(values):
@@ -57,57 +47,59 @@ def two_pass_variance(values):
 
 
 def test_record_rejects_channel_and_pattern_together():
-    with pytest.raises(ValueError):
-        RssRecord(0, 0, 1, "directional", 11, 1, 1, 0.0, 0, True, -50.0)
+    with pytest.raises(ValueError, match="both channel and pattern"):
+        RssTrace("directional", 0.0, ((0, 1, 11, 1, 1),), np.full((1, 1), -50.0))
 
 
-def test_record_rejects_received_without_rssi():
-    with pytest.raises(ValueError):
-        RssRecord(0, 0, 1, "omni", None, None, None, 0.0, 0, True, None)
+def test_trace_rejects_infinite_rssi_and_names_the_cell():
+    rssi = np.array([[-50.0, -51.0], [-50.0, -np.inf]])
+    with pytest.raises(ValueError, match=r"1->0 omni tick 1: non-finite"):
+        RssTrace("omni", 0.0, (omni_stream((0, 1)), omni_stream((1, 0))), rssi)
 
 
-def test_record_rejects_lost_with_rssi():
-    with pytest.raises(ValueError):
-        RssRecord(0, 0, 1, "omni", None, None, None, 0.0, 0, False, -50.0)
+def test_trace_rejects_malformed_columns():
+    streams = (omni_stream((0, 1)),)
+    with pytest.raises(ValueError, match="shaped"):
+        RssTrace("omni", 0.0, streams, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="both tx_dir and rx_dir"):
+        RssTrace("directional", 0.0, ((0, 1, None, 1, None),), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="duplicate streams"):
+        RssTrace("omni", 0.0, streams * 2, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="mode"):
+        RssTrace("radar", 0.0, streams, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="tx_power_dbm"):
+        RssTrace("omni", math.nan, streams, np.zeros((3, 1)))
 
 
 # ----------------------------------------------------------- calibrate
 
 
 def test_calibrate_means_per_stream():
-    trace = RssTrace([omni_record(t, rssi) for t, rssi in enumerate([-50.0, -52.0, -48.0])])
+    trace = omni_trace([[-50.0], [-52.0], [-48.0]])
     table = calibrate(trace, (0, 2))
     assert table.mean(omni_stream((0, 1))) == pytest.approx(-50.0)
 
 
 def test_calibrate_ignores_records_outside_window():
-    trace = RssTrace(
-        [omni_record(0, -50.0), omni_record(1, -50.0), omni_record(2, -90.0)]
-    )
+    trace = omni_trace([[-50.0], [-50.0], [-90.0]])
     table = calibrate(trace, (0, 1))
     assert table.mean(omni_stream((0, 1))) == pytest.approx(-50.0)
 
 
 def test_calibrate_skips_lost_packets_in_mean():
-    trace = RssTrace(
-        [omni_record(0, -50.0), omni_record(1, None, received=False), omni_record(2, -54.0)]
-    )
+    trace = omni_trace([[-50.0], [None], [-54.0]])
     table = calibrate(trace, (0, 2))
     assert table.mean(omni_stream((0, 1))) == pytest.approx(-52.0)
 
 
 def test_calibrate_raises_for_silent_stream_and_names_it():
-    trace = RssTrace(
-        [omni_record(0, -50.0), omni_record(0, None, tx=1, rx=0, received=False)]
-    )
+    trace = omni_trace([[-50.0, None]], links=((0, 1), (1, 0)))
     with pytest.raises(MissingCalibrationError, match=r"1->0 omni"):
         calibrate(trace, (0, 0))
 
 
 def test_calibrate_restricted_streams():
-    trace = RssTrace(
-        [omni_record(0, -50.0), omni_record(0, None, tx=1, rx=0, received=False)]
-    )
+    trace = omni_trace([[-50.0, None]], links=((0, 1), (1, 0)))
     table = calibrate(trace, (0, 0), streams=[omni_stream((0, 1))])
     assert table.mean(omni_stream((0, 1))) == pytest.approx(-50.0)
     with pytest.raises(MissingCalibrationError):
@@ -116,7 +108,22 @@ def test_calibrate_restricted_streams():
 
 def test_calibrate_rejects_empty_window():
     with pytest.raises(ValueError):
-        calibrate(RssTrace([omni_record(0, -50.0)]), (3, 1))
+        calibrate(omni_trace([[-50.0]]), (3, 1))
+
+
+def test_calibrate_sums_in_tick_order():
+    # The mean of a single long column equals a running total in tick order
+    # bit for bit, the way a per-packet accumulator would compute it.
+    rng = np.random.default_rng(7)
+    values = rng.normal(-60.0, 5.0, 160)
+    values[rng.random(160) < 0.2] = np.nan
+    trace = omni_trace([[v] for v in values])
+    total, count = 0.0, 0
+    for v in values:
+        if not math.isnan(v):
+            total += float(v)
+            count += 1
+    assert calibrate(trace, (0, 159)).mean(omni_stream((0, 1))) == total / count
 
 
 # ------------------------------------------------------------ statistics
@@ -302,41 +309,40 @@ def test_forward_fill_carries_last_received():
     assert list(filled[1:]) == [-50.0, -50.0, -50.0, -60.0]
 
 
+def test_forward_fill_works_per_stream_row():
+    values = np.array([[np.nan, -50.0, np.nan], [-40.0, np.nan, -41.0]])
+    filled = forward_fill(values)
+    for row, want in zip(filled, values):
+        np.testing.assert_array_equal(row, forward_fill(want))
+    assert filled.flags.c_contiguous
+
+
 def test_stream_series_window_carry_forward():
-    series = StreamSeries(6)
-    for tick, rssi in [(0, -50.0), (1, -52.0), (2, None), (3, None), (4, -58.0), (5, -58.0)]:
-        series.record(tick, rssi)
-    window = series.window(4, 5)
-    assert list(window) == [-50.0, -52.0, -52.0, -52.0, -58.0]
+    raw = np.array([-50.0, -52.0, np.nan, np.nan, -58.0, -58.0])
+    var = batch_window_variance(forward_fill(raw)[None, :], 5)
+    assert var[0, 4] == vrti_stat([-50.0, -52.0, -52.0, -52.0, -58.0])
 
 
 def test_stream_series_window_before_first_reception():
-    series = StreamSeries(5)
-    series.record(3, -50.0)
-    series.record(4, -51.0)
-    with pytest.raises(InsufficientWindowError):
-        series.window(4, 3)
+    # The first full window starts at the first reception, tick 3.
+    raw = np.array([np.nan, np.nan, np.nan, -50.0, np.nan, -51.0])
+    var = batch_window_variance(forward_fill(raw)[None, :], 3)
+    assert np.isnan(var[0, :5]).all()
+    assert var[0, 5] == vrti_stat([-50.0, -50.0, -51.0])
 
 
 def test_stream_series_window_needs_room():
-    series = StreamSeries(3)
-    for t in range(3):
-        series.record(t, -50.0)
+    var = batch_window_variance(np.full((1, 3), -50.0), 5)
+    assert np.isnan(var).all()
     with pytest.raises(InsufficientWindowError):
-        series.window(1, 5)
+        batch_window_variance(np.full((1, 3), -50.0), 1)
 
 
-def test_extract_streams_groups_by_stream():
-    trace = RssTrace(
-        [
-            omni_record(0, -50.0),
-            omni_record(0, -70.0, tx=1, rx=0),
-            omni_record(1, -51.0),
-        ]
-    )
-    series = extract_streams(trace)
-    assert set(series) == {omni_stream((0, 1)), omni_stream((1, 0))}
-    assert series[omni_stream((0, 1))].value(1) == -51.0
+def test_trace_columns_group_by_stream():
+    trace = omni_trace([[-50.0, -70.0], [-51.0, None]], links=((0, 1), (1, 0)))
+    assert trace.column == {omni_stream((0, 1)): 0, omni_stream((1, 0)): 1}
+    assert trace.rssi[1, trace.column[omni_stream((0, 1))]] == -51.0
+    assert math.isnan(trace.rssi[1, trace.column[omni_stream((1, 0))]])
 
 
 def test_batch_window_variance_matches_scalar():
@@ -355,7 +361,8 @@ def test_batch_window_variance_matches_scalar():
 
 
 def test_trace_window_iteration():
-    trace = RssTrace([omni_record(t, -50.0 - t) for t in range(5)])
-    ticks = [r.tick for r in trace.in_window(1, 3)]
-    assert ticks == [1, 2, 3]
+    trace = omni_trace([[-50.0 - t] for t in range(5)])
+    np.testing.assert_array_equal(trace.window(1, 3)[:, 0], [-51.0, -52.0, -53.0])
+    assert trace.window(3, 9).shape == (2, 1)
+    assert trace.window(-5, -1).shape == (0, 1)
     assert trace.num_ticks == 5

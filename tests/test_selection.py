@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rti.geometry import NetworkLayout, NodeSpec, PatternPair
-from rti.linkstats import RssRecord, RssTrace
+from rti.linkstats import RssTrace, pattern_stream
 from rti.selection import (
     all_pairs,
     compute_fade_levels,
@@ -28,12 +28,17 @@ def facing_pair_layout(d=3.0):
     )
 
 
-def pattern_record(tick, link, pair, rssi, tx_power=0.0, received=True):
-    return RssRecord(
-        tick=tick, tx_id=link[0], rx_id=link[1], mode="directional",
-        channel=None, tx_dir=pair[0], rx_dir=pair[1], tx_power_dbm=tx_power,
-        seq=tick, received=received, rssi_dbm=rssi if received else None,
-    )
+def pattern_trace(rows, tx_power=0.0):
+    """A directional trace from one {(link, pair): rssi} dict per tick. A
+    stream absent from a tick's dict, or mapped to None, lost that packet."""
+    streams = sorted({pattern_stream(link, pair) for row in rows for link, pair in row})
+    column = {key: i for i, key in enumerate(streams)}
+    rssi = np.full((len(rows), len(streams)), np.nan)
+    for tick, row in enumerate(rows):
+        for (link, pair), value in row.items():
+            if value is not None:
+                rssi[tick, column[pattern_stream(link, pair)]] = value
+    return RssTrace("directional", tx_power, tuple(streams), rssi)
 
 
 # ------------------------------------------------------------- location
@@ -90,12 +95,7 @@ def test_location_validates_n():
 def test_fade_level_accumulates_normalised_rss():
     link = (0, 1)
     pair = PatternPair(1, 1)
-    trace = RssTrace(
-        [
-            pattern_record(0, link, pair, -50.0, tx_power=0.0),
-            pattern_record(1, link, pair, -60.0, tx_power=0.0),
-        ]
-    )
+    trace = pattern_trace([{(link, pair): -50.0}, {(link, pair): -60.0}])
     table = compute_fade_levels(trace, (0, 1))
     assert table.level(link, pair) == pytest.approx(-110.0)
 
@@ -103,7 +103,7 @@ def test_fade_level_accumulates_normalised_rss():
 def test_fade_level_subtracts_tx_power():
     link = (0, 1)
     pair = PatternPair(2, 3)
-    trace = RssTrace([pattern_record(0, link, pair, -50.0, tx_power=5.0)])
+    trace = pattern_trace([{(link, pair): -50.0}], tx_power=5.0)
     table = compute_fade_levels(trace, (0, 0))
     assert table.level(link, pair) == pytest.approx(-55.0)
 
@@ -112,12 +112,8 @@ def test_fade_level_skips_lost_and_excludes_silent_pairs():
     link = (0, 1)
     heard = PatternPair(1, 1)
     silent = PatternPair(6, 6)
-    trace = RssTrace(
-        [
-            pattern_record(0, link, heard, -50.0),
-            pattern_record(0, link, silent, None, received=False),
-            pattern_record(1, link, silent, None, received=False),
-        ]
+    trace = pattern_trace(
+        [{(link, heard): -50.0, (link, silent): None}, {(link, silent): None}]
     )
     table = compute_fade_levels(trace, (0, 1))
     assert heard in table.levels[link]
@@ -127,32 +123,35 @@ def test_fade_level_skips_lost_and_excludes_silent_pairs():
 def test_fade_level_matches_reaccumulation_oracle():
     rng = np.random.default_rng(31)
     link = (2, 4)
-    records = []
+    rows = []
     expected = {}
     for tick in range(20):
+        row = {}
         for t in range(1, 7):
             for r in range(1, 7):
                 pair = PatternPair(t, r)
                 received = rng.random() > 0.2
                 rssi = float(rng.normal(-60, 6)) if received else None
-                records.append(pattern_record(tick, link, pair, rssi, received=received))
+                row[(link, pair)] = rssi
                 if received:
                     expected[pair] = expected.get(pair, 0.0) + rssi
-    rng.shuffle(records)  # accumulation order must not matter
-    table = compute_fade_levels(RssTrace(records), (0, 19))
+        rows.append(row)
+    table = compute_fade_levels(pattern_trace(rows), (0, 19))
     assert set(table.levels[link]) == set(expected)
     for pair, h in expected.items():
-        assert table.level(link, pair) == pytest.approx(h, abs=1e-9)
+        assert table.level(link, pair) == h  # same sum, same tick order
 
 
 def test_select_fade_level_max_and_order():
     link = (0, 1)
-    trace = RssTrace(
+    trace = pattern_trace(
         [
-            pattern_record(0, link, PatternPair(1, 1), -40.0),
-            pattern_record(0, link, PatternPair(1, 2), -55.0),
-            pattern_record(0, link, PatternPair(2, 1), -40.0),
-            pattern_record(0, link, PatternPair(2, 2), -40.0),
+            {
+                (link, PatternPair(1, 1)): -40.0,
+                (link, PatternPair(1, 2)): -55.0,
+                (link, PatternPair(2, 1)): -40.0,
+                (link, PatternPair(2, 2)): -40.0,
+            }
         ]
     )
     table = compute_fade_levels(trace, (0, 0))
@@ -167,11 +166,8 @@ def test_select_fade_level_max_and_order():
 def test_select_fade_level_nestedness():
     rng = np.random.default_rng(37)
     link = (0, 1)
-    records = [
-        pattern_record(0, link, pair, float(rng.normal(-60, 6)))
-        for pair in all_pairs()
-    ]
-    table = compute_fade_levels(RssTrace(records), (0, 0))
+    trace = pattern_trace([{(link, pair): float(rng.normal(-60, 6)) for pair in all_pairs()}])
+    table = compute_fade_levels(trace, (0, 0))
     for k in range(1, 36):
         assert set(select_fade_level(table, link, k)) <= set(
             select_fade_level(table, link, k + 1)
@@ -180,7 +176,7 @@ def test_select_fade_level_nestedness():
 
 def test_select_fade_level_rejects_oversized_k():
     link = (0, 1)
-    trace = RssTrace([pattern_record(0, link, PatternPair(1, 1), -50.0)])
+    trace = pattern_trace([{(link, PatternPair(1, 1)): -50.0}])
     table = compute_fade_levels(trace, (0, 0))
     with pytest.raises(ValueError):
         select_fade_level(table, link, 2)
@@ -192,19 +188,19 @@ def test_select_fade_level_rejects_oversized_k():
 def test_prr_counts_match_independent_counter():
     rng = np.random.default_rng(41)
     link = (0, 1)
-    records = []
+    rows = []
     sent = {}
     got = {}
     for tick in range(30):
+        row = {}
         for pair in all_pairs():
             received = bool(rng.random() > 0.4)
-            records.append(
-                pattern_record(tick, link, pair, -55.0 if received else None, received=received)
-            )
+            row[(link, pair)] = -55.0 if received else None
             sent[pair] = sent.get(pair, 0) + 1
             if received:
                 got[pair] = got.get(pair, 0) + 1
-    trace = RssTrace(records)
+        rows.append(row)
+    trace = pattern_trace(rows)
     ranked = select_prr(trace, (0, 29), link, 36)
     prr = {pair: got.get(pair, 0) / sent[pair] for pair in sent if pair in got}
     expected = [p for p, _ in sorted(prr.items(), key=lambda item: (-item[1], item[0]))]
@@ -213,22 +209,20 @@ def test_prr_counts_match_independent_counter():
 
 def test_prr_all_ties_resolve_lexicographically():
     link = (0, 1)
-    records = [pattern_record(0, link, pair, -50.0) for pair in all_pairs()]
-    ranked = select_prr(RssTrace(records), (0, 0), link, 9)
+    trace = pattern_trace([{(link, pair): -50.0 for pair in all_pairs()}])
+    ranked = select_prr(trace, (0, 0), link, 9)
     assert ranked == all_pairs()[:9]
 
 
 def test_prr_nestedness():
     rng = np.random.default_rng(43)
     link = (0, 1)
-    records = []
-    for tick in range(25):
-        for pair in all_pairs():
-            received = bool(rng.random() > 0.3)
-            records.append(
-                pattern_record(tick, link, pair, -50.0 if received else None, received=received)
-            )
-    trace = RssTrace(records)
+    trace = pattern_trace(
+        [
+            {(link, pair): -50.0 if rng.random() > 0.3 else None for pair in all_pairs()}
+            for _tick in range(25)
+        ]
+    )
     for k in (1, 5, 12, 35):
         assert set(select_prr(trace, (0, 24), link, k)) <= set(
             select_prr(trace, (0, 24), link, k + 1)
@@ -237,14 +231,15 @@ def test_prr_nestedness():
 
 def test_prr_excludes_never_received_pairs():
     link = (0, 1)
-    records = [
-        pattern_record(0, link, PatternPair(1, 1), -50.0),
-        pattern_record(0, link, PatternPair(1, 2), None, received=False),
-        pattern_record(1, link, PatternPair(1, 2), None, received=False),
-    ]
+    trace = pattern_trace(
+        [
+            {(link, PatternPair(1, 1)): -50.0, (link, PatternPair(1, 2)): None},
+            {(link, PatternPair(1, 2)): None},
+        ]
+    )
     with pytest.raises(ValueError):
-        select_prr(RssTrace(records), (0, 1), link, 2)
-    assert select_prr(RssTrace(records), (0, 1), link, 1) == [PatternPair(1, 1)]
+        select_prr(trace, (0, 1), link, 2)
+    assert select_prr(trace, (0, 1), link, 1) == [PatternPair(1, 1)]
 
 
 # ------------------------------------------------------------- file io

@@ -23,7 +23,6 @@ from rti.simulator import (
     ScenarioError,
     Trajectory,
     Wall,
-    antenna_gain,
     generate_trajectory,
     obstructed_mask,
     read_scenario_file,
@@ -33,6 +32,7 @@ from rti.simulator import (
     simulate,
     write_scenario_file,
 )
+from rti.traceio import write_trace_file
 
 
 def walk_oracle(waypoints, speed, num_ticks, step=1e-4):
@@ -94,17 +94,23 @@ def circle_layout(n, radius=5.0, centre=(5.0, 5.0)):
 UNIT_GRID = build_grid((0.0, 0.0), 1.0, 1.0, 0.2)
 
 
+def column(trace, tx, rx, channel=None, pair=None):
+    """RSS series of one stream, NaN where the packet was lost."""
+    key = (tx, rx, channel, *(pair or (None, None)))
+    return trace.rssi[:, trace.column[key]]
+
+
 # ------------------------------------------------------------ antenna gain
 
 
 def test_gain_trivia():
     model = AntennaGainModel()
-    assert antenna_gain(model, 0.0) == pytest.approx(7.0)
-    assert antenna_gain(model, math.pi) == pytest.approx(-4.0)
-    assert antenna_gain(model, math.pi / 2) == pytest.approx(1.5)
+    assert model.gain(0.0) == pytest.approx(7.0)
+    assert model.gain(math.pi) == pytest.approx(-4.0)
+    assert model.gain(math.pi / 2) == pytest.approx(1.5)
     omni = AntennaGainModel(directional=False)
     for angle in (0.0, 0.3, math.pi):
-        assert antenna_gain(omni, angle) == 0.0
+        assert omni.gain(angle) == 0.0
 
 
 @given(st.floats(0.0, math.pi))
@@ -232,10 +238,8 @@ def test_pure_path_loss_one_metre():
     )
     trace, truth = simulate(scenario, quiet_params())
     assert truth.shape == (0, 2)
-    assert len(trace) == 5 * 2  # ticks * directed links
-    for record in trace:
-        assert record.received
-        assert record.rssi_dbm == pytest.approx(-40.0)
+    assert trace.rssi.shape == (5, 2)  # ticks x directed links
+    np.testing.assert_allclose(trace.rssi, -40.0)  # NaN (lost) would fail
 
 
 def test_path_loss_follows_distance():
@@ -243,8 +247,7 @@ def test_path_loss_follows_distance():
         two_node_layout(d=10.0), UNIT_GRID, "omni", rounds=1, calibration_rounds=1
     )
     trace, _ = simulate(scenario, quiet_params())
-    for record in trace:
-        assert record.rssi_dbm == pytest.approx(-60.0)  # 40 + 20*log10(10)
+    np.testing.assert_allclose(trace.rssi, -60.0)  # 40 + 20*log10(10)
 
 
 def test_person_shadow_adds_five_db():
@@ -255,9 +258,9 @@ def test_person_shadow_adds_five_db():
     )
     trace, truth = simulate(scenario, quiet_params())
     assert truth.shape == (3, 2)
-    for record in trace:
-        expected = -45.0 if record.tick >= 2 else -40.0
-        assert record.rssi_dbm == pytest.approx(expected)
+    expected = np.where(np.arange(5) >= 2, -45.0, -40.0)
+    for series in trace.rssi.T:
+        np.testing.assert_allclose(series, expected)
 
 
 def test_person_outside_ellipse_leaves_link_untouched():
@@ -268,8 +271,7 @@ def test_person_outside_ellipse_leaves_link_untouched():
         layout, UNIT_GRID, "omni", trajectory=traj, rounds=2, calibration_rounds=1
     )
     trace, _ = simulate(scenario, quiet_params())
-    for record in trace:
-        assert record.rssi_dbm == pytest.approx(-40.0)
+    np.testing.assert_allclose(trace.rssi, -40.0)
 
 
 def test_boresight_pair_gains_fourteen_db_over_omni():
@@ -277,15 +279,12 @@ def test_boresight_pair_gains_fourteen_db_over_omni():
     mk = lambda mode: Scenario(layout, UNIT_GRID, mode, rounds=1, calibration_rounds=1)
     omni_trace, _ = simulate(mk("omni"), quiet_params())
     dir_trace, _ = simulate(mk("directional"), quiet_params())
-    omni_rss = {(r.tx_id, r.rx_id): r.rssi_dbm for r in omni_trace if r.tick == 0}
-    for record in dir_trace:
-        if record.tick != 0:
-            continue
-        base = omni_rss[(record.tx_id, record.rx_id)]
-        if record.tx_dir == 1 and record.rx_dir == 1:
-            assert record.rssi_dbm == pytest.approx(base + 14.0)
-        if record.tx_dir == 4 and record.rx_dir == 4:
-            assert record.rssi_dbm == pytest.approx(base - 8.0)
+    for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(dir_trace.streams):
+        base = column(omni_trace, tx, rx)[0]
+        if (tx_dir, rx_dir) == (1, 1):
+            assert dir_trace.rssi[0, col] == pytest.approx(base + 14.0)
+        if (tx_dir, rx_dir) == (4, 4):
+            assert dir_trace.rssi[0, col] == pytest.approx(base - 8.0)
 
 
 def test_wall_scales_person_shadow_but_not_wall_loss():
@@ -298,9 +297,9 @@ def test_wall_scales_person_shadow_but_not_wall_loss():
         trajectory=traj, rounds=3, calibration_rounds=2,
     )
     trace, _ = simulate(scenario, quiet_params(wall_shadow_factor=0.4))
-    for record in trace:
-        expected = -45.0 if record.tick < 2 else -45.0 - 5.0 * 0.4
-        assert record.rssi_dbm == pytest.approx(expected)
+    expected = np.where(np.arange(5) < 2, -45.0, -45.0 - 5.0 * 0.4)
+    for series in trace.rssi.T:
+        np.testing.assert_allclose(series, expected)
 
 
 def test_wall_shadow_factor_compounds_per_wall():
@@ -311,8 +310,7 @@ def test_wall_shadow_factor_compounds_per_wall():
         trajectory=traj, rounds=2, calibration_rounds=1,
     )
     trace, _ = simulate(scenario, quiet_params(wall_shadow_factor=0.5))
-    last = [r for r in trace if r.tick == 1]
-    assert last[0].rssi_dbm == pytest.approx(-50.0 - 5.0 * 0.25)
+    assert trace.rssi[1, 0] == pytest.approx(-50.0 - 5.0 * 0.25)
 
 
 def test_wall_crossing_attenuates():
@@ -327,29 +325,37 @@ def test_wall_crossing_attenuates():
     t2, _ = simulate(mk((missing,)), quiet_params())
     t3, _ = simulate(mk((custom,)), quiet_params())
     t4, _ = simulate(mk((crossing, custom)), quiet_params())
-    assert t1.records[0].rssi_dbm == pytest.approx(-45.0)
-    assert t2.records[0].rssi_dbm == pytest.approx(-40.0)
-    assert t3.records[0].rssi_dbm == pytest.approx(-47.5)
-    assert t4.records[0].rssi_dbm == pytest.approx(-52.5)
+    assert t1.rssi[0, 0] == pytest.approx(-45.0)
+    assert t2.rssi[0, 0] == pytest.approx(-40.0)
+    assert t3.rssi[0, 0] == pytest.approx(-47.5)
+    assert t4.rssi[0, 0] == pytest.approx(-52.5)
 
 
 # ------------------------------------------------------------ schedule
 
 
-def test_record_order_and_seq():
+def test_record_order_and_seq(tmp_path):
     scenario = Scenario(
         two_node_layout(), UNIT_GRID, "multichannel", channels=(15, 11),
         rounds=2, calibration_rounds=1,
     )
     trace, _ = simulate(scenario, quiet_params())
-    assert len(trace) == 3 * 2 * 2
-    head = trace.records[:4]
-    assert [(r.tx_id, r.rx_id, r.channel) for r in head] == [
+    assert trace.mode == "multichannel"
+    assert trace.rssi.shape == (3, 2 * 2)
+    assert [key[:3] for key in trace.streams] == [
         (0, 1, 11), (0, 1, 15), (1, 0, 11), (1, 0, 15)
     ]
-    for record in trace:
-        assert record.seq == record.tick
-        assert record.mode == "multichannel"
+    path = tmp_path / "trace.csv"
+    write_trace_file(path, trace)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 2 * 2
+    assert [(r[0], r[1], r[2], r[4]) for r in rows[:5]] == [
+        ("0", "0", "1", "11"), ("0", "0", "1", "15"),
+        ("0", "1", "0", "11"), ("0", "1", "0", "15"), ("1", "0", "1", "11"),
+    ]
+    for row in rows:
+        assert row[8] == row[0]
+        assert row[3] == "multichannel"
 
 
 def test_directional_emits_36_pairs_per_link():
@@ -358,9 +364,7 @@ def test_directional_emits_36_pairs_per_link():
         rounds=1, calibration_rounds=1,
     )
     trace, _ = simulate(scenario, PropagationParams())
-    pairs = {
-        (r.tx_dir, r.rx_dir) for r in trace if (r.tx_id, r.rx_id) == (0, 1)
-    }
+    pairs = {(key[3], key[4]) for key in trace.streams if key[:2] == (0, 1)}
     assert len(pairs) == 36
     assert pairs == {(t, x) for t in range(1, 7) for x in range(1, 7)}
 
@@ -376,7 +380,8 @@ def test_simulation_is_deterministic():
     )
     t1, truth1 = simulate(scenario, PropagationParams())
     t2, truth2 = simulate(scenario, PropagationParams())
-    assert t1.records == t2.records
+    assert t1.streams == t2.streams
+    assert np.array_equal(t1.rssi, t2.rssi, equal_nan=True)
     np.testing.assert_array_equal(truth1, truth2)
 
 
@@ -386,8 +391,8 @@ def test_seed_changes_output():
     )
     t1, _ = simulate(mk(1), PropagationParams())
     t2, _ = simulate(mk(2), PropagationParams())
-    r1 = [r.rssi_dbm for r in t1 if r.received]
-    r2 = [r.rssi_dbm for r in t2 if r.received]
+    r1 = t1.rssi[~np.isnan(t1.rssi)].tolist()
+    r2 = t2.rssi[~np.isnan(t2.rssi)].tolist()
     assert r1 != r2
 
 
@@ -399,13 +404,10 @@ def test_fading_is_static_over_time():
         seed=3, rounds=20, calibration_rounds=10,
     )
     trace, _ = simulate(scenario, PropagationParams(noise_std_db=0.0))
-    per_stream: dict[tuple, set] = {}
-    for record in trace:
-        assert record.received
-        per_stream.setdefault(record.stream, set()).add(record.rssi_dbm)
-    assert len(per_stream) == 20
-    for values in per_stream.values():
-        assert len(values) == 1
+    assert not np.isnan(trace.rssi).any()
+    assert len(trace.streams) == 20
+    for series in trace.rssi.T:
+        assert len(set(series.tolist())) == 1
 
 
 def test_channels_fade_independently():
@@ -417,12 +419,12 @@ def test_channels_fade_independently():
     params = PropagationParams(noise_std_db=0.0)
     trace, _ = simulate(scenario, params)
     fades: dict[int, dict[tuple[int, int], float]] = {11: {}, 15: {}}
-    for record in trace:
-        if record.tick != 0 or not record.received:
+    for (tx, rx, channel, _t, _r), rssi in zip(trace.streams, trace.rssi[0]):
+        if np.isnan(rssi):
             continue
-        d = layout.link_distance(record.tx_id, record.rx_id)
+        d = layout.link_distance(tx, rx)
         loss = params.reference_loss_db + 20.0 * math.log10(d)
-        fades[record.channel][(record.tx_id, record.rx_id)] = record.rssi_dbm + loss
+        fades[channel][(tx, rx)] = rssi + loss
     links = sorted(fades[11])
     assert len(links) == 210
     f11 = np.array([fades[11][k] for k in links])
@@ -444,16 +446,16 @@ def test_fading_spread_shrinks_with_directivity():
     dirs: list[float] = []
     from rti.geometry import angle_to_link
 
-    for record in trace:
-        if record.tick != 0 or not record.received:
+    for (tx_id, rx_id, _channel, tx_dir, rx_dir), rssi in zip(trace.streams, trace.rssi[0]):
+        if np.isnan(rssi):
             continue
-        tx = layout.node(record.tx_id)
-        rx = layout.node(record.rx_id)
-        g_tx = model.gain(angle_to_link(tx, record.tx_dir, rx))
-        g_rx = model.gain(angle_to_link(rx, record.rx_dir, tx))
-        d = layout.link_distance(record.tx_id, record.rx_id)
+        tx = layout.node(tx_id)
+        rx = layout.node(rx_id)
+        g_tx = model.gain(angle_to_link(tx, tx_dir, rx))
+        g_rx = model.gain(angle_to_link(rx, rx_dir, tx))
+        d = layout.link_distance(tx_id, rx_id)
         loss = params.reference_loss_db + 20.0 * math.log10(d)
-        fades.append(record.rssi_dbm - g_tx - g_rx + loss)
+        fades.append(rssi - g_tx - g_rx + loss)
         dirs.append(model.directivity(g_tx, g_rx))
     fades_arr = np.array(fades)
     dirs_arr = np.array(dirs)
@@ -485,11 +487,7 @@ def test_closer_link_receives_more():
     )
     params = quiet_params(sensitivity_dbm=-60.0, noise_std_db=0.7)
     trace, _ = simulate(scenario, params)
-    got = {(0, 1): 0, (0, 2): 0}
-    for record in trace:
-        key = (record.tx_id, record.rx_id)
-        if key in got and record.received:
-            got[key] += 1
+    got = {link: np.count_nonzero(~np.isnan(column(trace, *link))) for link in ((0, 1), (0, 2))}
     # link 0->1: margin +20 dB, should be near lossless; 0->2: ~ -66 dBm.
     assert got[(0, 1)] > 95
     assert got[(0, 2)] < 40
@@ -501,10 +499,9 @@ def test_lost_records_have_no_rssi():
         rounds=30, calibration_rounds=10,
     )
     trace, _ = simulate(scenario, quiet_params(sensitivity_dbm=-60.0, noise_std_db=3.0))
-    lost = [r for r in trace if not r.received]
-    assert lost
-    for record in lost:
-        assert record.rssi_dbm is None
+    lost = np.isnan(trace.rssi)
+    assert lost.any()
+    assert np.isfinite(trace.rssi[~lost]).all()
 
 
 def test_drift_wanders_slowly_around_the_static_level():
@@ -515,7 +512,7 @@ def test_drift_wanders_slowly_around_the_static_level():
     )
     params = PropagationParams(noise_std_db=0.0, drift_std_db=1.0, drift_corr=0.9)
     trace, _ = simulate(scenario, params)
-    series = np.array([r.rssi_dbm for r in trace if (r.tx_id, r.rx_id) == (0, 1)])
+    series = column(trace, 0, 1)
     drift = series - np.mean(series)
     assert np.std(drift) == pytest.approx(1.0, rel=0.25)
     lag1 = np.corrcoef(drift[:-1], drift[1:])[0, 1]
@@ -533,11 +530,7 @@ def test_drift_is_independent_per_stream():
         noise_std_db=0.0, fading_std_db=0.0, drift_std_db=1.0, drift_corr=0.9
     )
     trace, _ = simulate(scenario, params)
-    by_stream: dict[tuple, list[float]] = {}
-    for record in trace:
-        key = (record.tx_id, record.rx_id, record.channel)
-        by_stream.setdefault(key, []).append(record.rssi_dbm)
-    fwd = np.array([by_stream[(0, 1, ch)] for ch in (11, 15, 26)])
+    fwd = np.array([column(trace, 0, 1, channel=ch) for ch in (11, 15, 26)])
     fwd -= fwd.mean(axis=1, keepdims=True)
     assert abs(np.corrcoef(fwd[0], fwd[1])[0, 1]) < 0.35
     assert abs(np.corrcoef(fwd[0], fwd[2])[0, 1]) < 0.35
@@ -559,10 +552,7 @@ def test_aligned_pairs_flutter_with_directivity_gain():
         agitation_directivity_gain=0.5,
     )
     trace, _ = simulate(scenario, params)
-    series: dict[tuple[int, int], list[float]] = {}
-    for record in trace:
-        if record.tick >= 1 and record.tx_id == 0:
-            series.setdefault((record.tx_dir, record.rx_dir), []).append(record.rssi_dbm)
+    series = {pair: column(trace, 0, 1, pair=pair)[1:] for pair in ((1, 1), (4, 4))}
     rho = params.fading_directivity_coupling
     model = params.gain_model
     aligned = np.std(np.array(series[(1, 1)]))
@@ -579,22 +569,25 @@ def test_deep_fade_streams_pick_up_motion_noise():
     empty = Scenario(layout, grid, "omni", seed=21, rounds=1, calibration_rounds=1)
     params = PropagationParams(noise_std_db=0.0)
     trace0, _ = simulate(empty, params)
-    fade = {}
-    for record in trace0:
-        if record.tick == 0:
-            d = layout.link_distance(record.tx_id, record.rx_id)
-            loss = params.reference_loss_db + 20.0 * math.log10(d)
-            fade[(record.tx_id, record.rx_id)] = record.rssi_dbm + loss
+    def tick0_fade(trace):
+        out = {}
+        for (tx, rx, *_kind), rssi in zip(trace.streams, trace.rssi[0]):
+            d = layout.link_distance(tx, rx)
+            out[(tx, rx)] = rssi + params.reference_loss_db + 20.0 * math.log10(d)
+        return out
+
+    fade = tick0_fade(trace0)
     traj = Trajectory(((2.5, 2.5),), 0.0)
     busy = Scenario(
         layout, grid, "omni", seed=21, trajectory=traj,
         rounds=40, calibration_rounds=5,
     )
     trace1, _ = simulate(busy, params)
-    series: dict[tuple[int, int], list[float]] = {}
-    for record in trace1:
-        if record.tick >= 5 and record.received:
-            series.setdefault((record.tx_id, record.rx_id), []).append(record.rssi_dbm)
+    series = {}
+    for (tx, rx, *_kind), values in zip(trace1.streams, trace1.rssi[5:].T):
+        heard = values[~np.isnan(values)]
+        if heard.size:
+            series[(tx, rx)] = heard
     wobbled = flat = 0
     for link, values in series.items():
         tx = layout.node(link[0])
@@ -614,12 +607,7 @@ def test_deep_fade_streams_pick_up_motion_noise():
             flat += 1
     assert wobbled >= 5 and flat >= 5
     # The same (seed, stream) pair drew the same fading value in both runs.
-    base = {}
-    for record in trace1:
-        if record.tick == 0:
-            d = layout.link_distance(record.tx_id, record.rx_id)
-            loss = params.reference_loss_db + 20.0 * math.log10(d)
-            base[(record.tx_id, record.rx_id)] = record.rssi_dbm + loss
+    base = tick0_fade(trace1)
     for link in fade:
         assert base[link] == pytest.approx(fade[link], abs=1e-9)
 
@@ -635,16 +623,10 @@ def test_obstruction_response_scales_with_directivity():
     )
     omni_trace, _ = simulate(mk("omni"), quiet_params())
     dir_trace, _ = simulate(mk("directional"), quiet_params())
-    omni_drop = {}
-    for record in omni_trace:
-        key = (record.tx_id, record.rx_id)
-        omni_drop.setdefault(key, {})[record.tick] = record.rssi_dbm
-    drop_omni = omni_drop[(0, 1)][0] - omni_drop[(0, 1)][1]
+    omni = column(omni_trace, 0, 1)
+    drop_omni = omni[0] - omni[1]
     assert drop_omni == pytest.approx(5.0)
-    best = {}
-    for record in dir_trace:
-        if (record.tx_id, record.rx_id) == (0, 1) and (record.tx_dir, record.rx_dir) == (1, 1):
-            best[record.tick] = record.rssi_dbm
+    best = column(dir_trace, 0, 1, pair=(1, 1))
     drop_dir = best[0] - best[1]
     # rho=0.6, D=1: response factor 1 / (1 - 0.6) = 2.5.
     assert drop_dir == pytest.approx(12.5)

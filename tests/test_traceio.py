@@ -1,5 +1,5 @@
-"""Trace and truth file format tests: exact round trips and line-numbered
-parse errors."""
+"""Trace and truth file format tests: exact round trips, line-numbered
+parse errors, and the reader's ingest checks."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rti.geometry import build_grid
-from rti.linkstats import RssRecord, RssTrace
+from rti.linkstats import RssTrace
 from rti.simulator import PropagationParams, Scenario, Trajectory, simulate
 from rti.traceio import (
     TRACE_HEADER,
@@ -37,19 +37,20 @@ def simulated_trace():
 
 def test_trace_round_trip_exact(tmp_path):
     trace, _ = simulated_trace()
-    assert len(trace) > 1000
-    assert any(not r.received for r in trace)
-    assert any(r.received for r in trace)
+    assert trace.rssi.size > 1000
+    assert np.isnan(trace.rssi).any()
+    assert not np.isnan(trace.rssi).all()
     path = tmp_path / "trace.csv"
     write_trace_file(path, trace)
     loaded = read_trace_file(path)
-    assert loaded.records == trace.records
+    assert (loaded.mode, loaded.tx_power_dbm) == (trace.mode, trace.tx_power_dbm)
+    assert loaded.streams == trace.streams
+    np.testing.assert_array_equal(loaded.rssi, trace.rssi)
+    assert np.array_equal(loaded.rssi, trace.rssi, equal_nan=True)
 
 
 def test_trace_header_written(tmp_path):
-    trace = RssTrace(
-        [RssRecord(0, 0, 1, "omni", None, None, None, 0.0, 0, True, -40.0)]
-    )
+    trace = RssTrace("omni", 0.0, ((0, 1, None, None, None),), np.array([[-40.0]]))
     path = tmp_path / "trace.csv"
     write_trace_file(path, trace)
     lines = path.read_text().splitlines()
@@ -59,13 +60,14 @@ def test_trace_header_written(tmp_path):
 
 def test_lost_packet_row_has_empty_rssi(tmp_path):
     trace = RssTrace(
-        [RssRecord(3, 1, 0, "multichannel", 15, None, None, 0.0, 3, False, None)]
+        "multichannel", 0.0, ((1, 0, 15, None, None),), np.full((4, 1), np.nan)
     )
     path = tmp_path / "trace.csv"
     write_trace_file(path, trace)
-    assert path.read_text().splitlines()[1] == "3,1,0,multichannel,15,,,0.0,3,false,"
+    assert path.read_text().splitlines()[4] == "3,1,0,multichannel,15,,,0.0,3,false,"
     loaded = read_trace_file(path)
-    assert loaded.records == trace.records
+    assert loaded.streams == trace.streams
+    assert np.isnan(loaded.rssi).all() and loaded.rssi.shape == (4, 1)
 
 
 def test_trace_rejects_wrong_header(tmp_path):
@@ -107,6 +109,132 @@ def test_trace_error_on_bad_number(tmp_path):
     path.write_text(",".join(TRACE_HEADER) + f"\n{good}\n{bad}\n")
     with pytest.raises(TraceParseError, match="line 3"):
         read_trace_file(path)
+
+
+# ------------------------------------------------------- ingest checks
+# Two pattern streams of link 0->1 over two ticks; each check below breaks
+# one row of this file and pins the error, which names the line, the stream
+# and the tick.
+
+GOOD_ROWS = [
+    "0,0,1,directional,,1,1,0.0,0,true,-50.0",
+    "0,0,1,directional,,1,2,0.0,0,false,",
+    "1,0,1,directional,,1,1,0.0,1,true,-51.0",
+    "1,0,1,directional,,1,2,0.0,1,true,-52.5",
+]
+
+
+def write_rows(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_HEADER) + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def rejection(tmp_path, rows) -> str:
+    with pytest.raises(TraceParseError) as info:
+        read_trace_file(write_rows(tmp_path, rows))
+    return str(info.value)
+
+
+def replaced(line, row):
+    rows = list(GOOD_ROWS)
+    rows[line - 2] = row
+    return rows
+
+
+def test_reader_builds_columns_in_any_row_order(tmp_path):
+    trace = read_trace_file(write_rows(tmp_path, GOOD_ROWS))
+    assert trace.mode == "directional" and trace.tx_power_dbm == 0.0
+    assert trace.streams == ((0, 1, None, 1, 1), (0, 1, None, 1, 2))
+    np.testing.assert_array_equal(trace.rssi, [[-50.0, np.nan], [-51.0, -52.5]])
+    shuffled = read_trace_file(write_rows(tmp_path, GOOD_ROWS[::-1]))
+    assert set(shuffled.streams) == set(trace.streams)
+    for key in trace.streams:
+        np.testing.assert_array_equal(
+            shuffled.rssi[:, shuffled.column[key]], trace.rssi[:, trace.column[key]]
+        )
+
+
+def test_reader_rejects_bad_received_flag(tmp_path):
+    rows = replaced(4, "1,0,1,directional,,1,1,0.0,1,maybe,-51.0")
+    assert rejection(tmp_path, rows) == (
+        "line 4: 0->1 pair (1,1) tick 1: received must be true or false, got 'maybe'"
+    )
+
+
+def test_reader_rejects_received_without_rssi(tmp_path):
+    rows = replaced(4, "1,0,1,directional,,1,1,0.0,1,true,")
+    assert rejection(tmp_path, rows) == (
+        "line 4: 0->1 pair (1,1) tick 1: received row without rssi"
+    )
+
+
+def test_reader_rejects_lost_with_rssi(tmp_path):
+    rows = replaced(3, "0,0,1,directional,,1,2,0.0,0,false,-60.0")
+    assert rejection(tmp_path, rows) == (
+        "line 3: 0->1 pair (1,2) tick 0: lost row must not carry rssi"
+    )
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_reader_rejects_non_finite_rssi(tmp_path, text):
+    rows = replaced(5, f"1,0,1,directional,,1,2,0.0,1,true,{text}")
+    assert rejection(tmp_path, rows) == (
+        f"line 5: 0->1 pair (1,2) tick 1: non-finite rssi '{text}'"
+    )
+
+
+def test_reader_rejects_channel_and_pattern_together(tmp_path):
+    rows = replaced(2, "0,0,1,directional,11,1,1,0.0,0,true,-50.0")
+    assert rejection(tmp_path, rows) == (
+        "line 2: tick 0: a stream cannot carry both channel and pattern fields"
+    )
+
+
+def test_reader_rejects_half_pattern(tmp_path):
+    rows = replaced(2, "0,0,1,directional,,1,,0.0,0,true,-50.0")
+    assert rejection(tmp_path, rows) == (
+        "line 2: tick 0: pattern streams need both tx_dir and rx_dir"
+    )
+
+
+def test_reader_rejects_mixed_mode_and_tx_power(tmp_path):
+    rows = replaced(5, "1,0,1,omni,,1,2,0.0,1,true,-52.5")
+    assert rejection(tmp_path, rows) == (
+        "line 5: 0->1 pair (1,2) tick 1: mode 'omni' and tx power 0.0 differ "
+        "from the first row's 'directional' and 0.0"
+    )
+    rows = replaced(4, "1,0,1,directional,,1,1,3.0,1,true,-51.0")
+    assert "tx power 3.0 differ" in rejection(tmp_path, rows)
+
+
+def test_reader_rejects_seq_other_than_tick(tmp_path):
+    rows = replaced(4, "1,0,1,directional,,1,1,0.0,7,true,-51.0")
+    assert rejection(tmp_path, rows) == (
+        "line 4: 0->1 pair (1,1) tick 1: seq 7 differs from the tick"
+    )
+
+
+def test_reader_rejects_negative_tick(tmp_path):
+    rows = replaced(2, "-1,0,1,directional,,1,1,0.0,-1,true,-50.0")
+    assert rejection(tmp_path, rows) == "line 2: 0->1 pair (1,1) tick -1: negative tick"
+
+
+def test_reader_rejects_duplicate_cell(tmp_path):
+    rows = GOOD_ROWS + ["0,0,1,directional,,1,2,0.0,0,true,-49.0"]
+    assert rejection(tmp_path, rows) == (
+        "line 6: 0->1 pair (1,2) tick 0: duplicate of line 3"
+    )
+
+
+def test_reader_rejects_missing_cell(tmp_path):
+    rows = GOOD_ROWS[:3]
+    message = rejection(tmp_path, rows)
+    assert message.endswith("trace.csv: no row for 0->1 pair (1,2) tick 1")
+
+
+def test_reader_rejects_header_only_file(tmp_path):
+    assert rejection(tmp_path, []).endswith("trace file has no rows")
 
 
 def test_truth_round_trip(tmp_path):

@@ -410,6 +410,11 @@ def evaluate_method(
             ),
         },
         "imaging": asdict(config.imaging),
+        "reconstructor": {
+            "links": reconstructor.num_links,
+            "voxels": reconstructor.num_voxels,
+            "residual": reconstructor.residual,
+        },
         "tracking": asdict(config.tracking),
         "rmse_kalman_m": rmse(estimates, truth),
         "rmse_argmax_m": rmse(measurements, truth),

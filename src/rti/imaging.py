@@ -30,6 +30,7 @@ class Reconstructor:
     pi: np.ndarray  # (num_voxels, num_links)
     alpha: float
     regularizer: str
+    residual: float  # max |(A^T A + alpha Q) pi - A^T|, checked at build time
 
     @property
     def num_links(self) -> int:
@@ -40,27 +41,33 @@ class Reconstructor:
         return self.pi.shape[0]
 
 
-def difference_operator(height: int, width: int) -> np.ndarray:
-    """First-difference operator over a row-major grid.
+# Eigenvalue given to the Laplacian's constant null mode before Woodbury takes
+# it back out; any positive value yields the same pi.
+_NULL_MODE_LIFT = 1.0
 
-    Stacks horizontal neighbour differences over all rows, then vertical
-    neighbour differences over all columns.
-    """
-    n = height * width
-    rows = height * (width - 1) + width * (height - 1)
-    L = np.zeros((rows, n))
-    k = 0
-    for r in range(height):
-        for c in range(width - 1):
-            L[k, r * width + c + 1] = 1.0
-            L[k, r * width + c] = -1.0
-            k += 1
-    for r in range(height - 1):
-        for c in range(width):
-            L[k, (r + 1) * width + c] = 1.0
-            L[k, r * width + c] = -1.0
-            k += 1
-    return L
+
+def _dct_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II matrix C (rows are modes) and the eigenvalues lam of
+    the n-point Neumann path Laplacian, which equals C^T diag(lam) C."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    basis[0] = np.sqrt(1.0 / n)
+    eigenvalues = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+    return basis, eigenvalues
+
+
+def _apply_laplacian(pi: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Q @ pi for Q = D^T D, D the first differences between 4-neighbours."""
+    p = pi.reshape(height, width, -1)
+    out = np.zeros_like(p)
+    north = np.diff(p, axis=0)
+    out[:-1] -= north
+    out[1:] += north
+    east = np.diff(p, axis=1)
+    out[:, :-1] -= east
+    out[:, 1:] += east
+    return out.reshape(pi.shape)
 
 
 def build_reconstructor(
@@ -69,10 +76,19 @@ def build_reconstructor(
     regularizer: str = "difference",
     grid: VoxelGrid | None = None,
 ) -> Reconstructor:
-    """Precompute the regularized pseudo-inverse of the weight matrix.
+    """Precompute pi = (A^T A + alpha Q)^-1 A^T, the regularized pseudo-inverse.
 
-    The difference regularizer penalises spatial gradients and needs the grid
-    to know the row layout; the identity regularizer penalises magnitude.
+    The difference regularizer (Q = D^T D, D the 4-neighbour first
+    differences) penalises spatial gradients and needs the grid to know the
+    row layout; the identity regularizer (Q = I) penalises magnitude.
+
+    Every solve is in link space, so no voxels x voxels array is formed. For
+    the identity, pi = A^T (A A^T + alpha I)^-1. For the difference, Q is the
+    grid's Neumann Laplacian, which the separable DCT-II diagonalises. Its
+    constant null mode u = 1/sqrt(N) is lifted to B = alpha Q + beta u u^T,
+    and Woodbury with U = [A^T, u], D = diag(I, -beta) leaves one
+    (L+1) x (L+1) solve. For L links on an H x W grid of N voxels, the DCT
+    costs O(L N (H+W)) and the link-space products O(L^2 N).
     """
     A = weights.entries if isinstance(weights, WeightMatrix) else np.asarray(weights, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -83,29 +99,47 @@ def build_reconstructor(
         raise ValueError("alpha must be positive")
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-    n = A.shape[1]
-    if regularizer == "identity":
-        Q = np.eye(n)
-    else:
+    links, n = A.shape
+    if regularizer == "difference":
         if grid is None:
             raise ValueError("difference regularizer needs the voxel grid")
         if grid.num_voxels != n:
             raise ValueError(
                 f"grid has {grid.num_voxels} voxels but weight matrix has {n} columns"
             )
-        L = difference_operator(grid.height_voxels, grid.width_voxels)
-        Q = L.T @ L
-    system = A.T @ A + alpha * Q
     try:
-        pi = np.linalg.solve(system, A.T)
+        if regularizer == "identity":
+            pi = A.T @ np.linalg.inv(A @ A.T + alpha * np.eye(links))
+            q_pi = pi
+        else:
+            height, width = grid.height_voxels, grid.width_voxels
+            c_h, lam_h = _dct_basis(height)
+            c_w, lam_w = _dct_basis(width)
+            spectrum = alpha * (lam_h[:, None] + lam_w[None, :])
+            spectrum[0, 0] = _NULL_MODE_LIFT
+            # Row l of b_inv_at is B^-1 applied to link l's weight row.
+            modes = c_h @ A.reshape(links, height, width) @ c_w.T
+            b_inv_at = (c_h.T @ (modes / spectrum) @ c_w).reshape(links, n)
+            # B^-1 u = u / beta, a constant vector with this entry.
+            b_inv_u = 1.0 / (np.sqrt(n) * _NULL_MODE_LIFT)
+            # s = D^-1 + U^T B^-1 U; its corner -1/beta + u^T B^-1 u is 0.
+            s = np.zeros((links + 1, links + 1))
+            s[:links, :links] = np.eye(links) + A @ b_inv_at.T
+            s[:links, links] = s[links, :links] = A.sum(axis=1) * b_inv_u
+            x = np.linalg.solve(s, np.eye(links + 1, links))
+            # pi is the link columns of B^-1 U s^-1.
+            pi = b_inv_at.T @ x[:links] + b_inv_u * x[links]
+            q_pi = _apply_laplacian(pi, height, width)
     except np.linalg.LinAlgError as exc:
         raise ReconstructionError(f"regularized system is singular: {exc}") from exc
-    residual = float(np.max(np.abs(system @ pi - A.T)))
+    residual = float(np.max(np.abs(A.T @ (A @ pi) + alpha * q_pi - A.T)))
     if not np.isfinite(residual) or residual > 1e-6:
         raise ReconstructionError(
             f"solve residual {residual:.3e} exceeds 1e-6; system is ill-conditioned"
         )
-    return Reconstructor(pi=pi, alpha=float(alpha), regularizer=regularizer)
+    return Reconstructor(
+        pi=pi, alpha=float(alpha), regularizer=regularizer, residual=residual
+    )
 
 
 def reconstruct(rec: Reconstructor, stats: np.ndarray, time: int = 0) -> ImageFrame:
@@ -117,11 +151,28 @@ def reconstruct(rec: Reconstructor, stats: np.ndarray, time: int = 0) -> ImageFr
 
 
 def argmax_voxel(frame: ImageFrame, grid: VoxelGrid) -> tuple[float, float]:
-    """Centre of the brightest voxel; ties resolve to the lowest index."""
+    """Centre of the brightest voxel.
+
+    When several voxels tie for the maximum, the result is the mean of their
+    centres. Voxels covered by the same set of links have equal weight
+    columns and so exactly equal image values; the plateau's centre does not
+    favour one corner of it.
+    """
     values = np.asarray(frame.values)
     if values.shape != (grid.num_voxels,):
         raise ValueError("frame size does not match grid")
-    return grid.voxel_center(int(np.argmax(values)))
+    best = values.argmax()
+    peak = values[best]
+    if np.count_nonzero(values == peak) < 2:
+        return grid.voxel_center(int(best))
+    ties = np.flatnonzero(values == peak)
+    rows, cols = np.divmod(ties, grid.width_voxels)
+    x0, y0 = grid.origin
+    w = grid.voxel_width
+    return (
+        float(np.mean(x0 + (cols + 0.5) * w)),
+        float(np.mean(y0 + (rows + 0.5) * w)),
+    )
 
 
 # ------------------------------------------------------------- exporters

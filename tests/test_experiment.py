@@ -228,6 +228,12 @@ def test_experiment_writes_the_full_artefact_set(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["method"] == "dRTI-mean"
     assert metrics["selection"] == {"method": "all", "pairs_per_link": 36}
+    block = metrics["reconstructor"]
+    assert (block["links"], block["voxels"]) == (
+        scenario.layout.num_links,
+        scenario.grid.num_voxels,
+    )
+    assert 0.0 <= block["residual"] <= 1e-6
 
 
 def test_rerun_is_byte_identical(tmp_path):

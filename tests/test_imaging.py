@@ -7,11 +7,11 @@ from rti.imaging import (
     ReconstructionError,
     argmax_voxel,
     build_reconstructor,
-    difference_operator,
     frame_to_csv,
     frame_to_pgm,
     reconstruct,
 )
+from rti.presets import ring_layout
 
 
 def inverse_based_reference(A, alpha, Q):
@@ -21,6 +21,35 @@ def inverse_based_reference(A, alpha, Q):
 
 def random_system(rng, m=5, n=12):
     return rng.normal(0.0, 1.0, size=(m, n))
+
+
+def difference_operator(height: int, width: int) -> np.ndarray:
+    """Dense first-difference operator over a row-major grid.
+
+    Stacks horizontal neighbour differences over all rows, then vertical
+    neighbour differences over all columns.
+    """
+    n = height * width
+    rows = height * (width - 1) + width * (height - 1)
+    L = np.zeros((rows, n))
+    k = 0
+    for r in range(height):
+        for c in range(width - 1):
+            L[k, r * width + c + 1] = 1.0
+            L[k, r * width + c] = -1.0
+            k += 1
+    for r in range(height - 1):
+        for c in range(width):
+            L[k, (r + 1) * width + c] = 1.0
+            L[k, r * width + c] = -1.0
+            k += 1
+    return L
+
+
+def grid_of(height, width):
+    grid = build_grid((0.0, 0.0), width * 0.5, height * 0.5, 0.5)
+    assert (grid.height_voxels, grid.width_voxels) == (height, width)
+    return grid
 
 
 # --------------------------------------------------------------- builder
@@ -53,6 +82,69 @@ def test_matches_inverse_reference_difference():
         rec = build_reconstructor(A, alpha, regularizer="difference", grid=grid)
         expected = inverse_based_reference(A, alpha, Q)
         assert np.max(np.abs(rec.pi - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+@pytest.mark.parametrize("height,width", [(3, 5), (5, 3), (2, 7), (1, 6), (6, 1), (1, 1)])
+def test_link_space_matches_dense_solve(regularizer, height, width):
+    rng = np.random.default_rng(1000 * height + width)
+    grid = grid_of(height, width)
+    n = grid.num_voxels
+    if regularizer == "identity":
+        Q = np.eye(n)
+    else:
+        L = difference_operator(height, width)
+        Q = L.T @ L
+    for m in (1, 4, 9):
+        # Nonnegative, like real link weights. A signed random row can nearly
+        # cancel the constant mode, and then the dense oracle's own error
+        # exceeds 1e-10 (criterion 02 covers signed systems at 1e-9).
+        A = np.abs(random_system(rng, m=m, n=n))
+        alpha = float(rng.uniform(0.5, 30.0))
+        rec = build_reconstructor(A, alpha, regularizer=regularizer, grid=grid)
+        assert rec.pi.shape == (n, m)
+        assert rec.pi.dtype == np.float64 and rec.pi.flags.c_contiguous
+        expected = inverse_based_reference(A, alpha, Q)
+        assert np.max(np.abs(rec.pi - expected)) <= 1e-10
+        assert 0.0 <= rec.residual <= 1e-6
+
+
+def test_link_space_matches_dense_solve_on_ring20_grid():
+    # 20-node ring at 0.1 m voxels: L = 380 links, N = 3600 voxels.
+    grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
+    wm = build_weight_matrix(grid, ring_layout(20, 2.9, (3.0, 3.0)), 0.5)
+    A = wm.entries
+    assert A.shape == (380, 3600)
+    rec = build_reconstructor(wm, 25.0, regularizer="difference", grid=grid)
+    L = difference_operator(grid.height_voxels, grid.width_voxels)
+    system = L.T @ L
+    del L  # 200 MB; free it before the solve
+    system *= 25.0
+    system += A.T @ A
+    expected = np.linalg.solve(system, A.T)
+    assert np.max(np.abs(rec.pi - expected)) <= 1e-10
+
+
+def test_duplicate_weight_columns_give_identical_rows():
+    # Voxels crossed by the same set of links must image to exactly the same
+    # value, so that a plateau stays a plateau for argmax_voxel.
+    rng = np.random.default_rng(211)
+    base = np.abs(random_system(rng, m=7, n=5))
+    order = rng.permutation(np.repeat(np.arange(5), 9))
+    A = base[:, order]
+    rec = build_reconstructor(A, 4.0, regularizer="identity")
+    for col in range(5):
+        rows = rec.pi[order == col]
+        assert all(np.array_equal(rows[0], row) for row in rows[1:])
+
+
+def test_nan_weight_fails_loudly():
+    grid = grid_of(3, 4)
+    A = np.abs(random_system(np.random.default_rng(223), m=5, n=12))
+    A[2, 7] = np.nan
+    for regularizer in ("identity", "difference"):
+        with pytest.raises(ReconstructionError):
+            build_reconstructor(A, 2.0, regularizer=regularizer, grid=grid)
 
 
 def test_identity_on_range_consistency():
@@ -169,10 +261,14 @@ def test_argmax_scale_invariance():
 # ---------------------------------------------------------------- argmax
 
 
-def test_argmax_ties_take_lowest_index():
+def test_argmax_ties_take_plateau_centre():
     grid = build_grid((0.0, 0.0), 1.0, 1.0, 0.5)
     frame = ImageFrame(time=0, values=np.array([1.0, 1.0, 1.0, 1.0]))
-    assert argmax_voxel(frame, grid) == (0.25, 0.25)
+    assert argmax_voxel(frame, grid) == (0.5, 0.5)
+    frame = ImageFrame(time=0, values=np.array([2.0, 0.0, 0.0, 2.0]))
+    assert argmax_voxel(frame, grid) == (0.5, 0.5)
+    frame = ImageFrame(time=0, values=np.array([0.0, 3.0, 1.0, 3.0]))
+    assert argmax_voxel(frame, grid) == (0.75, 0.5)
 
 
 def test_argmax_finds_peak():

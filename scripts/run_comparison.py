@@ -1,25 +1,24 @@
-"""Compare all six imaging methods on the through-wall scenario.
+"""Compare all six imaging methods on the open-area or through-wall ring.
 
-Same protocol as the open-area comparison, on the two-wall layout. Expected
-outcomes: dRTI < cRTI < omni within each family, variance methods beating
-mean methods, and the directional detection curve non-dominated on a
-false-negative / false-positive threshold sweep.
+Simulates one trace per antenna mode and seed, evaluates every method on
+its matching trace, and prints per-seed and median RMSE. Expected outcomes:
+dRTI < cRTI < omni within each statistic family; through walls, variance
+methods also beat mean methods. The detection column says whether the
+directional mean-change curve is beaten on a false-negative /
+false-positive threshold sweep.
 
-    python scripts/run_nlos_comparison.py --seeds 10
+    python scripts/run_comparison.py --scenario los_7node --seeds 10
+    python scripts/run_comparison.py --scenario nlos_7node --seeds 10
 """
 
 import argparse
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from rti.experiment import METHODS, ExperimentConfig, evaluate_method, mode_for_method
-from rti.geometry import build_weight_matrix
-from rti.imaging import build_reconstructor
-from rti.presets import COMPARISON_IMAGING, COMPARISON_TRACKING, nlos_7node
-from rti.simulator import simulate
+from rti.experiment import METHODS, compare, scenario_reconstructor
+from rti.presets import COMPARISON_IMAGING, PRESETS, comparison_config
 
 
 def achievable_fp(curve, fn_budget):
@@ -30,47 +29,27 @@ def achievable_fp(curve, fn_budget):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--scenario", required=True, choices=("los_7node", "nlos_7node"),
+        help="ring preset to compare on",
+    )
     parser.add_argument("--seeds", type=int, default=10, help="number of seeds")
     parser.add_argument("--out", type=Path, default=None, help="optional CSV path")
     args = parser.parse_args()
 
-    scenario0, _ = nlos_7node(0)
-    weights = build_weight_matrix(
-        scenario0.grid, scenario0.layout, COMPARISON_IMAGING.ellipse_excess_m
-    )
-    reconstructor = build_reconstructor(
-        weights,
-        COMPARISON_IMAGING.alpha,
-        COMPARISON_IMAGING.regularizer,
-        grid=scenario0.grid,
-    )
+    factory = PRESETS[args.scenario]
+    reconstructor = scenario_reconstructor(factory(0)[0], COMPARISON_IMAGING)
+    configs = [comparison_config(method) for method in METHODS]
 
     rows = []
     rmse = {m: [] for m in METHODS}
     dominated_seeds = 0
     print("seed  " + "  ".join(f"{m:>9}" for m in METHODS) + "  detection")
     for seed in range(args.seeds):
-        scenario, params = nlos_7node(seed)
-        traces = {
-            mode: simulate(replace(scenario, mode=mode), params)
-            for mode in ("omni", "multichannel", "directional")
-        }
+        evaluations = compare(*factory(seed), configs, reconstructor)
         line = [f"{seed:>4}"]
         curves = {}
-        for method in METHODS:
-            mode = mode_for_method(method)
-            trace, truth = traces[mode]
-            config = ExperimentConfig(
-                scenario=Path("in-memory"),
-                method=method,
-                out_dir=Path("unused"),
-                imaging=COMPARISON_IMAGING,
-                tracking=COMPARISON_TRACKING,
-            )
-            ev = evaluate_method(
-                config, replace(scenario, mode=mode), params, trace, truth,
-                reconstructor,
-            )
+        for method, ev in zip(METHODS, evaluations):
             value = ev.metrics["rmse_kalman_m"]
             rmse[method].append(value)
             curves[method] = ev.metrics["fn_fp"]

@@ -9,16 +9,12 @@ Fade level should approach the full set by k = 9 or so.
 
 import argparse
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from rti.experiment import ExperimentConfig, SelectionConfig, evaluate_method
-from rti.geometry import build_weight_matrix
-from rti.imaging import build_reconstructor
-from rti.presets import COMPARISON_IMAGING, COMPARISON_TRACKING, los_7node
-from rti.simulator import simulate
+from rti.experiment import SelectionConfig, compare, scenario_reconstructor
+from rti.presets import COMPARISON_IMAGING, comparison_config, los_7node
 
 
 def main() -> None:
@@ -41,33 +37,14 @@ def main() -> None:
         ("prr k=9", SelectionConfig(method="prr", k=9)),
     ]
 
-    scenario0, _ = los_7node(0)
-    weights = build_weight_matrix(
-        scenario0.grid, scenario0.layout, COMPARISON_IMAGING.ellipse_excess_m
-    )
-    reconstructor = build_reconstructor(
-        weights,
-        COMPARISON_IMAGING.alpha,
-        COMPARISON_IMAGING.regularizer,
-        grid=scenario0.grid,
-    )
+    reconstructor = scenario_reconstructor(los_7node(0)[0], COMPARISON_IMAGING)
+    configs = [comparison_config("dRTI-mean", selection) for _, selection in selections]
 
     rows = []
     rmse = {label: [] for label, _ in selections}
     for seed in range(args.seeds):
-        scenario, params = los_7node(seed)
-        scenario = replace(scenario, mode="directional")
-        trace, truth = simulate(scenario, params)
-        for label, selection in selections:
-            config = ExperimentConfig(
-                scenario=Path("in-memory"),
-                method="dRTI-mean",
-                out_dir=Path("unused"),
-                selection=selection,
-                imaging=COMPARISON_IMAGING,
-                tracking=COMPARISON_TRACKING,
-            )
-            ev = evaluate_method(config, scenario, params, trace, truth, reconstructor)
+        evaluations = compare(*los_7node(seed), configs, reconstructor)
+        for (label, _), ev in zip(selections, evaluations):
             value = ev.metrics["rmse_kalman_m"]
             rmse[label].append(value)
             rows.append({"seed": seed, "selection": label, "rmse_kalman_m": value})

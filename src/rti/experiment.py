@@ -2,7 +2,9 @@
 
 `run_experiment` drives one method over one scenario and writes every
 artefact (trace, selection, link statistics, images, trajectory, metrics)
-into an output directory. All outputs are deterministic for a fixed config.
+into an output directory. `compare` evaluates several methods on one
+scenario in memory, simulating each radio mode once. All outputs are
+deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -62,6 +64,15 @@ def mode_for_method(method: str) -> str:
     if method.startswith("cRTI"):
         return "multichannel"
     return "directional"
+
+
+def _is_variance(method: str) -> bool:
+    return method.endswith("var") or method == "vRTI"
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -125,8 +136,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.window < 2:
-            raise ConfigError("window must be >= 2")
+        if not _is_int(self.window) or self.window < 2:
+            raise ConfigError(f"window must be an integer >= 2, got {self.window!r}")
+        if self.seed is not None and not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer or null, got {self.seed!r}")
+        if not isinstance(self.write_images, bool):
+            raise ConfigError(
+                f"write_images must be true or false, got {self.write_images!r}"
+            )
         if self.selection.method != "all" and not self.method.startswith("dRTI"):
             raise ConfigError(
                 "pattern pair selection only applies to dRTI methods, "
@@ -165,9 +182,9 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
             selection=selection,
             imaging=imaging,
             tracking=tracking,
-            window=int(data.get("window", 10)),
+            window=data.get("window", 10),
             seed=data.get("seed"),
-            write_images=bool(data.get("write_images", False)),
+            write_images=data.get("write_images", False),
         )
     except TypeError as exc:
         raise ConfigError(f"bad config field: {exc}") from exc
@@ -245,7 +262,7 @@ def compute_stat_matrix(
             f"statistics: trace has {trace.num_ticks} ticks, tracking needs "
             f"{first_tick + num_ticks}"
         )
-    variance = method.endswith("var") or method == "vRTI"
+    variance = _is_variance(method)
     raw = np.ascontiguousarray(trace.rssi[:, [trace.column[k] for k in ordered]].T)
     # The statistic at tick t needs a reception by tick t - lag. A stream
     # whose statistic is undefined over the whole calibration region has no
@@ -316,6 +333,29 @@ class ExperimentResult:
     out_dir: Path
 
 
+def _check_window_fits(config: ExperimentConfig, scenario: Scenario) -> None:
+    """A variance method's first window must fit in the calibration rounds."""
+    cal = scenario.calibration_rounds
+    if _is_variance(config.method) and cal < config.window:
+        raise ConfigError(
+            f"variance window {config.window} does not fit in "
+            f"{cal} calibration rounds"
+        )
+
+
+def scenario_reconstructor(scenario: Scenario, imaging: ImagingConfig):
+    """The Tikhonov map for a scenario's grid and layout."""
+    try:
+        weights = build_weight_matrix(
+            scenario.grid, scenario.layout, imaging.ellipse_excess_m
+        )
+        return build_reconstructor(
+            weights, imaging.alpha, imaging.regularizer, grid=scenario.grid
+        )
+    except Exception as exc:
+        raise PhaseError(f"imaging: {exc}") from exc
+
+
 def evaluate_method(
     config: ExperimentConfig,
     scenario: Scenario,
@@ -329,6 +369,7 @@ def evaluate_method(
     `scenario.mode` must already match the method. A prebuilt reconstructor
     for the scenario's grid and layout may be passed to skip the solve.
     """
+    _check_window_fits(config, scenario)
     cal = scenario.calibration_rounds
     selection = None
     if config.method.startswith("dRTI"):
@@ -360,18 +401,7 @@ def evaluate_method(
     change = stats - baseline
 
     if reconstructor is None:
-        try:
-            weights = build_weight_matrix(
-                scenario.grid, scenario.layout, config.imaging.ellipse_excess_m
-            )
-            reconstructor = build_reconstructor(
-                weights,
-                config.imaging.alpha,
-                config.imaging.regularizer,
-                grid=scenario.grid,
-            )
-        except Exception as exc:
-            raise PhaseError(f"imaging: {exc}") from exc
+        reconstructor = scenario_reconstructor(scenario, config.imaging)
 
     tracker = KalmanTracker(KalmanParams(q=config.tracking.q, r=config.tracking.r))
     measurements = np.zeros((scenario.rounds, 2))
@@ -437,6 +467,41 @@ def evaluate_method(
     )
 
 
+def compare(
+    scenario: Scenario,
+    params: PropagationParams,
+    configs: list[ExperimentConfig],
+    reconstructor=None,
+) -> list[Evaluation]:
+    """Evaluate each config on one scenario, in memory, in order.
+
+    Each radio mode the configs need is simulated once, in the order the
+    configs first need it, and shared by every config of that mode. Without
+    a prebuilt reconstructor, one is built per distinct imaging config.
+    """
+    runs = {}
+    reconstructors = {}
+    evaluations = []
+    for config in configs:
+        mode = mode_for_method(config.method)
+        if mode not in runs:
+            moded = replace(scenario, mode=mode)
+            try:
+                runs[mode] = (moded, *simulate(moded, params))
+            except Exception as exc:
+                raise PhaseError(f"simulate: {exc}") from exc
+        rec = reconstructor
+        if rec is None:
+            if config.imaging not in reconstructors:
+                reconstructors[config.imaging] = scenario_reconstructor(
+                    scenario, config.imaging
+                )
+            rec = reconstructors[config.imaging]
+        moded, trace, truth = runs[mode]
+        evaluations.append(evaluate_method(config, moded, params, trace, truth, rec))
+    return evaluations
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # Scenario loading problems are configuration errors and propagate as
     # ScenarioError / FileNotFoundError rather than pipeline failures.
@@ -445,16 +510,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     mode = mode_for_method(config.method)
     scenario = replace(scenario, mode=mode)
     if config.seed is not None:
-        scenario = replace(scenario, seed=int(config.seed))
+        scenario = replace(scenario, seed=config.seed)
     if scenario.trajectory is None:
         raise ConfigError("experiment scenarios need a trajectory to track")
+    _check_window_fits(config, scenario)
     cal = scenario.calibration_rounds
-    if config.method.endswith("var") or config.method == "vRTI":
-        if cal < config.window:
-            raise ConfigError(
-                f"variance window {config.window} does not fit in "
-                f"{cal} calibration rounds"
-            )
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

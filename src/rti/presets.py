@@ -16,8 +16,9 @@ Three setups, each a factory taking a seed:
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
-from .experiment import ImagingConfig, TrackingConfig
+from .experiment import ExperimentConfig, ImagingConfig, SelectionConfig, TrackingConfig
 from .geometry import NetworkLayout, NodeSpec, build_grid
 from .simulator import PropagationParams, Scenario, Trajectory, Wall
 
@@ -30,6 +31,24 @@ COMPARISON_IMAGING = ImagingConfig(
     alpha=25.0, regularizer="identity", ellipse_excess_m=0.8
 )
 COMPARISON_TRACKING = TrackingConfig(q=0.3, r=0.5)
+
+
+def comparison_config(
+    method: str, selection: SelectionConfig = SelectionConfig()
+) -> ExperimentConfig:
+    """A method at the comparison settings, for `experiment.compare`.
+
+    Its scenario and out_dir are placeholders: `compare` reads and writes
+    no files.
+    """
+    return ExperimentConfig(
+        scenario=Path("in-memory"),
+        method=method,
+        out_dir=Path("unused"),
+        selection=selection,
+        imaging=COMPARISON_IMAGING,
+        tracking=COMPARISON_TRACKING,
+    )
 
 
 def ring_layout(

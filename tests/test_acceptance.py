@@ -8,7 +8,6 @@ in the individual tests; scenario operating points live in rti.presets.
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +15,10 @@ import pytest
 from rti.experiment import (
     ExperimentConfig,
     SelectionConfig,
-    evaluate_method,
-    mode_for_method,
+    compare,
+    compute_stat_matrix,
     run_experiment,
+    scenario_reconstructor,
 )
 from rti.geometry import (
     LayoutError,
@@ -31,26 +31,31 @@ from rti.geometry import (
 from rti.imaging import build_reconstructor
 from rti.linkstats import (
     CalibrationTable,
+    RssTrace,
     batch_window_variance,
     channel_stream,
-    crti_mean_stat,
-    crti_var_stat,
-    drti_mean_stat,
-    drti_var_stat,
     forward_fill,
-    mrti_stat,
+    omni_stream,
     pattern_stream,
-    vrti_stat,
 )
 from rti.presets import (
     COMPARISON_IMAGING,
     COMPARISON_TRACKING,
+    comparison_config,
     los_7node,
     nlos_2node,
     nlos_7node,
 )
 from rti.simulator import obstructed_mask, simulate, write_scenario_file
 from rti.tracking import KalmanParams, KalmanTracker, error_cdf, rmse
+from stat_oracles import (
+    crti_mean_stat,
+    crti_var_stat,
+    drti_mean_stat,
+    drti_var_stat,
+    mrti_stat,
+    vrti_stat,
+)
 
 SEEDS = range(10)
 MEAN_METHODS = ("mRTI", "cRTI-mean", "dRTI-mean")
@@ -65,53 +70,24 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _ring_reconstructor():
+def _compare(scenario, params, configs):
+    """`compare` with one reconstructor for every seed. Both ring presets
+    share the grid and layout, so the map is the same for all of them."""
     if _CACHE["reconstructor"] is None:
-        scenario, _ = los_7node(0)
-        weights = build_weight_matrix(
-            scenario.grid, scenario.layout, COMPARISON_IMAGING.ellipse_excess_m
-        )
-        _CACHE["reconstructor"] = build_reconstructor(
-            weights,
-            COMPARISON_IMAGING.alpha,
-            COMPARISON_IMAGING.regularizer,
-            grid=scenario.grid,
-        )
-    return _CACHE["reconstructor"]
-
-
-def _evaluate(scenario, params, trace, truth, method, selection=None):
-    config = ExperimentConfig(
-        scenario=Path("in-memory"),
-        method=method,
-        out_dir=Path("unused"),
-        selection=selection or SelectionConfig(),
-        imaging=COMPARISON_IMAGING,
-        tracking=COMPARISON_TRACKING,
-    )
-    return evaluate_method(
-        config, scenario, params, trace, truth, _ring_reconstructor()
-    )
+        _CACHE["reconstructor"] = scenario_reconstructor(scenario, COMPARISON_IMAGING)
+    return compare(scenario, params, configs, _CACHE["reconstructor"])
 
 
 def _comparison_rmse(factory, seed):
     """All six methods on one seed of a ring scenario; returns rmse dict
     and the raw-statistic threshold sweep per method."""
-    scenario, params = factory(seed)
-    values: dict[str, float] = {}
-    curves: dict[str, list] = {}
-    for mode in ("omni", "multichannel", "directional"):
-        scn = replace(scenario, mode=mode)
-        trace, truth = simulate(scn, params)
-        for method in MEAN_METHODS + VAR_METHODS:
-            if mode_for_method(method) != mode:
-                continue
-            ev = _evaluate(scn, params, trace, truth, method)
-            values[method] = ev.metrics["rmse_kalman_m"]
-            curves[method] = [
-                (p["threshold"], p["fn_rate"], p["fp_rate"])
-                for p in ev.metrics["fn_fp"]
-            ]
+    methods = MEAN_METHODS + VAR_METHODS
+    evaluations = _compare(*factory(seed), [comparison_config(m) for m in methods])
+    values = {m: ev.metrics["rmse_kalman_m"] for m, ev in zip(methods, evaluations)}
+    curves = {
+        m: [(p["threshold"], p["fn_rate"], p["fp_rate"]) for p in ev.metrics["fn_fp"]]
+        for m, ev in zip(methods, evaluations)
+    }
     return values, curves
 
 
@@ -223,7 +199,41 @@ def test_criterion_03_single_stream_statistics_collapse_to_omni():
         assert drti_var_stat([pair], {pair: window}) == omni_var
         assert crti_mean_stat(link, [channel], {channel: rssi}, table) == omni_mean
         assert crti_var_stat([channel], {channel: window}) == omni_var
-    _report(3, True, "1000 windows, dRTI/cRTI single-stream == mRTI/vRTI bit for bit")
+
+    # The same reduction through the pipeline's statistics: one RSS column
+    # per directed link, with lost packets, read as an omni, a one-pair and
+    # a one-channel trace.
+    layout = NetworkLayout([NodeSpec(0, 0.0, 0.0), NodeSpec(1, 3.0, 0.0)])
+    first_tick, num_ticks, window = 20, 40, 10
+    readings = (
+        ("omni", omni_stream, ("mRTI", "vRTI")),
+        ("directional", lambda lk: pattern_stream(lk, pair), ("dRTI-mean", "dRTI-var")),
+        ("multichannel", lambda lk: channel_stream(lk, channel), ("cRTI-mean", "cRTI-var")),
+    )
+    for _ in range(20):
+        rssi = rng.normal(-60.0, 6.0, (first_tick + num_ticks, layout.num_links))
+        rssi[rng.random(rssi.shape) < 0.1] = np.nan
+        results = []
+        for mode, key, methods in readings:
+            trace = RssTrace(mode, 0.0, tuple(key(lk) for lk in layout.links), rssi)
+            by_link = {lk: [key(lk)] for lk in layout.links}
+            results.append([
+                compute_stat_matrix(
+                    trace, layout, method, by_link, window, first_tick, num_ticks
+                )
+                for method in methods
+            ])
+        omni, *others = results
+        for other in others:
+            for (stats, baseline), (omni_stats, omni_baseline) in zip(other, omni):
+                assert np.array_equal(stats, omni_stats)
+                assert np.array_equal(baseline, omni_baseline)
+    _report(
+        3,
+        True,
+        "1000 windows and 20 pipeline traces, dRTI/cRTI single-stream == "
+        "mRTI/vRTI bit for bit",
+    )
 
 
 # ------------------------------------------- 4. sensitivity amplification
@@ -315,20 +325,17 @@ def test_criterion_06_through_wall_ordering_and_variance_advantage():
 
 
 def test_criterion_07_selection_converges_to_full_pattern_set():
+    configs = [
+        comparison_config("dRTI-mean"),
+        comparison_config("dRTI-mean", SelectionConfig(method="fadelevel", k=9)),
+        comparison_config(
+            "dRTI-mean",
+            SelectionConfig(method="location", n_transmitter=2, n_receiver=2),
+        ),
+    ]
     fade_wins = loc_wins = 0
     for seed in SEEDS:
-        scenario, params = los_7node(seed)
-        scenario = replace(scenario, mode="directional")
-        trace, truth = simulate(scenario, params)
-        base = _evaluate(scenario, params, trace, truth, "dRTI-mean")
-        fade = _evaluate(
-            scenario, params, trace, truth, "dRTI-mean",
-            SelectionConfig(method="fadelevel", k=9),
-        )
-        loc = _evaluate(
-            scenario, params, trace, truth, "dRTI-mean",
-            SelectionConfig(method="location", n_transmitter=2, n_receiver=2),
-        )
+        base, fade, loc = _compare(*los_7node(seed), configs)
         full = base.metrics["rmse_kalman_m"]
         fade_wins += fade.metrics["rmse_kalman_m"] <= 1.15 * full
         loc_wins += loc.metrics["rmse_kalman_m"] <= 2.0 * full

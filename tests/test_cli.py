@@ -100,6 +100,10 @@ def test_run_bad_config_exits_2(tmp_path, scenario_file, capsys):
     assert main(["run", "--config", str(config)]) == EXIT_CONFIG
     config = write_config(tmp_path, scenario_file, bogus=True)
     assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    capsys.readouterr()
+    config = write_config(tmp_path, scenario_file, window="abc")
+    assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    assert "window must be an integer" in capsys.readouterr().err
 
 
 def test_run_pipeline_failure_exits_3(tmp_path, capsys):

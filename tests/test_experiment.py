@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rti.experiment as experiment
 from rti.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from rti.experiment import (
     PhaseError,
     SelectionConfig,
     TrackingConfig,
+    compare,
     config_from_dict,
     evaluate_method,
     mode_for_method,
@@ -155,6 +157,35 @@ def test_config_from_dict_rejects_bad_subsection_keys():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("window", 12.7),
+        ("window", "abc"),
+        ("window", True),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("write_images", "false"),
+        ("write_images", 1),
+    ],
+)
+def test_config_from_dict_checks_field_types(field, value):
+    data = {"scenario": "s", "method": "mRTI", "out_dir": "o", field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        config_from_dict(data)
+
+
+def test_config_from_dict_keeps_typed_fields():
+    cfg = config_from_dict(
+        {"scenario": "s", "method": "vRTI", "out_dir": "o",
+         "window": 12, "seed": 3, "write_images": True}
+    )
+    assert (cfg.window, cfg.seed, cfg.write_images) == (12, 3, True)
+    cfg = config_from_dict({"scenario": "s", "method": "vRTI", "out_dir": "o", "seed": None})
+    assert (cfg.window, cfg.seed, cfg.write_images) == (10, None, False)
+
+
 def test_read_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         read_config_file(tmp_path / "missing.json")
@@ -206,6 +237,10 @@ def test_variance_window_must_fit_calibration(tmp_path):
     config = make_config(tmp_path, scenario, QUIET, method="vRTI")
     with pytest.raises(ConfigError, match="window"):
         run_experiment(config)
+    assert not config.out_dir.exists()
+    trace, truth = simulate(scenario, QUIET)
+    with pytest.raises(ConfigError, match="window"):
+        evaluate_method(config, scenario, QUIET, trace, truth)
 
 
 def test_experiment_writes_the_full_artefact_set(tmp_path):
@@ -419,3 +454,89 @@ def test_stream_first_heard_late_in_calibration_is_left_out(selector):
     )
     assert np.array_equal(stats, ev.stats)
     assert np.array_equal(baseline, ev.baseline)
+
+
+# ------------------------------------------------------------ comparison
+
+
+def in_memory(method, **kwargs) -> ExperimentConfig:
+    return ExperimentConfig(
+        scenario=Path("unused"), method=method, out_dir=Path("unused"), **kwargs
+    )
+
+
+@pytest.fixture()
+def count_simulations(monkeypatch):
+    modes = []
+
+    def counting(scenario, params):
+        modes.append(scenario.mode)
+        return simulate(scenario, params)
+
+    monkeypatch.setattr(experiment, "simulate", counting)
+    return modes
+
+
+def test_compare_matches_evaluate_method_per_config(count_simulations):
+    scenario = square_scenario(mode="omni", rounds=8, cal=12, seed=5)
+    params = PropagationParams(fading_std_db=4.0)
+    configs = [
+        in_memory("mRTI"),
+        in_memory("dRTI-mean", selection=SelectionConfig(method="fadelevel", k=9)),
+        in_memory("vRTI", imaging=COMPARISON_IMAGING),
+        in_memory("cRTI-var", tracking=COMPARISON_TRACKING),
+        in_memory("dRTI-var"),
+    ]
+    evaluations = compare(scenario, params, configs)
+    assert count_simulations == ["omni", "directional", "multichannel"]
+    assert len(evaluations) == len(configs)
+    for config, ev in zip(configs, evaluations):
+        moded = replace(scenario, mode=mode_for_method(config.method))
+        trace, truth = simulate(moded, params)
+        expected = evaluate_method(config, moded, params, trace, truth)
+        assert ev.metrics == expected.metrics
+        assert np.array_equal(ev.estimates, expected.estimates)
+
+
+def test_compare_builds_one_reconstructor_per_imaging_config(monkeypatch):
+    built = []
+
+    def counting(weights, alpha, regularizer, grid=None):
+        built.append((alpha, regularizer))
+        return build_reconstructor(weights, alpha, regularizer, grid=grid)
+
+    monkeypatch.setattr(experiment, "build_reconstructor", counting)
+    scenario = square_scenario(rounds=3, cal=4)
+    configs = [
+        in_memory("mRTI"),
+        in_memory("mRTI", imaging=COMPARISON_IMAGING),
+        in_memory("mRTI", tracking=COMPARISON_TRACKING),
+    ]
+    compare(scenario, QUIET, configs)
+    assert built == [(5.0, "difference"), (25.0, "identity")]
+    built.clear()
+    reconstructor = build_reconstructor(
+        build_weight_matrix(scenario.grid, scenario.layout, 1.5), 5.0, "identity"
+    )
+    compare(scenario, QUIET, configs, reconstructor)
+    assert built == []
+
+
+def test_compare_simulates_a_shared_mode_once(count_simulations):
+    scenario = square_scenario(mode="omni", rounds=3, cal=12)
+    configs = [
+        in_memory("dRTI-mean", selection=SelectionConfig(method=method))
+        for method in ("all", "location", "fadelevel", "prr")
+    ] + [in_memory("dRTI-var"), in_memory("dRTI-var", window=4)]
+    evaluations = compare(scenario, QUIET, configs)
+    assert count_simulations == ["directional"]
+    assert [ev.metrics["mode"] for ev in evaluations] == ["directional"] * 6
+
+
+def test_compare_names_the_simulate_phase(monkeypatch):
+    def failing(scenario, params):
+        raise ValueError("radio on fire")
+
+    monkeypatch.setattr(experiment, "simulate", failing)
+    with pytest.raises(PhaseError, match="simulate: radio on fire"):
+        compare(square_scenario(rounds=3, cal=4), QUIET, [in_memory("mRTI")])

@@ -14,16 +14,18 @@ from rti.linkstats import (
     batch_window_variance,
     calibrate,
     channel_stream,
+    fn_fp_sweep,
+    forward_fill,
+    omni_stream,
+    pattern_stream,
+)
+from stat_oracles import (
     classify_link_attenuation,
     crti_mean_stat,
     crti_var_stat,
     drti_mean_stat,
     drti_var_stat,
-    fn_fp_sweep,
-    forward_fill,
     mrti_stat,
-    omni_stream,
-    pattern_stream,
     vrti_stat,
 )
 

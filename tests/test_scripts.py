@@ -1,0 +1,63 @@
+"""Smoke tests: the comparison scripts run and report what `compare` gives."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from rti.experiment import METHODS, SelectionConfig, compare
+from rti.presets import comparison_config, los_7node, nlos_7node
+
+ROOT = Path(__file__).parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_comparison_script_reports_compare_rmse(tmp_path):
+    out = tmp_path / "nlos.csv"
+    stdout = run_script(
+        "run_comparison.py", "--scenario", "nlos_7node", "--seeds", "1", "--out", str(out)
+    )
+    assert "directional detection curve dominated in" in stdout
+    evaluations = compare(*nlos_7node(0), [comparison_config(m) for m in METHODS])
+    expected = [
+        {"seed": "0", "method": m, "rmse_kalman_m": repr(ev.metrics["rmse_kalman_m"])}
+        for m, ev in zip(METHODS, evaluations)
+    ]
+    assert read_rows(out) == expected
+
+
+def test_selection_sweep_reports_compare_rmse(tmp_path):
+    out = tmp_path / "sweep.csv"
+    run_script("run_selection_sweep.py", "--seeds", "1", "--ks", "9", "--out", str(out))
+    selections = [
+        ("all", SelectionConfig()),
+        ("fadelevel k=9", SelectionConfig(method="fadelevel", k=9)),
+        ("location n=2", SelectionConfig(method="location", n_transmitter=2, n_receiver=2)),
+        ("prr k=9", SelectionConfig(method="prr", k=9)),
+    ]
+    evaluations = compare(
+        *los_7node(0), [comparison_config("dRTI-mean", s) for _, s in selections]
+    )
+    expected = [
+        {"seed": "0", "selection": label, "rmse_kalman_m": repr(ev.metrics["rmse_kalman_m"])}
+        for (label, _), ev in zip(selections, evaluations)
+    ]
+    assert read_rows(out) == expected

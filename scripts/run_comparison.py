@@ -36,6 +36,8 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=10, help="number of seeds")
     parser.add_argument("--out", type=Path, default=None, help="optional CSV path")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     factory = PRESETS[args.scenario]
     reconstructor = scenario_reconstructor(factory(0)[0], COMPARISON_IMAGING)

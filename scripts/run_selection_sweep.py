@@ -26,6 +26,8 @@ def main() -> None:
     )
     parser.add_argument("--out", type=Path, default=None, help="optional CSV path")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     selections = [("all", SelectionConfig())]
     selections += [

@@ -478,7 +478,10 @@ def compare(
     Each radio mode the configs need is simulated once, in the order the
     configs first need it, and shared by every config of that mode. Without
     a prebuilt reconstructor, one is built per distinct imaging config.
+    Every config's variance window is checked before anything is simulated.
     """
+    for config in configs:
+        _check_window_fits(config, scenario)
     runs = {}
     reconstructors = {}
     evaluations = []

@@ -86,14 +86,12 @@ def all_pairs() -> list[PatternPair]:
     ]
 
 
-def _pattern_columns(
-    trace: RssTrace, link: Link | None = None
-) -> list[tuple[Link, PatternPair, int]]:
-    """(link, pair, column) of the trace's pattern streams, of one link or all."""
+def _pattern_columns(trace: RssTrace) -> list[tuple[Link, PatternPair, int]]:
+    """(link, pair, column) of each of the trace's pattern streams."""
     return [
         ((tx, rx), PatternPair(tx_dir, rx_dir), col)
         for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
-        if tx_dir is not None and (link is None or (tx, rx) == link)
+        if tx_dir is not None
     ]
 
 
@@ -115,42 +113,10 @@ def compute_fade_levels(trace: RssTrace, window: tuple[int, int]) -> FadeLevelTa
     return FadeLevelTable(window=(t1, t2), levels=levels)
 
 
-def select_fade_level(table: FadeLevelTable, link: Link, k: int) -> list[PatternPair]:
-    """Top-k pairs by accumulated normalised RSS, descending; ties ascending
-    lexicographic."""
-    if link not in table.levels or not table.levels[link]:
-        raise ValueError(f"no eligible pairs for link {link[0]}->{link[1]}")
-    eligible = table.levels[link]
-    if not 1 <= k <= len(eligible):
-        raise ValueError(
-            f"k must be in [1, {len(eligible)}] for link {link[0]}->{link[1]}, got {k}"
-        )
-    ranked = sorted(eligible.items(), key=lambda item: (-item[1], item[0]))
-    return [pair for pair, _ in ranked[:k]]
-
-
-def select_prr(
-    trace: RssTrace,
-    window: tuple[int, int],
-    link: Link,
-    k: int,
+def _top_k(
+    eligible: Mapping[PatternPair, float] | None, link: Link, k: int
 ) -> list[PatternPair]:
-    """Top-k pairs by packet reception ratio over the window.
-
-    PRR divides received packets by transmission attempts; every stream
-    attempts one packet per tick. Pairs with zero receptions are ineligible.
-    Ties rank ascending lexicographic.
-    """
-    t1, t2 = window
-    if t2 < t1:
-        raise ValueError(f"empty PRR window ({t1}, {t2})")
-    block = trace.window(t1, t2)
-    got = np.count_nonzero(~np.isnan(block), axis=0)
-    eligible = {
-        pair: int(got[col]) / len(block)
-        for _link, pair, col in _pattern_columns(trace, link)
-        if got[col]
-    }
+    """The k pairs of highest level, descending; ties ascending lexicographic."""
     if not eligible:
         raise ValueError(f"no eligible pairs for link {link[0]}->{link[1]}")
     if not 1 <= k <= len(eligible):
@@ -159,6 +125,44 @@ def select_prr(
         )
     ranked = sorted(eligible.items(), key=lambda item: (-item[1], item[0]))
     return [pair for pair, _ in ranked[:k]]
+
+
+def select_fade_level(table: FadeLevelTable, link: Link, k: int) -> list[PatternPair]:
+    """Top-k pairs by accumulated normalised RSS, descending; ties ascending
+    lexicographic."""
+    return _top_k(table.levels.get(link), link, k)
+
+
+def reception_ratios(
+    trace: RssTrace, window: tuple[int, int]
+) -> dict[Link, dict[PatternPair, float]]:
+    """Packet reception ratio of each pattern pair over the window, per link.
+
+    PRR divides received packets by transmission attempts; every stream
+    attempts one packet per tick. Pairs with zero receptions carry no entry.
+    """
+    t1, t2 = window
+    if t2 < t1:
+        raise ValueError(f"empty PRR window ({t1}, {t2})")
+    block = trace.window(t1, t2)
+    got = np.count_nonzero(~np.isnan(block), axis=0)
+    ratios: dict[Link, dict[PatternPair, float]] = {}
+    for link, pair, col in _pattern_columns(trace):
+        if got[col]:
+            ratios.setdefault(link, {})[pair] = int(got[col]) / len(block)
+    return ratios
+
+
+def select_prr(
+    trace: RssTrace,
+    window: tuple[int, int],
+    link: Link,
+    k: int,
+) -> list[PatternPair]:
+    """Top-k pairs of one link by packet reception ratio over the window.
+    Pairs with zero receptions are ineligible. Ties rank ascending
+    lexicographic."""
+    return _top_k(reception_ratios(trace, window).get(link), link, k)
 
 
 def select_for_layout(
@@ -192,8 +196,9 @@ def select_for_layout(
         if trace is None or window is None:
             raise ValueError("prr selection needs a calibration trace and window")
         params = {"k": k}
+        ratios = reception_ratios(trace, window)
         for link in layout.links:
-            pairs_by_link[link] = select_prr(trace, window, link, k)
+            pairs_by_link[link] = _top_k(ratios.get(link), link, k)
     else:
         raise ValueError(f"unknown selection method {method!r}")
     return SelectionResult(method=method, params=params, pairs_by_link=pairs_by_link)

@@ -258,16 +258,19 @@ def _stream_rng(seed: int, tx: int, rx: int, kind) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _ou_series(rng: np.random.Generator, std: float, corr: float, n: int) -> np.ndarray:
-    """Stationary mean-reverting (AR(1)) series with the given marginal std."""
-    eps = rng.normal(0.0, 1.0, n)
-    if std == 0.0 or n == 0:
-        return np.zeros(n)
-    out = np.empty(n)
+def _ou_block(eps: np.ndarray, std: float, corr: float) -> np.ndarray:
+    """Stationary mean-reverting (AR(1)) series with the given marginal std,
+    one per column of the (ticks, streams) standard-normal draws ``eps``.
+
+    The recursion runs once per tick across all columns, so each column gets
+    exactly the float operations of a one-stream loop.
+    """
+    if std == 0.0 or eps.shape[0] == 0:
+        return np.zeros(eps.shape)
+    out = eps * (std * math.sqrt(1.0 - corr * corr))
     out[0] = std * eps[0]
-    sigma_inc = std * math.sqrt(1.0 - corr * corr)
-    for t in range(1, n):
-        out[t] = corr * out[t - 1] + sigma_inc * eps[t]
+    for prev, row in zip(out, out[1:]):
+        row += corr * prev
     return out
 
 
@@ -309,10 +312,19 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         in_person[cal:] = obstructed_mask(layout, positions, params.person_lambda_m)
         in_wide[cal:] = obstructed_mask(layout, positions, params.agitation_lambda_m)
 
-    # Physics per stream, vectorised over ticks.
+    # Physics per link: the link's streams form the columns of (ticks, K)
+    # blocks, and each block fills the link's K columns of the trace.
     rho = params.fading_directivity_coupling
+    num_kinds = len(kinds)
     streams = []
-    columns = []
+    rssi = np.empty((total, layout.num_links * num_kinds))
+    gains = np.empty(num_kinds)
+    shadow = np.empty(num_kinds)
+    agitation = np.empty(num_kinds)
+    noise = np.empty((total, num_kinds))
+    agit_draws = np.empty((total, num_kinds))
+    eps = np.empty((total, num_kinds))
+    uniforms = np.empty((total, num_kinds))
     for link, (tx_id, rx_id) in enumerate(layout.links):
         tx = layout.node(tx_id)
         rx = layout.node(rx_id)
@@ -327,7 +339,7 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         # A person next to a wall shifts a through-wall link's mean level far
         # less than a clear link's, yet their motion still agitates it.
         shadow_scale = params.wall_shadow_factor ** walls_crossed
-        for kind in kinds:
+        for k, kind in enumerate(kinds):
             channel, pair = kind
             if pair is not None:
                 g_tx = model.gain(angle_to_link(tx, pair.tx_direction, rx))
@@ -336,35 +348,39 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
                 g_tx = g_rx = 0.0
             directivity = model.directivity(g_tx, g_rx)
             sigma_eff = params.fading_std_db * (1.0 - rho * directivity)
+            # Each stream keeps its own generator and draw order.
             rng = _stream_rng(scenario.seed, tx_id, rx_id, kind)
             fade = rng.normal(0.0, 1.0) * sigma_eff
-            noise = rng.normal(0.0, 1.0, total) * params.noise_std_db
-            agit_draws = rng.normal(0.0, 1.0, total)
-            drift = _ou_series(rng, params.drift_std_db, params.drift_corr, total)
-            uniforms = rng.random(total)
+            noise[:, k] = rng.normal(0.0, 1.0, total)
+            agit_draws[:, k] = rng.normal(0.0, 1.0, total)
+            eps[:, k] = rng.normal(0.0, 1.0, total)
+            uniforms[:, k] = rng.random(total)
 
             response = 1.0 / (1.0 - rho * directivity)
             damping = min(1.0, max(0.0, 1.0 + fade / params.fade_floor_db))
-            shadow = params.person_loss_db * response * damping * shadow_scale
+            shadow[k] = params.person_loss_db * response * damping * shadow_scale
             # Deep-fade streams pick up motion noise; directional streams
             # flutter in proportion to how much of their energy rides the
             # direct path (response - 1 is zero for omni).
-            agitation = params.agitation_std_db * (
+            agitation[k] = params.agitation_std_db * (
                 (1.0 - damping)
                 + params.agitation_directivity_gain * (response - 1.0)
             )
             if params.fading_std_db == 0.0:
-                agitation = 0.0
-
-            p_rx = np.full(total, params.tx_power_dbm + g_tx + g_rx - path_loss - wall_loss + fade)
-            p_rx -= shadow * in_person[:, link]
-            p_rx += agitation * agit_draws * in_wide[:, link]
-            p_rx += noise + drift
-            received = uniforms < reception_probability(p_rx, params)
+                agitation[k] = 0.0
+            gains[k] = params.tx_power_dbm + g_tx + g_rx - path_loss - wall_loss + fade
             streams.append((tx_id, rx_id, channel, *(pair or (None, None))))
-            columns.append(np.where(received, p_rx, np.nan))
 
-    rssi = np.stack(columns, axis=1)
+        p_rx = np.repeat(gains[None, :], total, axis=0)
+        p_rx -= shadow * in_person[:, link, None]
+        p_rx += agitation * agit_draws * in_wide[:, link, None]
+        p_rx += noise * params.noise_std_db + _ou_block(
+            eps, params.drift_std_db, params.drift_corr
+        )
+        received = uniforms < reception_probability(p_rx, params)
+        cols = slice(link * num_kinds, (link + 1) * num_kinds)
+        rssi[:, cols] = np.where(received, p_rx, np.nan)
+
     return RssTrace(scenario.mode, params.tx_power_dbm, tuple(streams), rssi), truth
 
 
@@ -374,14 +390,24 @@ def obstructed_mask(
     lam: float,
 ) -> np.ndarray:
     """Ground-truth obstruction per (tracking tick, link): is the person's
-    true position inside the link's ellipse."""
-    ticks = truth.shape[0]
-    mask = np.zeros((ticks, layout.num_links), dtype=bool)
-    for i, (tx_id, rx_id) in enumerate(layout.links):
-        tx = layout.node(tx_id)
-        rx = layout.node(rx_id)
-        for t in range(ticks):
-            mask[t, i] = ellipse_contains(tx.position, rx.position, truth[t], lam)
+    true position inside the link's ellipse, as `ellipse_contains` decides.
+
+    All cells are computed at once. `np.hypot` and `math.hypot` can differ
+    in the last bit, so any cell whose margin lies within a guard band of
+    the ellipse boundary is decided again by `ellipse_contains` itself.
+    """
+    truth = np.asarray(truth, dtype=float)
+    p1 = np.array([layout.node(tx_id).position for tx_id, _ in layout.links])
+    p2 = np.array([layout.node(rx_id).position for _, rx_id in layout.links])
+    x, y = truth[:, 0, None], truth[:, 1, None]
+    reach = np.hypot(p2[:, 0] - p1[:, 0], p2[:, 1] - p1[:, 1]) + lam
+    margin = reach - (
+        np.hypot(x - p1[:, 0], y - p1[:, 1]) + np.hypot(x - p2[:, 0], y - p2[:, 1])
+    )
+    mask = margin > 0.0
+    near = np.abs(margin) <= 1e-9 * (1.0 + reach)
+    for t, i in zip(*np.nonzero(near)):
+        mask[t, i] = ellipse_contains(p1[i], p2[i], truth[t], lam)
     return mask
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,17 @@ class KalmanParams:
     def __post_init__(self) -> None:
         if self.q < 0 or self.r <= 0 or self.dt <= 0:
             raise ValueError("need q >= 0, r > 0, dt > 0")
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """(F, F.T, Q, r * I2, I4): the filter's constant matrices, built once
+        per parameter set and read-only."""
+        F = _transition(self.dt)
+        Q = _process_noise(self.q, self.dt)
+        matrices = (F, F.T, Q, self.r * np.eye(2), np.eye(4))
+        for m in matrices:
+            m.flags.writeable = False
+        return matrices
 
 
 @dataclass(frozen=True)
@@ -90,14 +102,14 @@ def kalman_step(
     z = np.asarray(measurement, dtype=float)
     if z.shape != (2,):
         raise ValueError("measurement must be a 2-D position")
-    F = _transition(params.dt)
+    F, F_T, Q, R, I4 = params.matrices
     mean = F @ state.mean
-    cov = F @ state.cov @ F.T + _process_noise(params.q, params.dt)
+    cov = F @ state.cov @ F_T + Q
     innovation = z - _H @ mean
-    S = _H @ cov @ _H.T + params.r * np.eye(2)
+    S = _H @ cov @ _H.T + R
     K = cov @ _H.T @ np.linalg.inv(S)
     mean = mean + K @ innovation
-    cov = (np.eye(4) - K @ _H) @ cov
+    cov = (I4 - K @ _H) @ cov
     cov = (cov + cov.T) / 2.0  # keep symmetry against float drift
     return TrackState(time=state.time + 1, mean=mean, cov=cov)
 

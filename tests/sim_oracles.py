@@ -1,0 +1,137 @@
+"""Per-tick and per-stream reference loops for the simulator.
+
+`rti.simulator` computes the ground-truth obstruction mask for every
+(tick, link) at once and simulates each link's streams as one block. These
+loops are the forms they replaced, kept as oracles: the shipped code must
+reproduce them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from rti.geometry import angle_to_link, ellipse_contains, segments_intersect
+from rti.linkstats import RssTrace
+from rti.simulator import (
+    AntennaGainModel,
+    _stream_kinds,
+    _stream_rng,
+    generate_trajectory,
+    reception_probability,
+)
+
+
+def obstructed_mask(layout, truth, lam):
+    """One scalar `ellipse_contains` call per (tick, link)."""
+    ticks = truth.shape[0]
+    mask = np.zeros((ticks, layout.num_links), dtype=bool)
+    for i, (tx_id, rx_id) in enumerate(layout.links):
+        tx = layout.node(tx_id)
+        rx = layout.node(rx_id)
+        for t in range(ticks):
+            mask[t, i] = ellipse_contains(tx.position, rx.position, truth[t], lam)
+    return mask
+
+
+def ou_series(eps, std, corr):
+    """One stream's AR(1) drift, one numpy-scalar step per tick, from its
+    standard-normal draws ``eps``."""
+    n = len(eps)
+    if std == 0.0 or n == 0:
+        return np.zeros(n)
+    out = np.empty(n)
+    out[0] = std * eps[0]
+    sigma_inc = std * math.sqrt(1.0 - corr * corr)
+    for t in range(1, n):
+        out[t] = corr * out[t - 1] + sigma_inc * eps[t]
+    return out
+
+
+def ou_block(eps, std, corr):
+    """`ou_series` on each column of a (ticks, streams) block of draws."""
+    out = np.zeros(eps.shape)
+    for k in range(eps.shape[1]):
+        out[:, k] = ou_series(eps[:, k], std, corr)
+    return out
+
+
+def simulate(scenario, params):
+    """The simulator as one loop over streams, each vectorised over ticks."""
+    layout = scenario.layout
+    total = scenario.total_ticks
+    cal = scenario.calibration_rounds
+    if scenario.trajectory is not None:
+        positions = generate_trajectory(
+            scenario.trajectory.waypoints, scenario.trajectory.speed, scenario.rounds
+        )
+        truth = positions.copy()
+    else:
+        positions = None
+        truth = np.empty((0, 2))
+
+    model = (
+        params.gain_model
+        if scenario.mode == "directional"
+        else AntennaGainModel(directional=False)
+    )
+    in_person = np.zeros((total, layout.num_links), dtype=bool)
+    in_wide = np.zeros((total, layout.num_links), dtype=bool)
+    if positions is not None:
+        in_person[cal:] = obstructed_mask(layout, positions, params.person_lambda_m)
+        in_wide[cal:] = obstructed_mask(layout, positions, params.agitation_lambda_m)
+
+    rho = params.fading_directivity_coupling
+    streams = []
+    columns = []
+    for link, (tx_id, rx_id) in enumerate(layout.links):
+        tx = layout.node(tx_id)
+        rx = layout.node(rx_id)
+        d = layout.link_distance(tx_id, rx_id)
+        path_loss = params.reference_loss_db + 10.0 * params.path_loss_exponent * math.log10(d)
+        wall_loss = 0.0
+        walls_crossed = 0
+        for wall in scenario.walls:
+            if segments_intersect(tx.position, rx.position, wall.p1, wall.p2):
+                wall_loss += wall.loss_db if wall.loss_db is not None else params.wall_loss_db
+                walls_crossed += 1
+        shadow_scale = params.wall_shadow_factor ** walls_crossed
+        for kind in _stream_kinds(scenario):
+            channel, pair = kind
+            if pair is not None:
+                g_tx = model.gain(angle_to_link(tx, pair.tx_direction, rx))
+                g_rx = model.gain(angle_to_link(rx, pair.rx_direction, tx))
+            else:
+                g_tx = g_rx = 0.0
+            directivity = model.directivity(g_tx, g_rx)
+            sigma_eff = params.fading_std_db * (1.0 - rho * directivity)
+            rng = _stream_rng(scenario.seed, tx_id, rx_id, kind)
+            fade = rng.normal(0.0, 1.0) * sigma_eff
+            noise = rng.normal(0.0, 1.0, total) * params.noise_std_db
+            agit_draws = rng.normal(0.0, 1.0, total)
+            drift = ou_series(
+                rng.normal(0.0, 1.0, total), params.drift_std_db, params.drift_corr
+            )
+            uniforms = rng.random(total)
+
+            response = 1.0 / (1.0 - rho * directivity)
+            damping = min(1.0, max(0.0, 1.0 + fade / params.fade_floor_db))
+            shadow = params.person_loss_db * response * damping * shadow_scale
+            agitation = params.agitation_std_db * (
+                (1.0 - damping)
+                + params.agitation_directivity_gain * (response - 1.0)
+            )
+            if params.fading_std_db == 0.0:
+                agitation = 0.0
+
+            p_rx = np.full(total, params.tx_power_dbm + g_tx + g_rx - path_loss - wall_loss + fade)
+            p_rx -= shadow * in_person[:, link]
+            p_rx += agitation * agit_draws * in_wide[:, link]
+            p_rx += noise + drift
+            received = uniforms < reception_probability(p_rx, params)
+            streams.append((tx_id, rx_id, channel, *(pair or (None, None))))
+            columns.append(np.where(received, p_rx, np.nan))
+
+    rssi = np.stack(columns, axis=1)
+    return RssTrace(scenario.mode, params.tx_power_dbm, tuple(streams), rssi), truth

@@ -25,7 +25,7 @@ from rti.experiment import (
 )
 from rti.geometry import NetworkLayout, NodeSpec, build_grid, build_weight_matrix
 from rti.imaging import build_reconstructor
-from rti.presets import COMPARISON_IMAGING, COMPARISON_TRACKING, nlos_7node
+from rti.presets import COMPARISON_IMAGING, COMPARISON_TRACKING, nlos_2node, nlos_7node
 from rti.simulator import (
     PropagationParams,
     Scenario,
@@ -531,6 +531,15 @@ def test_compare_simulates_a_shared_mode_once(count_simulations):
     evaluations = compare(scenario, QUIET, configs)
     assert count_simulations == ["directional"]
     assert [ev.metrics["mode"] for ev in evaluations] == ["directional"] * 6
+
+
+def test_compare_checks_every_window_before_simulating(count_simulations):
+    scenario, params = nlos_2node()
+    scenario = replace(scenario, calibration_rounds=8)
+    configs = [in_memory("mRTI"), in_memory("dRTI-mean"), in_memory("vRTI", window=10)]
+    with pytest.raises(ConfigError, match="window"):
+        compare(scenario, params, configs)
+    assert count_simulations == []
 
 
 def test_compare_names_the_simulate_phase(monkeypatch):

@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rti.experiment import METHODS, SelectionConfig, compare
 from rti.presets import comparison_config, los_7node, nlos_7node
 
 ROOT = Path(__file__).parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -21,8 +23,8 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    assert done.returncode == returncode, done.stderr
+    return done
 
 
 def read_rows(path):
@@ -34,7 +36,7 @@ def test_comparison_script_reports_compare_rmse(tmp_path):
     out = tmp_path / "nlos.csv"
     stdout = run_script(
         "run_comparison.py", "--scenario", "nlos_7node", "--seeds", "1", "--out", str(out)
-    )
+    ).stdout
     assert "directional detection curve dominated in" in stdout
     evaluations = compare(*nlos_7node(0), [comparison_config(m) for m in METHODS])
     expected = [
@@ -61,3 +63,19 @@ def test_selection_sweep_reports_compare_rmse(tmp_path):
         for (label, _), ev in zip(selections, evaluations)
     ]
     assert read_rows(out) == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run_comparison.py", "--scenario", "los_7node"),
+        ("run_selection_sweep.py", "--ks", "9"),
+    ],
+    ids=["comparison", "sweep"],
+)
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_scripts_reject_fewer_than_one_seed(args, seeds, tmp_path):
+    out = tmp_path / "out.csv"
+    done = run_script(*args, "--seeds", seeds, "--out", str(out), returncode=2)
+    assert "--seeds must be at least 1" in done.stderr
+    assert not out.exists()

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rti.geometry import NetworkLayout, NodeSpec, PatternPair
 from rti.linkstats import RssTrace, pattern_stream
+from rti.presets import los_7node, nlos_7node
+from rti.simulator import simulate
 from rti.selection import (
     all_pairs,
     compute_fade_levels,
@@ -240,6 +243,45 @@ def test_prr_excludes_never_received_pairs():
     with pytest.raises(ValueError):
         select_prr(trace, (0, 1), link, 2)
     assert select_prr(trace, (0, 1), link, 1) == [PatternPair(1, 1)]
+
+
+def select_prr_per_link(trace, window, link, k):
+    """Oracle: the one-link PRR selector that recounted the whole window and
+    rescanned every stream for each link."""
+    t1, t2 = window
+    if t2 < t1:
+        raise ValueError(f"empty PRR window ({t1}, {t2})")
+    block = trace.window(t1, t2)
+    got = np.count_nonzero(~np.isnan(block), axis=0)
+    eligible = {
+        PatternPair(tx_dir, rx_dir): int(got[col]) / len(block)
+        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
+        if tx_dir is not None and (tx, rx) == link and got[col]
+    }
+    if not eligible:
+        raise ValueError(f"no eligible pairs for link {link[0]}->{link[1]}")
+    if not 1 <= k <= len(eligible):
+        raise ValueError(
+            f"k must be in [1, {len(eligible)}] for link {link[0]}->{link[1]}, got {k}"
+        )
+    ranked = sorted(eligible.items(), key=lambda item: (-item[1], item[0]))
+    return [pair for pair, _ in ranked[:k]]
+
+
+@pytest.mark.parametrize("factory", [los_7node, nlos_7node])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_prr_layout_selection_matches_per_link_oracle(factory, seed):
+    scenario, params = factory(seed)
+    scenario = replace(scenario, mode="directional")
+    trace, _ = simulate(scenario, params)
+    window = (0, scenario.calibration_rounds - 1)
+    for k in (1, 9):
+        result = select_for_layout(scenario.layout, "prr", trace=trace, window=window, k=k)
+        assert list(result.pairs_by_link) == scenario.layout.links
+        for link in scenario.layout.links:
+            expected = select_prr_per_link(trace, window, link, k)
+            assert result.pairs(link) == expected
+            assert select_prr(trace, window, link, k) == expected
 
 
 # ------------------------------------------------------------- file io

@@ -10,12 +10,16 @@ and generous margins.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rti.geometry import NetworkLayout, NodeSpec, build_grid
+import rti.simulator
+import sim_oracles
+from rti.geometry import NetworkLayout, NodeSpec, build_grid, ellipse_contains
+from rti.presets import los_7node, nlos_7node, ring_layout
 from rti.simulator import (
     AntennaGainModel,
     PropagationParams,
@@ -23,6 +27,7 @@ from rti.simulator import (
     ScenarioError,
     Trajectory,
     Wall,
+    _ou_block,
     generate_trajectory,
     obstructed_mask,
     read_scenario_file,
@@ -640,6 +645,114 @@ def test_obstructed_mask_matches_ellipse():
     assert mask[0].all()
     assert not mask[1].any()
     assert not mask[2].any()
+
+
+# ------------------------------------------------------------ oracles
+# obstructed_mask, _ou_block and simulate must equal the loops in
+# sim_oracles bit for bit.
+
+RING20 = ring_layout(20, 2.9, (3.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [los_7node()[0].layout, nlos_7node()[0].layout, RING20],
+    ids=["los_7node", "nlos_7node", "ring20"],
+)
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 3.0])
+def test_obstructed_mask_matches_loop_on_random_truths(layout, lam):
+    rng = np.random.default_rng(7)
+    truth = rng.uniform(-0.5, 6.5, size=(300, 2))
+    mask = obstructed_mask(layout, truth, lam)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, sim_oracles.obstructed_mask(layout, truth, lam))
+
+
+def boundary_points(layout, lam, rng, per_link=4):
+    """Points on or within a few ulps of each link's ellipse boundary
+    d1 + d2 = d + lam; for lam = 0, points on the link segment."""
+    points = []
+    for tx_id, rx_id in layout.links:
+        p1 = np.array(layout.node(tx_id).position)
+        p2 = np.array(layout.node(rx_id).position)
+        if lam == 0.0:
+            on = p1 + rng.uniform(0.0, 1.0, per_link)[:, None] * (p2 - p1)
+        else:
+            d = math.hypot(*(p2 - p1))
+            u = (p2 - p1) / d
+            v = np.array([-u[1], u[0]])
+            a = (d + lam) / 2.0
+            b = math.sqrt(a * a - d * d / 4.0)
+            theta = rng.uniform(0.0, 2.0 * math.pi, per_link)
+            on = (p1 + p2) / 2.0 + np.outer(a * np.cos(theta), u) + np.outer(b * np.sin(theta), v)
+        for point in on:
+            for ulps in range(-3, 4):
+                y = point[1]
+                for _ in range(abs(ulps)):
+                    y = np.nextafter(y, math.copysign(math.inf, ulps))
+                points.append((point[0], y))
+    return np.array(points)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_obstructed_mask_decides_boundary_cells_like_ellipse_contains(lam, monkeypatch):
+    layout = los_7node()[0].layout
+    truth = boundary_points(layout, lam, np.random.default_rng(3))
+    rechecked = []
+
+    def counting(*args):
+        rechecked.append(args)
+        return ellipse_contains(*args)
+
+    monkeypatch.setattr(rti.simulator, "ellipse_contains", counting)
+    mask = obstructed_mask(layout, truth, lam)
+    # Every cell of a link's own boundary points lies in the guard band.
+    assert len(rechecked) >= len(truth)
+    assert np.array_equal(mask, sim_oracles.obstructed_mask(layout, truth, lam))
+
+
+@pytest.mark.parametrize("n", [0, 1, 240])
+@pytest.mark.parametrize("std", [0.0, 3.0])
+@pytest.mark.parametrize("streams", [1, 36])
+def test_ou_block_matches_per_stream_loop(n, std, streams):
+    eps = np.random.default_rng(11).normal(0.0, 1.0, (n, streams))
+    drift = _ou_block(eps, std, 0.97)
+    assert drift.shape == (n, streams)
+    assert np.array_equal(drift, sim_oracles.ou_block(eps, std, 0.97))
+
+
+def assert_same_trace(got, want):
+    (trace, truth), (ref_trace, ref_truth) = got, want
+    assert trace.mode == ref_trace.mode
+    assert trace.tx_power_dbm == ref_trace.tx_power_dbm
+    assert trace.streams == ref_trace.streams
+    assert np.array_equal(trace.rssi, ref_trace.rssi, equal_nan=True)
+    assert np.array_equal(truth, ref_truth)
+
+
+ORACLE_RUNS = [
+    pytest.param(factory, seed, mode, id=f"{factory.__name__}-{seed}-{mode}")
+    for factory in (los_7node, nlos_7node)
+    for seed in (0, 1)
+    for mode in ("omni", "multichannel", "directional")
+]
+
+
+@pytest.mark.parametrize("factory, seed, mode", ORACLE_RUNS)
+def test_simulate_with_loop_oracles_patched_in_is_identical(factory, seed, mode, monkeypatch):
+    scenario, params = factory(seed)
+    scenario = replace(scenario, mode=mode)
+    shipped = simulate(scenario, params)
+    monkeypatch.setattr(rti.simulator, "obstructed_mask", sim_oracles.obstructed_mask)
+    monkeypatch.setattr(rti.simulator, "_ou_block", sim_oracles.ou_block)
+    assert_same_trace(shipped, simulate(scenario, params))
+
+
+@pytest.mark.parametrize("factory, seed, mode", ORACLE_RUNS)
+def test_simulate_matches_per_stream_oracle(factory, seed, mode):
+    scenario, params = factory(seed)
+    scenario = replace(scenario, mode=mode)
+    assert_same_trace(simulate(scenario, params), sim_oracles.simulate(scenario, params))
 
 
 # ------------------------------------------------------------ file format

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rti.tracking import (
+    _H,
     InvalidStateError,
     KalmanParams,
     KalmanTracker,
@@ -16,6 +17,8 @@ from rti.tracking import (
     read_trajectory,
     rmse,
     write_trajectory,
+    _process_noise,
+    _transition,
 )
 
 
@@ -105,6 +108,38 @@ def test_covariance_stays_spd_along_run():
         state = kalman_step(state, rng.normal(0, 2, 2), params)
         assert np.max(np.abs(state.cov - state.cov.T)) <= 1e-9
         np.linalg.cholesky(state.cov)  # raises if not positive definite
+
+
+def kalman_step_rebuilding(state, measurement, params):
+    """Oracle: kalman_step as it was when it rebuilt its constant matrices
+    on every call."""
+    z = np.asarray(measurement, dtype=float)
+    F = _transition(params.dt)
+    mean = F @ state.mean
+    cov = F @ state.cov @ F.T + _process_noise(params.q, params.dt)
+    innovation = z - _H @ mean
+    S = _H @ cov @ _H.T + params.r * np.eye(2)
+    K = cov @ _H.T @ np.linalg.inv(S)
+    mean = mean + K @ innovation
+    cov = (np.eye(4) - K @ _H) @ cov
+    cov = (cov + cov.T) / 2.0
+    return TrackState(time=state.time + 1, mean=mean, cov=cov)
+
+
+@pytest.mark.parametrize(
+    "params", [KalmanParams(), KalmanParams(q=0.3, r=2.0, dt=0.5), KalmanParams(q=0.0)]
+)
+def test_step_with_cached_matrices_is_bit_identical(params):
+    rng = np.random.default_rng(17)
+    state = expected = kalman_init(rng.normal(0, 1, 2))
+    for _ in range(200):
+        z = rng.normal(0, 2, 2)
+        state = kalman_step(state, z, params)
+        expected = kalman_step_rebuilding(expected, z, params)
+        assert np.array_equal(state.mean, expected.mean)
+        assert np.array_equal(state.cov, expected.cov)
+    assert params.matrices is params.matrices
+    assert not any(m.flags.writeable for m in params.matrices)
 
 
 def test_invalid_state_rejected():

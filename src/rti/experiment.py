@@ -17,22 +17,23 @@ import numpy as np
 
 from .geometry import NUM_DIRECTIONS, build_weight_matrix
 from .imaging import (
+    ImageFrame,
+    argmax_positions,
     build_reconstructor,
-    reconstruct,
-    argmax_voxel,
+    reconstruct_images,
     write_frame_csv,
     write_frame_pgm,
 )
 from .linkstats import (
     StreamKey,
-    batch_window_variance,
-    calibrate,
+    calibration_deviation,
     channel_stream,
+    first_heard,
     fn_fp_sweep,
     format_stream,
-    forward_fill,
     omni_stream,
     pattern_stream,
+    window_variance,
 )
 from .selection import SelectionResult, select_for_layout, write_selection_file
 from .simulator import (
@@ -42,7 +43,7 @@ from .simulator import (
     read_scenario_file,
     simulate,
 )
-from .tracking import KalmanParams, KalmanTracker, error_cdf, rmse, write_trajectory
+from .tracking import KalmanParams, error_cdf, rmse, track, write_trajectory
 from .traceio import write_trace_file, write_truth_file
 
 METHODS = ("mRTI", "vRTI", "cRTI-mean", "cRTI-var", "dRTI-mean", "dRTI-var")
@@ -248,10 +249,10 @@ def compute_stat_matrix(
     grows with the number of aggregated streams, so images are formed from
     the deviation above it rather than from the raw value.
     """
-    ordered = list(
-        dict.fromkeys(key for link in layout.links for key in streams_by_link[link])
+    column = trace.column
+    missing = dict.fromkeys(
+        key for link in layout.links for key in streams_by_link[link] if key not in column
     )
-    missing = [k for k in ordered if k not in trace.column]
     if missing:
         raise PhaseError(
             "statistics: trace has no records for streams "
@@ -262,38 +263,37 @@ def compute_stat_matrix(
             f"statistics: trace has {trace.num_ticks} ticks, tracking needs "
             f"{first_tick + num_ticks}"
         )
-    variance = _is_variance(method)
-    raw = np.ascontiguousarray(trace.rssi[:, [trace.column[k] for k in ordered]].T)
     # The statistic at tick t needs a reception by tick t - lag. A stream
     # whose statistic is undefined over the whole calibration region has no
     # baseline to measure change against; leave it out the way a deployment
     # survey would.
+    variance = _is_variance(method)
     lag = window - 1 if variance else 0
-    alive = ~np.isnan(raw[:, : max(first_tick - lag, 0)]).all(axis=1)
-    ordered = [key for key, ok in zip(ordered, alive) if ok]
-    if not ordered:
+    alive = first_heard(trace) < max(first_tick - lag, 0)
+    cols_by_link = [
+        [column[key] for key in streams_by_link[link] if alive[column[key]]]
+        for link in layout.links
+    ]
+    if not any(cols_by_link):
         raise PhaseError("statistics: no stream has a defined statistic in calibration")
-    row_of = {key: i for i, key in enumerate(ordered)}
-    filled = forward_fill(raw[alive])
 
+    # The trace keeps its per-stream statistic for every column. Rows gathered
+    # from a tick slice form a C-ordered (streams, ticks) block, which
+    # sum(axis=0) adds stream by stream in the link's canonical order.
     if variance:
-        per_stream = batch_window_variance(filled, window)
-        cal_region = per_stream[:, window - 1 : first_tick]
+        per_stream = window_variance(trace, window)
     else:
-        cal = calibrate(trace, (0, first_tick - 1), streams=ordered)
-        means = np.array([cal.mean(key) for key in ordered])
-        per_stream = np.abs(filled - means[:, None])
-        cal_region = per_stream[:, :first_tick]
-
+        per_stream = calibration_deviation(trace, first_tick)
     region = per_stream[:, first_tick : first_tick + num_ticks]
+    cal_region = per_stream[:, lag:first_tick]
+
     stats = np.zeros((num_ticks, layout.num_links))
     baseline = np.zeros(layout.num_links)
-    for i, link in enumerate(layout.links):
-        rows = [row_of[key] for key in streams_by_link[link] if key in row_of]
-        if not rows:
+    for i, (link, cols) in enumerate(zip(layout.links, cols_by_link)):
+        if not cols:
             continue  # silent link: contributes no evidence
-        stats[:, i] = region[rows].sum(axis=0)
-        link_cal = cal_region[rows].sum(axis=0)
+        stats[:, i] = region[cols].sum(axis=0)
+        link_cal = cal_region[cols].sum(axis=0)
         valid = link_cal[~np.isnan(link_cal)]
         if valid.size == 0:
             raise PhaseError(
@@ -314,7 +314,7 @@ class Evaluation:
     selection: SelectionResult | None
     stats: np.ndarray         # raw link statistics, (rounds, num_links)
     baseline: np.ndarray      # per-link empty-room statistic floor, (num_links,)
-    frames: list              # ImageFrame per tracking tick
+    images: np.ndarray        # voxel image per tracking tick, (rounds, num_voxels)
     measurements: np.ndarray  # raw argmax positions, (rounds, 2)
     estimates: np.ndarray     # tracked positions, (rounds, 2)
     errors: np.ndarray        # per-tick tracking error, (rounds,)
@@ -341,6 +341,17 @@ def _check_window_fits(config: ExperimentConfig, scenario: Scenario) -> None:
             f"variance window {config.window} does not fit in "
             f"{cal} calibration rounds"
         )
+
+
+def _checked_truth(truth, scenario: Scenario) -> np.ndarray:
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (scenario.rounds, 2):
+        raise PhaseError(f"truth: expected shape {(scenario.rounds, 2)}, got {truth.shape}")
+    bad = np.flatnonzero(~np.isfinite(truth).all(axis=1))
+    if bad.size:
+        row, tick = bad[0], scenario.calibration_rounds + bad[0]
+        raise PhaseError(f"truth: row {row} (tick {tick}) is not finite: {truth[row].tolist()}")
+    return truth
 
 
 def scenario_reconstructor(scenario: Scenario, imaging: ImagingConfig):
@@ -370,6 +381,7 @@ def evaluate_method(
     for the scenario's grid and layout may be passed to skip the solve.
     """
     _check_window_fits(config, scenario)
+    truth = _checked_truth(truth, scenario)
     cal = scenario.calibration_rounds
     selection = None
     if config.method.startswith("dRTI"):
@@ -403,16 +415,10 @@ def evaluate_method(
     if reconstructor is None:
         reconstructor = scenario_reconstructor(scenario, config.imaging)
 
-    tracker = KalmanTracker(KalmanParams(q=config.tracking.q, r=config.tracking.r))
-    measurements = np.zeros((scenario.rounds, 2))
-    estimates = np.zeros((scenario.rounds, 2))
-    frames = []
     try:
-        for t in range(scenario.rounds):
-            frame = reconstruct(reconstructor, change[t], time=cal + t)
-            frames.append(frame)
-            measurements[t] = argmax_voxel(frame, scenario.grid)
-            estimates[t] = tracker.update(measurements[t], time=cal + t)
+        images = reconstruct_images(reconstructor, change)
+        measurements = argmax_positions(images, scenario.grid)
+        estimates = track(measurements, KalmanParams(config.tracking.q, config.tracking.r))
     except Exception as exc:
         raise PhaseError(f"tracking: {exc}") from exc
 
@@ -460,7 +466,7 @@ def evaluate_method(
         selection=selection,
         stats=stats,
         baseline=baseline,
-        frames=frames,
+        images=images,
         measurements=measurements,
         estimates=estimates,
         errors=errors,
@@ -537,22 +543,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if ev.selection is not None:
             write_selection_file(out_dir / "selection.txt", ev.selection)
         _write_stats(out_dir / "stats.csv", scenario, ev.stats, cal)
-        rows = [
-            (
-                cal + t,
-                ev.estimates[t, 0],
-                ev.estimates[t, 1],
-                truth[t, 0],
-                truth[t, 1],
-                ev.errors[t],
-            )
-            for t in range(scenario.rounds)
-        ]
+        ticks = range(cal, cal + scenario.rounds)
+        rows = zip(ticks, *ev.estimates.T, *truth.T, ev.errors)
         write_trajectory(out_dir / "trajectory.csv", rows)
         if config.write_images:
             img_dir = out_dir / "images"
             img_dir.mkdir(exist_ok=True)
-            for t, frame in enumerate(ev.frames):
+            for t, values in enumerate(ev.images):
+                frame = ImageFrame(time=cal + t, values=values)
                 stem = f"frame_{cal + t:04d}"
                 write_frame_csv(img_dir / f"{stem}.csv", frame, scenario.grid)
                 write_frame_pgm(img_dir / f"{stem}.pgm", frame, scenario.grid)

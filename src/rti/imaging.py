@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,29 +151,49 @@ def reconstruct(rec: Reconstructor, stats: np.ndarray, time: int = 0) -> ImageFr
     return ImageFrame(time=time, values=rec.pi @ y)
 
 
-def argmax_voxel(frame: ImageFrame, grid: VoxelGrid) -> tuple[float, float]:
-    """Centre of the brightest voxel.
+def reconstruct_images(rec: Reconstructor, stats: np.ndarray) -> np.ndarray:
+    """Images of (ticks, links) statistics as one (ticks, voxels) product; a
+    row equals `reconstruct` of it up to rounding (about 1e-15)."""
+    y = np.asarray(stats, dtype=float)
+    if y.ndim != 2 or y.shape[1] != rec.num_links:
+        raise ValueError(f"expected {rec.num_links} link statistics, got {y.shape}")
+    return y @ rec.pi.T
+
+
+@functools.lru_cache(maxsize=8)
+def _voxel_centres(grid: VoxelGrid) -> np.ndarray:
+    centres = grid.centers()
+    centres.flags.writeable = False
+    return centres
+
+
+def argmax_positions(images: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+    """Centre of the brightest voxel of each image row, shaped (rows, 2).
 
     When several voxels tie for the maximum, the result is the mean of their
     centres. Voxels covered by the same set of links have equal weight
     columns and so exactly equal image values; the plateau's centre does not
     favour one corner of it.
     """
-    values = np.asarray(frame.values)
-    if values.shape != (grid.num_voxels,):
+    values = np.asarray(images)
+    if values.ndim != 2 or values.shape[1] != grid.num_voxels:
         raise ValueError("frame size does not match grid")
-    best = values.argmax()
-    peak = values[best]
-    if np.count_nonzero(values == peak) < 2:
-        return grid.voxel_center(int(best))
-    ties = np.flatnonzero(values == peak)
-    rows, cols = np.divmod(ties, grid.width_voxels)
-    x0, y0 = grid.origin
-    w = grid.voxel_width
-    return (
-        float(np.mean(x0 + (cols + 0.5) * w)),
-        float(np.mean(y0 + (rows + 0.5) * w)),
-    )
+    table = _voxel_centres(grid)
+    centres = table[values.argmax(axis=1)]
+    tied = values == values.max(axis=1, keepdims=True)
+    # A row with a plateau (or a NaN) breaks the count; only then look at
+    # rows one by one. Each plateau mean sums a 1-D array, as np.mean does.
+    if np.count_nonzero(tied) != len(values):
+        counts = np.count_nonzero(tied, axis=1)
+        for t in np.flatnonzero(counts > 1):
+            xs, ys = table[tied[t]].T.copy()
+            centres[t] = np.add.reduce(xs) / counts[t], np.add.reduce(ys) / counts[t]
+    return centres
+
+
+def argmax_voxel(frame: ImageFrame, grid: VoxelGrid) -> tuple[float, float]:
+    """`argmax_positions` of one frame."""
+    return tuple(argmax_positions(np.asarray(frame.values)[None], grid)[0].tolist())
 
 
 # ------------------------------------------------------------- exporters
@@ -181,11 +202,8 @@ def argmax_voxel(frame: ImageFrame, grid: VoxelGrid) -> tuple[float, float]:
 def frame_to_csv(frame: ImageFrame, grid: VoxelGrid) -> str:
     """Row-major CSV: one line per grid row, southernmost row first."""
     values = np.asarray(frame.values, dtype=float)
-    lines = []
-    for r in range(grid.height_voxels):
-        row = values[r * grid.width_voxels : (r + 1) * grid.width_voxels]
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = values.reshape(grid.height_voxels, grid.width_voxels).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def frame_to_pgm(frame: ImageFrame, grid: VoxelGrid) -> bytes:

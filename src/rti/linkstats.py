@@ -14,14 +14,18 @@ Traces
 A trace is columnar: one RSS column per stream and one row per tick, with
 NaN where a packet was lost. Every stream attempts one packet per tick, so
 the array has no holes other than lost packets.
+
+A trace's RSS array is read-only, so the arrays derived from it are computed
+once per trace and kept on it, shared by every config evaluated on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,10 +34,6 @@ from .geometry import PatternPair
 StreamKey = tuple  # (tx_id, rx_id, channel | None, tx_dir | None, rx_dir | None)
 
 MODES = ("omni", "multichannel", "directional")
-
-
-class MissingCalibrationError(KeyError):
-    """A required stream has no calibration mean."""
 
 
 class InsufficientWindowError(ValueError):
@@ -75,13 +75,15 @@ class RssTrace:
     """Every reception attempt of a run, as one (ticks, streams) RSS array.
 
     ``rssi[t, s]`` is the RSS of ``streams[s]`` at tick t, NaN for a lost
-    packet. All streams share one mode and one transmit power.
+    packet. All streams share one mode and one transmit power. The array is
+    made read-only in place, so the arrays derived from it stay valid.
     """
 
     mode: str
     tx_power_dbm: float
     streams: tuple[StreamKey, ...]
     rssi: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -104,6 +106,7 @@ class RssTrace:
             raise ValueError(
                 f"{format_stream(streams[col])} tick {tick}: non-finite rssi"
             )
+        rssi.flags.writeable = False
         object.__setattr__(self, "streams", streams)
         object.__setattr__(self, "rssi", rssi)
 
@@ -121,6 +124,36 @@ class RssTrace:
         return self.rssi[max(t1, 0) : max(t2 + 1, 0)]
 
 
+
+def per_trace(fn):
+    """Memoise ``fn(trace, *args)`` on the trace, shared and read-only."""
+
+    @functools.wraps(fn)
+    def cached(trace: RssTrace, *args):
+        key = (fn, *args)
+        if key not in trace._derived:
+            value = trace._derived[key] = fn(trace, *args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return trace._derived[key]
+
+    return cached
+
+
+@per_trace
+def carry_forward(trace: RssTrace) -> np.ndarray:
+    """Carry-forward RSS shaped (streams, ticks): a lost packet repeats the
+    stream's last reception, NaN before the first one."""
+    return forward_fill(np.ascontiguousarray(trace.rssi.T))
+
+
+@per_trace
+def first_heard(trace: RssTrace) -> np.ndarray:
+    """Tick of each stream's first reception; num_ticks if never heard."""
+    heard = ~np.isnan(trace.rssi)
+    return np.where(heard.any(axis=0), heard.argmax(axis=0), trace.num_ticks)
+
+
 def sum_over_ticks(values: np.ndarray) -> np.ndarray:
     """Per-column sums of a (ticks, streams) block, NaN counting as zero.
 
@@ -134,51 +167,21 @@ def sum_over_ticks(values: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class CalibrationTable:
-    """Per-stream mean RSS over an empty-area calibration window."""
-
-    window: tuple[int, int]
-    means: Mapping[StreamKey, float]
-
-    def mean(self, stream: StreamKey) -> float:
-        try:
-            return self.means[stream]
-        except KeyError:
-            raise MissingCalibrationError(
-                f"no calibration mean for stream {format_stream(stream)}"
-            ) from None
+@per_trace
+def calibration_deviation(trace: RssTrace, first_tick: int) -> np.ndarray:
+    """|carry-forward RSS - calibration mean| per stream and tick, shaped
+    (streams, ticks). The mean is over the receptions of ticks [0,
+    first_tick), summed in tick order; NaN for a stream not heard there."""
+    block = trace.rssi[:first_tick]
+    with np.errstate(invalid="ignore"):
+        means = sum_over_ticks(block) / np.count_nonzero(~np.isnan(block), axis=0)
+    return np.abs(carry_forward(trace) - means[:, None])
 
 
-def calibrate(
-    trace: RssTrace,
-    window: tuple[int, int],
-    streams: Sequence[StreamKey] | None = None,
-) -> CalibrationTable:
-    """Mean received RSS per stream over the calibration window.
-
-    When ``streams`` is given only those streams are calibrated; otherwise
-    every stream of the trace is. A candidate stream with zero received
-    packets in the window raises MissingCalibrationError.
-    """
-    t1, t2 = window
-    if t2 < t1:
-        raise ValueError(f"empty calibration window ({t1}, {t2})")
-    block = trace.window(t1, t2)
-    wanted = list(trace.streams if streams is None else streams)
-    if not wanted or not len(block):
-        raise ValueError(f"no streams in calibration window ({t1}, {t2})")
-    counts = np.count_nonzero(~np.isnan(block), axis=0)
-    sums = sum_over_ticks(block)
-    column = trace.column
-    missing = [s for s in wanted if s not in column or counts[column[s]] == 0]
-    if missing:
-        raise MissingCalibrationError(
-            "streams with zero received packets in calibration window: "
-            + ", ".join(format_stream(s) for s in missing)
-        )
-    means = {s: float(sums[column[s]] / counts[column[s]]) for s in wanted}
-    return CalibrationTable(window=(t1, t2), means=means)
+@per_trace
+def window_variance(trace: RssTrace, window: int) -> np.ndarray:
+    """`batch_window_variance` of the trace's carry-forward array."""
+    return batch_window_variance(carry_forward(trace), window)
 
 
 # ------------------------------------------------------------ detection
@@ -202,13 +205,11 @@ def fn_fp_sweep(
     total = stats.size
     if total == 0:
         raise ValueError("no observations to sweep")
-    out = []
-    for tau in sorted(thresholds):
-        detected = stats > tau
-        fn = int(np.count_nonzero(~detected & mask))
-        fp = int(np.count_nonzero(detected & ~mask))
-        out.append((float(tau), fn / total, fp / total))
-    return out
+    taus = np.sort(np.asarray(thresholds, dtype=float).ravel(), kind="stable")
+    detected = stats > taus[:, None]  # one row per threshold
+    fn = np.count_nonzero(~detected & mask, axis=1).tolist()
+    fp = np.count_nonzero(detected & ~mask, axis=1).tolist()
+    return [(tau, n / total, p / total) for tau, n, p in zip(taus.tolist(), fn, fp)]
 
 
 # ------------------------------------------------------ stream machinery
@@ -235,5 +236,8 @@ def batch_window_variance(filled: np.ndarray, v: int) -> np.ndarray:
     out = np.full((s, t), np.nan)
     if t >= v:
         windows = np.lib.stride_tricks.sliding_window_view(filled, v, axis=1)
-        out[:, v - 1 :] = np.var(windows, axis=2, ddof=1)
+        # np.var's (rows, ticks, v) temporary is taken in blocks of rows to
+        # bound memory; a row's variance does not depend on the others.
+        for i in range(0, s, 256):
+            out[i : i + 256, v - 1 :] = np.var(windows[i : i + 256], axis=2, ddof=1)
     return out

@@ -12,7 +12,7 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import NUM_DIRECTIONS, NetworkLayout, PatternPair, angle_to_link
-from .linkstats import RssTrace, sum_over_ticks
+from .linkstats import RssTrace, per_trace, sum_over_ticks
 
 Link = tuple[int, int]
 
@@ -86,6 +86,7 @@ def all_pairs() -> list[PatternPair]:
     ]
 
 
+@per_trace
 def _pattern_columns(trace: RssTrace) -> list[tuple[Link, PatternPair, int]]:
     """(link, pair, column) of each of the trace's pattern streams."""
     return [
@@ -95,8 +96,10 @@ def _pattern_columns(trace: RssTrace) -> list[tuple[Link, PatternPair, int]]:
     ]
 
 
+@per_trace
 def compute_fade_levels(trace: RssTrace, window: tuple[int, int]) -> FadeLevelTable:
-    """Accumulate per-pair normalised RSS over the calibration window."""
+    """Accumulate per-pair normalised RSS over the calibration window, once
+    per trace and window."""
     t1, t2 = window
     if t2 < t1:
         raise ValueError(f"empty fade-level window ({t1}, {t2})")
@@ -133,6 +136,7 @@ def select_fade_level(table: FadeLevelTable, link: Link, k: int) -> list[Pattern
     return _top_k(table.levels.get(link), link, k)
 
 
+@per_trace
 def reception_ratios(
     trace: RssTrace, window: tuple[int, int]
 ) -> dict[Link, dict[PatternPair, float]]:
@@ -140,6 +144,7 @@ def reception_ratios(
 
     PRR divides received packets by transmission attempts; every stream
     attempts one packet per tick. Pairs with zero receptions carry no entry.
+    Computed once per trace and window.
     """
     t1, t2 = window
     if t2 < t1:
@@ -151,18 +156,6 @@ def reception_ratios(
         if got[col]:
             ratios.setdefault(link, {})[pair] = int(got[col]) / len(block)
     return ratios
-
-
-def select_prr(
-    trace: RssTrace,
-    window: tuple[int, int],
-    link: Link,
-    k: int,
-) -> list[PatternPair]:
-    """Top-k pairs of one link by packet reception ratio over the window.
-    Pairs with zero receptions are ineligible. Ties rank ascending
-    lexicographic."""
-    return _top_k(reception_ratios(trace, window).get(link), link, k)
 
 
 def select_for_layout(
@@ -215,48 +208,6 @@ def format_selection(result: SelectionResult) -> str:
         pair_text = " ".join(f"({p.tx_direction},{p.rx_direction})" for p in pairs)
         lines.append(f"link {tx} {rx} method {result.method} pairs {pair_text}")
     return "\n".join(lines) + "\n"
-
-
-def parse_selection(text: str) -> SelectionResult:
-    pairs_by_link: dict[Link, list[PatternPair]] = {}
-    method: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if (
-            len(parts) < 7
-            or parts[0] != "link"
-            or parts[3] != "method"
-            or parts[5] != "pairs"
-        ):
-            raise ValueError(
-                f"line {lineno}: expected 'link <tx> <rx> method <name> pairs ...'"
-            )
-        try:
-            tx, rx = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed node id") from None
-        if method is None:
-            method = parts[4]
-        elif method != parts[4]:
-            raise ValueError(f"line {lineno}: mixed selection methods in one file")
-        pairs = []
-        for token in parts[6:]:
-            if not (token.startswith("(") and token.endswith(")")):
-                raise ValueError(f"line {lineno}: malformed pair {token!r}")
-            try:
-                t, r = (int(v) for v in token[1:-1].split(","))
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed pair {token!r}") from None
-            pairs.append(PatternPair(t, r))
-        if not pairs:
-            raise ValueError(f"line {lineno}: link with no pairs")
-        pairs_by_link[(tx, rx)] = pairs
-    if method is None:
-        raise ValueError("selection file contains no links")
-    return SelectionResult(method=method, params={}, pairs_by_link=pairs_by_link)
 
 
 def write_selection_file(path, result: SelectionResult) -> None:

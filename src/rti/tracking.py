@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import math
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -53,16 +53,20 @@ class TrackState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (4,) or cov.shape != (4, 4):
             raise InvalidStateError("state needs a (4,) mean and (4, 4) covariance")
-        if np.max(np.abs(cov - cov.T)) > 1e-9:
-            raise InvalidStateError("covariance is not symmetric")
-        if np.any(np.diag(cov) <= 0):
-            raise InvalidStateError("covariance diagonal must be positive")
+        _check_covariance(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def position(self) -> tuple[float, float]:
         return (float(self.mean[0]), float(self.mean[1]))
+
+
+def _check_covariance(cov: np.ndarray) -> None:
+    if np.max(np.abs(cov - cov.T)) > 1e-9:
+        raise InvalidStateError("covariance is not symmetric")
+    if np.any(np.diag(cov) <= 0):
+        raise InvalidStateError("covariance diagonal must be positive")
 
 
 def _transition(dt: float) -> np.ndarray:
@@ -93,6 +97,22 @@ def kalman_init(measurement: Sequence[float], time: int = 0) -> TrackState:
     return TrackState(time=time, mean=mean, cov=10.0 * np.eye(4))
 
 
+def _covariance_update(cov: np.ndarray, params: KalmanParams) -> tuple[np.ndarray, np.ndarray]:
+    """One predict/update cycle of the covariance: (next covariance, gain).
+    Neither depends on the measurements."""
+    F, F_T, Q, R, I4 = params.matrices
+    cov = F @ cov @ F_T + Q
+    S = _H @ cov @ _H.T + R
+    K = cov @ _H.T @ np.linalg.inv(S)
+    cov = (I4 - K @ _H) @ cov
+    return (cov + cov.T) / 2.0, K  # keep symmetry against float drift
+
+
+def _mean_update(mean: np.ndarray, z: np.ndarray, F: np.ndarray, K: np.ndarray) -> np.ndarray:
+    mean = F @ mean
+    return mean + K @ (z - _H @ mean)
+
+
 def kalman_step(
     state: TrackState,
     measurement: Sequence[float],
@@ -102,16 +122,37 @@ def kalman_step(
     z = np.asarray(measurement, dtype=float)
     if z.shape != (2,):
         raise ValueError("measurement must be a 2-D position")
-    F, F_T, Q, R, I4 = params.matrices
-    mean = F @ state.mean
-    cov = F @ state.cov @ F_T + Q
-    innovation = z - _H @ mean
-    S = _H @ cov @ _H.T + R
-    K = cov @ _H.T @ np.linalg.inv(S)
-    mean = mean + K @ innovation
-    cov = (I4 - K @ _H) @ cov
-    cov = (cov + cov.T) / 2.0  # keep symmetry against float drift
+    cov, K = _covariance_update(state.cov, params)
+    mean = _mean_update(state.mean, z, params.matrices[0], K)
     return TrackState(time=state.time + 1, mean=mean, cov=cov)
+
+
+@functools.lru_cache(maxsize=16)
+def kalman_gains(params: KalmanParams, steps: int) -> np.ndarray:
+    """The gains of ``steps`` `kalman_step` calls after `kalman_init`, shaped
+    (steps, 4, 2): they do not depend on the measurements, so one checked,
+    read-only sequence serves every track with these parameters."""
+    cov = kalman_init((0.0, 0.0)).cov
+    gains = np.empty((steps, 4, 2))
+    for i in range(steps):
+        cov, gains[i] = _covariance_update(cov, params)
+        _check_covariance(cov)
+    gains.flags.writeable = False
+    return gains
+
+
+def track(measurements: np.ndarray, params: KalmanParams = KalmanParams()) -> np.ndarray:
+    """Filtered positions of a (T, 2) measurement sequence, bit-identical to
+    `KalmanTracker.update` over it: the same mean update, precomputed gains."""
+    z = np.asarray(measurements, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2 or not len(z):
+        raise ValueError(f"measurements must be (T, 2) positions, got {z.shape}")
+    mean = kalman_init(z[0]).mean
+    out = [mean[:2]]
+    for zt, gain in zip(z[1:], kalman_gains(params, len(z) - 1)):
+        mean = _mean_update(mean, zt, params.matrices[0], gain)
+        out.append(mean[:2])
+    return np.array(out)
 
 
 class KalmanTracker:
@@ -163,10 +204,11 @@ def error_cdf(
     errors: Sequence[float], levels: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Empirical P(error <= level) for each requested level."""
-    err = np.asarray(errors, dtype=float)
+    err = np.asarray(errors, dtype=float).ravel()
     if err.size == 0:
         raise ValueError("no errors to summarise")
-    return [(float(l), float(np.mean(err <= l))) for l in levels]
+    counts = np.count_nonzero(err <= np.asarray(levels, dtype=float)[:, None], axis=1)
+    return [(float(l), n / err.size) for l, n in zip(levels, counts.tolist())]
 
 
 # ------------------------------------------------------------ trajectory io
@@ -182,16 +224,3 @@ def write_trajectory(path, rows: Sequence[tuple]) -> None:
         for tick, ex, ey, tx, ty, err in rows:
             writer.writerow([tick, repr(float(ex)), repr(float(ey)),
                              repr(float(tx)), repr(float(ty)), repr(float(err))])
-
-
-def read_trajectory(path) -> list[tuple[int, float, float, float, float, float]]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRAJECTORY_HEADER:
-            raise ValueError(f"unexpected trajectory header {header}")
-        rows = []
-        for row in reader:
-            tick, ex, ey, tx, ty, err = row
-            rows.append((int(tick), float(ex), float(ey), float(tx), float(ty), float(err)))
-        return rows

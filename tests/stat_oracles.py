@@ -1,23 +1,120 @@
-"""Scalar reference formulas for the link statistics.
+"""Scalar reference formulas for the link statistics and the metrics.
 
 The pipeline computes every statistic in `rti.experiment.compute_stat_matrix`
-over whole (streams, ticks) arrays. These per-observation formulas are the
-definitions those arrays must reproduce; tests use them as oracles.
+over whole (streams, ticks) arrays, and the detection sweep and error CDF as
+array counts. These per-observation formulas and loops are the definitions
+those arrays must reproduce; tests use them as oracles. `calibrate` is the
+per-stream calibration the pipeline used before each trace kept its own
+calibration means.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from rti.geometry import PatternPair
 from rti.linkstats import (
-    CalibrationTable,
     InsufficientWindowError,
+    RssTrace,
+    StreamKey,
     channel_stream,
+    format_stream,
     pattern_stream,
+    sum_over_ticks,
 )
+
+
+class MissingCalibrationError(KeyError):
+    """A required stream has no calibration mean."""
+
+
+@dataclass(frozen=True)
+class CalibrationTable:
+    """Per-stream mean RSS over an empty-area calibration window."""
+
+    window: tuple[int, int]
+    means: Mapping[StreamKey, float]
+
+    def mean(self, stream: StreamKey) -> float:
+        try:
+            return self.means[stream]
+        except KeyError:
+            raise MissingCalibrationError(
+                f"no calibration mean for stream {format_stream(stream)}"
+            ) from None
+
+
+def calibrate(
+    trace: RssTrace,
+    window: tuple[int, int],
+    streams: Sequence[StreamKey] | None = None,
+) -> CalibrationTable:
+    """Mean received RSS per stream over the calibration window.
+
+    When ``streams`` is given only those streams are calibrated; otherwise
+    every stream of the trace is. A candidate stream with zero received
+    packets in the window raises MissingCalibrationError.
+    """
+    t1, t2 = window
+    if t2 < t1:
+        raise ValueError(f"empty calibration window ({t1}, {t2})")
+    block = trace.window(t1, t2)
+    wanted = list(trace.streams if streams is None else streams)
+    if not wanted or not len(block):
+        raise ValueError(f"no streams in calibration window ({t1}, {t2})")
+    counts = np.count_nonzero(~np.isnan(block), axis=0)
+    sums = sum_over_ticks(block)
+    column = trace.column
+    missing = [s for s in wanted if s not in column or counts[column[s]] == 0]
+    if missing:
+        raise MissingCalibrationError(
+            "streams with zero received packets in calibration window: "
+            + ", ".join(format_stream(s) for s in missing)
+        )
+    means = {s: float(sums[column[s]] / counts[column[s]]) for s in wanted}
+    return CalibrationTable(window=(t1, t2), means=means)
+
+
+def fn_fp_sweep_loop(
+    stats: np.ndarray,
+    obstructed: np.ndarray,
+    thresholds: Sequence[float],
+) -> list[tuple[float, float, float]]:
+    """Sweep a threshold over link observations.
+
+    Returns (threshold, fn_rate, fp_rate) triples where both rates divide by
+    the total number of observations. fn_rate is non-decreasing and fp_rate
+    non-increasing in the threshold.
+    """
+    stats = np.asarray(stats, dtype=float).ravel()
+    mask = np.asarray(obstructed, dtype=bool).ravel()
+    if stats.shape != mask.shape:
+        raise ValueError("stats and obstructed must have matching shapes")
+    total = stats.size
+    if total == 0:
+        raise ValueError("no observations to sweep")
+    out = []
+    for tau in sorted(thresholds):
+        detected = stats > tau
+        fn = int(np.count_nonzero(~detected & mask))
+        fp = int(np.count_nonzero(detected & ~mask))
+        out.append((float(tau), fn / total, fp / total))
+    return out
+
+
+def error_cdf_loop(
+    errors: Sequence[float], levels: Sequence[float]
+) -> list[tuple[float, float]]:
+    """Empirical P(error <= level) for each requested level."""
+    err = np.asarray(errors, dtype=float)
+    if err.size == 0:
+        raise ValueError("no errors to summarise")
+    return [(float(l), float(np.mean(err <= l))) for l in levels]
+
+
 
 
 def mrti_stat(rssi: float, mean_rssi: float) -> float:

@@ -30,7 +30,6 @@ from rti.geometry import (
 )
 from rti.imaging import build_reconstructor
 from rti.linkstats import (
-    CalibrationTable,
     RssTrace,
     batch_window_variance,
     channel_stream,
@@ -49,6 +48,7 @@ from rti.presets import (
 from rti.simulator import obstructed_mask, simulate, write_scenario_file
 from rti.tracking import KalmanParams, KalmanTracker, error_cdf, rmse
 from stat_oracles import (
+    CalibrationTable,
     crti_mean_stat,
     crti_var_stat,
     drti_mean_stat,

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 import rti.experiment as experiment
+import rti.imaging
+import rti.linkstats
+import rti.tracking
 from rti.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -25,7 +28,14 @@ from rti.experiment import (
 )
 from rti.geometry import NetworkLayout, NodeSpec, build_grid, build_weight_matrix
 from rti.imaging import build_reconstructor
-from rti.presets import COMPARISON_IMAGING, COMPARISON_TRACKING, nlos_2node, nlos_7node
+from rti.presets import (
+    COMPARISON_IMAGING,
+    COMPARISON_TRACKING,
+    comparison_config,
+    los_7node,
+    nlos_2node,
+    nlos_7node,
+)
 from rti.simulator import (
     PropagationParams,
     Scenario,
@@ -549,3 +559,89 @@ def test_compare_names_the_simulate_phase(monkeypatch):
     monkeypatch.setattr(experiment, "simulate", failing)
     with pytest.raises(PhaseError, match="simulate: radio on fire"):
         compare(square_scenario(rounds=3, cal=4), QUIET, [in_memory("mRTI")])
+
+
+# ------------------------------------------------------------ array stages
+
+
+def los_mrti():
+    scenario, params = los_7node(0)
+    scenario = replace(scenario, mode="omni")
+    trace, truth = simulate(scenario, params)
+    return comparison_config("mRTI"), scenario, params, trace, truth
+
+
+def test_truth_of_the_wrong_shape_is_a_truth_phase_error():
+    config, scenario, params, trace, truth = los_mrti()
+    with pytest.raises(PhaseError, match=r"truth: expected shape \(120, 2\), got \(115, 2\)"):
+        evaluate_method(config, scenario, params, trace, truth[:115])
+
+
+def test_non_finite_truth_is_a_truth_phase_error():
+    config, scenario, params, trace, truth = los_mrti()
+    with pytest.raises(PhaseError, match=r"truth: row 0 \(tick 40\) is not finite: \[nan, nan\]"):
+        evaluate_method(config, scenario, params, trace, np.full_like(truth, np.nan))
+    truth = truth.copy()
+    truth[7, 1] = np.inf
+    with pytest.raises(PhaseError, match=r"truth: row 7 \(tick 47\) is not finite"):
+        evaluate_method(config, scenario, params, trace, truth)
+
+
+def _same_evaluation(a, b) -> None:
+    assert a.metrics == b.metrics
+    for name in ("stats", "baseline", "images", "measurements", "estimates", "errors"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_a_shared_trace_gives_the_results_of_a_fresh_one():
+    # The derived arrays a trace keeps must depend on the window and
+    # calibration length they were computed for, and on nothing else.
+    scenario, params = nlos_2node(1)
+    configs = [
+        in_memory("dRTI-var", window=4),
+        in_memory("dRTI-var"),
+        in_memory("dRTI-mean", selection=SelectionConfig(method="prr", k=5)),
+        in_memory("dRTI-mean", selection=SelectionConfig(method="fadelevel", k=3)),
+        in_memory("dRTI-var", window=4),
+    ]
+    for cal in (20, 12):
+        moded = replace(scenario, calibration_rounds=cal)
+        shared, truth = simulate(moded, params)
+        for config in configs:
+            once = evaluate_method(config, moded, params, shared, truth)
+            fresh = evaluate_method(config, moded, params, *simulate(moded, params))
+            _same_evaluation(once, fresh)
+            _same_evaluation(evaluate_method(config, moded, params, shared, truth), once)
+
+
+def test_compare_prepares_each_trace_once(monkeypatch):
+    calls = {"forward_fill": 0, "batch_window_variance": 0}
+    for name in calls:
+        original = getattr(rti.linkstats, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rti.linkstats, name, counting)
+
+    def per_tick(*args, **kwargs):
+        raise AssertionError("per-tick call in evaluate_method")
+
+    monkeypatch.setattr(rti.imaging, "reconstruct", per_tick)
+    monkeypatch.setattr(rti.imaging, "argmax_voxel", per_tick)
+    monkeypatch.setattr(rti.tracking, "kalman_step", per_tick)
+    monkeypatch.setattr(rti.tracking.KalmanTracker, "update", per_tick)
+    configs = [
+        comparison_config(method, SelectionConfig(method=selector))
+        for method in experiment.METHODS
+        for selector in (
+            experiment.SELECTION_METHODS if method.startswith("dRTI") else ("all",)
+        )
+    ]
+    assert len(configs) == 12
+    scenario, params = nlos_2node(2)
+    compare(scenario, params, configs)
+    # One carry-forward array per trace (omni, multichannel, directional),
+    # one window variance per (trace, window).
+    assert calls == {"forward_fill": 3, "batch_window_variance": 3}

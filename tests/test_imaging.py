@@ -5,13 +5,16 @@ from rti.geometry import NetworkLayout, NodeSpec, build_grid, build_weight_matri
 from rti.imaging import (
     ImageFrame,
     ReconstructionError,
+    argmax_positions,
     argmax_voxel,
     build_reconstructor,
     frame_to_csv,
     frame_to_pgm,
     reconstruct,
+    reconstruct_images,
 )
 from rti.presets import ring_layout
+import eval_oracles
 
 
 def inverse_based_reference(A, alpha, Q):
@@ -284,6 +287,40 @@ def test_argmax_scan_oracle():
     frame = ImageFrame(time=0, values=values)
     best = max(range(grid.num_voxels), key=lambda i: (values[i], -i))
     assert argmax_voxel(frame, grid) == grid.voxel_center(best)
+
+
+def test_batched_argmax_matches_the_per_frame_scan():
+    rng = np.random.default_rng(149)
+    grid = build_grid((-1.0, 0.5), 3.0, 2.0, 0.1)
+    images = rng.normal(0.0, 1.0, (40, grid.num_voxels))
+    for row, size in enumerate((2, 3, 8, 9, 17, 130, 600)):
+        plateau = rng.choice(grid.num_voxels, size, replace=False)
+        images[row, plateau] = images[row].max() + 1.0
+    images[10, 7] = np.nan
+    images[11, [3, 9]] = np.nan
+    images[12] = 2.5
+    positions = argmax_positions(images, grid)
+    for values, position in zip(images, positions):
+        frame = ImageFrame(time=0, values=values)
+        expected = eval_oracles.argmax_voxel(frame, grid)
+        assert tuple(position) == expected
+        assert argmax_voxel(frame, grid) == expected
+    with pytest.raises(ValueError, match="frame size"):
+        argmax_positions(images[:, :-1], grid)
+
+
+def test_batched_images_match_per_tick_products():
+    rng = np.random.default_rng(151)
+    A = np.abs(rng.normal(0.0, 1.0, (12, 30)))
+    rec = build_reconstructor(A, 2.0, "identity")
+    stats = rng.normal(0.0, 1.0, (25, 12))
+    images = reconstruct_images(rec, stats)
+    per_tick = np.array([reconstruct(rec, y).values for y in stats])
+    assert np.max(np.abs(images - per_tick)) <= 1e-12
+    with pytest.raises(ValueError, match="expected 12 link statistics"):
+        reconstruct_images(rec, stats[:, :-1])
+    with pytest.raises(ValueError, match="expected 12 link statistics"):
+        reconstruct(rec, stats)
 
 
 # -------------------------------------------------------------- exports

@@ -7,20 +7,25 @@ from hypothesis import strategies as st
 
 from rti.geometry import PatternPair
 from rti.linkstats import (
-    CalibrationTable,
     InsufficientWindowError,
-    MissingCalibrationError,
     RssTrace,
     batch_window_variance,
-    calibrate,
+    calibration_deviation,
+    carry_forward,
     channel_stream,
+    first_heard,
     fn_fp_sweep,
     forward_fill,
     omni_stream,
     pattern_stream,
+    window_variance,
 )
 from stat_oracles import (
+    CalibrationTable,
+    MissingCalibrationError,
+    calibrate,
     classify_link_attenuation,
+    fn_fp_sweep_loop,
     crti_mean_stat,
     crti_var_stat,
     drti_mean_stat,
@@ -267,6 +272,36 @@ def test_classification_quadrants():
     assert classify_link_attenuation(2.0, 3.0, False) == "TN"
 
 
+def test_sweep_matches_the_loop_oracle():
+    rng = np.random.default_rng(23)
+    stats = np.round(rng.exponential(2.0, size=(60, 7)), 1)
+    obstructed = rng.random(stats.shape) < 0.3
+    stats[0, 0] = np.nan
+    stats[1, 1] = np.nan
+    obstructed[0, 0] = True
+    thresholds = [
+        *np.unique(stats[~np.isnan(stats)])[::3],  # equal to a statistic
+        *np.linspace(-1.0, 9.0, 17),
+        -np.inf, np.inf, 2.5, 2.5, -0.0, 0.0,
+    ]
+    assert fn_fp_sweep(stats, obstructed, thresholds) == fn_fp_sweep_loop(
+        stats, obstructed, thresholds
+    )
+    for stat in (0.0, 1.5, np.nan):
+        for hit in (True, False):
+            one = np.array([stat])
+            taus = [1.5, 0.0, 3.0]
+            assert fn_fp_sweep(one, [hit], taus) == fn_fp_sweep_loop(one, [hit], taus)
+    assert fn_fp_sweep(stats, obstructed, []) == []
+
+
+def test_sweep_rejects_empty_and_mismatched_input():
+    with pytest.raises(ValueError, match="no observations"):
+        fn_fp_sweep(np.array([]), np.array([], dtype=bool), [1.0])
+    with pytest.raises(ValueError, match="matching shapes"):
+        fn_fp_sweep(np.ones(3), np.ones(2, dtype=bool), [1.0])
+
+
 def test_threshold_boundary_is_not_detected():
     # stat == threshold counts as no detection
     assert classify_link_attenuation(3.0, 3.0, True) == "FN"
@@ -347,6 +382,18 @@ def test_trace_columns_group_by_stream():
     assert math.isnan(trace.rssi[1, trace.column[omni_stream((1, 0))]])
 
 
+def test_batch_window_variance_rows_stand_alone():
+    # Rows are computed in blocks; a row's variance must not depend on which
+    # other rows share its block.
+    rng = np.random.default_rng(31)
+    filled = forward_fill(np.where(rng.random((600, 50)) < 0.1, np.nan,
+                                   rng.normal(-55, 4, size=(600, 50))))
+    batch = batch_window_variance(filled, 10)
+    for row in (0, 255, 256, 511, 599):
+        one = batch_window_variance(filled[row : row + 1], 10)[0]
+        assert np.array_equal(batch[row], one, equal_nan=True)
+
+
 def test_batch_window_variance_matches_scalar():
     rng = np.random.default_rng(29)
     filled = rng.normal(-55, 4, size=(6, 40))
@@ -368,3 +415,54 @@ def test_trace_window_iteration():
     assert trace.window(3, 9).shape == (2, 1)
     assert trace.window(-5, -1).shape == (0, 1)
     assert trace.num_ticks == 5
+
+
+# ------------------------------------------------ derived per-trace arrays
+
+
+def test_trace_rssi_is_read_only():
+    trace = omni_trace([[-50.0], [None]])
+    with pytest.raises(ValueError, match="read-only"):
+        trace.rssi[0, 0] = -40.0
+    assert trace.rssi[0, 0] == -50.0
+
+
+def test_trace_derived_arrays_match_the_per_stream_definitions():
+    rng = np.random.default_rng(41)
+    links = ((0, 1), (1, 0), (0, 2), (2, 0))
+    rssi = rng.normal(-60.0, 4.0, (30, len(links)))
+    rssi[rng.random(rssi.shape) < 0.3] = np.nan
+    rssi[:12, 2] = np.nan  # first heard late
+    rssi[:, 3] = np.nan  # never heard
+    trace = RssTrace("omni", 0.0, tuple(omni_stream(lk) for lk in links), rssi.copy())
+
+    for col in range(len(links)):
+        np.testing.assert_array_equal(carry_forward(trace)[col], forward_fill(rssi[:, col]))
+        heard = np.flatnonzero(~np.isnan(rssi[:, col]))
+        assert first_heard(trace)[col] == (heard[0] if heard.size else 30)
+    for first_tick in (10, 20):
+        deviation = calibration_deviation(trace, first_tick)
+        for col, key in enumerate(trace.streams[:2]):
+            mean = calibrate(trace, (0, first_tick - 1), streams=[key]).mean(key)
+            expected = np.abs(forward_fill(rssi[:, col]) - mean)
+            np.testing.assert_array_equal(deviation[col], expected)
+        assert np.isnan(deviation[3]).all()
+    for window in (3, 10):
+        np.testing.assert_array_equal(
+            window_variance(trace, window), batch_window_variance(carry_forward(trace), window)
+        )
+    for derived in (carry_forward(trace), first_heard(trace), calibration_deviation(trace, 10),
+                    window_variance(trace, 3)):
+        assert not derived.flags.writeable
+
+
+def test_trace_derived_arrays_are_computed_once_per_argument():
+    trace = omni_trace([[-50.0], [-52.0], [None], [-49.0]])
+    assert carry_forward(trace) is carry_forward(trace)
+    assert calibration_deviation(trace, 2) is calibration_deviation(trace, 2)
+    assert calibration_deviation(trace, 2)[0, 0] == 1.0  # mean -51
+    assert calibration_deviation(trace, 4)[0, 0] == abs(-50.0 - (-50.0 - 52.0 - 49.0) / 3)
+    assert window_variance(trace, 2) is window_variance(trace, 2)
+    assert window_variance(trace, 2) is not window_variance(trace, 3)
+    fresh = RssTrace(trace.mode, trace.tx_power_dbm, trace.streams, trace.rssi)
+    assert calibration_deviation(fresh, 2) is not calibration_deviation(trace, 2)

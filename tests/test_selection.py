@@ -12,13 +12,12 @@ from rti.selection import (
     all_pairs,
     compute_fade_levels,
     format_selection,
-    parse_selection,
     select_fade_level,
     select_for_layout,
     select_location,
-    select_prr,
     SelectionResult,
 )
+from api_oracles import parse_selection, select_prr
 
 
 def facing_pair_layout(d=3.0):

@@ -12,14 +12,17 @@ from rti.tracking import (
     KalmanTracker,
     TrackState,
     error_cdf,
+    kalman_gains,
     kalman_init,
     kalman_step,
-    read_trajectory,
     rmse,
+    track,
     write_trajectory,
     _process_noise,
     _transition,
 )
+from api_oracles import read_trajectory
+from stat_oracles import error_cdf_loop
 
 
 class ReferenceFilter:
@@ -241,6 +244,19 @@ def test_cdf_matches_sort_oracle():
         assert fraction == pytest.approx(expected)
 
 
+def test_cdf_matches_the_loop_oracle():
+    rng = np.random.default_rng(29)
+    errors = np.round(rng.exponential(0.8, size=120), 1)
+    errors[5] = np.nan
+    levels = [*np.unique(errors[~np.isnan(errors)]), 0.0, 3.0, 0.35, np.inf, -1.0]
+    assert error_cdf(errors, levels) == error_cdf_loop(errors, levels)
+    for one in ([0.5], [np.nan]):
+        assert error_cdf(one, [0.5, 0.4, 0.6]) == error_cdf_loop(one, [0.5, 0.4, 0.6])
+    assert error_cdf(errors, []) == []
+    with pytest.raises(ValueError, match="no errors"):
+        error_cdf([], [1.0])
+
+
 @given(st.lists(st.floats(min_value=0, max_value=5), min_size=1, max_size=50))
 def test_cdf_monotone_in_level(errors):
     levels = [0.5, 1.0, 1.5, 2.0, 2.5]
@@ -271,3 +287,32 @@ def test_trajectory_header_enforced(tmp_path):
     path.write_text("tick,x,y\n0,1,2\n")
     with pytest.raises(ValueError):
         read_trajectory(path)
+
+
+# ------------------------------------------------------- batch tracking
+
+
+def test_track_is_bit_identical_to_the_online_tracker():
+    rng = np.random.default_rng(43)
+    for q, r in ((0.05, 0.5), (0.4, 0.9), (0.0, 2.0)):
+        params = KalmanParams(q=q, r=r)
+        measurements = rng.normal(0.0, 2.0, (80, 2))
+        tracker = KalmanTracker(params)
+        online = np.array([tracker.update(z, time=t) for t, z in enumerate(measurements)])
+        assert np.array_equal(track(measurements, params), online)
+        assert np.array_equal(track(measurements[:1], params), measurements[:1])
+
+
+def test_kalman_gains_are_shared_and_read_only():
+    gains = kalman_gains(KalmanParams(q=0.3, r=0.7), 50)
+    assert gains.shape == (50, 4, 2)
+    assert kalman_gains(KalmanParams(q=0.3, r=0.7), 50) is gains
+    assert not gains.flags.writeable
+    # The first gains continue into a longer sequence unchanged.
+    assert np.array_equal(kalman_gains(KalmanParams(q=0.3, r=0.7), 80)[:50], gains)
+
+
+def test_track_rejects_malformed_measurements():
+    for bad in (np.zeros((0, 2)), np.zeros((5, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match="measurements must be"):
+            track(bad)

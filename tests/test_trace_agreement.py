@@ -1,0 +1,157 @@
+"""The block-streamed trace reader against the line-by-line reader it
+replaced (`tests/trace_oracles.py`): the same trace from every file the
+oracle accepts, and the same error from every file it rejects."""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+import pytest
+
+from rti import traceio
+from rti.traceio import TraceParseError, read_trace_file, write_trace_file
+from tests.test_traceio import simulated_trace
+from tests.trace_oracles import read_trace_file as oracle_read_trace_file
+
+# Python's own wording of a bad number, which the oracle passes on and the
+# reader replaces with the field's name and grammar.
+CONVERSION = re.compile(r"invalid literal for int\(\) with base 10: |could not convert string to float: ")
+
+
+def outcome(read, path):
+    """The trace a reader returns, or the message of its TraceParseError."""
+    try:
+        return read(path)
+    except TraceParseError as exc:
+        return str(exc)
+
+
+def assert_agrees(path):
+    old, new = outcome(oracle_read_trace_file, path), outcome(read_trace_file, path)
+    if isinstance(old, str):
+        conversion = CONVERSION.search(old)
+        if conversion is None:
+            assert new == old
+        else:
+            prefix, text = old[: conversion.start()], old[conversion.end() :]
+            assert isinstance(new, str) and new.startswith(prefix), (new, old)
+            assert re.fullmatch(r"\w[\w ]* must be an? [^,]+, got " + re.escape(text), new[len(prefix) :]), (new, old)
+        return old
+    assert not isinstance(new, str), new
+    assert (new.mode, new.tx_power_dbm, new.streams) == (old.mode, old.tx_power_dbm, old.streams)
+    assert np.array_equal(new.rssi, old.rssi, equal_nan=True)
+    return old
+
+
+def written_lines(tmp_path, rounds=12, ticks=None) -> list[bytes]:
+    """Header and rows of a simulated directional trace, without line ends;
+    only its first `ticks` ticks if given."""
+    trace, _ = simulated_trace(sensitivity_dbm=-60.0, rounds=rounds)
+    path = tmp_path / "written.csv"
+    write_trace_file(path, trace)
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    return lines if ticks is None else lines[: 1 + ticks * len(trace.streams)]
+
+
+@pytest.mark.parametrize(
+    "mode, sensitivity_dbm",
+    [("omni", -64.0), ("multichannel", -64.0), ("directional", -60.0)],
+)
+def test_agrees_on_simulated_traces(tmp_path, mode, sensitivity_dbm):
+    trace, _ = simulated_trace(mode, sensitivity_dbm)
+    assert np.isnan(trace.rssi).any() and not np.isnan(trace.rssi).all()
+    path = tmp_path / "trace.csv"
+    write_trace_file(path, trace)
+    loaded = assert_agrees(path)
+    assert loaded.streams == trace.streams
+    assert np.array_equal(loaded.rssi, trace.rssi, equal_nan=True)
+
+
+def reshaped(lines: list[bytes], how: str) -> bytes:
+    rng = np.random.default_rng(3)
+    header, rows = lines[0], lines[1:]
+    if how == "shuffled":
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    if how == "blank lines":
+        for at in sorted(rng.choice(len(rows) + 1, 40), reverse=True):
+            rows.insert(at, b"")
+        rows = [b""] + rows + [b"", b""]
+    if how == "mixed line ends":
+        return b"".join(line + (b"\n" if i % 3 else b"\r\n") for i, line in enumerate([header] + rows))
+    end = b"\n" if how == "lf" else b"\r\n"
+    text = end.join([header] + rows)
+    return text if how == "no final line end" else text + end
+
+
+@pytest.mark.parametrize(
+    "how", ["crlf", "lf", "mixed line ends", "shuffled", "blank lines", "no final line end"]
+)
+def test_agrees_on_reshaped_files(tmp_path, how):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(reshaped(written_lines(tmp_path), how))
+    assert_agrees(path)
+
+
+@pytest.mark.parametrize("block_bytes", [40, 3000])
+def test_agrees_across_blocks(tmp_path, monkeypatch, block_bytes):
+    # Blocks shorter than a line, and blocks of many lines, on a file with
+    # blank lines; then the same file with a bad row and a repeated row far
+    # from the first, whose line numbers count lines of earlier blocks.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", block_bytes)
+    lines = reshaped(written_lines(tmp_path, ticks=2), "blank lines").split(b"\r\n")
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\r\n".join(lines))
+    assert_agrees(path)
+    rows = [i for i, line in enumerate(lines) if line.count(b",") == 10]
+    bad = list(lines)
+    bad[rows[-5]] = bad[rows[-5]].replace(b",true,", b",yes,").replace(b",false,", b",yes,")
+    path.write_bytes(b"\r\n".join(bad))
+    assert "received must be true or false, got 'yes'" in assert_agrees(path)
+    repeated = lines[: rows[-3]] + [lines[rows[2]]] + lines[rows[-3] :]
+    path.write_bytes(b"\r\n".join(repeated))
+    assert f"duplicate of line {rows[2] + 1}" in assert_agrees(path)
+
+
+def test_agrees_on_a_file_of_several_blocks(tmp_path):
+    lines = written_lines(tmp_path, rounds=700)
+    text = reshaped(lines, "blank lines")
+    assert len(text) > 2 * traceio._BLOCK_BYTES
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text)
+    assert_agrees(path)
+
+
+# Replacement values per field, each one a form the oracle either rejects
+# with the message the reader must keep, or reads as the reader must.
+CORRUPTIONS = {
+    0: ["x", "", "-1", "1.5", "0", "3", "99"],
+    1: ["x", "", "1", "9", "01"],
+    2: ["x", "", "0", "9", "01"],
+    3: ["omni", "bogus", ""],
+    4: ["11", "x", "-1"],
+    5: ["", "x", "7", "1", "2", "01"],
+    6: ["", "x", "7", "1", "2", "01"],
+    7: ["3.0", "nan", "inf", "x", "", "0.00", "0"],
+    8: ["x", "", "7", "-1"],
+    9: ["maybe", "", "true", "false"],
+    10: ["nan", "inf", "-inf", "x", "", "-61.25", "1e400", "-1e-05"],
+}
+
+
+def test_agrees_on_single_field_corruptions(tmp_path):
+    lines = written_lines(tmp_path, ticks=2)
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "trace.csv"
+    outcomes = set()
+    for _ in range(120):
+        row = int(rng.integers(1, len(lines)))
+        field = int(rng.integers(0, 11))
+        fields = lines[row].split(b",")
+        fields[field] = rng.choice(CORRUPTIONS[field]).encode()
+        corrupted = list(lines)
+        corrupted[row] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(corrupted) + b"\r\n")
+        old = assert_agrees(path)
+        outcomes.add("accepted" if not isinstance(old, str) else CONVERSION.sub("", old).split(": ")[-1][:20])
+    assert len(outcomes) > 15

@@ -3,9 +3,12 @@ parse errors, and the reader's ingest checks."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from rti import traceio
 from rti.geometry import build_grid
 from rti.linkstats import RssTrace
 from rti.simulator import PropagationParams, Scenario, Trajectory, simulate
@@ -20,18 +23,18 @@ from rti.traceio import (
 from tests.test_simulator import two_node_layout
 
 
-def simulated_trace():
+def simulated_trace(mode="directional", sensitivity_dbm=-75.0, rounds=12):
     scenario = Scenario(
         two_node_layout(d=8.0),
         build_grid((0, 0), 1, 1, 0.2),
-        "directional",
+        mode,
         trajectory=Trajectory(((0.4, 0.5), (0.6, 0.5)), 0.02),
         seed=13,
-        rounds=12,
+        rounds=rounds,
         calibration_rounds=5,
     )
     # High sensitivity forces a mix of received and lost packets.
-    params = PropagationParams(sensitivity_dbm=-75.0)
+    params = PropagationParams(sensitivity_dbm=sensitivity_dbm)
     return simulate(scenario, params)
 
 
@@ -237,6 +240,103 @@ def test_reader_rejects_header_only_file(tmp_path):
     assert rejection(tmp_path, []).endswith("trace file has no rows")
 
 
+# ------------------------------------------------------------- grammar
+# The reader takes the writer's grammar only. Each form below got through
+# Python's int(), float() or the received flag's strip().lower() before,
+# except `NaN`, once rejected as non-finite, and a tick beyond int64.
+
+NEWLY_REJECTED = [
+    (5, "1,0,1,directional,,1,2,0.0,1,true,-5_2.5",
+     "line 5: 0->1 pair (1,2) tick 1: rssi must be a decimal of at most 32 characters, got '-5_2.5'"),
+    (5, "1,0,1,directional,,1,2,0.0,1,true, -52.5",
+     "line 5: 0->1 pair (1,2) tick 1: rssi must be a decimal of at most 32 characters, got ' -52.5'"),
+    (5, "1,0,1,directional,,1,2,0.0,1,true,+52.5",
+     "line 5: 0->1 pair (1,2) tick 1: rssi must be a decimal of at most 32 characters, got '+52.5'"),
+    (5, "1,0,1,directional,,1,2,0.0,1,true,-52.",
+     "line 5: 0->1 pair (1,2) tick 1: rssi must be a decimal of at most 32 characters, got '-52.'"),
+    (5, "1,0,1,directional,,1,2,0.0,1,true,NaN",
+     "line 5: 0->1 pair (1,2) tick 1: rssi must be a decimal of at most 32 characters, got 'NaN'"),
+    (5, "1,0,1,directional,,1,2,0.0,1,true,-5" + "0" * 31,
+     "line 5: 0->1 pair (1,2) tick 1: rssi must be a decimal of at most 32 characters, "
+     "got '-5" + "0" * 31 + "'"),
+    (4, " 1,0,1,directional,,1,1,0.0,1,true,-51.0",
+     "line 4: tick must be an integer of at most 18 digits, got ' 1'"),
+    (4, "+1,0,1,directional,,1,1,0.0,1,true,-51.0",
+     "line 4: tick must be an integer of at most 18 digits, got '+1'"),
+    (4, '"1",0,1,directional,,1,1,0.0,1,true,-51.0',
+     "line 4: tick must be an integer of at most 18 digits, got '\"1\"'"),
+    (4, "1,0,1,directional,,1,1,0.0,+1,true,-51.0",
+     "line 4: 0->1 pair (1,1) tick 1: seq must be an integer of at most 18 digits, got '+1'"),
+    (4, "1,0,1,directional,,1,1,0.0,1, TRUE ,-51.0",
+     "line 4: 0->1 pair (1,1) tick 1: received must be true or false, got ' TRUE '"),
+    (4, "1,0,1,directional,,1,1,0.0,1,True,-51.0",
+     "line 4: 0->1 pair (1,1) tick 1: received must be true or false, got 'True'"),
+    (2, "0,0,1,directional,,1,1,+0.0,0,true,-50.0",
+     "line 2: tick 0: tx power must be a decimal of at most 32 characters, got '+0.0'"),
+    (2, "0,0,1,directional,, 1,1,0.0,0,true,-50.0",
+     "line 2: tick 0: tx_dir must be an integer of at most 18 digits, got ' 1'"),
+    # Beyond int64: this escaped as a bare ValueError from numpy.
+    (4, f"{10**30},0,1,directional,,1,1,0.0,{10**30},true,-51.0",
+     f"line 4: tick must be an integer of at most 18 digits, got '{10**30}'"),
+]
+
+
+@pytest.mark.parametrize("line, row, message", NEWLY_REJECTED)
+def test_reader_rejects_forms_outside_the_writer_grammar(tmp_path, line, row, message):
+    assert rejection(tmp_path, replaced(line, row)) == message
+
+
+def test_reader_accepts_the_writer_grammar(tmp_path):
+    rows = [
+        "-0,0,1,directional,,1,1,0.0,0,true,-5.0e1",
+        "0,0,1,directional,,01,2,0.00,0,false,",  # the same stream as (1,2)
+        "1,0,1,directional,,1,1,0.0,1,true,-5" + "0" * 30,
+        "001,0,1,directional,,1,2,0.0,1,true,-0.525E2",
+    ]
+    path = tmp_path / "trace.csv"
+    header = ",".join(TRACE_HEADER)
+    path.write_bytes(f"{header}\r\n\n{rows[0]}\n{rows[1]}\r\n\r\n{rows[2]}\n{rows[3]}".encode())
+    trace = read_trace_file(path)
+    assert trace.streams == ((0, 1, None, 1, 1), (0, 1, None, 1, 2))
+    np.testing.assert_array_equal(trace.rssi, [[-50.0, np.nan], [-5e30, -52.5]])
+
+
+def test_reader_matches_stream_fields_byte_for_byte(tmp_path):
+    # A span one trailing NUL longer than a known one is a different span.
+    rows = replaced(5, "1,0,1,directional,,1,2,0.0\0,1,true,-52.5")
+    assert rejection(tmp_path, rows) == (
+        "line 5: tick 1: tx power must be a decimal of at most 32 characters, got '0.0\\x00'"
+    )
+
+
+def test_reader_reports_a_far_tick_as_a_missing_cell(tmp_path):
+    # Cells are checked from their sorted order, so a tick near the int64
+    # limit costs nothing sized ticks x streams.
+    far = "9" * 18
+    rows = replaced(4, f"{far},0,1,directional,,1,1,0.0,{far},true,-51.0")
+    assert rejection(tmp_path, rows).endswith("trace.csv: no row for 0->1 pair (1,1) tick 1")
+
+
+@pytest.mark.parametrize(
+    "grammar, pattern",
+    [
+        (traceio._INTEGER, r"-?[0-9]+"),
+        (traceio._DECIMAL, r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?"),
+    ],
+)
+def test_grammar_automata_match_their_patterns(grammar, pattern):
+    rng = np.random.default_rng(11)
+    alphabet = np.frombuffer(b"0123456789-+.eE _x\r", np.uint8)
+    weights = np.r_[np.full(10, 6.0), np.ones(len(alphabet) - 10)]
+    text = rng.choice(alphabet, size=(5000, 9), p=weights / weights.sum())
+    sizes = rng.integers(0, 10, len(text))
+    strings = [bytes(row[:n]).decode() for row, n in zip(text, sizes)]
+    expected = [re.fullmatch(pattern, s) is not None for s in strings]
+    assert 500 < sum(expected) < 4500
+    assert traceio._accepted(grammar, text, sizes).tolist() == expected
+    assert [traceio._follows(grammar, s) for s in strings] == expected
+
+
 def test_truth_round_trip(tmp_path):
     truth = np.array([[0.125, 2.5], [0.25, 2.75], [0.375, 3.0]])
     path = tmp_path / "truth.csv"
@@ -266,3 +366,22 @@ def test_truth_error_names_line(tmp_path):
     path.write_text("tick,x,y\n40,1.0,2.0\n41,oops,2.0\n")
     with pytest.raises(TraceParseError, match="line 3"):
         read_truth_file(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["40,1.0,2.0,junk"], "line 2: expected 3 fields, got 4"),
+        (["40,1.0,2.0", "41,nan,inf"], "line 3: non-finite x 'nan'"),
+        (["40,1.0,2.0", "41,1.0,-inf"], "line 3: non-finite y '-inf'"),
+        (["40,1.0,2.0", "41,1.0,2.0", "43,1.0,2.0"], "line 4: tick 43 does not follow tick 41"),
+        (["40,1.0,2.0", "40,1.0,2.0"], "line 3: tick 40 does not follow tick 40"),
+        (["40,1.0,2_0.0"], "line 2: y must be a decimal of at most 32 characters, got '2_0.0'"),
+    ],
+)
+def test_truth_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "truth.csv"
+    path.write_text("tick,x,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(TraceParseError) as info:
+        read_truth_file(path)
+    assert str(info.value) == message

@@ -1,0 +1,136 @@
+"""The line-by-line trace reader the block-streamed `rti.traceio` reader
+replaced, kept as an oracle.
+
+It parses each row with the `csv` module and Python's `int` and `float`, so
+it also lets through a few forms the shipped reader now rejects (`-5_0.0`,
+` 0`, `+0`, `"0"`, ` TRUE `). On every file it accepts or rejects alike,
+the shipped reader must return the same trace or the same error.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from pathlib import Path
+
+import numpy as np
+
+from rti.linkstats import MODES, RssTrace, StreamKey, check_stream, format_stream
+from rti.traceio import TRACE_HEADER, TraceParseError
+
+
+def _parse_stream(row: list[str]) -> tuple[str, float, StreamKey]:
+    """Mode, transmit power and stream key of one row."""
+
+    def opt_int(text: str) -> int | None:
+        return None if text == "" else int(text)
+
+    mode, power = row[3], float(row[7])
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not math.isfinite(power):
+        raise ValueError(f"non-finite tx power {row[7]!r}")
+    key = (int(row[1]), int(row[2]), opt_int(row[4]), opt_int(row[5]), opt_int(row[6]))
+    check_stream(key)
+    return mode, power, key
+
+
+def _where(key: StreamKey | None, tick: int | None) -> str:
+    parts = [format_stream(key)] if key is not None else []
+    if tick is not None:
+        parts.append(f"tick {tick}")
+    return " ".join(parts) + ": " if parts else ""
+
+
+def read_trace_file(path) -> RssTrace:
+    """Parse and check a trace file; any problem raises TraceParseError."""
+    path = Path(path)
+    known: dict[tuple[str, ...], tuple[int, StreamKey]] = {}  # raw fields -> stream
+    columns: dict[StreamKey, int] = {}
+    first: tuple[str, float] | None = None  # the first row's mode and tx power
+    ticks: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    lines: list[int] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TraceParseError(f"{path}: empty trace file") from None
+        if header != TRACE_HEADER:
+            raise TraceParseError(
+                f"{path}: bad header {header!r}, expected {TRACE_HEADER!r}"
+            )
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TRACE_HEADER):
+                raise TraceParseError(
+                    f"line {line}: expected {len(TRACE_HEADER)} fields, got {len(row)}"
+                )
+            key = tick = None
+            try:
+                tick = int(row[0])
+                fields = tuple(row[1:8])
+                stream = known.get(fields)
+                if stream is None:
+                    mode, power, key = _parse_stream(row)
+                    if first is None:
+                        first = (mode, power)
+                    elif (mode, power) != first:
+                        raise ValueError(
+                            f"mode {mode!r} and tx power {power!r} differ from "
+                            f"the first row's {first[0]!r} and {first[1]!r}"
+                        )
+                    stream = known[fields] = (columns.setdefault(key, len(columns)), key)
+                col, key = stream
+                if tick < 0:
+                    raise ValueError("negative tick")
+                received = row[9].strip().lower()
+                if received not in ("true", "false"):
+                    raise ValueError(f"received must be true or false, got {row[9]!r}")
+                if received == "true":
+                    if not row[10]:
+                        raise ValueError("received row without rssi")
+                    rssi = float(row[10])
+                    if not math.isfinite(rssi):
+                        raise ValueError(f"non-finite rssi {row[10]!r}")
+                elif row[10]:
+                    raise ValueError("lost row must not carry rssi")
+                else:
+                    rssi = math.nan
+                if int(row[8]) != tick:
+                    raise ValueError(f"seq {row[8]} differs from the tick")
+            except ValueError as exc:
+                raise TraceParseError(f"line {line}: {_where(key, tick)}{exc}") from exc
+            ticks.append(tick)
+            cols.append(col)
+            values.append(rssi)
+            lines.append(line)
+    if first is None:
+        raise TraceParseError(f"{path}: trace file has no rows")
+
+    # Every (tick, stream) cell exactly once: that is what makes each stream
+    # attempt one packet per tick.
+    keys = list(columns)
+    num_streams = len(keys)
+    cells = np.asarray(ticks) * num_streams + np.asarray(cols)
+    order = np.argsort(cells, kind="stable")
+    repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        earlier = lines[int(np.flatnonzero(cells == cells[i])[0])]
+        raise TraceParseError(
+            f"line {lines[i]}: {_where(keys[cols[i]], ticks[i])}"
+            f"duplicate of line {earlier}"
+        )
+    num_ticks = max(ticks) + 1
+    if cells.size != num_ticks * num_streams:
+        seen = np.zeros(num_ticks * num_streams, dtype=bool)
+        seen[cells] = True
+        tick, col = divmod(int(np.argmin(seen)), num_streams)
+        raise TraceParseError(f"{path}: no row for {format_stream(keys[col])} tick {tick}")
+    rssi = np.empty(cells.size)
+    rssi[cells] = values
+    return RssTrace(first[0], first[1], tuple(keys), rssi.reshape(num_ticks, num_streams))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import ConfigError, PhaseError, read_config_file, run_experiment
-from .simulator import ScenarioError, read_scenario_file, simulate
+from .simulator import SEED_LIMIT, ScenarioError, read_scenario_file, simulate
 from .traceio import write_trace_file, write_truth_file
 
 EXIT_OK = 0
@@ -34,15 +34,20 @@ def _env_seed() -> int | None:
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"RTI_SEED must be an integer, got {raw!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"RTI_SEED must be in [0, 2**32), got {raw!r}")
+    return seed
 
 
 def _effective_seed(flag_seed: int | None) -> int | None:
-    if flag_seed is not None:
-        return flag_seed
-    return _env_seed()
+    if flag_seed is None:
+        return _env_seed()
+    if not 0 <= flag_seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2**32), got {flag_seed}")
+    return flag_seed
 
 
 def _cmd_simulate(args) -> int:

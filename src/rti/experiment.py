@@ -37,8 +37,10 @@ from .linkstats import (
 )
 from .selection import SelectionResult, select_for_layout, write_selection_file
 from .simulator import (
+    SEED_LIMIT,
     PropagationParams,
     Scenario,
+    _is_int,
     obstructed_mask,
     read_scenario_file,
     simulate,
@@ -69,11 +71,6 @@ def mode_for_method(method: str) -> str:
 
 def _is_variance(method: str) -> bool:
     return method.endswith("var") or method == "vRTI"
-
-
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as an int.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -141,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError(f"window must be an integer >= 2, got {self.window!r}")
         if self.seed is not None and not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer or null, got {self.seed!r}")
+        if self.seed is not None and not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed!r}")
         if not isinstance(self.write_images, bool):
             raise ConfigError(
                 f"write_images must be true or false, got {self.write_images!r}"

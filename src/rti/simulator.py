@@ -22,6 +22,16 @@ point of measuring with directional antennas:
 
 All three collapse to the plain additive model when sigma_f is zero, and the
 response factor is exactly 1 for omni streams.
+
+Structure
+---------
+`simulate` works at three levels. Per link it computes scalars: path loss,
+wall loss, the shadow scale, and the gain of each of the six antenna
+directions at either end. Per stream it only seeds the stream's own
+generator and draws from it. The physics (fading, damping, shadow,
+agitation, drift and reception) runs as arrays over groups of whole links,
+at most `GROUP_STREAMS` streams at a time. Every value equals that of a
+one-stream loop bit for bit; `tests/sim_oracles.py` keeps that loop.
 """
 
 from __future__ import annotations
@@ -47,6 +57,20 @@ from .geometry import (
 from .linkstats import MODES, RssTrace
 
 VALID_CHANNELS = (11, 15, 18, 21, 26)
+
+# Streams per group in `simulate`: whole links are simulated together up to
+# this many streams, so the per-tick drift recursion runs once per group
+# while the group's temporaries stay small next to the trace itself.
+GROUP_STREAMS = 256
+
+# Scenario seeds and node ids are 32-bit: each is one word of a stream's
+# SeedSequence entropy (seed, tx, rx, kind code).
+SEED_LIMIT = 2**32
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ScenarioError(ValueError):
@@ -217,6 +241,15 @@ class Scenario:
                 )
             if len(set(self.channels)) != len(self.channels):
                 raise ScenarioError("duplicate channels")
+        if not _is_int(self.seed) or not 0 <= self.seed < SEED_LIMIT:
+            raise ScenarioError(f"seed must be an integer in [0, 2**32), got {self.seed!r}")
+        for node in self.layout.nodes:
+            if not 0 <= node.id < SEED_LIMIT:
+                raise ScenarioError(f"node id must be in [0, 2**32), got {node.id!r}")
+        for name in ("rounds", "calibration_rounds"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1 or self.calibration_rounds < 1:
             raise ScenarioError("rounds and calibration_rounds must be >= 1")
         if self.trajectory is not None:
@@ -254,8 +287,11 @@ def _stream_rng(seed: int, tx: int, rx: int, kind) -> np.random.Generator:
         code = (2, pair.tx_direction, pair.rx_direction)
     else:
         code = (0, 0, 0)
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, tx, rx, *code])
-    return np.random.default_rng(ss)
+    # SeedSequence turns a list of ints below 2**32 into one uint32 word
+    # each; handing it those words as an array gives the same generator
+    # without the per-int conversion.
+    words = np.array([seed, tx, rx, *code], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def _ou_block(eps: np.ndarray, std: float, corr: float) -> np.ndarray:
@@ -285,8 +321,13 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
     Every stream attempts one packet per tick. The trace's streams are
     ordered by transmitter, then receiver, then channel or pattern pair.
 
+    Each stream draws from its own generator, seeded by (seed, tx, rx, kind
+    code), so its values do not depend on which other streams are simulated.
     The static fading draw of a stream depends only on (seed, stream), so
     calibration and tracking see the same propagation environment.
+
+    The physics runs on groups of whole links, up to `GROUP_STREAMS` streams
+    at a time, each stream one column of (ticks, streams) arrays.
     """
     layout = scenario.layout
     total = scenario.total_ticks
@@ -304,84 +345,101 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
     omni_model = AntennaGainModel(directional=False)
     model = gain_model if scenario.mode == "directional" else omni_model
     kinds = _stream_kinds(scenario)
+    num_kinds = len(kinds)
+    num_links = layout.num_links
 
     # Per-tick, per-link obstruction masks shared by all streams of the link.
-    in_person = np.zeros((total, layout.num_links), dtype=bool)
-    in_wide = np.zeros((total, layout.num_links), dtype=bool)
+    in_person = np.zeros((total, num_links), dtype=bool)
+    in_wide = np.zeros((total, num_links), dtype=bool)
     if positions is not None:
         in_person[cal:] = obstructed_mask(layout, positions, params.person_lambda_m)
         in_wide[cal:] = obstructed_mask(layout, positions, params.agitation_lambda_m)
 
-    # Physics per link: the link's streams form the columns of (ticks, K)
-    # blocks, and each block fills the link's K columns of the trace.
-    rho = params.fading_directivity_coupling
-    num_kinds = len(kinds)
-    streams = []
-    rssi = np.empty((total, layout.num_links * num_kinds))
-    gains = np.empty(num_kinds)
-    shadow = np.empty(num_kinds)
-    agitation = np.empty(num_kinds)
-    noise = np.empty((total, num_kinds))
-    agit_draws = np.empty((total, num_kinds))
-    eps = np.empty((total, num_kinds))
-    uniforms = np.empty((total, num_kinds))
+    # Per link, scalars: path loss, wall loss, the person-shadow scale, and
+    # the gain of each antenna direction towards the other end, spread over
+    # the link's streams as (links, kinds) tables.
+    path_loss = np.empty((num_links, 1))
+    wall_loss = np.empty((num_links, 1))
+    shadow_scale = np.empty((num_links, 1))
+    g_tx = np.zeros((num_links, num_kinds))
+    g_rx = np.zeros((num_links, num_kinds))
+    directions = range(1, NUM_DIRECTIONS + 1)
     for link, (tx_id, rx_id) in enumerate(layout.links):
         tx = layout.node(tx_id)
         rx = layout.node(rx_id)
         d = layout.link_distance(tx_id, rx_id)
-        path_loss = params.reference_loss_db + 10.0 * params.path_loss_exponent * math.log10(d)
-        wall_loss = 0.0
+        path_loss[link] = params.reference_loss_db + 10.0 * params.path_loss_exponent * math.log10(d)
+        wall_total = 0.0
         walls_crossed = 0
         for wall in scenario.walls:
             if segments_intersect(tx.position, rx.position, wall.p1, wall.p2):
-                wall_loss += wall.loss_db if wall.loss_db is not None else params.wall_loss_db
+                wall_total += wall.loss_db if wall.loss_db is not None else params.wall_loss_db
                 walls_crossed += 1
+        wall_loss[link] = wall_total
         # A person next to a wall shifts a through-wall link's mean level far
         # less than a clear link's, yet their motion still agitates it.
-        shadow_scale = params.wall_shadow_factor ** walls_crossed
-        for k, kind in enumerate(kinds):
-            channel, pair = kind
-            if pair is not None:
-                g_tx = model.gain(angle_to_link(tx, pair.tx_direction, rx))
-                g_rx = model.gain(angle_to_link(rx, pair.rx_direction, tx))
-            else:
-                g_tx = g_rx = 0.0
-            directivity = model.directivity(g_tx, g_rx)
-            sigma_eff = params.fading_std_db * (1.0 - rho * directivity)
-            # Each stream keeps its own generator and draw order.
-            rng = _stream_rng(scenario.seed, tx_id, rx_id, kind)
-            fade = rng.normal(0.0, 1.0) * sigma_eff
-            noise[:, k] = rng.normal(0.0, 1.0, total)
-            agit_draws[:, k] = rng.normal(0.0, 1.0, total)
-            eps[:, k] = rng.normal(0.0, 1.0, total)
-            uniforms[:, k] = rng.random(total)
+        shadow_scale[link] = params.wall_shadow_factor ** walls_crossed
+        if scenario.mode == "directional":
+            tx_gains = [model.gain(angle_to_link(tx, dn, rx)) for dn in directions]
+            rx_gains = [model.gain(angle_to_link(rx, dn, tx)) for dn in directions]
+            g_tx[link] = [tx_gains[pair.tx_direction - 1] for _, pair in kinds]
+            g_rx[link] = [rx_gains[pair.rx_direction - 1] for _, pair in kinds]
 
-            response = 1.0 / (1.0 - rho * directivity)
-            damping = min(1.0, max(0.0, 1.0 + fade / params.fade_floor_db))
-            shadow[k] = params.person_loss_db * response * damping * shadow_scale
-            # Deep-fade streams pick up motion noise; directional streams
-            # flutter in proportion to how much of their energy rides the
-            # direct path (response - 1 is zero for omni).
-            agitation[k] = params.agitation_std_db * (
-                (1.0 - damping)
-                + params.agitation_directivity_gain * (response - 1.0)
-            )
-            if params.fading_std_db == 0.0:
-                agitation[k] = 0.0
-            gains[k] = params.tx_power_dbm + g_tx + g_rx - path_loss - wall_loss + fade
-            streams.append((tx_id, rx_id, channel, *(pair or (None, None))))
+    rho = params.fading_directivity_coupling
+    streams = tuple(
+        (tx_id, rx_id, channel, *(pair or (None, None)))
+        for tx_id, rx_id in layout.links
+        for channel, pair in kinds
+    )
+    rssi = np.empty((total, num_links * num_kinds))
+    per_group = max(1, GROUP_STREAMS // num_kinds)
+    for lo in range(0, num_links, per_group):
+        hi = min(lo + per_group, num_links)
+        # Each stream keeps its own generator and draw order: the fading
+        # draw, the noise, agitation and drift series, then the uniforms.
+        draws = np.empty(((hi - lo) * num_kinds, 1 + 3 * total))
+        uniforms = np.empty(((hi - lo) * num_kinds, total))
+        s = 0
+        for tx_id, rx_id in layout.links[lo:hi]:
+            for kind in kinds:
+                rng = _stream_rng(scenario.seed, tx_id, rx_id, kind)
+                draws[s] = rng.normal(0.0, 1.0, 1 + 3 * total)
+                rng.random(out=uniforms[s])
+                s += 1
+        noise = draws[:, 1:1 + total].T
+        agit_draws = draws[:, 1 + total:1 + 2 * total].T
+        eps = draws[:, 1 + 2 * total:].T
 
-        p_rx = np.repeat(gains[None, :], total, axis=0)
-        p_rx -= shadow * in_person[:, link, None]
-        p_rx += agitation * agit_draws * in_wide[:, link, None]
+        # Stream constants as (links, kinds) arrays, with the float
+        # operations of a one-stream loop.
+        gt, gr = g_tx[lo:hi], g_rx[lo:hi]
+        directivity = model.directivity(gt, gr)
+        sigma_eff = params.fading_std_db * (1.0 - rho * directivity)
+        fade = draws[:, 0].reshape(hi - lo, num_kinds) * sigma_eff
+        response = 1.0 / (1.0 - rho * directivity)
+        damping = np.minimum(1.0, np.maximum(0.0, 1.0 + fade / params.fade_floor_db))
+        shadow = params.person_loss_db * response * damping * shadow_scale[lo:hi]
+        # Deep-fade streams pick up motion noise; directional streams
+        # flutter in proportion to how much of their energy rides the
+        # direct path (response - 1 is zero for omni).
+        agitation = params.agitation_std_db * (
+            (1.0 - damping)
+            + params.agitation_directivity_gain * (response - 1.0)
+        )
+        if params.fading_std_db == 0.0:
+            agitation = np.zeros_like(damping)
+        gains = params.tx_power_dbm + gt + gr - path_loss[lo:hi] - wall_loss[lo:hi] + fade
+
+        p_rx = np.repeat(gains.reshape(1, -1), total, axis=0)
+        p_rx -= shadow.ravel() * np.repeat(in_person[:, lo:hi], num_kinds, axis=1)
+        p_rx += agitation.ravel() * agit_draws * np.repeat(in_wide[:, lo:hi], num_kinds, axis=1)
         p_rx += noise * params.noise_std_db + _ou_block(
             eps, params.drift_std_db, params.drift_corr
         )
-        received = uniforms < reception_probability(p_rx, params)
-        cols = slice(link * num_kinds, (link + 1) * num_kinds)
-        rssi[:, cols] = np.where(received, p_rx, np.nan)
+        received = uniforms.T < reception_probability(p_rx, params)
+        rssi[:, lo * num_kinds:hi * num_kinds] = np.where(received, p_rx, np.nan)
 
-    return RssTrace(scenario.mode, params.tx_power_dbm, tuple(streams), rssi), truth
+    return RssTrace(scenario.mode, params.tx_power_dbm, streams, rssi), truth
 
 
 def obstructed_mask(
@@ -528,9 +586,9 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> tuple[Scenar
             channels=tuple(data.get("channels", (11, 15, 18, 21))),
             walls=walls,
             trajectory=trajectory,
-            seed=int(data.get("seed", 0)),
-            rounds=int(data["rounds"]),
-            calibration_rounds=int(data["calibration_rounds"]),
+            seed=data.get("seed", 0),
+            rounds=data["rounds"],
+            calibration_rounds=data["calibration_rounds"],
         )
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"scenario description missing field: {exc}") from exc

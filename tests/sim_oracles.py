@@ -1,9 +1,13 @@
 """Per-tick and per-stream reference loops for the simulator.
 
 `rti.simulator` computes the ground-truth obstruction mask for every
-(tick, link) at once and simulates each link's streams as one block. These
-loops are the forms they replaced, kept as oracles: the shipped code must
-reproduce them bit for bit.
+(tick, link) at once. It takes each link's antenna gains from per-link
+tables, draws each stream's series in two calls, and runs the physics and
+the drift recursion over groups of whole links. These loops are the forms
+they replaced, kept as oracles: one scalar `ellipse_contains` per cell, and
+per stream its own gains, a generator seeded from the int list of the
+seeding contract, five draw calls and a tick-by-tick drift. The shipped
+code must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from rti.linkstats import RssTrace
 from rti.simulator import (
     AntennaGainModel,
     _stream_kinds,
-    _stream_rng,
     generate_trajectory,
     reception_probability,
 )
@@ -33,6 +36,19 @@ def obstructed_mask(layout, truth, lam):
         for t in range(ticks):
             mask[t, i] = ellipse_contains(tx.position, rx.position, truth[t], lam)
     return mask
+
+
+def stream_rng(seed, tx, rx, kind):
+    """A stream's generator as the seeding contract states it: the
+    SeedSequence of the int list (seed, tx, rx, kind code)."""
+    channel, pair = kind
+    if channel is not None:
+        code = (1, channel, 0)
+    elif pair is not None:
+        code = (2, pair.tx_direction, pair.rx_direction)
+    else:
+        code = (0, 0, 0)
+    return np.random.default_rng(np.random.SeedSequence([seed, tx, rx, *code]))
 
 
 def ou_series(eps, std, corr):
@@ -106,7 +122,7 @@ def simulate(scenario, params):
                 g_tx = g_rx = 0.0
             directivity = model.directivity(g_tx, g_rx)
             sigma_eff = params.fading_std_db * (1.0 - rho * directivity)
-            rng = _stream_rng(scenario.seed, tx_id, rx_id, kind)
+            rng = stream_rng(scenario.seed, tx_id, rx_id, kind)
             fade = rng.normal(0.0, 1.0) * sigma_eff
             noise = rng.normal(0.0, 1.0, total) * params.noise_std_db
             agit_draws = rng.normal(0.0, 1.0, total)

@@ -158,6 +158,30 @@ def test_env_seed_must_be_an_integer(tmp_path, scenario_file, monkeypatch, capsy
     assert "RTI_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        ("--seed=-1", None, "error: --seed must be in [0, 2**32), got -1\n"),
+        ("--seed=4294967296", None, "error: --seed must be in [0, 2**32), got 4294967296\n"),
+        (None, "-1", "error: RTI_SEED must be in [0, 2**32), got '-1'\n"),
+        (None, "4294967296", "error: RTI_SEED must be in [0, 2**32), got '4294967296'\n"),
+    ],
+)
+def test_seed_outside_32_bits_is_a_config_error(
+    tmp_path, scenario_file, monkeypatch, capsys, command, flag, env, message
+):
+    if env is not None:
+        monkeypatch.setenv("RTI_SEED", env)
+    if command == "run":
+        argv = ["run", "--config", str(write_config(tmp_path, scenario_file))]
+    else:
+        argv = ["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "sim")]
+    assert main(argv + ([flag] if flag else [])) == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sim").exists()
+
+
 def test_blank_env_seed_is_ignored(tmp_path, scenario_file, monkeypatch, capsys):
     monkeypatch.setenv("RTI_SEED", "")
     config = write_config(tmp_path, scenario_file)

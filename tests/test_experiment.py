@@ -186,6 +186,22 @@ def test_config_from_dict_checks_field_types(field, value):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be in [0, 2**32), got -1"),
+        (2**32, "seed must be in [0, 2**32), got 4294967296"),
+    ],
+)
+def test_config_seed_must_fit_32_bits(seed, message):
+    data = {"scenario": "s", "method": "mRTI", "out_dir": "o", "seed": seed}
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == message
+    cfg = config_from_dict({**data, "seed": 2**32 - 1})
+    assert cfg.seed == 2**32 - 1
+
+
 def test_config_from_dict_keeps_typed_fields():
     cfg = config_from_dict(
         {"scenario": "s", "method": "vRTI", "out_dir": "o",

@@ -10,6 +10,7 @@ and generous margins.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +19,8 @@ from hypothesis import given, strategies as st
 
 import rti.simulator
 import sim_oracles
-from rti.geometry import NetworkLayout, NodeSpec, build_grid, ellipse_contains
-from rti.presets import los_7node, nlos_7node, ring_layout
+from rti.geometry import NetworkLayout, NodeSpec, PatternPair, build_grid, ellipse_contains
+from rti.presets import los_7node, nlos_2node, nlos_7node, ring_layout
 from rti.simulator import (
     AntennaGainModel,
     PropagationParams,
@@ -28,6 +29,7 @@ from rti.simulator import (
     Trajectory,
     Wall,
     _ou_block,
+    _stream_rng,
     generate_trajectory,
     obstructed_mask,
     read_scenario_file,
@@ -220,6 +222,78 @@ def test_scenario_rejects_nonpositive_rounds():
         Scenario(two_node_layout(), UNIT_GRID, "omni", rounds=0)
     with pytest.raises(ScenarioError):
         Scenario(two_node_layout(), UNIT_GRID, "omni", calibration_rounds=0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (2**32, "seed must be an integer in [0, 2**32), got 4294967296"),
+        (-1, "seed must be an integer in [0, 2**32), got -1"),
+        (3.9, "seed must be an integer in [0, 2**32), got 3.9"),
+        ("5", "seed must be an integer in [0, 2**32), got '5'"),
+        (True, "seed must be an integer in [0, 2**32), got True"),
+        (np.int64(5), f"seed must be an integer in [0, 2**32), got {np.int64(5)!r}"),
+    ],
+)
+def test_scenario_rejects_seed_outside_32_bits(seed, message):
+    with pytest.raises(ScenarioError) as info:
+        Scenario(two_node_layout(), UNIT_GRID, "omni", seed=seed)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("node_id", [-1, 2**32])
+def test_scenario_rejects_node_id_outside_32_bits(node_id):
+    layout = NetworkLayout([NodeSpec(0, 0.0, 0.5, 0.0), NodeSpec(node_id, 1.0, 0.5, 0.0)])
+    with pytest.raises(ScenarioError) as info:
+        Scenario(layout, UNIT_GRID, "omni")
+    assert str(info.value) == f"node id must be in [0, 2**32), got {node_id}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+@pytest.mark.parametrize("tx, rx", [(0, 1), (6, 5), (2**32 - 1, 0)])
+@pytest.mark.parametrize("kind", [(None, None), (26, None), (None, PatternPair(6, 1))])
+def test_stream_rng_matches_the_int_list_seeding(seed, tx, rx, kind):
+    got = _stream_rng(seed, tx, rx, kind)
+    want = sim_oracles.stream_rng(seed, tx, rx, kind)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(4), want.random(4))
+
+
+def test_seed_range_ends_give_distinct_traces():
+    # Seeds used to be masked to 32 bits, so 0 and 2**32 (and -1 and
+    # 2**32 - 1) gave the same trace under different recorded seeds.
+    mk = lambda seed: Scenario(
+        two_node_layout(), UNIT_GRID, "omni", seed=seed, rounds=2, calibration_rounds=1
+    )
+    params = PropagationParams()
+    low = simulate(mk(0), params)[0].rssi
+    high = simulate(mk(2**32 - 1), params)[0].rssi
+    assert not np.array_equal(low, high, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", 3.9, "seed must be an integer in [0, 2**32), got 3.9"),
+        ("seed", "5", "seed must be an integer in [0, 2**32), got '5'"),
+        ("seed", True, "seed must be an integer in [0, 2**32), got True"),
+        ("seed", 2**32, "seed must be an integer in [0, 2**32), got 4294967296"),
+        ("seed", -1, "seed must be an integer in [0, 2**32), got -1"),
+        ("rounds", 3.9, "rounds must be an integer, got 3.9"),
+        ("rounds", "5", "rounds must be an integer, got '5'"),
+        ("rounds", True, "rounds must be an integer, got True"),
+        ("calibration_rounds", 2.0, "calibration_rounds must be an integer, got 2.0"),
+        ("calibration_rounds", False, "calibration_rounds must be an integer, got False"),
+    ],
+)
+def test_scenario_dict_checks_integer_field_types(field, value, message):
+    data = scenario_to_dict(
+        Scenario(two_node_layout(), UNIT_GRID, "omni"), PropagationParams()
+    )
+    data[field] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
 
 
 def test_params_validation():
@@ -748,11 +822,62 @@ def test_simulate_with_loop_oracles_patched_in_is_identical(factory, seed, mode,
     assert_same_trace(shipped, simulate(scenario, params))
 
 
-@pytest.mark.parametrize("factory, seed, mode", ORACLE_RUNS)
+def ring9(seed):
+    """72 links: directional groups of 7 links and multichannel groups of
+    64 leave a partial last group; drift is on."""
+    scenario, params = los_7node(seed)
+    scenario = replace(
+        scenario, layout=ring_layout(9, 2.9, (3.0, 3.0)), rounds=20, calibration_rounds=10
+    )
+    return scenario, replace(params, drift_std_db=1.5)
+
+
+def no_fading(seed):
+    """fading_std_db = 0 forces agitation to zero."""
+    scenario, params = nlos_7node(seed)
+    return replace(scenario, rounds=20), replace(params, fading_std_db=0.0)
+
+
+def flat_gain(seed):
+    """A directional model with g_max_db == g_min_db has zero directivity."""
+    scenario, params = los_7node(seed)
+    flat = AntennaGainModel(g_max_db=2.0, g_min_db=2.0)
+    return replace(scenario, rounds=20), replace(params, gain_model=flat)
+
+
+GROUP_ORACLE_RUNS = [
+    pytest.param(factory, 3, mode, id=f"{factory.__name__}-3-{mode}")
+    for factory, modes in (
+        (ring9, ("omni", "multichannel", "directional")),
+        (nlos_2node, ("omni", "multichannel", "directional")),
+        (no_fading, ("directional",)),
+        (flat_gain, ("directional",)),
+    )
+    for mode in modes
+]
+
+
+@pytest.mark.parametrize("factory, seed, mode", ORACLE_RUNS + GROUP_ORACLE_RUNS)
 def test_simulate_matches_per_stream_oracle(factory, seed, mode):
     scenario, params = factory(seed)
     scenario = replace(scenario, mode=mode)
     assert_same_trace(simulate(scenario, params), sim_oracles.simulate(scenario, params))
+
+
+def test_simulate_peak_memory_stays_near_the_trace():
+    # 132 links x 36 pairs = 4,752 streams; the physics runs in groups, so
+    # its temporaries stay a fraction of the trace it fills.
+    scenario, params = los_7node(0)
+    scenario = replace(scenario, layout=ring_layout(12, 2.9, (3.0, 3.0)), rounds=40)
+    simulate(replace(scenario, layout=ring_layout(3, 2.9, (3.0, 3.0))), params)
+    tracemalloc.start()
+    try:
+        trace, _ = simulate(scenario, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.streams) == 4752
+    assert peak <= 2 * trace.rssi.nbytes
 
 
 # ------------------------------------------------------------ file format

@@ -224,20 +224,67 @@ def forward_fill(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, idx, axis=-1)
 
 
+# Rows per block in `batch_window_variance`: a block's shifted slices and
+# accumulators stay in cache, and its temporaries small next to the output.
+VARIANCE_BLOCK_ROWS = 64
+
+
 def batch_window_variance(filled: np.ndarray, v: int) -> np.ndarray:
     """Sample variance of the window ending at each tick, for stacked streams.
 
     filled: (S, T) carry-forward matrix. Output (S, T) with NaN where the
     window does not fit or contains unfilled values.
+
+    The result is ``np.var(window, ddof=1)`` of every window bit for bit,
+    computed from the v shifted (rows, T - v + 1) slices of a block of rows
+    with np.var's float operations: the window sum in numpy's order
+    (`_window_sum`) over v, the deviations from that mean, their squares,
+    and their sum in the same order over v - 1.
     """
     if v < 2:
         raise InsufficientWindowError("window length must be >= 2")
     s, t = filled.shape
     out = np.full((s, t), np.nan)
-    if t >= v:
-        windows = np.lib.stride_tricks.sliding_window_view(filled, v, axis=1)
-        # np.var's (rows, ticks, v) temporary is taken in blocks of rows to
-        # bound memory; a row's variance does not depend on the others.
-        for i in range(0, s, 256):
-            out[i : i + 256, v - 1 :] = np.var(windows[i : i + 256], axis=2, ddof=1)
+    if t < v:
+        return out
+    w = t - v + 1
+    for i in range(0, s, VARIANCE_BLOCK_ROWS):
+        block = filled[i : i + VARIANCE_BLOCK_ROWS]
+        mean = _window_sum(lambda j: block[:, j : j + w], 0, v)
+        mean /= v
+
+        def square(j):
+            deviation = block[:, j : j + w] - mean
+            deviation *= deviation
+            return deviation
+
+        total = _window_sum(square, 0, v)
+        np.divide(total, v - 1, out=out[i : i + VARIANCE_BLOCK_ROWS, v - 1 :])
     return out
+
+
+def _window_sum(term, lo: int, n: int) -> np.ndarray:
+    """``term(lo) + ... + term(lo + n - 1)``, n >= 2, in the order numpy's
+    pairwise sum adds n contiguous values: in sequence below 8 terms; up to
+    128 terms in eight running accumulators, combined as ((r0 + r1) +
+    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the leftover terms in
+    sequence; beyond that, the two halves split at a multiple of 8, summed
+    alike."""
+    if n < 8:
+        total = term(lo) + term(lo + 1)
+        for j in range(lo + 2, lo + n):
+            total += term(j)
+        return total
+    if n <= 128:
+        acc = [term(lo + j).copy() for j in range(8)]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                acc[j] += term(i + j)
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for j in range(end, lo + n):
+            total += term(j)
+        return total
+    half = n // 2
+    half -= half % 8
+    return _window_sum(term, lo, half) + _window_sum(term, lo + half, n - half)

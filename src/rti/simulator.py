@@ -28,7 +28,8 @@ Structure
 `simulate` works at three levels. Per link it computes scalars: path loss,
 wall loss, the shadow scale, and the gain of each of the six antenna
 directions at either end. Per stream it only seeds the stream's own
-generator and draws from it. The physics (fading, damping, shadow,
+generator and draws from it; the generators' seed states are computed for
+all streams at once beforehand. The physics (fading, damping, shadow,
 agitation, drift and reception) runs as arrays over groups of whole links,
 at most `GROUP_STREAMS` streams at a time. Every value equals that of a
 one-stream loop bit for bit; `tests/sim_oracles.py` keeps that loop.
@@ -36,8 +37,10 @@ one-stream loop bit for bit; `tests/sim_oracles.py` keeps that loop.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +69,13 @@ GROUP_STREAMS = 256
 # Scenario seeds and node ids are 32-bit: each is one word of a stream's
 # SeedSequence entropy (seed, tx, rx, kind code).
 SEED_LIMIT = 2**32
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_WORD = 0xFFFFFFFF
 
 
 def _is_int(value) -> bool:
@@ -279,19 +289,91 @@ def _stream_kinds(scenario: Scenario) -> list[tuple[int | None, PatternPair | No
     return [(None, PatternPair(t, r)) for t in directions for r in directions]
 
 
-def _stream_rng(seed: int, tx: int, rx: int, kind) -> np.random.Generator:
+def _kind_code(kind) -> tuple[int, int, int]:
     channel, pair = kind
     if channel is not None:
-        code = (1, channel, 0)
-    elif pair is not None:
-        code = (2, pair.tx_direction, pair.rx_direction)
-    else:
-        code = (0, 0, 0)
-    # SeedSequence turns a list of ints below 2**32 into one uint32 word
-    # each; handing it those words as an array gives the same generator
-    # without the per-int conversion.
-    words = np.array([seed, tx, rx, *code], dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        return (1, channel, 0)
+    if pair is not None:
+        return (2, pair.tx_direction, pair.rx_direction)
+    return (0, 0, 0)
+
+
+def _seed_words(seed: int, links, kinds) -> np.ndarray:
+    """The (streams, 6) uint32 entropy words (seed, tx, rx, kind code) of
+    every stream, in trace order: by link, then kind."""
+    words = np.empty((len(links), len(kinds), 6), dtype=np.uint32)
+    words[..., 0] = seed
+    words[..., 1:3] = np.array(links, dtype=np.uint32).reshape(-1, 1, 2)
+    words[..., 3:] = np.array([_kind_code(kind) for kind in kinds], dtype=np.uint32)
+    return words.reshape(-1, 6)
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of a
+    (streams, n >= 4) uint32 word array, shaped (streams, 4).
+
+    This is numpy's algorithm run on whole columns: hash the first four
+    words into the pool, cross-mix the pool, mix in the remaining words,
+    then hash the pool out into eight words, read as four little-endian
+    uint64s. The hash constants do not depend on the data, so they are
+    stepped as Python ints.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _WORD
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(words[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, words.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+
+    state = np.empty((words.shape[0], 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _WORD
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << np.uint64(32))
+
+
+@functools.cache
+def _stream_generators():
+    """The function from a `_seed_states` row to its stream's generator,
+    ``Generator(PCG64(...))`` in the state that SeedSequence seeding gives.
+
+    numpy.random is imported on the first call, so that importing rti does
+    not load it.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        """Hands PCG64 a precomputed ``generate_state(4, np.uint64)``."""
+
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return lambda state: Generator(PCG64(SeedState(state)))
 
 
 def _ou_block(eps: np.ndarray, std: float, corr: float) -> np.ndarray:
@@ -392,6 +474,8 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         for channel, pair in kinds
     )
     rssi = np.empty((total, num_links * num_kinds))
+    states = _seed_states(_seed_words(scenario.seed, layout.links, kinds))
+    generator = _stream_generators()
     per_group = max(1, GROUP_STREAMS // num_kinds)
     for lo in range(0, num_links, per_group):
         hi = min(lo + per_group, num_links)
@@ -399,13 +483,10 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         # draw, the noise, agitation and drift series, then the uniforms.
         draws = np.empty(((hi - lo) * num_kinds, 1 + 3 * total))
         uniforms = np.empty(((hi - lo) * num_kinds, total))
-        s = 0
-        for tx_id, rx_id in layout.links[lo:hi]:
-            for kind in kinds:
-                rng = _stream_rng(scenario.seed, tx_id, rx_id, kind)
-                draws[s] = rng.normal(0.0, 1.0, 1 + 3 * total)
-                rng.random(out=uniforms[s])
-                s += 1
+        for s, state in enumerate(states[lo * num_kinds:hi * num_kinds]):
+            rng = generator(state)
+            rng.standard_normal(out=draws[s])  # the values of normal(0, 1)
+            rng.random(out=uniforms[s])
         noise = draws[:, 1:1 + total].T
         agit_draws = draws[:, 1 + total:1 + 2 * total].T
         eps = draws[:, 1 + 2 * total:].T
@@ -533,64 +614,132 @@ def scenario_to_dict(scenario: Scenario, params: PropagationParams) -> dict:
     }
 
 
+# The propagation parameters a scenario file may set: every numeric field.
+_PARAM_FIELDS = tuple(
+    name for name in PropagationParams.__dataclass_fields__ if name != "gain_model"
+)
+
+
+def _number(value, name: str):
+    """A finite JSON number, int or float but not bool, returned as given."""
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    ):
+        return value
+    raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+
+
+def _point(value, name: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(f"{name} must be a pair of numbers, got {value!r}")
+    return (float(_number(value[0], f"{name}[0]")), float(_number(value[1], f"{name}[1]")))
+
+
+def _objects(value, name: str) -> list[dict]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name} must be a list of objects, got {value!r}")
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{name}[{i}] must be an object, got {item!r}")
+    return value
+
+
+def _checked(name: str, build, *args, **kwargs):
+    """``build(...)``, its ValueError re-raised as a ScenarioError on ``name``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+
+
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> tuple[Scenario, PropagationParams]:
+    """Scenario and parameters from a scenario file's JSON object.
+
+    Every field is type-checked, not coerced: a number must be a JSON int
+    or float, an integer a JSON int. A bad or missing field raises a
+    ScenarioError that names it.
+    """
+    if not isinstance(data, dict):
+        raise ScenarioError(f"scenario description must be an object, got {data!r}")
     try:
         grid_spec = data["grid"]
-        grid = build_grid(
-            tuple(grid_spec["origin"]),
-            grid_spec["width_m"],
-            grid_spec["height_m"],
-            grid_spec["voxel_width"],
+        if not isinstance(grid_spec, dict):
+            raise ScenarioError(f"grid must be an object, got {grid_spec!r}")
+        grid = _checked(
+            "grid",
+            build_grid,
+            _point(grid_spec["origin"], "grid.origin"),
+            *(_number(grid_spec[key], f"grid.{key}") for key in ("width_m", "height_m", "voxel_width")),
         )
         if "layout_file" in data:
             from .geometry import read_layout_file
 
+            if not isinstance(data["layout_file"], str):
+                raise ScenarioError(f"layout_file must be a path, got {data['layout_file']!r}")
             path = Path(data["layout_file"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            nodes = read_layout_file(path)
+            nodes = _checked("layout_file", read_layout_file, path)
         else:
-            nodes = [
-                NodeSpec(
-                    int(n["id"]),
-                    float(n["x"]),
-                    float(n["y"]),
-                    math.radians(float(n.get("bearing_deg", 0.0))),
-                )
-                for n in data["nodes"]
-            ]
+            nodes = []
+            for i, n in enumerate(_objects(data["nodes"], "nodes")):
+                if not _is_int(n["id"]):
+                    raise ScenarioError(f"nodes[{i}].id must be an integer, got {n['id']!r}")
+                x, y = (float(_number(n[key], f"nodes[{i}].{key}")) for key in ("x", "y"))
+                bearing = _number(n.get("bearing_deg", 0.0), f"nodes[{i}].bearing_deg")
+                nodes.append(NodeSpec(n["id"], x, y, math.radians(bearing)))
         walls = tuple(
             Wall(
-                float(w["from"][0]),
-                float(w["from"][1]),
-                float(w["to"][0]),
-                float(w["to"][1]),
-                float(w["loss_db"]) if "loss_db" in w else None,
+                *_point(w["from"], f"walls[{i}].from"),
+                *_point(w["to"], f"walls[{i}].to"),
+                float(_number(w["loss_db"], f"walls[{i}].loss_db")) if "loss_db" in w else None,
             )
-            for w in data.get("walls", [])
+            for i, w in enumerate(_objects(data.get("walls", []), "walls"))
         )
         traj_spec = data.get("trajectory")
-        trajectory = (
-            Trajectory(
-                tuple((float(x), float(y)) for x, y in traj_spec["waypoints"]),
-                float(traj_spec["speed"]),
+        trajectory = None
+        if traj_spec is not None:
+            if not isinstance(traj_spec, dict):
+                raise ScenarioError(f"trajectory must be an object, got {traj_spec!r}")
+            waypoints = traj_spec["waypoints"]
+            if not isinstance(waypoints, list):
+                raise ScenarioError(
+                    f"trajectory.waypoints must be a list of points, got {waypoints!r}"
+                )
+            trajectory = _checked(
+                "trajectory",
+                Trajectory,
+                tuple(_point(p, f"trajectory.waypoints[{i}]") for i, p in enumerate(waypoints)),
+                float(_number(traj_spec["speed"], "trajectory.speed")),
             )
-            if traj_spec
-            else None
+        params_spec = data.get("params", {})
+        if not isinstance(params_spec, dict):
+            raise ScenarioError(f"params must be an object, got {params_spec!r}")
+        unknown = [key for key in params_spec if key not in _PARAM_FIELDS]
+        if unknown:
+            raise ScenarioError(f"params has unknown field {unknown[0]!r}")
+        params = _checked(
+            "params",
+            PropagationParams,
+            **{key: _number(value, f"params.{key}") for key, value in params_spec.items()},
         )
-        params = PropagationParams(**data.get("params", {}))
+        channels = data.get("channels", [11, 15, 18, 21])
+        if not isinstance(channels, list) or not all(_is_int(c) for c in channels):
+            raise ScenarioError(f"channels must be a list of integers, got {channels!r}")
         scenario = Scenario(
-            layout=NetworkLayout(nodes),
+            layout=_checked("nodes", NetworkLayout, nodes),
             grid=grid,
             mode=data["mode"],
-            channels=tuple(data.get("channels", (11, 15, 18, 21))),
+            channels=tuple(channels),
             walls=walls,
             trajectory=trajectory,
             seed=data.get("seed", 0),
             rounds=data["rounds"],
             calibration_rounds=data["calibration_rounds"],
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ScenarioError(f"scenario description missing field: {exc}") from exc
     return scenario, params
 

@@ -17,9 +17,9 @@ import numpy as np
 from rti.experiment import PhaseError, _is_variance
 from rti.geometry import VoxelGrid
 from rti.imaging import ImageFrame, reconstruct
-from rti.linkstats import StreamKey, batch_window_variance, format_stream, forward_fill
+from rti.linkstats import StreamKey, format_stream, forward_fill
 from rti.tracking import _H, KalmanParams, TrackState, kalman_init
-from stat_oracles import calibrate
+from stat_oracles import batch_window_variance, calibrate
 
 
 def compute_stat_matrix(

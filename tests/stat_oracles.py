@@ -5,7 +5,9 @@ over whole (streams, ticks) arrays, and the detection sweep and error CDF as
 array counts. These per-observation formulas and loops are the definitions
 those arrays must reproduce; tests use them as oracles. `calibrate` is the
 per-stream calibration the pipeline used before each trace kept its own
-calibration means.
+calibration means. `batch_window_variance` is the `np.var` form that
+`rti.linkstats.batch_window_variance` replaced; the shipped function must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -76,6 +78,25 @@ def calibrate(
         )
     means = {s: float(sums[column[s]] / counts[column[s]]) for s in wanted}
     return CalibrationTable(window=(t1, t2), means=means)
+
+
+def batch_window_variance(filled: np.ndarray, v: int) -> np.ndarray:
+    """Sample variance of the window ending at each tick, for stacked streams.
+
+    filled: (S, T) carry-forward matrix. Output (S, T) with NaN where the
+    window does not fit or contains unfilled values.
+    """
+    if v < 2:
+        raise InsufficientWindowError("window length must be >= 2")
+    s, t = filled.shape
+    out = np.full((s, t), np.nan)
+    if t >= v:
+        windows = np.lib.stride_tricks.sliding_window_view(filled, v, axis=1)
+        # np.var's (rows, ticks, v) temporary is taken in blocks of rows to
+        # bound memory; a row's variance does not depend on the others.
+        for i in range(0, s, 256):
+            out[i : i + 256, v - 1 :] = np.var(windows[i : i + 256], axis=2, ddof=1)
+    return out
 
 
 def fn_fp_sweep_loop(

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stat_oracles
 from rti.geometry import PatternPair
 from rti.linkstats import (
     InsufficientWindowError,
@@ -20,6 +23,8 @@ from rti.linkstats import (
     pattern_stream,
     window_variance,
 )
+from rti.presets import los_7node, nlos_7node
+from rti.simulator import simulate
 from stat_oracles import (
     CalibrationTable,
     MissingCalibrationError,
@@ -389,9 +394,70 @@ def test_batch_window_variance_rows_stand_alone():
     filled = forward_fill(np.where(rng.random((600, 50)) < 0.1, np.nan,
                                    rng.normal(-55, 4, size=(600, 50))))
     batch = batch_window_variance(filled, 10)
-    for row in (0, 255, 256, 511, 599):
+    for row in (0, 255, 256, 511, 599, 63, 64, 127, 128, 575, 576):
         one = batch_window_variance(filled[row : row + 1], 10)[0]
         assert np.array_equal(batch[row], one, equal_nan=True)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("v", range(2, 34))
+def test_batch_window_variance_matches_np_var_bit_for_bit(v):
+    # Row counts around the 64-row block; tick counts where no window, one
+    # window and two windows fit; leading NaNs of streams first heard late.
+    rng = np.random.default_rng(v)
+    for rows in (1, 63, 64, 65, 600):
+        for ticks in (v - 1, v, v + 1):
+            raw = rng.normal(-55.0, 4.0, (rows, ticks))
+            raw[rng.random(raw.shape) < 0.2] = np.nan
+            raw[:, : rng.integers(0, ticks + 1)] = np.nan
+            filled = forward_fill(raw)
+            assert same_bits(
+                batch_window_variance(filled, v),
+                stat_oracles.batch_window_variance(filled, v),
+            ), (rows, ticks)
+
+
+@pytest.mark.parametrize("v", [129, 136, 200, 300])
+def test_batch_window_variance_matches_np_var_beyond_128_terms(v):
+    # numpy splits a sum of more than 128 terms into two halves.
+    rng = np.random.default_rng(v)
+    filled = forward_fill(np.where(rng.random((65, v + 9)) < 0.2, np.nan,
+                                   rng.normal(-55.0, 4.0, (65, v + 9))))
+    assert same_bits(batch_window_variance(filled, v),
+                     stat_oracles.batch_window_variance(filled, v))
+
+
+@pytest.mark.parametrize("factory", [los_7node, nlos_7node])
+@pytest.mark.parametrize("mode", ["omni", "multichannel", "directional"])
+def test_batch_window_variance_matches_np_var_on_simulated_traces(factory, mode):
+    for seed in range(10):
+        scenario, params = factory(seed)
+        trace, _ = simulate(replace(scenario, mode=mode), params)
+        filled = carry_forward(trace)
+        for v in (2, 5, 10, 20, 40):
+            assert same_bits(
+                batch_window_variance(filled, v),
+                stat_oracles.batch_window_variance(filled, v),
+            ), (seed, v)
+
+
+def test_batch_window_variance_peak_memory_stays_near_the_output():
+    # 4,752 streams (a 12-node directional ring) by 140 ticks; the blocks'
+    # temporaries stay small next to the output.
+    rng = np.random.default_rng(5)
+    filled = forward_fill(np.where(rng.random((4752, 140)) < 0.1, np.nan,
+                                   rng.normal(-55.0, 4.0, (4752, 140))))
+    batch_window_variance(filled[:2], 10)
+    tracemalloc.start()
+    try:
+        out = batch_window_variance(filled, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
 
 
 def test_batch_window_variance_matches_scalar():

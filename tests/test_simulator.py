@@ -10,8 +10,11 @@ and generous margins.
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,9 @@ from rti.simulator import (
     Trajectory,
     Wall,
     _ou_block,
-    _stream_rng,
+    _seed_states,
+    _seed_words,
+    _stream_generators,
     generate_trajectory,
     obstructed_mask,
     read_scenario_file,
@@ -253,10 +258,62 @@ def test_scenario_rejects_node_id_outside_32_bits(node_id):
 @pytest.mark.parametrize("tx, rx", [(0, 1), (6, 5), (2**32 - 1, 0)])
 @pytest.mark.parametrize("kind", [(None, None), (26, None), (None, PatternPair(6, 1))])
 def test_stream_rng_matches_the_int_list_seeding(seed, tx, rx, kind):
-    got = _stream_rng(seed, tx, rx, kind)
+    states = _seed_states(_seed_words(seed, [(tx, rx)], [kind]))
+    assert states.shape == (1, 4)
+    got = _stream_generators()(states[0])
     want = sim_oracles.stream_rng(seed, tx, rx, kind)
     assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.standard_normal(4), want.normal(0.0, 1.0, 4))
     assert np.array_equal(got.random(4), want.random(4))
+
+
+def test_seed_words_follow_the_trace_order():
+    kinds = [(None, PatternPair(1, 2)), (None, PatternPair(6, 5))]
+    words = _seed_words(7, [(0, 1), (2**32 - 1, 3)], kinds)
+    assert words.dtype == np.uint32
+    assert words.tolist() == [
+        [7, 0, 1, 2, 1, 2],
+        [7, 0, 1, 2, 6, 5],
+        [7, 2**32 - 1, 3, 2, 1, 2],
+        [7, 2**32 - 1, 3, 2, 6, 5],
+    ]
+    omni = _seed_words(0, [(4, 5)], [(None, None)])
+    channel = _seed_words(0, [(4, 5)], [(26, None)])
+    assert omni.tolist() == [[0, 4, 5, 0, 0, 0]]
+    assert channel.tolist() == [[0, 4, 5, 1, 26, 0]]
+
+
+def test_seed_states_match_seed_sequence_on_random_words():
+    rng = np.random.default_rng(97)
+    words = rng.integers(0, 2**32, size=(1000, 6), dtype=np.uint64).astype(np.uint32)
+    words[rng.random(words.shape) < 0.1] = 0
+    words[rng.random(words.shape) < 0.1] = 2**32 - 1
+    words[0] = 0
+    words[1] = 2**32 - 1
+    states = _seed_states(words)
+    generator = _stream_generators()
+    assert states.dtype == np.uint64 and states.shape == (1000, 4)
+    for row, state in zip(words, states):
+        want = np.random.SeedSequence([int(w) for w in row])
+        assert np.array_equal(state, want.generate_state(4, np.uint64))
+        got, ref = generator(state), np.random.default_rng(want)
+        assert got.bit_generator.state == ref.bit_generator.state
+        assert got.random() == ref.random()
+
+
+def test_importing_rti_leaves_numpy_random_unloaded():
+    # The seeding class is built on the first simulate: numpy.random would
+    # otherwise add to every import of the library.
+    src = str(Path(rti.simulator.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import rti.experiment, rti.imaging, rti.presets, rti.traceio, rti.tracking; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_seed_range_ends_give_distinct_traces():
@@ -920,6 +977,89 @@ def test_scenario_dict_missing_field_raises():
     del data["rounds"]
     with pytest.raises(ScenarioError, match="rounds"):
         scenario_from_dict(data)
+
+
+def _set(data, path, value):
+    *parents, last = path
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
+BAD_SCENARIO_FIELDS = [
+    (("channels",), 5, "channels must be a list of integers, got 5"),
+    (("channels",), ["11"], "channels must be a list of integers, got ['11']"),
+    (("channels",), [11.0], "channels must be a list of integers, got [11.0]"),
+    (("nodes",), 5, "nodes must be a list of objects, got 5"),
+    (("nodes", 3), [3, 1.0, 2.0], "nodes[3] must be an object, got [3, 1.0, 2.0]"),
+    (("nodes", 0, "id"), "0", "nodes[0].id must be an integer, got '0'"),
+    (("nodes", 0, "id"), 1.0, "nodes[0].id must be an integer, got 1.0"),
+    (("nodes", 0, "x"), "1.5", "nodes[0].x must be a finite number, got '1.5'"),
+    (("nodes", 1, "y"), True, "nodes[1].y must be a finite number, got True"),
+    (("nodes", 2, "bearing_deg"), None, "nodes[2].bearing_deg must be a finite number, got None"),
+    (("nodes", 1, "id"), 0, "nodes: duplicate node ids in layout"),
+    (("grid",), [6.0], "grid must be an object, got [6.0]"),
+    (("grid", "origin"), [0.0], "grid.origin must be a pair of numbers, got [0.0]"),
+    (("grid", "origin"), [0.0, "1"], "grid.origin[1] must be a finite number, got '1'"),
+    (("grid", "width_m"), "6", "grid.width_m must be a finite number, got '6'"),
+    (("grid", "voxel_width"), float("inf"), "grid.voxel_width must be a finite number, got inf"),
+    (("grid", "voxel_width"), 0, "grid: grid dimensions and voxel width must be positive"),
+    (("walls",), {}, "walls must be a list of objects, got {}"),
+    (("walls", 0, "from"), 3.0, "walls[0].from must be a pair of numbers, got 3.0"),
+    (("walls", 1, "to"), [1.0, "2"], "walls[1].to[1] must be a finite number, got '2'"),
+    (("walls", 0, "loss_db"), "3", "walls[0].loss_db must be a finite number, got '3'"),
+    (("trajectory",), [], "trajectory must be an object, got []"),
+    (("trajectory", "waypoints"), 3, "trajectory.waypoints must be a list of points, got 3"),
+    (("trajectory", "waypoints", 1), [1.0, None],
+     "trajectory.waypoints[1][1] must be a finite number, got None"),
+    (("trajectory", "waypoints"), [], "trajectory: trajectory needs at least one waypoint"),
+    (("trajectory", "speed"), "0.1", "trajectory.speed must be a finite number, got '0.1'"),
+    (("trajectory", "speed"), -1, "trajectory: speed must be >= 0"),
+    (("params",), [], "params must be an object, got []"),
+    (("params", "noise_std_db"), True, "params.noise_std_db must be a finite number, got True"),
+    (("params", "fading_std_db"), "6", "params.fading_std_db must be a finite number, got '6'"),
+    (("params", "drift_std_db"), float("nan"), "params.drift_std_db must be a finite number, got nan"),
+    (("params", "sensitivity_dbm"), 10**400, "params.sensitivity_dbm must be a finite number, got " + repr(10**400)),
+    (("params", "gain_model"), {}, "params has unknown field 'gain_model'"),
+    (("params", "noise_std"), 0.5, "params has unknown field 'noise_std'"),
+    (("params", "noise_std_db"), -1, "params: noise scales must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message", BAD_SCENARIO_FIELDS, ids=[m for _, _, m in BAD_SCENARIO_FIELDS]
+)
+def test_scenario_dict_names_the_bad_field(path, value, message):
+    data = scenario_to_dict(*nlos_7node(0))
+    _set(data, path, value)
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_scenario_dict_must_be_an_object():
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict([1, 2])
+    assert str(info.value) == "scenario description must be an object, got [1, 2]"
+
+
+def test_scenario_dict_takes_json_ints_for_numbers():
+    scenario, params = nlos_7node(0)
+    data = scenario_to_dict(scenario, params)
+    whole = scenario_to_dict(scenario, params)
+    _set(whole, ("nodes", 0, "x"), 5)
+    _set(whole, ("walls", 0, "from"), [3, 1.6])
+    _set(whole, ("trajectory", "speed"), 1)
+    _set(whole, ("params", "noise_std_db"), 1)
+    _set(data, ("nodes", 0, "x"), 5.0)
+    _set(data, ("trajectory", "speed"), 1.0)
+    _set(data, ("params", "noise_std_db"), 1.0)
+    got, got_params = scenario_from_dict(whole)
+    want, want_params = scenario_from_dict(data)
+    assert got.layout.nodes == want.layout.nodes
+    assert got.walls == want.walls and got.trajectory == want.trajectory
+    assert got_params == want_params
+    assert_same_trace(simulate(got, got_params), simulate(want, want_params))
 
 
 def test_scenario_file_rejects_bad_json(tmp_path):

@@ -12,7 +12,6 @@ files; an explicit --seed flag beats both.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import ConfigError, PhaseError, read_config_file, run_experiment
-from .simulator import SEED_LIMIT, ScenarioError, read_scenario_file, simulate
+from .simulator import SEED_LIMIT, ScenarioError, read_json_object, read_scenario_file, simulate
 from .traceio import write_trace_file, write_truth_file
 
 EXIT_OK = 0
@@ -106,10 +105,9 @@ def _flatten(metrics: dict) -> list[tuple[str, object]]:
 
 def _cmd_report(args) -> int:
     path = Path(args.dir) / "metrics.json"
-    if not path.exists():
-        raise ConfigError(f"no metrics.json under {args.dir}")
-    metrics = json.loads(path.read_text(encoding="utf-8"))
-    rows = _flatten(metrics)
+    rows = _flatten(read_json_object(path, "metrics", ConfigError))
+    if not rows:
+        raise ConfigError(f"{path}: no metrics to report")
     if args.format == "csv":
         print("metric,value")
         for key, value in rows:
@@ -153,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, FileNotFoundError) as exc:
+    except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhaseError as exc:

@@ -41,7 +41,9 @@ from .simulator import (
     PropagationParams,
     Scenario,
     _is_int,
+    _section,
     obstructed_mask,
+    read_json_object,
     read_scenario_file,
     simulate,
 )
@@ -151,17 +153,26 @@ class ExperimentConfig:
             )
 
 
+def _bad_field(message: str) -> ConfigError:
+    return ConfigError(f"bad config field: {message}")
+
+
 def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    def resolve(p) -> Path:
-        path = Path(p)
+    """An experiment config from a config file's JSON object; a bad field
+    is a ConfigError that names it."""
+
+    def resolve(key: str) -> Path:
+        if not isinstance(data[key], str):
+            raise ConfigError(f"{key} must be a path, got {data[key]!r}")
+        path = Path(data[key])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         return path
 
     try:
-        scenario = resolve(data["scenario"])
+        scenario = resolve("scenario")
         method = data["method"]
-        out_dir = resolve(data["out_dir"])
+        out_dir = resolve("out_dir")
     except KeyError as exc:
         raise ConfigError(f"config missing required field: {exc}") from exc
     known = {
@@ -171,36 +182,22 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    try:
-        selection = SelectionConfig(**data.get("selection", {}))
-        imaging = ImagingConfig(**data.get("imaging", {}))
-        tracking = TrackingConfig(**data.get("tracking", {}))
-        return ExperimentConfig(
-            scenario=scenario,
-            method=method,
-            out_dir=out_dir,
-            selection=selection,
-            imaging=imaging,
-            tracking=tracking,
-            window=data.get("window", 10),
-            seed=data.get("seed"),
-            write_images=data.get("write_images", False),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {exc}") from exc
+    return ExperimentConfig(
+        scenario=scenario,
+        method=method,
+        out_dir=out_dir,
+        selection=_section(SelectionConfig, data.get("selection", {}), "selection", _bad_field),
+        imaging=_section(ImagingConfig, data.get("imaging", {}), "imaging", _bad_field),
+        tracking=_section(TrackingConfig, data.get("tracking", {}), "tracking", _bad_field),
+        window=data.get("window", 10),
+        seed=data.get("seed"),
+        write_images=data.get("write_images", False),
+    )
 
 
 def read_config_file(path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return config_from_dict(data, base_dir=path.parent)
+    return config_from_dict(read_json_object(path, "config", ConfigError), base_dir=path.parent)
 
 
 # ------------------------------------------------------------ statistics
@@ -332,8 +329,11 @@ class ExperimentResult:
     out_dir: Path
 
 
-def _check_window_fits(config: ExperimentConfig, scenario: Scenario) -> None:
-    """A variance method's first window must fit in the calibration rounds."""
+def _check_scenario_fits(config: ExperimentConfig, scenario: Scenario) -> None:
+    """The scenario has a trajectory to track, and a variance method's first
+    window fits in its calibration rounds."""
+    if scenario.trajectory is None:
+        raise ConfigError("experiment scenarios need a trajectory to track")
     cal = scenario.calibration_rounds
     if _is_variance(config.method) and cal < config.window:
         raise ConfigError(
@@ -379,7 +379,7 @@ def evaluate_method(
     `scenario.mode` must already match the method. A prebuilt reconstructor
     for the scenario's grid and layout may be passed to skip the solve.
     """
-    _check_window_fits(config, scenario)
+    _check_scenario_fits(config, scenario)
     truth = _checked_truth(truth, scenario)
     cal = scenario.calibration_rounds
     selection = None
@@ -483,10 +483,10 @@ def compare(
     Each radio mode the configs need is simulated once, in the order the
     configs first need it, and shared by every config of that mode. Without
     a prebuilt reconstructor, one is built per distinct imaging config.
-    Every config's variance window is checked before anything is simulated.
+    Every config is checked against the scenario before anything is simulated.
     """
     for config in configs:
-        _check_window_fits(config, scenario)
+        _check_scenario_fits(config, scenario)
     runs = {}
     reconstructors = {}
     evaluations = []
@@ -511,17 +511,15 @@ def compare(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    # Scenario loading problems are configuration errors and propagate as
-    # ScenarioError / FileNotFoundError rather than pipeline failures.
+    # A missing, unreadable or malformed scenario file is a configuration
+    # problem: it propagates as a ScenarioError, not a PhaseError.
     scenario, params = read_scenario_file(config.scenario)
 
     mode = mode_for_method(config.method)
     scenario = replace(scenario, mode=mode)
     if config.seed is not None:
         scenario = replace(scenario, seed=config.seed)
-    if scenario.trajectory is None:
-        raise ConfigError("experiment scenarios need a trajectory to track")
-    _check_window_fits(config, scenario)
+    _check_scenario_fits(config, scenario)
     cal = scenario.calibration_rounds
 
     out_dir = Path(config.out_dir)

@@ -14,7 +14,7 @@ NUM_DIRECTIONS = 6
 
 
 class LayoutError(ValueError):
-    """Raised for malformed layouts or layout files."""
+    """Raised for malformed layouts."""
 
 
 class PatternPair(NamedTuple):
@@ -267,38 +267,3 @@ def segments_intersect(
         return True
     return o4 == 0 and on_segment(q1, q2, p2)
 
-
-# Layout file format: one node per line, "node <id> <x> <y> <zero_bearing_deg>".
-
-
-def parse_layout(text: str) -> list[NodeSpec]:
-    nodes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "node":
-            raise LayoutError(f"line {lineno}: expected 'node <id> <x> <y> <bearing_deg>'")
-        try:
-            node_id = int(parts[1])
-            x, y, bearing_deg = (float(p) for p in parts[2:5])
-        except ValueError:
-            raise LayoutError(f"line {lineno}: malformed number") from None
-        nodes.append(NodeSpec(node_id, x, y, math.radians(bearing_deg)))
-    if not nodes:
-        raise LayoutError("layout file contains no nodes")
-    return nodes
-
-
-def format_layout(nodes: Sequence[NodeSpec]) -> str:
-    lines = [
-        f"node {n.id} {n.x!r} {n.y!r} {math.degrees(n.antenna_zero_bearing)!r}"
-        for n in nodes
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def read_layout_file(path) -> list[NodeSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_layout(fh.read())

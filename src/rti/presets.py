@@ -20,9 +20,7 @@ from pathlib import Path
 
 from .experiment import ExperimentConfig, ImagingConfig, SelectionConfig, TrackingConfig
 from .geometry import NetworkLayout, NodeSpec, build_grid
-from .simulator import PropagationParams, Scenario, Trajectory, Wall
-
-DEFAULT_CHANNELS = (11, 15, 18, 21)
+from .simulator import DEFAULT_CHANNELS, PropagationParams, Scenario, Trajectory, Wall
 
 # Settings every method-comparison run shares. The reconstruction ellipse is
 # deliberately narrower than the simulator's obstruction ellipses so the

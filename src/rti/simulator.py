@@ -41,7 +41,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,7 @@ from .geometry import (
 from .linkstats import MODES, RssTrace
 
 VALID_CHANNELS = (11, 15, 18, 21, 26)
+DEFAULT_CHANNELS = (11, 15, 18, 21)
 
 # Streams per group in `simulate`: whole links are simulated together up to
 # this many streams, so the per-tick drift recursion runs once per group
@@ -231,7 +232,7 @@ class Scenario:
     layout: NetworkLayout
     grid: VoxelGrid
     mode: str
-    channels: tuple[int, ...] = (11, 15, 18, 21)
+    channels: tuple[int, ...] = DEFAULT_CHANNELS
     walls: tuple[Wall, ...] = ()
     trajectory: Trajectory | None = None
     seed: int = 0
@@ -591,36 +592,33 @@ def scenario_to_dict(scenario: Scenario, params: PropagationParams) -> dict:
         "seed": scenario.seed,
         "rounds": scenario.rounds,
         "calibration_rounds": scenario.calibration_rounds,
-        "params": {
-            "reference_loss_db": params.reference_loss_db,
-            "path_loss_exponent": params.path_loss_exponent,
-            "tx_power_dbm": params.tx_power_dbm,
-            "wall_loss_db": params.wall_loss_db,
-            "person_loss_db": params.person_loss_db,
-            "fading_std_db": params.fading_std_db,
-            "fading_directivity_coupling": params.fading_directivity_coupling,
-            "noise_std_db": params.noise_std_db,
-            "sensitivity_dbm": params.sensitivity_dbm,
-            "prr_slope": params.prr_slope,
-            "fade_floor_db": params.fade_floor_db,
-            "agitation_std_db": params.agitation_std_db,
-            "agitation_lambda_m": params.agitation_lambda_m,
-            "agitation_directivity_gain": params.agitation_directivity_gain,
-            "person_lambda_m": params.person_lambda_m,
-            "drift_std_db": params.drift_std_db,
-            "drift_corr": params.drift_corr,
-            "wall_shadow_factor": params.wall_shadow_factor,
-        },
+        "params": {name: getattr(params, name) for name in _PARAM_FIELDS},
     }
 
 
-# The propagation parameters a scenario file may set: every numeric field.
-_PARAM_FIELDS = tuple(
-    name for name in PropagationParams.__dataclass_fields__ if name != "gain_model"
-)
+def read_json_object(path, what: str, error) -> dict:
+    """The JSON object in the file at ``path``, whose role ``what`` names.
+
+    A file that is missing, unreadable, not UTF-8, not valid JSON or not an
+    object raises ``error`` with a message that names the path.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeError) as exc:
+        raise error(f"{path}: cannot read {what} file ({exc})") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return data
 
 
-def _number(value, name: str):
+def _number(value, name: str, error=ScenarioError):
     """A finite JSON number, int or float but not bool, returned as given."""
     if (
         isinstance(value, (int, float))
@@ -628,7 +626,51 @@ def _number(value, name: str):
         and abs(value) <= sys.float_info.max
     ):
         return value
-    raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def _object(value, name: str, keys, error) -> dict:
+    """``value`` if it is a JSON object whose every key is one of ``keys``."""
+    if not isinstance(value, dict):
+        raise error(f"{name} must be an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise error(f"{name} has unknown field {key!r}")
+    return value
+
+
+def _json_fields(cls) -> dict[str, str]:
+    """A dataclass's float, int and str fields: name -> annotation."""
+    return {f.name: f.type for f in fields(cls) if f.type in ("float", "int", "str")}
+
+
+def _section(cls, spec, name: str, error):
+    """``cls`` built from the JSON object ``spec``, every value type-checked.
+
+    A float field takes a finite JSON number (an int is accepted), an int
+    field a JSON int but not a bool, and a str field a string; values are
+    passed on as given. A plain ValueError from the constructor is re-raised
+    as ``error`` on ``name``.
+    """
+    types = _json_fields(cls)
+    for key, value in _object(spec, name, types, error).items():
+        label = f"{name}.{key}"
+        if types[key] == "float":
+            _number(value, label, error)
+        elif types[key] == "int" and not _is_int(value):
+            raise error(f"{label} must be an integer, got {value!r}")
+        elif types[key] == "str" and not isinstance(value, str):
+            raise error(f"{label} must be a string, got {value!r}")
+    try:
+        return cls(**spec)
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # the constructor's own error names the field
+            raise
+        raise error(f"{name}: {exc}") from exc
+
+
+# The propagation parameters a scenario file holds: every numeric field.
+_PARAM_FIELDS = tuple(_json_fields(PropagationParams))
 
 
 def _point(value, name: str) -> tuple[float, float]:
@@ -637,13 +679,10 @@ def _point(value, name: str) -> tuple[float, float]:
     return (float(_number(value[0], f"{name}[0]")), float(_number(value[1], f"{name}[1]")))
 
 
-def _objects(value, name: str) -> list[dict]:
+def _objects(value, name: str, keys) -> list[dict]:
     if not isinstance(value, list):
         raise ScenarioError(f"{name} must be a list of objects, got {value!r}")
-    for i, item in enumerate(value):
-        if not isinstance(item, dict):
-            raise ScenarioError(f"{name}[{i}] must be an object, got {item!r}")
-    return value
+    return [_object(item, f"{name}[{i}]", keys, ScenarioError) for i, item in enumerate(value)]
 
 
 def _checked(name: str, build, *args, **kwargs):
@@ -654,55 +693,49 @@ def _checked(name: str, build, *args, **kwargs):
         raise ScenarioError(f"{name}: {exc}") from exc
 
 
-def scenario_from_dict(data: dict, base_dir: Path | None = None) -> tuple[Scenario, PropagationParams]:
+def scenario_from_dict(data: dict) -> tuple[Scenario, PropagationParams]:
     """Scenario and parameters from a scenario file's JSON object.
 
     Every field is type-checked, not coerced: a number must be a JSON int
-    or float, an integer a JSON int. A bad or missing field raises a
-    ScenarioError that names it.
+    or float, an integer a JSON int. A bad, unknown or missing field raises
+    a ScenarioError that names it.
     """
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario description must be an object, got {data!r}")
+    _object(
+        data,
+        "scenario description",
+        ("mode", "channels", "grid", "nodes", "walls", "trajectory", "seed", "rounds",
+         "calibration_rounds", "params"),
+        ScenarioError,
+    )
     try:
-        grid_spec = data["grid"]
-        if not isinstance(grid_spec, dict):
-            raise ScenarioError(f"grid must be an object, got {grid_spec!r}")
+        grid_spec = _object(
+            data["grid"], "grid", ("origin", "width_m", "height_m", "voxel_width"), ScenarioError
+        )
         grid = _checked(
             "grid",
             build_grid,
             _point(grid_spec["origin"], "grid.origin"),
             *(_number(grid_spec[key], f"grid.{key}") for key in ("width_m", "height_m", "voxel_width")),
         )
-        if "layout_file" in data:
-            from .geometry import read_layout_file
-
-            if not isinstance(data["layout_file"], str):
-                raise ScenarioError(f"layout_file must be a path, got {data['layout_file']!r}")
-            path = Path(data["layout_file"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            nodes = _checked("layout_file", read_layout_file, path)
-        else:
-            nodes = []
-            for i, n in enumerate(_objects(data["nodes"], "nodes")):
-                if not _is_int(n["id"]):
-                    raise ScenarioError(f"nodes[{i}].id must be an integer, got {n['id']!r}")
-                x, y = (float(_number(n[key], f"nodes[{i}].{key}")) for key in ("x", "y"))
-                bearing = _number(n.get("bearing_deg", 0.0), f"nodes[{i}].bearing_deg")
-                nodes.append(NodeSpec(n["id"], x, y, math.radians(bearing)))
+        nodes = []
+        for i, n in enumerate(_objects(data["nodes"], "nodes", ("id", "x", "y", "bearing_deg"))):
+            if not _is_int(n["id"]):
+                raise ScenarioError(f"nodes[{i}].id must be an integer, got {n['id']!r}")
+            x, y = (float(_number(n[key], f"nodes[{i}].{key}")) for key in ("x", "y"))
+            bearing = _number(n.get("bearing_deg", 0.0), f"nodes[{i}].bearing_deg")
+            nodes.append(NodeSpec(n["id"], x, y, math.radians(bearing)))
         walls = tuple(
             Wall(
                 *_point(w["from"], f"walls[{i}].from"),
                 *_point(w["to"], f"walls[{i}].to"),
                 float(_number(w["loss_db"], f"walls[{i}].loss_db")) if "loss_db" in w else None,
             )
-            for i, w in enumerate(_objects(data.get("walls", []), "walls"))
+            for i, w in enumerate(_objects(data.get("walls", []), "walls", ("from", "to", "loss_db")))
         )
         traj_spec = data.get("trajectory")
         trajectory = None
         if traj_spec is not None:
-            if not isinstance(traj_spec, dict):
-                raise ScenarioError(f"trajectory must be an object, got {traj_spec!r}")
+            _object(traj_spec, "trajectory", ("waypoints", "speed"), ScenarioError)
             waypoints = traj_spec["waypoints"]
             if not isinstance(waypoints, list):
                 raise ScenarioError(
@@ -714,18 +747,8 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> tuple[Scenar
                 tuple(_point(p, f"trajectory.waypoints[{i}]") for i, p in enumerate(waypoints)),
                 float(_number(traj_spec["speed"], "trajectory.speed")),
             )
-        params_spec = data.get("params", {})
-        if not isinstance(params_spec, dict):
-            raise ScenarioError(f"params must be an object, got {params_spec!r}")
-        unknown = [key for key in params_spec if key not in _PARAM_FIELDS]
-        if unknown:
-            raise ScenarioError(f"params has unknown field {unknown[0]!r}")
-        params = _checked(
-            "params",
-            PropagationParams,
-            **{key: _number(value, f"params.{key}") for key, value in params_spec.items()},
-        )
-        channels = data.get("channels", [11, 15, 18, 21])
+        params = _section(PropagationParams, data.get("params", {}), "params", ScenarioError)
+        channels = data.get("channels", list(DEFAULT_CHANNELS))
         if not isinstance(channels, list) or not all(_is_int(c) for c in channels):
             raise ScenarioError(f"channels must be a list of integers, got {channels!r}")
         scenario = Scenario(
@@ -745,12 +768,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> tuple[Scenar
 
 
 def read_scenario_file(path) -> tuple[Scenario, PropagationParams]:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(data, base_dir=path.parent)
+    return scenario_from_dict(read_json_object(path, "scenario", ScenarioError))
 
 
 def write_scenario_file(path, scenario: Scenario, params: PropagationParams) -> None:

@@ -211,3 +211,50 @@ def test_report_text_and_csv(tmp_path, scenario_file, capsys):
 def test_report_without_metrics_exits_2(tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path)]) == EXIT_CONFIG
     assert "metrics.json" in capsys.readouterr().err
+
+
+def test_report_on_empty_metrics_exits_2(tmp_path, capsys):
+    path = tmp_path / "metrics.json"
+    path.write_text("{}\n")
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: no metrics to report\n"
+
+
+# ------------------------------------------------------------ bad files
+
+BAD_FILES = {
+    "missing": None,
+    "directory": "dir",
+    "not-utf8": b'{"method": "mRTI\xff"}',
+    "invalid-json": b'{"method": ',
+    "not-an-object": b'["mRTI"]',
+}
+
+
+def put_bad_file(path, content):
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+
+
+@pytest.mark.parametrize("command", ["simulate", "run", "run-scenario", "report"])
+@pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_bad_json_files_exit_2_naming_the_path(tmp_path, scenario_file, capsys, command, content):
+    if command == "simulate":
+        path = tmp_path / "bad.json"
+        argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / "sim")]
+    elif command == "run":
+        path = tmp_path / "bad.json"
+        argv = ["run", "--config", str(path)]
+    elif command == "run-scenario":
+        path = tmp_path / "bad.json"
+        argv = ["run", "--config", str(write_config(tmp_path, path))]
+    else:
+        path = tmp_path / "metrics.json"
+        argv = ["report", "--dir", str(tmp_path)]
+    put_bad_file(path, content)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "out").exists()

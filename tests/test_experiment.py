@@ -225,6 +225,63 @@ def test_read_config_file_errors(tmp_path):
         read_config_file(lst)
 
 
+BAD_CONFIG_SECTIONS = [
+    ({"selection": {"method": "all", "voxel": 1}}, "selection has unknown field 'voxel'"),
+    ({"imaging": {"lambda": 0.8}}, "imaging has unknown field 'lambda'"),
+    ({"tracking": {"q": 0.3, "R": 0.5}}, "tracking has unknown field 'R'"),
+    ({"selection": 5}, "selection must be an object, got 5"),
+    ({"tracking": [0.3, 0.5]}, "tracking must be an object, got [0.3, 0.5]"),
+    ({"imaging": {"alpha": "25"}}, "imaging.alpha must be a finite number, got '25'"),
+    ({"selection": {"k": 2.5}}, "selection.k must be an integer, got 2.5"),
+    ({"selection": {"n_receiver": True}}, "selection.n_receiver must be an integer, got True"),
+    ({"selection": {"method": 3}}, "selection.method must be a string, got 3"),
+    ({"tracking": {"q": True}}, "tracking.q must be a finite number, got True"),
+    ({"imaging": {"alpha": math.nan}}, "imaging.alpha must be a finite number, got nan"),
+    ({"imaging": {"alpha": math.inf}}, "imaging.alpha must be a finite number, got inf"),
+    ({"tracking": {"r": math.nan}}, "tracking.r must be a finite number, got nan"),
+    ({"tracking": {"r": -math.inf}}, "tracking.r must be a finite number, got -inf"),
+    ({"imaging": {"ellipse_excess_m": math.nan}},
+     "imaging.ellipse_excess_m must be a finite number, got nan"),
+    ({"imaging": {"ellipse_excess_m": math.inf}},
+     "imaging.ellipse_excess_m must be a finite number, got inf"),
+    ({"imaging": {"regularizer": None}}, "imaging.regularizer must be a string, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra, message", BAD_CONFIG_SECTIONS, ids=[m for _, m in BAD_CONFIG_SECTIONS]
+)
+def test_config_sections_name_the_bad_field(extra, message):
+    data = {"scenario": "s", "method": "dRTI-mean", "out_dir": "o", **extra}
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == f"bad config field: {message}"
+
+
+def test_config_sections_keep_their_range_messages_and_json_ints():
+    data = {"scenario": "s", "method": "dRTI-mean", "out_dir": "o"}
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({**data, "selection": {"k": 37}})
+    assert str(info.value) == "selection k must be in [1, 36]"
+    cfg = config_from_dict({**data, "imaging": {"alpha": 25}, "tracking": {"q": 1, "r": 2}})
+    assert cfg.imaging == ImagingConfig(alpha=25.0) and cfg.tracking == TrackingConfig(1.0, 2.0)
+
+
+@pytest.mark.parametrize("field", ["scenario", "out_dir"])
+def test_config_paths_must_be_strings(field):
+    data = {"scenario": "s", "method": "mRTI", "out_dir": "o", field: 5}
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == f"{field} must be a path, got 5"
+
+
+def test_compare_needs_a_trajectory():
+    scenario = replace(square_scenario(), trajectory=None)
+    with pytest.raises(ConfigError) as info:
+        compare(scenario, QUIET, [comparison_config("mRTI")])
+    assert str(info.value) == "experiment scenarios need a trajectory to track"
+
+
 def test_mode_follows_method():
     assert mode_for_method("mRTI") == "omni"
     assert mode_for_method("vRTI") == "omni"

@@ -15,8 +15,6 @@ from rti.geometry import (
     build_weight_matrix,
     direction_bearing,
     ellipse_contains,
-    format_layout,
-    parse_layout,
     segments_intersect,
 )
 
@@ -271,37 +269,6 @@ def test_segments_intersect_cases():
     assert segments_intersect((0, 0), (2, 0), (1, 0), (1, 5))  # endpoint touch
     assert segments_intersect((0, 0), (2, 0), (1, 0), (3, 0))  # collinear overlap
     assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))  # collinear apart
-
-
-# ---------------------------------------------------------------- layout io
-
-
-def test_layout_file_round_trip():
-    nodes = [
-        NodeSpec(3, 1.5, 2.0, math.radians(90.0)),
-        NodeSpec(7, 0.0, -1.25, math.radians(45.0)),
-    ]
-    text = format_layout(nodes)
-    assert text.splitlines()[0] == "node 3 1.5 2.0 90.0"
-    parsed = parse_layout(text)
-    assert len(parsed) == 2
-    for original, back in zip(nodes, parsed):
-        assert back.id == original.id
-        assert back.x == original.x and back.y == original.y
-        assert back.antenna_zero_bearing == pytest.approx(
-            original.antenna_zero_bearing, abs=1e-12
-        )
-
-
-def test_layout_parse_reports_line_number():
-    text = "node 0 0.0 0.0 0.0\nnode 1 oops 0.0 0.0\n"
-    with pytest.raises(LayoutError, match="line 2"):
-        parse_layout(text)
-
-
-def test_layout_parse_rejects_wrong_field_count():
-    with pytest.raises(LayoutError, match="line 1"):
-        parse_layout("node 0 0.0 0.0\n")
 
 
 def test_pattern_pair_ordering_is_lexicographic():

@@ -9,6 +9,7 @@ and generous margins.
 
 from __future__ import annotations
 
+import json
 import math
 import subprocess
 import sys
@@ -1067,3 +1068,90 @@ def test_scenario_file_rejects_bad_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ScenarioError, match="JSON"):
         read_scenario_file(path)
+
+
+UNKNOWN_SCENARIO_KEYS = [
+    (("layout_file",), "scenario description has unknown field 'layout_file'"),
+    (("seeds",), "scenario description has unknown field 'seeds'"),
+    (("grid", "voxel"), "grid has unknown field 'voxel'"),
+    (("nodes", 2, "bearing"), "nodes[2] has unknown field 'bearing'"),
+    (("walls", 1, "loss"), "walls[1] has unknown field 'loss'"),
+    (("trajectory", "speed_m"), "trajectory has unknown field 'speed_m'"),
+    (("params", "noise_std"), "params has unknown field 'noise_std'"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, message", UNKNOWN_SCENARIO_KEYS, ids=[m for _, m in UNKNOWN_SCENARIO_KEYS]
+)
+def test_scenario_dict_rejects_unknown_keys(path, message):
+    data = scenario_to_dict(*nlos_7node(0))
+    _set(data, path, 1.0)
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_scenario_dict_takes_null_trajectory_and_omitted_optional_fields():
+    data = scenario_to_dict(*nlos_7node(0))
+    data["trajectory"] = None
+    for key in ("channels", "walls", "seed", "params"):
+        del data[key]
+    del data["nodes"][0]["bearing_deg"]
+    scenario, params = scenario_from_dict(data)
+    assert scenario.trajectory is None and scenario.walls == () and scenario.seed == 0
+    assert scenario.channels == (11, 15, 18, 21) == Scenario.channels
+    assert params == PropagationParams()
+    assert scenario.layout.nodes[0].antenna_zero_bearing == 0.0
+
+
+def round_trip_scenario(name):
+    scenario, params = nlos_7node(3)
+    walls = (scenario.walls[0], Wall(0.5, 0.5, 2.5, 0.5, loss_db=12.5))
+    if name == "omni":
+        return replace(scenario, mode="omni", walls=walls), params
+    if name == "multichannel":
+        return replace(scenario, mode="multichannel", channels=(26, 11, 18)), params
+    if name == "directional":
+        return replace(scenario, walls=walls), replace(params, drift_std_db=0.3)
+    return replace(scenario, trajectory=None), params
+
+
+@pytest.mark.parametrize("name", ["omni", "multichannel", "directional", "no-trajectory"])
+def test_scenario_writer_output_reads_back(name):
+    scenario, params = round_trip_scenario(name)
+    data = json.loads(json.dumps(scenario_to_dict(scenario, params)))
+    loaded, loaded_params = scenario_from_dict(data)
+    assert loaded_params == params
+    assert loaded.grid == scenario.grid
+    assert (loaded.mode, loaded.channels, loaded.walls, loaded.trajectory) == (
+        scenario.mode, scenario.channels, scenario.walls, scenario.trajectory
+    )
+    assert (loaded.seed, loaded.rounds, loaded.calibration_rounds) == (
+        scenario.seed, scenario.rounds, scenario.calibration_rounds
+    )
+    for got, want in zip(loaded.layout.nodes, scenario.layout.nodes, strict=True):
+        assert (got.id, got.x, got.y) == (want.id, want.x, want.y)
+        assert got.antenna_zero_bearing == pytest.approx(want.antenna_zero_bearing, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "scenario file not found: {path}"),
+        ("dir", "{path}: cannot read scenario file ("),
+        (b"{\"mode\": \"omni\xff\"}", "{path}: cannot read scenario file ("),
+        (b"{nope", "{path}: not valid JSON ("),
+        (b"[1, 2]", "{path}: scenario must be a JSON object"),
+    ],
+    ids=["missing", "directory", "not-utf8", "invalid-json", "not-an-object"],
+)
+def test_scenario_file_problems_name_the_path(tmp_path, content, message):
+    path = tmp_path / "scenario.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ScenarioError) as info:
+        read_scenario_file(path)
+    assert str(info.value).startswith(message.format(path=path))

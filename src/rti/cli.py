@@ -86,11 +86,15 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _flatten(metrics: dict) -> list[tuple[str, object]]:
+def _flatten(metrics: dict, path: Path) -> list[tuple[str, object]]:
     rows: list[tuple[str, object]] = []
     for key in sorted(metrics):
         value = metrics[key]
         if key == "fn_fp":
+            if not isinstance(value, list) or not all(
+                isinstance(e, dict) and {"threshold", "fn_rate", "fp_rate"} <= e.keys() for e in value
+            ):
+                raise ConfigError(f"{path}: fn_fp must be a list of {{threshold, fn_rate, fp_rate}}")
             for entry in value:
                 tag = f"fn_fp[{entry['threshold']!r}]"
                 rows.append((tag + ".fn_rate", entry["fn_rate"]))
@@ -105,7 +109,7 @@ def _flatten(metrics: dict) -> list[tuple[str, object]]:
 
 def _cmd_report(args) -> int:
     path = Path(args.dir) / "metrics.json"
-    rows = _flatten(read_json_object(path, "metrics", ConfigError))
+    rows = _flatten(read_json_object(path, "metrics", ConfigError), path)
     if not rows:
         raise ConfigError(f"{path}: no metrics to report")
     if args.format == "csv":

@@ -213,9 +213,7 @@ class WeightMatrix:
         return self.entries.shape[1]
 
 
-def build_weight_matrix(
-    grid: VoxelGrid, layout: NetworkLayout, lam: float
-) -> WeightMatrix:
+def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> WeightMatrix:
     """Weight matrix of the elliptical shadowing model.
 
     A voxel contributes to a link when the sum of the distances from its
@@ -224,16 +222,15 @@ def build_weight_matrix(
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    centers = grid.centers()
-    entries = np.zeros((layout.num_links, grid.num_voxels))
-    for i, (tx_id, rx_id) in enumerate(layout.links):
-        tx, rx = layout.node(tx_id), layout.node(rx_id)
-        d = math.hypot(rx.x - tx.x, rx.y - tx.y)
-        d1 = np.hypot(centers[:, 0] - tx.x, centers[:, 1] - tx.y)
-        d2 = np.hypot(centers[:, 0] - rx.x, centers[:, 1] - rx.y)
-        inside = (d1 + d2) < (d + lam)
-        entries[i, inside] = 1.0 / math.sqrt(d)
-    return WeightMatrix(entries=entries, lam=lam)
+    x, y = grid.centers().T
+    # Row k holds the distances from node k to every voxel center.
+    to_node = np.hypot(x - [[n.x] for n in layout.nodes], y - [[n.y] for n in layout.nodes])
+    row = {n.id: k for k, n in enumerate(layout.nodes)}
+    tx, rx = np.array([(row[a], row[b]) for a, b in layout.links]).T
+    d = [layout.link_distance(a, b) for a, b in layout.links]
+    inside = to_node[tx] + to_node[rx] < np.add(d, lam)[:, None]
+    weight = np.array([[1.0 / math.sqrt(v)] for v in d])
+    return WeightMatrix(entries=inside * weight, lam=lam)
 
 
 def segments_intersect(

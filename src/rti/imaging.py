@@ -31,7 +31,7 @@ class Reconstructor:
     pi: np.ndarray  # (num_voxels, num_links)
     alpha: float
     regularizer: str
-    residual: float  # max |(A^T A + alpha Q) pi - A^T|, checked at build time
+    residual: float  # link-space bound on max |(A^T A + alpha Q) pi - A^T|, <= 1e-6
 
     @property
     def num_links(self) -> int:
@@ -58,19 +58,6 @@ def _dct_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, eigenvalues
 
 
-def _apply_laplacian(pi: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Q @ pi for Q = D^T D, D the first differences between 4-neighbours."""
-    p = pi.reshape(height, width, -1)
-    out = np.zeros_like(p)
-    north = np.diff(p, axis=0)
-    out[:-1] -= north
-    out[1:] += north
-    east = np.diff(p, axis=1)
-    out[:, :-1] -= east
-    out[:, 1:] += east
-    return out.reshape(pi.shape)
-
-
 def build_reconstructor(
     weights: WeightMatrix | np.ndarray,
     alpha: float,
@@ -90,6 +77,8 @@ def build_reconstructor(
     and Woodbury with U = [A^T, u], D = diag(I, -beta) leaves one
     (L+1) x (L+1) solve. For L links on an H x W grid of N voxels, the DCT
     costs O(L N (H+W)) and the link-space products O(L^2 N).
+    The check is in link space too: a bound on max |(A^T A + alpha Q) pi -
+    A^T| above 1e-6, or not finite, raises ReconstructionError.
     """
     A = weights.entries if isinstance(weights, WeightMatrix) else np.asarray(weights, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -110,8 +99,9 @@ def build_reconstructor(
             )
     try:
         if regularizer == "identity":
-            pi = A.T @ np.linalg.inv(A @ A.T + alpha * np.eye(links))
-            q_pi = pi
+            s = A @ A.T + alpha * np.eye(links)
+            x = np.linalg.inv(s)
+            pi = A.T @ x
         else:
             height, width = grid.height_voxels, grid.width_voxels
             c_h, lam_h = _dct_basis(height)
@@ -130,17 +120,18 @@ def build_reconstructor(
             x = np.linalg.solve(s, np.eye(links + 1, links))
             # pi is the link columns of B^-1 U s^-1.
             pi = b_inv_at.T @ x[:links] + b_inv_u * x[links]
-            q_pi = _apply_laplacian(pi, height, width)
     except np.linalg.LinAlgError as exc:
         raise ReconstructionError(f"regularized system is singular: {exc}") from exc
-    residual = float(np.max(np.abs(A.T @ (A @ pi) + alpha * q_pi - A.T)))
+    # The voxel residual is A^T E[:L] - beta u E[L] for E = s x - [I; 0] (no row
+    # E[L] for the identity): bound it by A's largest column 1-norm and |u|.
+    error = np.abs(s @ x - np.eye(len(s), links))
+    residual = float(np.linalg.norm(A, 1) * error[:links].max()
+                     + _NULL_MODE_LIFT / np.sqrt(n) * error[links:].max(initial=0.0))
     if not np.isfinite(residual) or residual > 1e-6:
         raise ReconstructionError(
             f"solve residual {residual:.3e} exceeds 1e-6; system is ill-conditioned"
         )
-    return Reconstructor(
-        pi=pi, alpha=float(alpha), regularizer=regularizer, residual=residual
-    )
+    return Reconstructor(pi=pi, alpha=float(alpha), regularizer=regularizer, residual=residual)
 
 
 def reconstruct(rec: Reconstructor, stats: np.ndarray, time: int = 0) -> ImageFrame:

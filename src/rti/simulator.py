@@ -599,8 +599,8 @@ def scenario_to_dict(scenario: Scenario, params: PropagationParams) -> dict:
 def read_json_object(path, what: str, error) -> dict:
     """The JSON object in the file at ``path``, whose role ``what`` names.
 
-    A file that is missing, unreadable, not UTF-8, not valid JSON or not an
-    object raises ``error`` with a message that names the path.
+    A file that is missing, unreadable, not UTF-8, not valid JSON, not an
+    object or repeats a key in an object raises ``error`` naming the path.
     """
     path = Path(path)
     try:
@@ -609,8 +609,16 @@ def read_json_object(path, what: str, error) -> dict:
         raise error(f"{what} file not found: {path}") from None
     except (OSError, UnicodeError) as exc:
         raise error(f"{path}: cannot read {what} file ({exc})") from exc
+
+    def unique_keys(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise error(f"{path}: key {key!r} appears more than once in one object")
+            data[key] = value
+        return data
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):

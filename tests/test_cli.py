@@ -228,6 +228,7 @@ BAD_FILES = {
     "not-utf8": b'{"method": "mRTI\xff"}',
     "invalid-json": b'{"method": ',
     "not-an-object": b'["mRTI"]',
+    "duplicate-key": b'{"method": "mRTI", "method": "vRTI"}',
 }
 
 
@@ -258,3 +259,35 @@ def test_bad_json_files_exit_2_naming_the_path(tmp_path, scenario_file, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert not (tmp_path / "sim").exists() and not (tmp_path / "out").exists()
+
+
+def test_duplicate_keys_name_the_file_and_the_key(tmp_path, scenario_file, capsys):
+    # A repeated key in a nested object: a config's selection section...
+    config = write_config(tmp_path, scenario_file)
+    text = config.read_text()
+    config.write_text(text[:-1] + ', "selection": {"k": 2, "k": 9}}')
+    assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    expected = f"error: {config}: key 'k' appears more than once in one object\n"
+    assert capsys.readouterr().err == expected
+    # ...and a scenario node's coordinate.
+    text = scenario_file.read_text()
+    scenario_file.write_text(text.replace('"x": 0.3,', '"x": 0.3, "x": 9.0,', 1))
+    argv = ["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "sim")]
+    assert main(argv) == EXIT_CONFIG
+    expected = f"error: {scenario_file}: key 'x' appears more than once in one object\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fn_fp",
+    [5, "ab", {"threshold": 1.0}, [5], [{"fn_rate": 0.1, "fp_rate": 0.2}]],
+    ids=["int", "string", "object", "int-entry", "no-threshold"],
+)
+def test_report_on_malformed_fn_fp_exits_2(tmp_path, capsys, fn_fp):
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"rmse_kalman_m": 0.5, "fn_fp": fn_fp}))
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    expected = f"error: {path}: fn_fp must be a list of {{threshold, fn_rate, fp_rate}}\n"
+    assert captured.err == expected and captured.out == ""

@@ -17,6 +17,8 @@ from rti.geometry import (
     ellipse_contains,
     segments_intersect,
 )
+from rti.presets import los_7node, nlos_7node, ring_layout
+import build_oracles
 
 
 def brute_force_weights(grid, layout, lam):
@@ -210,6 +212,34 @@ def test_weight_matrix_equals_brute_force_random_layouts():
         wm = build_weight_matrix(grid, layout, lam)
         expected = brute_force_weights(grid, layout, lam)
         assert np.array_equal(wm.entries, expected)
+
+
+def weight_cases():
+    los, nlos = los_7node(0)[0], nlos_7node(0)[0]
+    ring_grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
+    ring = ring_layout(20, 2.9, (3.0, 3.0))
+    scattered = NetworkLayout(
+        [NodeSpec(7, 0.2, 0.3), NodeSpec(3, 2.9, 0.1), NodeSpec(42, 1.4, 2.7), NodeSpec(-1, 0.05, 1.9)]
+    )
+    return {
+        "los_7node": (los.grid, los.layout, 0.5),
+        "nlos_7node": (nlos.grid, nlos.layout, 1.5),
+        "ring20": (ring_grid, ring, 0.5),
+        "ring20-lam0": (ring_grid, ring, 0.0),
+        "los_7node-lam0": (los.grid, los.layout, 0.0),
+        "noncontiguous-ids": (build_grid((0.0, 0.0), 3.0, 3.0, 0.25), scattered, 0.4),
+    }
+
+
+@pytest.mark.parametrize("case", weight_cases())
+def test_weight_matrix_equals_per_link_loop(case):
+    grid, layout, lam = weight_cases()[case]
+    wm = build_weight_matrix(grid, layout, lam)
+    expected = build_oracles.build_weight_matrix(grid, layout, lam)
+    assert wm.entries.dtype == np.float64 and wm.entries.flags.c_contiguous
+    assert np.array_equal(wm.entries, expected.entries)
+    assert np.array_equal(np.signbit(wm.entries), np.signbit(expected.entries))
+    assert wm.lam == lam
 
 
 def test_weight_matrix_lambda_monotonicity():

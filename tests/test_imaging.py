@@ -14,6 +14,7 @@ from rti.imaging import (
     reconstruct_images,
 )
 from rti.presets import ring_layout
+import build_oracles
 import eval_oracles
 
 
@@ -110,6 +111,10 @@ def test_link_space_matches_dense_solve(regularizer, height, width):
         expected = inverse_based_reference(A, alpha, Q)
         assert np.max(np.abs(rec.pi - expected)) <= 1e-10
         assert 0.0 <= rec.residual <= 1e-6
+        # The link-space bound covers the voxel-space residual; 1e-12 allows
+        # for the dense product's own rounding.
+        dense = build_oracles.dense_residual(A, alpha, regularizer, rec.pi, grid)
+        assert dense <= rec.residual + 1e-12
 
 
 def test_link_space_matches_dense_solve_on_ring20_grid():
@@ -119,6 +124,9 @@ def test_link_space_matches_dense_solve_on_ring20_grid():
     A = wm.entries
     assert A.shape == (380, 3600)
     rec = build_reconstructor(wm, 25.0, regularizer="difference", grid=grid)
+    assert 0.0 <= rec.residual <= 1e-6
+    dense = build_oracles.dense_residual(A, 25.0, "difference", rec.pi, grid)
+    assert dense <= rec.residual + 1e-12
     L = difference_operator(grid.height_voxels, grid.width_voxels)
     system = L.T @ L
     del L  # 200 MB; free it before the solve
@@ -126,6 +134,60 @@ def test_link_space_matches_dense_solve_on_ring20_grid():
     system += A.T @ A
     expected = np.linalg.solve(system, A.T)
     assert np.max(np.abs(rec.pi - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+def test_residual_bounds_the_dense_residual_of_random_systems(regularizer):
+    # Signed and nonnegative weights, grids from 1 x 1 to 7 x 7, 1 to 11 links.
+    rng = np.random.default_rng(313)
+    for trial in range(200):
+        height, width = (int(v) for v in rng.integers(1, 8, size=2))
+        grid = grid_of(height, width)
+        A = random_system(rng, m=int(rng.integers(1, 12)), n=grid.num_voxels)
+        if trial % 2:
+            A = np.abs(A)
+        alpha = float(rng.uniform(0.1, 30.0))
+        rec = build_reconstructor(A, alpha, regularizer=regularizer, grid=grid)
+        assert 0.0 <= rec.residual <= 1e-6
+        dense = build_oracles.dense_residual(A, alpha, regularizer, rec.pi, grid)
+        assert dense <= rec.residual + 1e-12
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+def test_residual_bound_covers_a_perturbed_solve(monkeypatch, regularizer):
+    # The voxel residual equals U D E for any link-space solution x, exact or
+    # not. Spoil x so that E = s x - [I; 0] is 1e-9 in every entry of its
+    # link rows (identity) or of its null-mode row (difference); the dense
+    # residual then reaches the matching term of the bound.
+    eps = 1e-9
+    inv, solve = np.linalg.inv, np.linalg.solve
+
+    def spoiled_inv(s):
+        return inv(s) + solve(s, np.full(s.shape, eps))
+
+    def spoiled_solve(s, rhs):
+        extra = np.zeros(rhs.shape)
+        extra[-1] = eps
+        return solve(s, rhs) + solve(s, extra)
+
+    monkeypatch.setattr(np.linalg, "inv", spoiled_inv)
+    monkeypatch.setattr(np.linalg, "solve", spoiled_solve)
+    grid = grid_of(1, 3)
+    # Nine links over three voxels: the column 1-norms of A exceed its row
+    # 1-norms, so a bound from the wrong norm falls short.
+    A = np.abs(random_system(np.random.default_rng(331), m=9, n=3)) + 1.0
+    rec = build_reconstructor(A, 2.0, regularizer=regularizer, grid=grid)
+    dense = build_oracles.dense_residual(A, 2.0, regularizer, rec.pi, grid)
+    assert dense > 1e-11
+    assert 0.5 * rec.residual <= dense <= rec.residual + 1e-12
+
+
+@pytest.mark.parametrize("height,width", [(3, 5), (5, 3), (2, 7), (1, 6), (6, 1), (1, 1)])
+def test_laplacian_oracle_matches_dense_difference_operator(height, width):
+    L = difference_operator(height, width)
+    p = np.random.default_rng(height * 10 + width).normal(size=(height * width, 4))
+    got = build_oracles.apply_laplacian(p, height, width)
+    assert np.max(np.abs(got - L.T @ (L @ p))) <= 1e-12
 
 
 def test_duplicate_weight_columns_give_identical_rows():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import NUM_DIRECTIONS, build_weight_matrix
+from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS, build_weight_matrix
 from .imaging import (
     ImageFrame,
     argmax_positions,
@@ -25,13 +25,14 @@ from .imaging import (
     write_frame_pgm,
 )
 from .linkstats import (
-    StreamKey,
+    _window_sum,
     calibration_deviation,
     channel_stream,
     first_heard,
     fn_fp_sweep,
     format_stream,
     omni_stream,
+    pattern_columns,
     pattern_stream,
     window_variance,
 )
@@ -204,38 +205,80 @@ def read_config_file(path) -> ExperimentConfig:
 
 
 def streams_for_method(
-    layout, method: str, channels, selection: SelectionResult | None
-) -> dict[tuple[int, int], list[StreamKey]]:
-    """The streams each link statistic aggregates, in deterministic order."""
-    out: dict[tuple[int, int], list[StreamKey]] = {}
-    for link in layout.links:
-        if method in ("mRTI", "vRTI"):
-            out[link] = [omni_stream(link)]
-        elif method.startswith("cRTI"):
-            out[link] = [channel_stream(link, ch) for ch in sorted(channels)]
-        else:
-            # Canonical pair order: the statistic is a set sum, so the
-            # ranking order a selector chose must not leak into float
-            # summation.
-            pairs = sorted(
-                selection.pairs(link),
-                key=lambda p: (p.tx_direction, p.rx_direction),
-            )
-            out[link] = [pattern_stream(link, p) for p in pairs]
-    return out
+    trace, layout, method: str, channels, selection: SelectionResult | None
+) -> np.ndarray:
+    """Trace columns of the streams each link statistic aggregates, shaped
+    (links, k), each row in canonical order: channels ascending, or pattern
+    pairs ascending lexicographic. The statistic is a set sum, so the ranking
+    order a selector chose must not leak into float summation. A stream the
+    trace lacks is a PhaseError naming it."""
+    links = layout.links
+    if method.startswith("dRTI"):
+        pairs = np.sort(selection.pairs, axis=1)
+        columns = np.take_along_axis(pattern_columns(trace, tuple(links)), pairs, axis=1)
+
+        def stream(i, j):
+            return pattern_stream(links[i], PATTERN_PAIRS[pairs[i, j]])
+    else:
+        kinds = [None] if method in ("mRTI", "vRTI") else sorted(channels)
+
+        def stream(i, j):
+            return omni_stream(links[i]) if kinds[j] is None else channel_stream(links[i], kinds[j])
+
+        columns = np.array(
+            [[trace.column.get(stream(i, j), -1) for j in range(len(kinds))]
+             for i in range(len(links))],
+            dtype=np.intp,
+        )
+    missing = np.argwhere(columns < 0)
+    if missing.size:
+        raise PhaseError(
+            "statistics: trace has no records for streams "
+            + ", ".join(format_stream(stream(i, j)) for i, j in missing)
+        )
+    return columns
+
+
+def _link_sums(region: np.ndarray, columns: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """Each link's sum over its live rows of a (streams, ticks) region,
+    shaped (links, ticks), in the order numpy sums a link's gathered
+    (live streams, ticks) rows along axis 0: in sequence, or pairwise when
+    the region is one tick long.
+
+    Each link's live columns come first. Slot j of every link is gathered as
+    one (links, ticks) array with its dead entries zeroed; adding those is
+    exact, because every value is >= 0 or NaN. Gathering slot by slot keeps
+    no (links, k, ticks) block alive.
+    """
+    def term(j, rows=slice(None)):
+        part = region[columns[rows, j]]
+        part[dead[rows, j]] = 0.0
+        return part
+
+    if region.shape[1] != 1:
+        total = term(0)
+        for j in range(1, columns.shape[1]):
+            total += term(j)
+        return total
+    sums = term(0)
+    counts = np.count_nonzero(~dead, axis=1)
+    for count in np.unique(counts[counts > 1]):
+        rows = np.flatnonzero(counts == count)
+        sums[rows] = _window_sum(lambda j: term(j, rows), 0, count)
+    return sums
 
 
 def compute_stat_matrix(
     trace,
     layout,
     method: str,
-    streams_by_link: dict[tuple[int, int], list[StreamKey]],
+    columns: np.ndarray,
     window: int,
     first_tick: int,
     num_ticks: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Link statistics per tracking tick, shaped (T, L), plus the per-link
-    empty-room baseline.
+    empty-room baseline, from `streams_for_method`'s (links, k) columns.
 
     Mean methods subtract the calibration mean from the carry-forward RSS;
     variance methods take the sample variance of the trailing window. Either
@@ -245,15 +288,6 @@ def compute_stat_matrix(
     grows with the number of aggregated streams, so images are formed from
     the deviation above it rather than from the raw value.
     """
-    column = trace.column
-    missing = dict.fromkeys(
-        key for link in layout.links for key in streams_by_link[link] if key not in column
-    )
-    if missing:
-        raise PhaseError(
-            "statistics: trace has no records for streams "
-            + ", ".join(format_stream(k) for k in missing)
-        )
     if trace.num_ticks < first_tick + num_ticks:
         raise PhaseError(
             f"statistics: trace has {trace.num_ticks} ticks, tracking needs "
@@ -265,35 +299,27 @@ def compute_stat_matrix(
     # survey would.
     variance = _is_variance(method)
     lag = window - 1 if variance else 0
-    alive = first_heard(trace) < max(first_tick - lag, 0)
-    cols_by_link = [
-        [column[key] for key in streams_by_link[link] if alive[column[key]]]
-        for link in layout.links
-    ]
-    if not any(cols_by_link):
+    alive = first_heard(trace)[columns] < max(first_tick - lag, 0)
+    if not alive.any():
         raise PhaseError("statistics: no stream has a defined statistic in calibration")
+    order = np.argsort(~alive, axis=1, kind="stable")
+    columns = np.take_along_axis(columns, order, axis=1)
+    dead = ~np.take_along_axis(alive, order, axis=1)
 
-    # The trace keeps its per-stream statistic for every column. Rows gathered
-    # from a tick slice form a C-ordered (streams, ticks) block, which
-    # sum(axis=0) adds stream by stream in the link's canonical order.
+    # The trace keeps its per-stream statistic for every column.
     if variance:
         per_stream = window_variance(trace, window)
     else:
         per_stream = calibration_deviation(trace, first_tick)
     region = per_stream[:, first_tick : first_tick + num_ticks]
-    cal_region = per_stream[:, lag:first_tick]
-
-    stats = np.zeros((num_ticks, layout.num_links))
+    stats = np.ascontiguousarray(_link_sums(region, columns, dead).T)
+    # A silent link sums zeroed slots only: no evidence, and a zero baseline.
     baseline = np.zeros(layout.num_links)
-    for i, (link, cols) in enumerate(zip(layout.links, cols_by_link)):
-        if not cols:
-            continue  # silent link: contributes no evidence
-        stats[:, i] = region[cols].sum(axis=0)
-        link_cal = cal_region[cols].sum(axis=0)
+    for i, link_cal in enumerate(_link_sums(per_stream[:, lag:first_tick], columns, dead)):
         valid = link_cal[~np.isnan(link_cal)]
         if valid.size == 0:
             raise PhaseError(
-                f"statistics: no usable calibration ticks for link {link}"
+                f"statistics: no usable calibration ticks for link {layout.links[i]}"
             )
         baseline[i] = float(valid.mean())
     return stats, baseline
@@ -397,14 +423,14 @@ def evaluate_method(
         except Exception as exc:
             raise PhaseError(f"selection: {exc}") from exc
 
-    streams_by_link = streams_for_method(
-        scenario.layout, config.method, scenario.channels, selection
+    columns = streams_for_method(
+        trace, scenario.layout, config.method, scenario.channels, selection
     )
     stats, baseline = compute_stat_matrix(
         trace,
         scenario.layout,
         config.method,
-        streams_by_link,
+        columns,
         config.window,
         cal,
         scenario.rounds,
@@ -440,9 +466,7 @@ def evaluate_method(
         "window": config.window,
         "selection": {
             "method": config.selection.method if selection else None,
-            "pairs_per_link": (
-                len(next(iter(selection.pairs_by_link.values()))) if selection else None
-            ),
+            "pairs_per_link": selection.pairs.shape[1] if selection else None,
         },
         "imaging": asdict(config.imaging),
         "reconstructor": {

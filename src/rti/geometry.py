@@ -24,6 +24,15 @@ class PatternPair(NamedTuple):
     rx_direction: int
 
 
+# Every pattern pair in lexicographic order. Selections name a pair by its
+# index here, 6 (tx_direction - 1) + (rx_direction - 1).
+PATTERN_PAIRS = tuple(
+    PatternPair(t, r)
+    for t in range(1, NUM_DIRECTIONS + 1)
+    for r in range(1, NUM_DIRECTIONS + 1)
+)
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """One radio node: position in metres, antenna zero bearing in radians."""

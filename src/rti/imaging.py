@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import VoxelGrid, WeightMatrix
+from .linkstats import _window_sum
 
 REGULARIZERS = ("identity", "difference")
 
@@ -172,13 +173,15 @@ def argmax_positions(images: np.ndarray, grid: VoxelGrid) -> np.ndarray:
     table = _voxel_centres(grid)
     centres = table[values.argmax(axis=1)]
     tied = values == values.max(axis=1, keepdims=True)
-    # A row with a plateau (or a NaN) breaks the count; only then look at
-    # rows one by one. Each plateau mean sums a 1-D array, as np.mean does.
+    # A row with a plateau (or a NaN) breaks the count; only then group the
+    # plateau rows by tie count. Each plateau mean sums its centres in the
+    # order np.mean sums a 1-D array.
     if np.count_nonzero(tied) != len(values):
         counts = np.count_nonzero(tied, axis=1)
-        for t in np.flatnonzero(counts > 1):
-            xs, ys = table[tied[t]].T.copy()
-            centres[t] = np.add.reduce(xs) / counts[t], np.add.reduce(ys) / counts[t]
+        for count in np.unique(counts[counts > 1]):
+            rows = np.flatnonzero(counts == count)
+            xy = table[np.nonzero(tied[rows])[1]].reshape(len(rows), count, 2)
+            centres[rows] = _window_sum(lambda j: xy[:, j], 0, count) / count
     return centres
 
 

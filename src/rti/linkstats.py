@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PatternPair
+from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS, PatternPair
 
 StreamKey = tuple  # (tx_id, rx_id, channel | None, tx_dir | None, rx_dir | None)
 
@@ -48,6 +48,8 @@ def check_stream(key: StreamKey) -> None:
         raise ValueError("a stream cannot carry both channel and pattern fields")
     if has_pattern and (tx_dir is None or rx_dir is None):
         raise ValueError("pattern streams need both tx_dir and rx_dir")
+    if has_pattern and not (1 <= tx_dir <= NUM_DIRECTIONS and 1 <= rx_dir <= NUM_DIRECTIONS):
+        raise ValueError(f"pattern directions must be in [1, {NUM_DIRECTIONS}]")
 
 
 def omni_stream(link: tuple[int, int]) -> StreamKey:
@@ -184,6 +186,23 @@ def window_variance(trace: RssTrace, window: int) -> np.ndarray:
     return batch_window_variance(carry_forward(trace), window)
 
 
+@per_trace
+def pattern_columns(trace: RssTrace, links: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Trace column of each link's pattern streams, shaped (links, 36) with
+    pairs in `PATTERN_PAIRS` order; -1 where the trace has no such stream."""
+    row = {link: i for i, link in enumerate(links)}
+    at = [
+        (row[tx, rx], NUM_DIRECTIONS * (tx_dir - 1) + rx_dir - 1, col)
+        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
+        if tx_dir is not None and (tx, rx) in row
+    ]
+    table = np.full((len(links), len(PATTERN_PAIRS)), -1)
+    if at:
+        rows, pairs, cols = zip(*at)
+        table[rows, pairs] = cols
+    return table
+
+
 # ------------------------------------------------------------ detection
 
 
@@ -195,8 +214,11 @@ def fn_fp_sweep(
     """Sweep a threshold over link observations.
 
     Returns (threshold, fn_rate, fp_rate) triples where both rates divide by
-    the total number of observations. fn_rate is non-decreasing and fp_rate
-    non-increasing in the threshold.
+    the total number of observations. An observation is detected when it
+    exceeds the threshold, so a NaN observation is never detected and a NaN
+    threshold detects nothing. fn_rate is non-decreasing and fp_rate
+    non-increasing in the threshold. The counts come from the sorted
+    obstructed and clear observations, one `searchsorted` per class.
     """
     stats = np.asarray(stats, dtype=float).ravel()
     mask = np.asarray(obstructed, dtype=bool).ravel()
@@ -206,9 +228,14 @@ def fn_fp_sweep(
     if total == 0:
         raise ValueError("no observations to sweep")
     taus = np.sort(np.asarray(thresholds, dtype=float).ravel(), kind="stable")
-    detected = stats > taus[:, None]  # one row per threshold
-    fn = np.count_nonzero(~detected & mask, axis=1).tolist()
-    fp = np.count_nonzero(detected & ~mask, axis=1).tolist()
+    defined = ~np.isnan(stats)
+
+    def detected(values: np.ndarray) -> np.ndarray:
+        values = np.sort(values)
+        return len(values) - np.searchsorted(values, taus, side="right")
+
+    fn = (np.count_nonzero(mask) - detected(stats[mask & defined])).tolist()
+    fp = detected(stats[~mask & defined]).tolist()
     return [(tau, n / total, p / total) for tau, n, p in zip(taus.tolist(), fn, fp)]
 
 

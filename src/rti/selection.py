@@ -1,161 +1,108 @@
 """Pattern pair selection: Location, Fade Level, and PRR methods.
 
-All tie-breaks order pairs ascending lexicographically by
-(tx_direction, rx_direction).
+A selection is a (links, k) array of indices into `PATTERN_PAIRS`, each row
+one link's pairs in preference order. All tie-breaks order pairs ascending
+lexicographically by (tx_direction, rx_direction), which is ascending index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .geometry import NUM_DIRECTIONS, NetworkLayout, PatternPair, angle_to_link
-from .linkstats import RssTrace, per_trace, sum_over_ticks
+from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS, NetworkLayout, PatternPair, angle_to_link
+from .linkstats import RssTrace, pattern_columns, per_trace, sum_over_ticks
 
 Link = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class FadeLevelTable:
-    """Accumulated normalised RSS per (link, pattern pair).
-
-    h is the sum over received packets in the window of (rssi - tx_power);
-    larger h means a shallower fade. Pairs with zero receptions in the window
-    carry no entry and are ineligible for selection.
-    """
-
-    window: tuple[int, int]
-    levels: Mapping[Link, Mapping[PatternPair, float]]
-
-    def level(self, link: Link, pair: PatternPair) -> float:
-        return self.levels[link][pair]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
-    """Selected pattern pairs per link, in selection-preference order."""
+    """Selected pattern pairs per link: row i of the read-only ``pairs``
+    array holds the `PATTERN_PAIRS` indices of ``links[i]``, in
+    selection-preference order."""
 
     method: str
-    params: dict = field(default_factory=dict)
-    pairs_by_link: dict[Link, list[PatternPair]] = field(default_factory=dict)
+    params: dict
+    links: tuple[Link, ...]
+    pairs: np.ndarray
 
-    def pairs(self, link: Link) -> list[PatternPair]:
-        return self.pairs_by_link[link]
-
-
-def _sorted_directions(node, other, n: int) -> list[int]:
-    """The n directions with the smallest angle to the line toward ``other``.
-
-    Angles are rounded to 1e-12 rad before comparison so that symmetric
-    directions tie exactly and fall back to the lower direction index.
-    """
-    if not 1 <= n <= NUM_DIRECTIONS:
-        raise ValueError(f"n must be in [1, {NUM_DIRECTIONS}], got {n}")
-    keyed = [
-        (round(angle_to_link(node, d, other), 12), d)
-        for d in range(1, NUM_DIRECTIONS + 1)
-    ]
-    keyed.sort()
-    return [d for _, d in keyed[:n]]
+    @cached_property
+    def pairs_by_link(self) -> Mapping[Link, tuple[PatternPair, ...]]:
+        """The same selection as a read-only mapping from link to pairs."""
+        return MappingProxyType({
+            link: tuple(PATTERN_PAIRS[i] for i in row)
+            for link, row in zip(self.links, self.pairs.tolist())
+        })
 
 
-def select_location(
-    layout: NetworkLayout,
-    link: Link,
-    n_transmitter: int,
-    n_receiver: int,
-) -> list[PatternPair]:
+def _location_pairs(layout: NetworkLayout, n_transmitter: int, n_receiver: int) -> np.ndarray:
     """Geometry-only selection: the Cartesian product of the n_transmitter
     transmit directions and n_receiver receive directions best aligned with
-    the link line. Needs no calibration traffic."""
-    tx = layout.node(link[0])
-    rx = layout.node(link[1])
-    tx_dirs = _sorted_directions(tx, rx, n_transmitter)
-    rx_dirs = _sorted_directions(rx, tx, n_receiver)
-    return [PatternPair(t, r) for t in tx_dirs for r in rx_dirs]
+    each link line. Needs no calibration traffic.
 
-
-def all_pairs() -> list[PatternPair]:
-    """Every pattern pair in lexicographic order."""
-    return [
-        PatternPair(t, r)
-        for t in range(1, NUM_DIRECTIONS + 1)
-        for r in range(1, NUM_DIRECTIONS + 1)
-    ]
-
-
-@per_trace
-def _pattern_columns(trace: RssTrace) -> list[tuple[Link, PatternPair, int]]:
-    """(link, pair, column) of each of the trace's pattern streams."""
-    return [
-        ((tx, rx), PatternPair(tx_dir, rx_dir), col)
-        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
-        if tx_dir is not None
-    ]
+    Directions rank by their angle to the line toward the other node, once
+    per ordered node pair. Angles are rounded to 1e-12 rad so that symmetric
+    directions tie exactly and fall back to the lower direction index.
+    """
+    for n in (n_transmitter, n_receiver):
+        if not 1 <= n <= NUM_DIRECTIONS:
+            raise ValueError(f"n must be in [1, {NUM_DIRECTIONS}], got {n}")
+    nodes = layout.nodes
+    ranked = np.zeros((len(nodes), len(nodes), NUM_DIRECTIONS), dtype=np.intp)
+    for i, node in enumerate(nodes):
+        for j, other in enumerate(nodes):
+            if i != j:
+                angles = [round(angle_to_link(node, d + 1, other), 12) for d in range(NUM_DIRECTIONS)]
+                ranked[i, j] = sorted(range(NUM_DIRECTIONS), key=lambda d: (angles[d], d))
+    row = {node.id: i for i, node in enumerate(nodes)}
+    tx, rx = np.array([(row[a], row[b]) for a, b in layout.links]).T
+    pairs = NUM_DIRECTIONS * ranked[tx, rx, :n_transmitter, None] + ranked[rx, tx, None, :n_receiver]
+    return pairs.reshape(len(tx), -1)
 
 
 @per_trace
-def compute_fade_levels(trace: RssTrace, window: tuple[int, int]) -> FadeLevelTable:
-    """Accumulate per-pair normalised RSS over the calibration window, once
-    per trace and window."""
-    t1, t2 = window
-    if t2 < t1:
-        raise ValueError(f"empty fade-level window ({t1}, {t2})")
-    block = trace.window(t1, t2)
-    columns = _pattern_columns(trace)
-    if not columns or not len(block):
-        raise ValueError("no directional records in fade-level window")
-    heard = np.count_nonzero(~np.isnan(block), axis=0)
-    h = sum_over_ticks(block - trace.tx_power_dbm)
-    levels: dict[Link, dict[PatternPair, float]] = {}
-    for link, pair, col in columns:
-        if heard[col]:
-            levels.setdefault(link, {})[pair] = float(h[col])
-    return FadeLevelTable(window=(t1, t2), levels=levels)
+def pair_levels(
+    trace: RssTrace, method: str, window: tuple[int, int], links: tuple[Link, ...]
+) -> np.ndarray:
+    """Each link's pattern pairs scored over a window, shaped (links, 36) in
+    `PATTERN_PAIRS` order, once per trace, window and link list.
 
-
-def _top_k(
-    eligible: Mapping[PatternPair, float] | None, link: Link, k: int
-) -> list[PatternPair]:
-    """The k pairs of highest level, descending; ties ascending lexicographic."""
-    if not eligible:
-        raise ValueError(f"no eligible pairs for link {link[0]}->{link[1]}")
-    if not 1 <= k <= len(eligible):
-        raise ValueError(
-            f"k must be in [1, {len(eligible)}] for link {link[0]}->{link[1]}, got {k}"
-        )
-    ranked = sorted(eligible.items(), key=lambda item: (-item[1], item[0]))
-    return [pair for pair, _ in ranked[:k]]
-
-
-def select_fade_level(table: FadeLevelTable, link: Link, k: int) -> list[PatternPair]:
-    """Top-k pairs by accumulated normalised RSS, descending; ties ascending
-    lexicographic."""
-    return _top_k(table.levels.get(link), link, k)
-
-
-@per_trace
-def reception_ratios(
-    trace: RssTrace, window: tuple[int, int]
-) -> dict[Link, dict[PatternPair, float]]:
-    """Packet reception ratio of each pattern pair over the window, per link.
-
-    PRR divides received packets by transmission attempts; every stream
-    attempts one packet per tick. Pairs with zero receptions carry no entry.
-    Computed once per trace and window.
+    ``fadelevel`` scores a pair by the sum over its received packets of
+    (rssi - tx_power), added in tick order: a larger level is a shallower
+    fade. ``prr`` scores it by received packets over attempts, one attempt
+    per tick. A pair with no reception in the window is NaN: ineligible.
     """
     t1, t2 = window
     if t2 < t1:
-        raise ValueError(f"empty PRR window ({t1}, {t2})")
+        raise ValueError(f"empty {'fade-level' if method == 'fadelevel' else 'PRR'} window ({t1}, {t2})")
     block = trace.window(t1, t2)
-    got = np.count_nonzero(~np.isnan(block), axis=0)
-    ratios: dict[Link, dict[PatternPair, float]] = {}
-    for link, pair, col in _pattern_columns(trace):
-        if got[col]:
-            ratios.setdefault(link, {})[pair] = int(got[col]) / len(block)
-    return ratios
+    heard = np.count_nonzero(~np.isnan(block), axis=0)
+    if method == "fadelevel":
+        if not len(block) or all(key[3] is None for key in trace.streams):
+            raise ValueError("no directional records in fade-level window")
+        level = np.where(heard > 0, sum_over_ticks(block - trace.tx_power_dbm), np.nan)
+    else:
+        level = np.where(heard > 0, heard, np.nan) / len(block)
+    columns = pattern_columns(trace, links)
+    return np.where(columns >= 0, level[columns], np.nan)
+
+
+def _top_levels(levels: np.ndarray, links: tuple[Link, ...], k: int) -> np.ndarray:
+    """Each link's k pairs of highest level, descending; ties ascending
+    lexicographic. Ineligible (NaN) pairs sort last and are never chosen."""
+    eligible = np.count_nonzero(~np.isnan(levels), axis=1)
+    bad = np.flatnonzero((eligible == 0) | (k < 1) | (k > eligible))
+    if bad.size:
+        (tx, rx), count = links[bad[0]], eligible[bad[0]]
+        if not count:
+            raise ValueError(f"no eligible pairs for link {tx}->{rx}")
+        raise ValueError(f"k must be in [1, {count}] for link {tx}->{rx}, got {k}")
+    return np.argsort(-levels, axis=1, kind="stable")[:, :k]
 
 
 def select_for_layout(
@@ -169,32 +116,22 @@ def select_for_layout(
     k: int = 9,
 ) -> SelectionResult:
     """Apply one selection method to every link of a layout."""
-    pairs_by_link: dict[Link, list[PatternPair]] = {}
+    links = tuple(layout.links)
     if method == "all":
         params = {}
-        for link in layout.links:
-            pairs_by_link[link] = all_pairs()
+        pairs = np.tile(np.arange(len(PATTERN_PAIRS)), (len(links), 1))
     elif method == "location":
         params = {"n_transmitter": n_transmitter, "n_receiver": n_receiver}
-        for link in layout.links:
-            pairs_by_link[link] = select_location(layout, link, n_transmitter, n_receiver)
-    elif method == "fadelevel":
+        pairs = _location_pairs(layout, n_transmitter, n_receiver)
+    elif method in ("fadelevel", "prr"):
         if trace is None or window is None:
-            raise ValueError("fadelevel selection needs a calibration trace and window")
+            raise ValueError(f"{method} selection needs a calibration trace and window")
         params = {"k": k}
-        table = compute_fade_levels(trace, window)
-        for link in layout.links:
-            pairs_by_link[link] = select_fade_level(table, link, k)
-    elif method == "prr":
-        if trace is None or window is None:
-            raise ValueError("prr selection needs a calibration trace and window")
-        params = {"k": k}
-        ratios = reception_ratios(trace, window)
-        for link in layout.links:
-            pairs_by_link[link] = _top_k(ratios.get(link), link, k)
+        pairs = _top_levels(pair_levels(trace, method, window, links), links, k)
     else:
         raise ValueError(f"unknown selection method {method!r}")
-    return SelectionResult(method=method, params=params, pairs_by_link=pairs_by_link)
+    pairs.flags.writeable = False
+    return SelectionResult(method=method, params=params, links=links, pairs=pairs)
 
 
 # ------------------------------------------------------------ file format
@@ -213,4 +150,3 @@ def format_selection(result: SelectionResult) -> str:
 def write_selection_file(path, result: SelectionResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_selection(result))
-

@@ -8,8 +8,8 @@ import csv
 
 from rti.geometry import PatternPair
 from rti.linkstats import RssTrace
-from rti.selection import Link, SelectionResult, _top_k, reception_ratios
 from rti.tracking import TRAJECTORY_HEADER
+from select_oracles import Link, SelectionResult, _top_k, reception_ratios
 
 
 def select_prr(

@@ -1,8 +1,10 @@
 """The per-config, per-tick evaluation that `rti.experiment.evaluate_method`
 replaced, kept as oracles for its array stages.
 
-`compute_stat_matrix` gathers, forward-fills, calibrates and takes the window
-variance of one config's streams on every call. `track_per_tick` images one
+`streams_for_method` lists each link's stream keys, and `compute_stat_matrix`
+gathers, forward-fills, calibrates and takes the window variance of one
+config's streams on every call. `argmax_positions` means each plateau row's
+centres one row at a time. `track_per_tick` images one
 tick at a time with `reconstruct`, then takes the argmax and runs the Kalman
 filter with the per-tick code below, which computes the covariance and gain
 at every step.
@@ -17,9 +19,38 @@ import numpy as np
 from rti.experiment import PhaseError, _is_variance
 from rti.geometry import VoxelGrid
 from rti.imaging import ImageFrame, reconstruct
-from rti.linkstats import StreamKey, format_stream, forward_fill
+from rti.linkstats import (
+    StreamKey,
+    channel_stream,
+    format_stream,
+    forward_fill,
+    omni_stream,
+    pattern_stream,
+)
 from rti.tracking import _H, KalmanParams, TrackState, kalman_init
 from stat_oracles import batch_window_variance, calibrate
+
+
+def streams_for_method(
+    layout, method: str, channels, selection
+) -> dict[tuple[int, int], list[StreamKey]]:
+    """The streams each link statistic aggregates, in deterministic order."""
+    out: dict[tuple[int, int], list[StreamKey]] = {}
+    for link in layout.links:
+        if method in ("mRTI", "vRTI"):
+            out[link] = [omni_stream(link)]
+        elif method.startswith("cRTI"):
+            out[link] = [channel_stream(link, ch) for ch in sorted(channels)]
+        else:
+            # Canonical pair order: the statistic is a set sum, so the
+            # ranking order a selector chose must not leak into float
+            # summation.
+            pairs = sorted(
+                selection.pairs_by_link[link],
+                key=lambda p: (p.tx_direction, p.rx_direction),
+            )
+            out[link] = [pattern_stream(link, p) for p in pairs]
+    return out
 
 
 def compute_stat_matrix(
@@ -95,6 +126,25 @@ def compute_stat_matrix(
             )
         baseline[i] = float(valid.mean())
     return stats, baseline
+
+
+def argmax_positions(images: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+    """Centre of the brightest voxel of each image row, shaped (rows, 2);
+    a plateau's centres are meaned one row at a time."""
+    values = np.asarray(images)
+    if values.ndim != 2 or values.shape[1] != grid.num_voxels:
+        raise ValueError("frame size does not match grid")
+    table = grid.centers()
+    centres = table[values.argmax(axis=1)]
+    tied = values == values.max(axis=1, keepdims=True)
+    # A row with a plateau (or a NaN) breaks the count; only then look at
+    # rows one by one. Each plateau mean sums a 1-D array, as np.mean does.
+    if np.count_nonzero(tied) != len(values):
+        counts = np.count_nonzero(tied, axis=1)
+        for t in np.flatnonzero(counts > 1):
+            xs, ys = table[tied[t]].T.copy()
+            centres[t] = np.add.reduce(xs) / counts[t], np.add.reduce(ys) / counts[t]
+    return centres
 
 
 def argmax_voxel(frame: ImageFrame, grid: VoxelGrid) -> tuple[float, float]:

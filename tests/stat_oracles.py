@@ -7,7 +7,9 @@ those arrays must reproduce; tests use them as oracles. `calibrate` is the
 per-stream calibration the pipeline used before each trace kept its own
 calibration means. `batch_window_variance` is the `np.var` form that
 `rti.linkstats.batch_window_variance` replaced; the shipped function must
-match it bit for bit.
+match it bit for bit. `fn_fp_sweep_broadcast` is the sweep that compared
+every threshold with every observation, before the counts came from sorted
+observations.
 """
 
 from __future__ import annotations
@@ -124,6 +126,27 @@ def fn_fp_sweep_loop(
         fp = int(np.count_nonzero(detected & ~mask))
         out.append((float(tau), fn / total, fp / total))
     return out
+
+
+def fn_fp_sweep_broadcast(
+    stats: np.ndarray,
+    obstructed: np.ndarray,
+    thresholds: Sequence[float],
+) -> list[tuple[float, float, float]]:
+    """`fn_fp_sweep` comparing every threshold against every observation at
+    once, as one (thresholds, observations) array."""
+    stats = np.asarray(stats, dtype=float).ravel()
+    mask = np.asarray(obstructed, dtype=bool).ravel()
+    if stats.shape != mask.shape:
+        raise ValueError("stats and obstructed must have matching shapes")
+    total = stats.size
+    if total == 0:
+        raise ValueError("no observations to sweep")
+    taus = np.sort(np.asarray(thresholds, dtype=float).ravel(), kind="stable")
+    detected = stats > taus[:, None]  # one row per threshold
+    fn = np.count_nonzero(~detected & mask, axis=1).tolist()
+    fp = np.count_nonzero(detected & ~mask, axis=1).tolist()
+    return [(tau, n / total, p / total) for tau, n, p in zip(taus.tolist(), fn, fp)]
 
 
 def error_cdf_loop(

@@ -216,10 +216,10 @@ def test_criterion_03_single_stream_statistics_collapse_to_omni():
         results = []
         for mode, key, methods in readings:
             trace = RssTrace(mode, 0.0, tuple(key(lk) for lk in layout.links), rssi)
-            by_link = {lk: [key(lk)] for lk in layout.links}
+            columns = np.array([[trace.column[key(lk)]] for lk in layout.links])
             results.append([
                 compute_stat_matrix(
-                    trace, layout, method, by_link, window, first_tick, num_ticks
+                    trace, layout, method, columns, window, first_tick, num_ticks
                 )
                 for method in methods
             ])

@@ -52,3 +52,33 @@ def test_library_resolves_every_name_the_workloads_call():
     done = run_python("-c", probe, *WORKLOAD_CALLS)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_pair_counter_reads_a_real_selection():
+    # The benchmark counts selected pairs from `SelectionResult.pairs_by_link`;
+    # a counter that cannot read it would report 0 pairs per link silently.
+    probe = (
+        "import tracing\n"
+        "from rti.presets import nlos_7node\n"
+        "from rti.selection import select_for_layout\n"
+        "from rti.simulator import simulate\n"
+        "from dataclasses import replace\n"
+        "scenario, params = nlos_7node(3)\n"
+        "scenario = replace(scenario, mode='directional')\n"
+        "trace, _ = simulate(scenario, params)\n"
+        "counts = {}\n"
+        "class Stub:\n"
+        "    def add(self, key, value):\n"
+        "        counts[key] = counts.get(key, 0) + value\n"
+        "for method, k in (('fadelevel', 9), ('prr', 5), ('location', 4), ('all', 36)):\n"
+        "    result = select_for_layout(scenario.layout, method, trace=trace,\n"
+        "                               window=(0, scenario.calibration_rounds - 1), k=k)\n"
+        "    counts.clear()\n"
+        "    tracing._count_pairs(Stub(), result, {})\n"
+        "    print(method, counts['selection.pairs'], counts['selection.links'])\n"
+    )
+    done = run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:4] == [
+        "fadelevel 378 42", "prr 210 42", "location 168 42", "all 1512 42"
+    ]

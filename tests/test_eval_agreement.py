@@ -1,10 +1,12 @@
 """The array stages of `evaluate_method` against the per-config, per-tick
-oracles in `eval_oracles`, on the comparison's own check set: los_7node and
-nlos_7node seeds 0-9, all twelve comparison configs.
+oracles in `eval_oracles`, `select_oracles` and `stat_oracles`, on the
+comparison's own check set: los_7node and nlos_7node seeds 0-9, all twelve
+comparison configs.
 
-Statistics, baselines, selections, argmax measurements and Kalman estimates
-must be bit-identical. Images come from one matrix product instead of one
-per tick, so they only agree to rounding: within 1e-12 absolute.
+Selections, stream columns, statistics, baselines, argmax measurements,
+Kalman estimates and the fn/fp sweep must be bit-identical. Images come from
+one matrix product instead of one per tick, so they only agree to rounding:
+within 1e-12 absolute.
 """
 
 import numpy as np
@@ -20,10 +22,11 @@ from rti.experiment import (
     scenario_reconstructor,
     streams_for_method,
 )
-from rti.linkstats import RssTrace
-from rti.selection import select_for_layout
 from rti.presets import COMPARISON_IMAGING, comparison_config, los_7node, nlos_7node
-from eval_oracles import compute_stat_matrix, track_per_tick
+from rti.simulator import obstructed_mask
+import eval_oracles
+import select_oracles
+from stat_oracles import fn_fp_sweep_broadcast
 
 PRESETS = {"los_7node": los_7node, "nlos_7node": nlos_7node}
 CONFIGS = [
@@ -60,45 +63,62 @@ def evaluated(request, reconstructors):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "simulate", recording)
         evaluations = compare(scenario, params, CONFIGS, reconstructors[preset])
-    return runs, evaluations, reconstructors[preset]
+    return runs, evaluations, reconstructors[preset], params
 
 
 def test_statistics_and_selection_match_the_per_config_oracle(evaluated):
-    runs, evaluations, _ = evaluated
+    runs, evaluations, _, _ = evaluated
     for config, ev in zip(CONFIGS, evaluations):
         scenario, trace, _truth = runs[mode_for_method(config.method)]
         cal = scenario.calibration_rounds
+        label = f"{config.method}/{config.selection.method}"
+        expected = None
         if ev.selection is not None:
-            # A fresh trace object shares no cached tables with the one the
-            # comparison evaluated.
-            fresh = RssTrace(trace.mode, trace.tx_power_dbm, trace.streams, trace.rssi)
-            expected = select_for_layout(
-                scenario.layout, config.selection.method, trace=fresh,
+            expected = select_oracles.select_for_layout(
+                scenario.layout, config.selection.method, trace=trace,
                 window=(0, cal - 1), k=config.selection.k,
                 n_transmitter=config.selection.n_transmitter,
                 n_receiver=config.selection.n_receiver,
             )
-            assert ev.selection.pairs_by_link == expected.pairs_by_link
-        streams = streams_for_method(
-            scenario.layout, config.method, scenario.channels, ev.selection
+            assert ev.selection.links == tuple(scenario.layout.links)
+            assert {
+                link: list(pairs) for link, pairs in ev.selection.pairs_by_link.items()
+            } == expected.pairs_by_link, label
+        streams = eval_oracles.streams_for_method(
+            scenario.layout, config.method, scenario.channels, expected
         )
-        stats, baseline = compute_stat_matrix(
+        columns = streams_for_method(
+            trace, scenario.layout, config.method, scenario.channels, ev.selection
+        )
+        assert columns.tolist() == [
+            [trace.column[key] for key in streams[link]] for link in scenario.layout.links
+        ], label
+        stats, baseline = eval_oracles.compute_stat_matrix(
             trace, scenario.layout, config.method, streams, config.window, cal,
             scenario.rounds,
         )
-        assert np.array_equal(ev.stats, stats), config.method
-        assert np.array_equal(ev.baseline, baseline), config.method
+        assert np.array_equal(ev.stats, stats), label
+        assert np.array_equal(ev.baseline, baseline), label
 
 
 def test_images_and_tracks_match_the_per_tick_oracle(evaluated):
-    runs, evaluations, reconstructor = evaluated
+    runs, evaluations, reconstructor, params = evaluated
     for config, ev in zip(CONFIGS, evaluations):
-        scenario = runs[mode_for_method(config.method)][0]
-        images, measurements, estimates = track_per_tick(
+        scenario, _trace, truth = runs[mode_for_method(config.method)]
+        images, measurements, estimates = eval_oracles.track_per_tick(
             reconstructor, ev.stats - ev.baseline, scenario.grid, config.tracking,
             scenario.calibration_rounds,
         )
         label = f"{config.method}/{config.selection.method}"
         assert np.max(np.abs(ev.images - images)) <= IMAGE_TOLERANCE, label
         assert np.array_equal(ev.measurements, measurements), label
+        assert np.array_equal(
+            eval_oracles.argmax_positions(ev.images, scenario.grid), ev.measurements
+        ), label
         assert np.array_equal(ev.estimates, estimates), label
+        obstructed = obstructed_mask(scenario.layout, truth, params.person_lambda_m)
+        thresholds = np.unique(np.linspace(ev.stats.min(), ev.stats.max(), 50))
+        sweep = fn_fp_sweep_broadcast(ev.stats, obstructed, thresholds)
+        assert ev.metrics["fn_fp"] == [
+            {"threshold": tau, "fn_rate": fn, "fp_rate": fp} for tau, fn, fp in sweep
+        ], label

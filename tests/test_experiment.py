@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from rti.experiment import (
     run_experiment,
     streams_for_method,
 )
-from rti.geometry import NetworkLayout, NodeSpec, build_grid, build_weight_matrix
+from rti.geometry import PATTERN_PAIRS, NetworkLayout, NodeSpec, build_grid, build_weight_matrix
 from rti.imaging import build_reconstructor
 from rti.presets import (
     COMPARISON_IMAGING,
@@ -35,7 +36,18 @@ from rti.presets import (
     los_7node,
     nlos_2node,
     nlos_7node,
+    ring_layout,
 )
+from rti.linkstats import (
+    RssTrace,
+    calibration_deviation,
+    channel_stream,
+    first_heard,
+    omni_stream,
+    pattern_stream,
+    window_variance,
+)
+from rti.selection import select_for_layout
 from rti.simulator import (
     PropagationParams,
     Scenario,
@@ -44,6 +56,8 @@ from rti.simulator import (
     simulate,
     write_scenario_file,
 )
+
+import eval_oracles
 
 QUIET = PropagationParams(
     fading_std_db=0.0, noise_std_db=0.0, agitation_std_db=0.0
@@ -529,14 +543,126 @@ def test_stream_first_heard_late_in_calibration_is_left_out(selector):
     cal = scenario.calibration_rounds
     first = np.flatnonzero(~np.isnan(trace.rssi[:, trace.column[late]]))[0]
     assert cal - 10 < first < cal
-    streams = streams_for_method(scenario.layout, "dRTI-var", (), ev.selection)
+    streams = eval_oracles.streams_for_method(scenario.layout, "dRTI-var", (), ev.selection)
     assert late in streams[(5, 0)]
     streams[(5, 0)] = [key for key in streams[(5, 0)] if key != late]
-    stats, baseline = compute_stat_matrix(
+    stats, baseline = eval_oracles.compute_stat_matrix(
         trace, scenario.layout, "dRTI-var", streams, 10, cal, scenario.rounds
     )
     assert np.array_equal(stats, ev.stats)
     assert np.array_equal(baseline, ev.baseline)
+
+
+def random_trace(layout, mode, ticks, seed, channels=(11, 15, 18, 21)):
+    """A trace with 30% packet loss, some streams first heard late, some
+    never, and link 0->1 silent."""
+    rng = np.random.default_rng(seed)
+    if mode == "omni":
+        streams = [omni_stream(lk) for lk in layout.links]
+    elif mode == "multichannel":
+        streams = [channel_stream(lk, ch) for lk in layout.links for ch in channels]
+    else:
+        streams = [pattern_stream(lk, p) for lk in layout.links for p in PATTERN_PAIRS]
+    rssi = rng.normal(-60.0, 5.0, (ticks, len(streams)))
+    rssi[rng.random(rssi.shape) < 0.3] = np.nan
+    late = rng.random(len(streams)) < 0.2
+    rssi[: rng.integers(1, ticks), late] = np.nan
+    rssi[:, rng.random(len(streams)) < 0.05] = np.nan
+    rssi[:, [s[:2] == (0, 1) for s in streams]] = np.nan
+    return RssTrace(mode, 0.0, tuple(streams), rssi)
+
+
+STAT_CASES = [
+    ("mRTI", "all"), ("vRTI", "all"), ("cRTI-mean", "all"), ("cRTI-var", "all"),
+    ("dRTI-mean", "all"), ("dRTI-var", "all"), ("dRTI-mean", "location"),
+    ("dRTI-var", "location"),
+]
+
+
+@pytest.mark.parametrize("method, selector", STAT_CASES)
+@pytest.mark.parametrize(
+    "first_tick, num_ticks, window",
+    [(12, 15, 5), (12, 1, 5), (5, 3, 5), (1, 4, 2), (1, 1, 2)],
+)
+def test_stat_matrix_matches_the_per_link_oracle(method, selector, first_tick, num_ticks, window):
+    # Silent links, dead streams among live ones, and one-tick regions:
+    # (5, 3, 5) gives a variance calibration region of one tick and
+    # first_tick 1 a mean one; numpy sums a one-tick gather pairwise.
+    layout = square_layout()
+    mode = experiment.mode_for_method(method)
+    if method.endswith("var") or method == "vRTI":
+        first_tick = max(first_tick, window)
+    trace = random_trace(layout, mode, first_tick + num_ticks, seed=first_tick * 100 + num_ticks)
+    selection = select_for_layout(layout, selector) if mode == "directional" else None
+    columns = streams_for_method(trace, layout, method, (15, 11, 21, 18), selection)
+    streams = eval_oracles.streams_for_method(layout, method, (15, 11, 21, 18), selection)
+    expected = eval_oracles.compute_stat_matrix(
+        trace, layout, method, streams, window, first_tick, num_ticks
+    )
+    stats, baseline = compute_stat_matrix(
+        trace, layout, method, columns, window, first_tick, num_ticks
+    )
+    assert stats.flags.c_contiguous and stats.shape == (num_ticks, layout.num_links)
+    assert np.array_equal(stats, expected[0], equal_nan=True)
+    assert np.array_equal(baseline, expected[1])
+    assert not stats[:, 0].any() and baseline[0] == 0.0  # the silent link 0->1
+
+
+@pytest.mark.parametrize(
+    "mode, method, missing, named",
+    [
+        ("directional", "dRTI-mean", [(2, 1, None, 1, 1), (0, 1, None, 2, 3)],
+         "0->1 pair (2,3), 2->1 pair (1,1)"),
+        ("omni", "vRTI", [(3, 0, None, None, None)], "3->0 omni"),
+        ("multichannel", "cRTI-mean", [(1, 2, 18, None, None), (1, 2, 11, None, None)],
+         "1->2 channel 11, 1->2 channel 18"),
+    ],
+)
+def test_missing_stream_is_a_phase_error_naming_it(mode, method, missing, named):
+    layout = square_layout()
+    full = random_trace(layout, mode, 10, seed=3)
+    keep = [i for i, key in enumerate(full.streams) if key not in missing]
+    trace = RssTrace(mode, 0.0, tuple(full.streams[i] for i in keep), full.rssi[:, keep])
+    selection = select_for_layout(layout, "all") if mode == "directional" else None
+    message = f"statistics: trace has no records for streams {named}"
+    with pytest.raises(PhaseError) as info:
+        streams_for_method(trace, layout, method, (11, 15, 18, 21), selection)
+    assert str(info.value) == message
+    streams = eval_oracles.streams_for_method(layout, method, (11, 15, 18, 21), selection)
+    with pytest.raises(PhaseError) as info:
+        eval_oracles.compute_stat_matrix(trace, layout, method, streams, 3, 5, 5)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("method", ["dRTI-mean", "dRTI-var"])
+def test_stat_matrix_peak_memory_stays_near_the_gathered_block(method):
+    # A 12-node directional ring (132 links, 4,752 streams), fade-level
+    # selection of 9 pairs per link. With the per-trace arrays computed
+    # first, the statistics may hold at most twice the (links, 9, ticks)
+    # block of the rows they sum; a padded copy of the whole (streams, ticks)
+    # array would be 4.8x that block.
+    layout = ring_layout(12, 2.9, (3.0, 3.0))
+    first_tick, num_ticks, window = 20, 100, 10
+    trace = random_trace(layout, "directional", first_tick + num_ticks, seed=9)
+    trace = RssTrace(  # no silent link: fade-level selection needs every link heard
+        "directional", 0.0, trace.streams,
+        np.where(np.isnan(trace.rssi).all(axis=0), -70.0, trace.rssi),
+    )
+    selection = select_for_layout(layout, "fadelevel", trace=trace, window=(0, first_tick - 1))
+    columns = streams_for_method(trace, layout, method, (), selection)
+    first_heard(trace)
+    if method == "dRTI-var":
+        window_variance(trace, window)
+    else:
+        calibration_deviation(trace, first_tick)
+    block = layout.num_links * 9 * num_ticks * 8
+    tracemalloc.start()
+    try:
+        compute_stat_matrix(trace, layout, method, columns, window, first_tick, num_ticks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block
 
 
 # ------------------------------------------------------------ comparison

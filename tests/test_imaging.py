@@ -371,6 +371,32 @@ def test_batched_argmax_matches_the_per_frame_scan():
         argmax_positions(images[:, :-1], grid)
 
 
+PLATEAU_SIZES = [*range(2, 18), 31, 32, 33, 127, 128, 129, 255, 256, 257, 500, 1024, 1025, 1500]
+
+
+def test_plateau_means_group_rows_by_tie_count():
+    # Two rows per plateau size, so every tie count is a group of rows; the
+    # plateau mean must equal np.mean of the plateau's centres bit for bit.
+    rng = np.random.default_rng(157)
+    grid = build_grid((-2.0, 0.7), 4.0, 4.0, 0.1)  # 1,600 voxels
+    sizes = [size for size in PLATEAU_SIZES for _ in range(2)]
+    images = rng.normal(0.0, 1.0, (len(sizes) + 3, grid.num_voxels))
+    for row, size in enumerate(sizes):
+        plateau = rng.choice(grid.num_voxels, size, replace=False)
+        images[row, plateau] = images[row].max() + 1.0
+    images[-3, 11] = np.nan  # a NaN row takes argmax's first NaN
+    images[-2] = 0.25  # a flat row means every centre
+    positions = argmax_positions(images, grid)
+    assert np.array_equal(positions, eval_oracles.argmax_positions(images, grid))
+    centres = grid.centers()
+    for row, values in enumerate(images):
+        tied = centres[values == values.max()]
+        if len(tied) > 1:
+            assert positions[row].tolist() == [np.mean(tied[:, 0]), np.mean(tied[:, 1])]
+    assert positions[-3].tolist() == list(grid.voxel_center(11))
+    assert positions[-2].tolist() == [np.mean(centres[:, 0]), np.mean(centres[:, 1])]
+
+
 def test_batched_images_match_per_tick_products():
     rng = np.random.default_rng(151)
     A = np.abs(rng.normal(0.0, 1.0, (12, 30)))

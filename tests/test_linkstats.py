@@ -20,6 +20,7 @@ from rti.linkstats import (
     fn_fp_sweep,
     forward_fill,
     omni_stream,
+    pattern_columns,
     pattern_stream,
     window_variance,
 )
@@ -30,6 +31,7 @@ from stat_oracles import (
     MissingCalibrationError,
     calibrate,
     classify_link_attenuation,
+    fn_fp_sweep_broadcast,
     fn_fp_sweep_loop,
     crti_mean_stat,
     crti_var_stat,
@@ -81,6 +83,29 @@ def test_trace_rejects_malformed_columns():
         RssTrace("radar", 0.0, streams, np.zeros((3, 1)))
     with pytest.raises(ValueError, match="tx_power_dbm"):
         RssTrace("omni", math.nan, streams, np.zeros((3, 1)))
+
+
+def test_trace_rejects_pattern_directions_outside_the_antenna():
+    for key in ((0, 1, None, 7, 1), (0, 1, None, 1, 0)):
+        with pytest.raises(ValueError, match=r"^pattern directions must be in \[1, 6\]$"):
+            RssTrace("directional", 0.0, (key,), np.zeros((3, 1)))
+
+
+def test_pattern_columns_place_each_stream_by_link_and_pair():
+    streams = (
+        pattern_stream((2, 0), PatternPair(6, 6)),
+        omni_stream((0, 2)),
+        pattern_stream((0, 2), PatternPair(1, 2)),
+        pattern_stream((5, 5), PatternPair(1, 1)),  # a link outside the list
+        pattern_stream((0, 2), PatternPair(3, 1)),
+    )
+    trace = RssTrace("directional", 0.0, streams, np.zeros((2, len(streams))))
+    links = ((0, 2), (2, 0), (0, 9))
+    table = pattern_columns(trace, links)
+    expected = np.full((3, 36), -1)
+    expected[0, 1], expected[0, 12], expected[1, 35] = 2, 4, 0
+    assert np.array_equal(table, expected)
+    assert pattern_columns(trace, links) is table and not table.flags.writeable
 
 
 # ----------------------------------------------------------- calibrate
@@ -298,6 +323,29 @@ def test_sweep_matches_the_loop_oracle():
             taus = [1.5, 0.0, 3.0]
             assert fn_fp_sweep(one, [hit], taus) == fn_fp_sweep_loop(one, [hit], taus)
     assert fn_fp_sweep(stats, obstructed, []) == []
+
+
+def test_sweep_counts_match_the_broadcast_oracle():
+    # NaN observations are never detected; a NaN threshold detects nothing.
+    rng = np.random.default_rng(29)
+    for shape, nan_frac in (((105, 42), 0.0), ((105, 42), 0.05), ((100, 1560), 0.01), ((3, 1), 1.0)):
+        stats = np.round(rng.exponential(2.0, size=shape), 2)
+        stats[rng.random(shape) < nan_frac] = np.nan
+        obstructed = rng.random(shape) < 0.2
+        finite = stats[~np.isnan(stats)]
+        lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 1.0)
+        for thresholds in (
+            np.unique(np.linspace(lo, hi, 50)),
+            [np.nan, 1.0, -np.inf, np.inf, np.nan, 0.0, -0.0, *finite[:5]],
+            [],
+        ):
+            rows = fn_fp_sweep(stats, obstructed, thresholds)
+            expected = fn_fp_sweep_broadcast(stats, obstructed, thresholds)
+            assert [r[1:] for r in rows] == [r[1:] for r in expected]
+            assert np.array_equal([r[0] for r in rows], [r[0] for r in expected], equal_nan=True)
+    rows = fn_fp_sweep([np.nan, 1.0, 2.0], [True, True, False], [np.nan, 1.5])
+    assert rows[0] == (1.5, 2 / 3, 1 / 3)
+    assert np.isnan(rows[1][0]) and rows[1][1:] == (2 / 3, 0.0)
 
 
 def test_sweep_rejects_empty_and_mismatched_input():

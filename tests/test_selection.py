@@ -4,20 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rti.geometry import NetworkLayout, NodeSpec, PatternPair
+from rti.geometry import PATTERN_PAIRS, NetworkLayout, NodeSpec, PatternPair
 from rti.linkstats import RssTrace, pattern_stream
 from rti.presets import los_7node, nlos_7node
 from rti.simulator import simulate
-from rti.selection import (
-    all_pairs,
-    compute_fade_levels,
-    format_selection,
-    select_fade_level,
-    select_for_layout,
-    select_location,
-    SelectionResult,
-)
+from rti.selection import _top_levels, format_selection, pair_levels, select_for_layout
 from api_oracles import parse_selection, select_prr
+import select_oracles
 
 
 def facing_pair_layout(d=3.0):
@@ -43,12 +36,30 @@ def pattern_trace(rows, tx_power=0.0):
     return RssTrace("directional", tx_power, tuple(streams), rssi)
 
 
+def select_location(layout, link, n_transmitter, n_receiver):
+    result = select_for_layout(
+        layout, "location", n_transmitter=n_transmitter, n_receiver=n_receiver
+    )
+    return result.pairs_by_link[link]
+
+
+def level(trace, window, link, pair):
+    return pair_levels(trace, "fadelevel", window, (link,))[0, PATTERN_PAIRS.index(pair)]
+
+
+def ranked(trace, window, link, k, method="fadelevel"):
+    """One link's top-k pairs: the ranking `select_for_layout` applies to
+    every link."""
+    pairs = _top_levels(pair_levels(trace, method, window, (link,)), (link,), k)
+    return tuple(PATTERN_PAIRS[i] for i in pairs[0])
+
+
 # ------------------------------------------------------------- location
 
 
 def test_location_facing_nodes_single_pair():
     layout = facing_pair_layout()
-    assert select_location(layout, (0, 1), 1, 1) == [PatternPair(1, 1)]
+    assert select_location(layout, (0, 1), 1, 1) == (PatternPair(1, 1),)
 
 
 def test_location_cartesian_product_counts():
@@ -57,9 +68,9 @@ def test_location_cartesian_product_counts():
     assert len(pairs) == 4
     assert len(set(pairs)) == 4
     # Directions 2 and 6 tie at pi/3; index tie-break keeps 2 first.
-    assert pairs == [
+    assert pairs == (
         PatternPair(1, 1), PatternPair(1, 2), PatternPair(2, 1), PatternPair(2, 2)
-    ]
+    )
 
 
 def test_location_full_direction_ordering_with_ties():
@@ -85,9 +96,9 @@ def test_location_is_geometry_only_and_deterministic():
 
 def test_location_validates_n():
     layout = facing_pair_layout()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be in \[1, 6\], got 0$"):
         select_location(layout, (0, 1), 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be in \[1, 6\], got 7$"):
         select_location(layout, (0, 1), 1, 7)
 
 
@@ -98,16 +109,14 @@ def test_fade_level_accumulates_normalised_rss():
     link = (0, 1)
     pair = PatternPair(1, 1)
     trace = pattern_trace([{(link, pair): -50.0}, {(link, pair): -60.0}])
-    table = compute_fade_levels(trace, (0, 1))
-    assert table.level(link, pair) == pytest.approx(-110.0)
+    assert level(trace, (0, 1), link, pair) == pytest.approx(-110.0)
 
 
 def test_fade_level_subtracts_tx_power():
     link = (0, 1)
     pair = PatternPair(2, 3)
     trace = pattern_trace([{(link, pair): -50.0}], tx_power=5.0)
-    table = compute_fade_levels(trace, (0, 0))
-    assert table.level(link, pair) == pytest.approx(-55.0)
+    assert level(trace, (0, 0), link, pair) == pytest.approx(-55.0)
 
 
 def test_fade_level_skips_lost_and_excludes_silent_pairs():
@@ -117,9 +126,8 @@ def test_fade_level_skips_lost_and_excludes_silent_pairs():
     trace = pattern_trace(
         [{(link, heard): -50.0, (link, silent): None}, {(link, silent): None}]
     )
-    table = compute_fade_levels(trace, (0, 1))
-    assert heard in table.levels[link]
-    assert silent not in table.levels[link]
+    assert level(trace, (0, 1), link, heard) == -50.0
+    assert np.isnan(level(trace, (0, 1), link, silent))
 
 
 def test_fade_level_matches_reaccumulation_oracle():
@@ -138,10 +146,10 @@ def test_fade_level_matches_reaccumulation_oracle():
                 if received:
                     expected[pair] = expected.get(pair, 0.0) + rssi
         rows.append(row)
-    table = compute_fade_levels(pattern_trace(rows), (0, 19))
-    assert set(table.levels[link]) == set(expected)
+    levels = pair_levels(pattern_trace(rows), "fadelevel", (0, 19), (link,))[0]
+    assert {PATTERN_PAIRS[i] for i in np.flatnonzero(~np.isnan(levels))} == set(expected)
     for pair, h in expected.items():
-        assert table.level(link, pair) == h  # same sum, same tick order
+        assert levels[PATTERN_PAIRS.index(pair)] == h  # same sum, same tick order
 
 
 def test_select_fade_level_max_and_order():
@@ -156,32 +164,26 @@ def test_select_fade_level_max_and_order():
             }
         ]
     )
-    table = compute_fade_levels(trace, (0, 0))
-    assert select_fade_level(table, link, 1) == [PatternPair(1, 1)]
-    ranked = select_fade_level(table, link, 4)
+    assert ranked(trace, (0, 0), link, 1) == (PatternPair(1, 1),)
     # Ties at -40 resolve lexicographically; -55 ranks last.
-    assert ranked == [
+    assert ranked(trace, (0, 0), link, 4) == (
         PatternPair(1, 1), PatternPair(2, 1), PatternPair(2, 2), PatternPair(1, 2)
-    ]
+    )
 
 
 def test_select_fade_level_nestedness():
     rng = np.random.default_rng(37)
     link = (0, 1)
-    trace = pattern_trace([{(link, pair): float(rng.normal(-60, 6)) for pair in all_pairs()}])
-    table = compute_fade_levels(trace, (0, 0))
+    trace = pattern_trace([{(link, pair): float(rng.normal(-60, 6)) for pair in PATTERN_PAIRS}])
     for k in range(1, 36):
-        assert set(select_fade_level(table, link, k)) <= set(
-            select_fade_level(table, link, k + 1)
-        )
+        assert set(ranked(trace, (0, 0), link, k)) <= set(ranked(trace, (0, 0), link, k + 1))
 
 
 def test_select_fade_level_rejects_oversized_k():
     link = (0, 1)
     trace = pattern_trace([{(link, PatternPair(1, 1)): -50.0}])
-    table = compute_fade_levels(trace, (0, 0))
-    with pytest.raises(ValueError):
-        select_fade_level(table, link, 2)
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 1\] for link 0->1, got 2$"):
+        ranked(trace, (0, 0), link, 2)
 
 
 # ------------------------------------------------------------------ prr
@@ -195,7 +197,7 @@ def test_prr_counts_match_independent_counter():
     got = {}
     for tick in range(30):
         row = {}
-        for pair in all_pairs():
+        for pair in PATTERN_PAIRS:
             received = bool(rng.random() > 0.4)
             row[(link, pair)] = -55.0 if received else None
             sent[pair] = sent.get(pair, 0) + 1
@@ -203,17 +205,17 @@ def test_prr_counts_match_independent_counter():
                 got[pair] = got.get(pair, 0) + 1
         rows.append(row)
     trace = pattern_trace(rows)
-    ranked = select_prr(trace, (0, 29), link, 36)
     prr = {pair: got.get(pair, 0) / sent[pair] for pair in sent if pair in got}
     expected = [p for p, _ in sorted(prr.items(), key=lambda item: (-item[1], item[0]))]
-    assert ranked == expected
+    assert select_prr(trace, (0, 29), link, len(expected)) == expected
+    assert ranked(trace, (0, 29), link, len(expected), "prr") == tuple(expected)
 
 
 def test_prr_all_ties_resolve_lexicographically():
     link = (0, 1)
-    trace = pattern_trace([{(link, pair): -50.0 for pair in all_pairs()}])
-    ranked = select_prr(trace, (0, 0), link, 9)
-    assert ranked == all_pairs()[:9]
+    trace = pattern_trace([{(link, pair): -50.0 for pair in PATTERN_PAIRS}])
+    assert select_prr(trace, (0, 0), link, 9) == list(PATTERN_PAIRS[:9])
+    assert ranked(trace, (0, 0), link, 9, "prr") == PATTERN_PAIRS[:9]
 
 
 def test_prr_nestedness():
@@ -221,13 +223,13 @@ def test_prr_nestedness():
     link = (0, 1)
     trace = pattern_trace(
         [
-            {(link, pair): -50.0 if rng.random() > 0.3 else None for pair in all_pairs()}
+            {(link, pair): -50.0 if rng.random() > 0.3 else None for pair in PATTERN_PAIRS}
             for _tick in range(25)
         ]
     )
     for k in (1, 5, 12, 35):
-        assert set(select_prr(trace, (0, 24), link, k)) <= set(
-            select_prr(trace, (0, 24), link, k + 1)
+        assert set(ranked(trace, (0, 24), link, k, "prr")) <= set(
+            ranked(trace, (0, 24), link, k + 1, "prr")
         )
 
 
@@ -239,9 +241,9 @@ def test_prr_excludes_never_received_pairs():
             {(link, PatternPair(1, 2)): None},
         ]
     )
-    with pytest.raises(ValueError):
-        select_prr(trace, (0, 1), link, 2)
-    assert select_prr(trace, (0, 1), link, 1) == [PatternPair(1, 1)]
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 1\] for link 0->1, got 2$"):
+        ranked(trace, (0, 1), link, 2, "prr")
+    assert ranked(trace, (0, 1), link, 1, "prr") == (PatternPair(1, 1),)
 
 
 def select_prr_per_link(trace, window, link, k):
@@ -279,7 +281,7 @@ def test_prr_layout_selection_matches_per_link_oracle(factory, seed):
         assert list(result.pairs_by_link) == scenario.layout.links
         for link in scenario.layout.links:
             expected = select_prr_per_link(trace, window, link, k)
-            assert result.pairs(link) == expected
+            assert result.pairs_by_link[link] == tuple(expected)
             assert select_prr(trace, window, link, k) == expected
 
 
@@ -293,7 +295,7 @@ def test_selection_round_trip():
     assert text.startswith("link 0 1 method location pairs (1,1) (2,1)")
     back = parse_selection(text)
     assert back.method == "location"
-    assert back.pairs_by_link == result.pairs_by_link
+    assert back.pairs_by_link == {link: list(p) for link, p in result.pairs_by_link.items()}
 
 
 def test_selection_parse_rejects_malformed_line():
@@ -306,10 +308,134 @@ def test_selection_parse_rejects_malformed_line():
 def test_select_for_layout_all_pairs():
     layout = facing_pair_layout()
     result = select_for_layout(layout, "all")
-    assert result.pairs_by_link[(0, 1)] == all_pairs()
+    assert result.pairs_by_link[(0, 1)] == PATTERN_PAIRS
+    assert result.pairs_by_link[(0, 1)] == tuple(select_oracles.all_pairs())
     assert len(result.pairs_by_link[(0, 1)]) == 36
 
 
 def test_select_for_layout_unknown_method():
     with pytest.raises(ValueError):
         select_for_layout(facing_pair_layout(), "loudest")
+
+
+# ------------------------------------------- index arrays against the dicts
+
+
+def oracle_outcome(select, *args, **kwargs):
+    """A selection's pairs per link as lists, or its ValueError message."""
+    try:
+        return {link: list(p) for link, p in select(*args, **kwargs).pairs_by_link.items()}
+    except ValueError as exc:
+        return str(exc)
+
+
+def tied_trace(layout, seed, ticks=6, silent_link=None):
+    """A directional trace whose RSS takes three values, so that fade levels
+    and reception ratios tie often; packets are lost at random, some pairs
+    are never heard, and ``silent_link`` hears nothing at all."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _tick in range(ticks):
+        row = {}
+        for link in layout.links:
+            for pair in PATTERN_PAIRS:
+                heard = link != silent_link and rng.random() < 0.6
+                row[(link, pair)] = float(rng.choice([-50.0, -60.0, -70.0])) if heard else None
+        rows.append(row)
+    return pattern_trace(rows)
+
+
+def triangle_layout():
+    return NetworkLayout(
+        [
+            NodeSpec(0, 0.0, 0.0, antenna_zero_bearing=0.3),
+            NodeSpec(5, 3.0, 0.5, antenna_zero_bearing=2.0),
+            NodeSpec(2, 1.0, 2.5),
+        ]
+    )
+
+
+@pytest.mark.parametrize("method", ["fadelevel", "prr"])
+@pytest.mark.parametrize("seed", range(6))
+def test_level_selection_matches_the_dict_oracle_with_ties(method, seed):
+    layout = triangle_layout()
+    trace = tied_trace(layout, seed)
+    for window in ((0, 5), (1, 3), (4, 4)):
+        for k in (0, 1, 2, 5, 9, 13, 20, 36, 37):
+            new = oracle_outcome(select_for_layout, layout, method, trace=trace, window=window, k=k)
+            old = oracle_outcome(
+                select_oracles.select_for_layout, layout, method, trace=trace, window=window, k=k
+            )
+            assert new == old, (window, k)
+
+
+@pytest.mark.parametrize("method", ["fadelevel", "prr"])
+def test_silent_link_and_oversized_k_fail_as_the_dict_oracle_does(method):
+    layout = triangle_layout()
+    trace = tied_trace(layout, 7, ticks=2, silent_link=(5, 2))
+    expected = {
+        k: oracle_outcome(
+            select_oracles.select_for_layout, layout, method, trace=trace, window=(0, 5), k=k
+        )
+        for k in (1, 34)
+    }
+    assert expected[1] == "no eligible pairs for link 5->2"
+    assert expected[34].startswith("k must be in [1, 3") and expected[34].endswith(
+        "] for link 0->5, got 34"
+    )
+    for k, message in expected.items():
+        with pytest.raises(ValueError) as info:
+            select_for_layout(layout, method, trace=trace, window=(0, 5), k=k)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("method", ["fadelevel", "prr"])
+def test_window_errors_keep_their_messages(method):
+    layout = triangle_layout()
+    trace = tied_trace(layout, 8)
+    what = "fade-level" if method == "fadelevel" else "PRR"
+    with pytest.raises(ValueError, match=rf"^empty {what} window \(3, 2\)$"):
+        select_for_layout(layout, method, trace=trace, window=(3, 2))
+    with pytest.raises(ValueError, match=f"^{method} selection needs a calibration trace"):
+        select_for_layout(layout, method, window=(0, 1))
+    beyond = oracle_outcome(
+        select_oracles.select_for_layout, layout, method, trace=trace, window=(10, 12)
+    )
+    assert oracle_outcome(select_for_layout, layout, method, trace=trace, window=(10, 12)) == beyond
+    omni = RssTrace("omni", 0.0, ((0, 5, None, None, None),), np.zeros((3, 1)))
+    assert oracle_outcome(select_for_layout, layout, method, trace=omni, window=(0, 2)) == (
+        oracle_outcome(select_oracles.select_for_layout, layout, method, trace=omni, window=(0, 2))
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_location_matches_the_per_link_oracle(seed):
+    rng = np.random.default_rng(seed)
+    nodes = [
+        NodeSpec(i * 3 + 1, float(x), float(y), antenna_zero_bearing=float(b))
+        for i, (x, y, b) in enumerate(
+            zip(rng.uniform(0, 6, 6), rng.uniform(0, 6, 6), rng.choice([0.0, math.pi / 6, 1.1], 6))
+        )
+    ]
+    nodes.append(NodeSpec(0, 3.0, 3.0))  # on the same axis as other nodes' bearings
+    layout = NetworkLayout(nodes)
+    for n_transmitter in range(1, 7):
+        for n_receiver in range(1, 7):
+            new = oracle_outcome(
+                select_for_layout, layout, "location",
+                n_transmitter=n_transmitter, n_receiver=n_receiver,
+            )
+            old = oracle_outcome(
+                select_oracles.select_for_layout, layout, "location",
+                n_transmitter=n_transmitter, n_receiver=n_receiver,
+            )
+            assert new == old
+
+
+def test_selection_arrays_are_read_only():
+    result = select_for_layout(facing_pair_layout(), "location")
+    assert result.pairs.shape == (2, 4)
+    with pytest.raises(ValueError):
+        result.pairs[0, 0] = 0
+    with pytest.raises(TypeError):
+        result.pairs_by_link[(0, 1)] = ()

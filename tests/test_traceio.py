@@ -194,6 +194,14 @@ def test_reader_rejects_channel_and_pattern_together(tmp_path):
     )
 
 
+@pytest.mark.parametrize("dirs", ["7,1", "1,0"])
+def test_reader_rejects_pattern_directions_outside_the_antenna(tmp_path, dirs):
+    rows = replaced(2, f"0,0,1,directional,,{dirs},0.0,0,true,-50.0")
+    assert rejection(tmp_path, rows) == (
+        "line 2: tick 0: pattern directions must be in [1, 6]"
+    )
+
+
 def test_reader_rejects_half_pattern(tmp_path):
     rows = replaced(2, "0,0,1,directional,,1,,0.0,0,true,-50.0")
     assert rejection(tmp_path, rows) == (

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS, build_weight_matrix
+from .geometry import NUM_DIRECTIONS, build_weight_matrix
 from .imaging import (
     ImageFrame,
     argmax_positions,
@@ -27,13 +27,11 @@ from .imaging import (
 from .linkstats import (
     _window_sum,
     calibration_deviation,
-    channel_stream,
     first_heard,
     fn_fp_sweep,
     format_stream,
-    omni_stream,
-    pattern_columns,
-    pattern_stream,
+    stream_columns,
+    stream_kinds,
     window_variance,
 )
 from .selection import SelectionResult, select_for_layout, write_selection_file
@@ -208,33 +206,25 @@ def streams_for_method(
     trace, layout, method: str, channels, selection: SelectionResult | None
 ) -> np.ndarray:
     """Trace columns of the streams each link statistic aggregates, shaped
-    (links, k), each row in canonical order: channels ascending, or pattern
-    pairs ascending lexicographic. The statistic is a set sum, so the ranking
-    order a selector chose must not leak into float summation. A stream the
-    trace lacks is a PhaseError naming it."""
-    links = layout.links
+    (links, k): every kind of the method's mode, or the selected pattern
+    pairs, in `stream_kinds` order. The statistic is a set sum, so the order
+    a selector ranked pairs in must not leak into float summation. Streams
+    the trace lacks are a PhaseError naming the first 10 of them."""
+    links = tuple(layout.links)
+    kinds = stream_kinds(mode_for_method(method), channels)
+    table = stream_columns(trace, links, kinds)
     if method.startswith("dRTI"):
-        pairs = np.sort(selection.pairs, axis=1)
-        columns = np.take_along_axis(pattern_columns(trace, tuple(links)), pairs, axis=1)
-
-        def stream(i, j):
-            return pattern_stream(links[i], PATTERN_PAIRS[pairs[i, j]])
+        index = np.sort(selection.pairs, axis=1)
     else:
-        kinds = [None] if method in ("mRTI", "vRTI") else sorted(channels)
-
-        def stream(i, j):
-            return omni_stream(links[i]) if kinds[j] is None else channel_stream(links[i], kinds[j])
-
-        columns = np.array(
-            [[trace.column.get(stream(i, j), -1) for j in range(len(kinds))]
-             for i in range(len(links))],
-            dtype=np.intp,
-        )
+        index = np.broadcast_to(np.arange(len(kinds)), table.shape)
+    columns = np.take_along_axis(table, index, axis=1)
     missing = np.argwhere(columns < 0)
     if missing.size:
+        named = [format_stream((*links[i], *kinds[index[i, j]])) for i, j in missing[:10]]
+        more = len(missing) - len(named)
         raise PhaseError(
-            "statistics: trace has no records for streams "
-            + ", ".join(format_stream(stream(i, j)) for i, j in missing)
+            "statistics: trace has no records for streams " + ", ".join(named)
+            + (f" and {more} more" if more else "")
         )
     return columns
 
@@ -402,9 +392,16 @@ def evaluate_method(
 ) -> Evaluation:
     """The pure pipeline: selection, statistics, imaging, tracking, metrics.
 
-    `scenario.mode` must already match the method. A prebuilt reconstructor
-    for the scenario's grid and layout may be passed to skip the solve.
+    The trace's mode must be the method's; the scenario's is not read. A
+    prebuilt reconstructor for the scenario's grid and layout may be passed
+    to skip the solve.
     """
+    mode = mode_for_method(config.method)
+    if trace.mode != mode:
+        raise PhaseError(
+            f"statistics: trace has no records for {config.method}, which needs "
+            f"mode {mode!r}; the trace's mode is {trace.mode!r}"
+        )
     _check_scenario_fits(config, scenario)
     truth = _checked_truth(truth, scenario)
     cal = scenario.calibration_rounds
@@ -457,7 +454,7 @@ def evaluate_method(
 
     metrics = {
         "method": config.method,
-        "mode": scenario.mode,
+        "mode": trace.mode,
         "seed": scenario.seed,
         "rounds": scenario.rounds,
         "calibration_rounds": cal,
@@ -517,9 +514,8 @@ def compare(
     for config in configs:
         mode = mode_for_method(config.method)
         if mode not in runs:
-            moded = replace(scenario, mode=mode)
             try:
-                runs[mode] = (moded, *simulate(moded, params))
+                runs[mode] = simulate(replace(scenario, mode=mode), params)
             except Exception as exc:
                 raise PhaseError(f"simulate: {exc}") from exc
         rec = reconstructor
@@ -529,8 +525,8 @@ def compare(
                     scenario, config.imaging
                 )
             rec = reconstructors[config.imaging]
-        moded, trace, truth = runs[mode]
-        evaluations.append(evaluate_method(config, moded, params, trace, truth, rec))
+        trace, truth = runs[mode]
+        evaluations.append(evaluate_method(config, scenario, params, trace, truth, rec))
     return evaluations
 
 

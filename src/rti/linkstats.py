@@ -7,7 +7,7 @@ A stream is one RSS time series: an (ordered link, channel-or-pattern)
 combination. Omni traffic has one stream per link, multichannel traffic one
 per (link, channel), directional traffic one per (link, pattern pair).
 Stream keys are tuples (tx_id, rx_id, channel, tx_dir, rx_dir) with None in
-the unused slots.
+the unused slots: a link followed by one of its mode's `stream_kinds`.
 
 Traces
 ------
@@ -40,8 +40,19 @@ class InsufficientWindowError(ValueError):
     """A statistic window holds fewer than two usable values."""
 
 
-def check_stream(key: StreamKey) -> None:
-    """Raise ValueError unless ``key`` is a well-formed stream key."""
+def stream_kinds(mode: str, channels: Sequence[int] = ()) -> tuple[tuple, ...]:
+    """The (channel, tx_dir, rx_dir) kinds a link carries in a trace of
+    ``mode``, in trace order: one omni kind, each channel ascending, or the
+    pattern pairs in `PATTERN_PAIRS` order."""
+    if mode == "omni":
+        return ((None, None, None),)
+    if mode == "multichannel":
+        return tuple((channel, None, None) for channel in sorted(channels))
+    return tuple((None, pair.tx_direction, pair.rx_direction) for pair in PATTERN_PAIRS)
+
+
+def check_stream(key: StreamKey, mode: str) -> None:
+    """Raise ValueError unless ``key`` is a well-formed stream of a ``mode`` trace."""
     _tx, _rx, channel, tx_dir, rx_dir = key
     has_pattern = tx_dir is not None or rx_dir is not None
     if channel is not None and has_pattern:
@@ -50,6 +61,9 @@ def check_stream(key: StreamKey) -> None:
         raise ValueError("pattern streams need both tx_dir and rx_dir")
     if has_pattern and not (1 <= tx_dir <= NUM_DIRECTIONS and 1 <= rx_dir <= NUM_DIRECTIONS):
         raise ValueError(f"pattern directions must be in [1, {NUM_DIRECTIONS}]")
+    own = "multichannel" if channel is not None else "directional" if has_pattern else "omni"
+    if own != mode:
+        raise ValueError(f"{format_stream(key)} is not a stream of mode {mode!r}")
 
 
 def omni_stream(link: tuple[int, int]) -> StreamKey:
@@ -94,7 +108,7 @@ class RssTrace:
             raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm!r}")
         streams = tuple(tuple(key) for key in self.streams)
         for key in streams:
-            check_stream(key)
+            check_stream(key, self.mode)
         if len(set(streams)) != len(streams):
             raise ValueError("duplicate streams in trace")
         rssi = np.ascontiguousarray(self.rssi, dtype=float)
@@ -187,19 +201,22 @@ def window_variance(trace: RssTrace, window: int) -> np.ndarray:
 
 
 @per_trace
-def pattern_columns(trace: RssTrace, links: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Trace column of each link's pattern streams, shaped (links, 36) with
-    pairs in `PATTERN_PAIRS` order; -1 where the trace has no such stream."""
+def stream_columns(trace: RssTrace, links: tuple, kinds: tuple) -> np.ndarray:
+    """Trace column of each link's stream of each kind, shaped (links,
+    kinds); -1 where the trace has no such stream."""
+    # One pass over the streams: lookups in `RssTrace.column` raised dRTI peak RSS.
     row = {link: i for i, link in enumerate(links)}
-    at = [
-        (row[tx, rx], NUM_DIRECTIONS * (tx_dir - 1) + rx_dir - 1, col)
-        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
-        if tx_dir is not None and (tx, rx) in row
+    at = {kind: j for j, kind in enumerate(kinds)}
+    found = [
+        (i, j, col)
+        for col, (tx, rx, channel, tx_dir, rx_dir) in enumerate(trace.streams)
+        if (i := row.get((tx, rx))) is not None
+        and (j := at.get((channel, tx_dir, rx_dir))) is not None
     ]
-    table = np.full((len(links), len(PATTERN_PAIRS)), -1)
-    if at:
-        rows, pairs, cols = zip(*at)
-        table[rows, pairs] = cols
+    table = np.full((len(links), len(kinds)), -1)
+    if found:
+        rows, slots, cols = zip(*found)
+        table[rows, slots] = cols
     return table
 
 

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS, NetworkLayout, PatternPair, angle_to_link
-from .linkstats import RssTrace, pattern_columns, per_trace, sum_over_ticks
+from .linkstats import RssTrace, per_trace, stream_columns, stream_kinds, sum_over_ticks
 
 Link = tuple[int, int]
 
@@ -83,12 +83,12 @@ def pair_levels(
     block = trace.window(t1, t2)
     heard = np.count_nonzero(~np.isnan(block), axis=0)
     if method == "fadelevel":
-        if not len(block) or all(key[3] is None for key in trace.streams):
+        if not len(block) or not trace.streams or trace.mode != "directional":
             raise ValueError("no directional records in fade-level window")
         level = np.where(heard > 0, sum_over_ticks(block - trace.tx_power_dbm), np.nan)
     else:
         level = np.where(heard > 0, heard, np.nan) / len(block)
-    columns = pattern_columns(trace, links)
+    columns = stream_columns(trace, links, stream_kinds("directional"))
     return np.where(columns >= 0, level[columns], np.nan)
 
 

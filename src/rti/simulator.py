@@ -50,14 +50,13 @@ from .geometry import (
     NUM_DIRECTIONS,
     NetworkLayout,
     NodeSpec,
-    PatternPair,
     VoxelGrid,
     angle_to_link,
     build_grid,
     ellipse_contains,
     segments_intersect,
 )
-from .linkstats import MODES, RssTrace
+from .linkstats import MODES, RssTrace, stream_kinds
 
 VALID_CHANNELS = (11, 15, 18, 21, 26)
 DEFAULT_CHANNELS = (11, 15, 18, 21)
@@ -281,21 +280,12 @@ def reception_probability(p_rx_dbm, params: PropagationParams):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -700.0, 700.0)))
 
 
-def _stream_kinds(scenario: Scenario) -> list[tuple[int | None, PatternPair | None]]:
-    if scenario.mode == "omni":
-        return [(None, None)]
-    if scenario.mode == "multichannel":
-        return [(ch, None) for ch in sorted(scenario.channels)]
-    directions = range(1, NUM_DIRECTIONS + 1)
-    return [(None, PatternPair(t, r)) for t in directions for r in directions]
-
-
 def _kind_code(kind) -> tuple[int, int, int]:
-    channel, pair = kind
+    channel, tx_dir, rx_dir = kind
     if channel is not None:
         return (1, channel, 0)
-    if pair is not None:
-        return (2, pair.tx_direction, pair.rx_direction)
+    if tx_dir is not None:
+        return (2, tx_dir, rx_dir)
     return (0, 0, 0)
 
 
@@ -402,7 +392,7 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
     the scenario has no trajectory.
 
     Every stream attempts one packet per tick. The trace's streams are
-    ordered by transmitter, then receiver, then channel or pattern pair.
+    ordered by link, then by the mode's `stream_kinds`.
 
     Each stream draws from its own generator, seeded by (seed, tx, rx, kind
     code), so its values do not depend on which other streams are simulated.
@@ -424,10 +414,9 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         positions = None
         truth = np.empty((0, 2))
 
-    gain_model = params.gain_model
-    omni_model = AntennaGainModel(directional=False)
-    model = gain_model if scenario.mode == "directional" else omni_model
-    kinds = _stream_kinds(scenario)
+    directional = scenario.mode == "directional"
+    model = params.gain_model if directional else AntennaGainModel(directional=False)
+    kinds = stream_kinds(scenario.mode, scenario.channels)
     num_kinds = len(kinds)
     num_links = layout.num_links
 
@@ -462,18 +451,14 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         # A person next to a wall shifts a through-wall link's mean level far
         # less than a clear link's, yet their motion still agitates it.
         shadow_scale[link] = params.wall_shadow_factor ** walls_crossed
-        if scenario.mode == "directional":
+        if directional:
             tx_gains = [model.gain(angle_to_link(tx, dn, rx)) for dn in directions]
             rx_gains = [model.gain(angle_to_link(rx, dn, tx)) for dn in directions]
-            g_tx[link] = [tx_gains[pair.tx_direction - 1] for _, pair in kinds]
-            g_rx[link] = [rx_gains[pair.rx_direction - 1] for _, pair in kinds]
+            g_tx[link] = [tx_gains[tx_dir - 1] for _, tx_dir, _ in kinds]
+            g_rx[link] = [rx_gains[rx_dir - 1] for _, _, rx_dir in kinds]
 
     rho = params.fading_directivity_coupling
-    streams = tuple(
-        (tx_id, rx_id, channel, *(pair or (None, None)))
-        for tx_id, rx_id in layout.links
-        for channel, pair in kinds
-    )
+    streams = tuple((*link, *kind) for link in layout.links for kind in kinds)
     rssi = np.empty((total, num_links * num_kinds))
     states = _seed_states(_seed_words(scenario.seed, layout.links, kinds))
     generator = _stream_generators()

@@ -5,9 +5,9 @@ equal to the tick. Fields that do not apply to the stream are left empty
 (channel on omni rows, direction columns on multichannel rows, RSSI on lost
 packets). Floats are written with repr so a write/read cycle is exact.
 
-The reader is the trace's ingest check: every row must be well formed, the
-file must share one mode and one transmit power, and every (tick, stream)
-cell must appear exactly once.
+The reader is the trace's ingest check: every row must be well formed, its
+stream must be one of its mode's kinds, the file must share one mode and one
+transmit power, and every (tick, stream) cell must appear exactly once.
 
 Grammar
 -------
@@ -198,7 +198,7 @@ def _parse_stream(fields: list[str]) -> tuple[str, float, StreamKey]:
         opt_int(tx_dir, "tx_dir"),
         opt_int(rx_dir, "rx_dir"),
     )
-    check_stream(key)
+    check_stream(key, mode)
     return mode, power, key
 
 

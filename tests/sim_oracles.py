@@ -16,14 +16,25 @@ import math
 
 import numpy as np
 
-from rti.geometry import angle_to_link, ellipse_contains, segments_intersect
-from rti.linkstats import RssTrace
-from rti.simulator import (
-    AntennaGainModel,
-    _stream_kinds,
-    generate_trajectory,
-    reception_probability,
+from rti.geometry import (
+    NUM_DIRECTIONS,
+    PatternPair,
+    angle_to_link,
+    ellipse_contains,
+    segments_intersect,
 )
+from rti.linkstats import RssTrace
+from rti.simulator import AntennaGainModel, generate_trajectory, reception_probability
+
+
+def stream_kinds(scenario):
+    """Each link's (channel, pattern pair) kinds, in trace order."""
+    if scenario.mode == "omni":
+        return [(None, None)]
+    if scenario.mode == "multichannel":
+        return [(ch, None) for ch in sorted(scenario.channels)]
+    directions = range(1, NUM_DIRECTIONS + 1)
+    return [(None, PatternPair(t, r)) for t in directions for r in directions]
 
 
 def obstructed_mask(layout, truth, lam):
@@ -113,7 +124,7 @@ def simulate(scenario, params):
                 wall_loss += wall.loss_db if wall.loss_db is not None else params.wall_loss_db
                 walls_crossed += 1
         shadow_scale = params.wall_shadow_factor ** walls_crossed
-        for kind in _stream_kinds(scenario):
+        for kind in stream_kinds(scenario):
             channel, pair = kind
             if pair is not None:
                 g_tx = model.gain(angle_to_link(tx, pair.tx_direction, rx))

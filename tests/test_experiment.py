@@ -448,6 +448,53 @@ def test_method_must_match_trace_contents():
         evaluate_method(config, multi, QUIET, trace, truth)
 
 
+def test_a_trace_of_another_mode_is_one_short_phase_error():
+    # 42 links x 36 pairs: listing every missing stream took 25,747 characters.
+    scenario, params = los_7node(0)
+    scenario = replace(scenario, mode="omni", rounds=5, calibration_rounds=4)
+    trace, truth = simulate(scenario, params)
+    config = ExperimentConfig(scenario=Path("unused"), method="dRTI-mean", out_dir=Path("unused"))
+    directional = replace(scenario, mode="directional")
+    with pytest.raises(PhaseError) as info:
+        evaluate_method(config, directional, params, trace, truth)
+    assert str(info.value) == (
+        "statistics: trace has no records for dRTI-mean, which needs mode "
+        "'directional'; the trace's mode is 'omni'"
+    )
+
+
+def test_metrics_report_the_mode_of_the_trace():
+    scenario = square_scenario(mode="directional", rounds=5, cal=4)
+    trace, truth = simulate(scenario, QUIET)
+    config = ExperimentConfig(scenario=Path("unused"), method="dRTI-mean", out_dir=Path("unused"))
+    ev = evaluate_method(config, replace(scenario, mode="omni"), QUIET, trace, truth)
+    assert ev.metrics["mode"] == "directional"
+
+
+def test_missing_streams_past_the_first_ten_are_counted():
+    layout = square_layout()
+    trace = random_trace(layout, "omni", 10, seed=3)
+    selection = select_for_layout(layout, "all")
+    named = ", ".join(f"0->1 pair ({t},{r})" for t, r in PATTERN_PAIRS[:10])
+    with pytest.raises(PhaseError) as info:
+        streams_for_method(trace, layout, "dRTI-var", (), selection)
+    assert str(info.value) == (
+        f"statistics: trace has no records for streams {named} "
+        f"and {layout.num_links * 36 - 10} more"
+    )
+    full = random_trace(layout, "multichannel", 10, seed=3)
+    keep = [i for i, key in enumerate(full.streams) if key[2] != 15 or key[:2] == (3, 0)]
+    trace = RssTrace("multichannel", 0.0, tuple(full.streams[i] for i in keep), full.rssi[:, keep])
+    with pytest.raises(PhaseError) as info:
+        streams_for_method(trace, layout, "cRTI-mean", (11, 15), None)
+    links = [link for link in layout.links if link != (3, 0)]
+    assert str(info.value) == (
+        "statistics: trace has no records for streams "
+        + ", ".join(f"{tx}->{rx} channel 15" for tx, rx in links[:10])
+        + " and 1 more"
+    )
+
+
 def test_failure_after_simulation_leaves_trace_on_disk(tmp_path):
     # Two crossing walls block every link, so no stream calibrates; the
     # already-simulated trace must survive the failure.

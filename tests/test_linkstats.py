@@ -20,8 +20,9 @@ from rti.linkstats import (
     fn_fp_sweep,
     forward_fill,
     omni_stream,
-    pattern_columns,
     pattern_stream,
+    stream_columns,
+    stream_kinds,
     window_variance,
 )
 from rti.presets import los_7node, nlos_7node
@@ -91,21 +92,41 @@ def test_trace_rejects_pattern_directions_outside_the_antenna():
             RssTrace("directional", 0.0, (key,), np.zeros((3, 1)))
 
 
-def test_pattern_columns_place_each_stream_by_link_and_pair():
+def test_stream_columns_place_each_stream_by_link_and_kind():
     streams = (
         pattern_stream((2, 0), PatternPair(6, 6)),
-        omni_stream((0, 2)),
         pattern_stream((0, 2), PatternPair(1, 2)),
         pattern_stream((5, 5), PatternPair(1, 1)),  # a link outside the list
         pattern_stream((0, 2), PatternPair(3, 1)),
     )
     trace = RssTrace("directional", 0.0, streams, np.zeros((2, len(streams))))
     links = ((0, 2), (2, 0), (0, 9))
-    table = pattern_columns(trace, links)
+    kinds = stream_kinds("directional")
+    table = stream_columns(trace, links, kinds)
     expected = np.full((3, 36), -1)
-    expected[0, 1], expected[0, 12], expected[1, 35] = 2, 4, 0
+    expected[0, 1], expected[0, 12], expected[1, 35] = 1, 3, 0
     assert np.array_equal(table, expected)
-    assert pattern_columns(trace, links) is table and not table.flags.writeable
+    assert stream_columns(trace, links, kinds) is table and not table.flags.writeable
+    channels = stream_kinds("multichannel", (15, 11))
+    assert channels == ((11, None, None), (15, None, None))
+    assert np.array_equal(stream_columns(trace, links, channels), np.full((3, 2), -1))
+    with pytest.raises(ValueError, match=r"^0->2 omni is not a stream of mode 'directional'$"):
+        RssTrace("directional", 0.0, streams + (omni_stream((0, 2)),), np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize(
+    "mode, key, message",
+    [
+        ("directional", (0, 1, 11, None, None), "0->1 channel 11 is not a stream of mode 'directional'"),
+        ("directional", (0, 1, None, None, None), "0->1 omni is not a stream of mode 'directional'"),
+        ("omni", (0, 1, None, 2, 3), "0->1 pair (2,3) is not a stream of mode 'omni'"),
+        ("multichannel", (0, 1, None, None, None), "0->1 omni is not a stream of mode 'multichannel'"),
+    ],
+)
+def test_trace_rejects_a_stream_of_another_mode(mode, key, message):
+    with pytest.raises(ValueError) as info:
+        RssTrace(mode, 0.0, (key,), np.zeros((2, 1)))
+    assert str(info.value) == message
 
 
 # ----------------------------------------------------------- calibrate

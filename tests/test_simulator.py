@@ -24,6 +24,7 @@ from hypothesis import given, strategies as st
 import rti.simulator
 import sim_oracles
 from rti.geometry import NetworkLayout, NodeSpec, PatternPair, build_grid, ellipse_contains
+from rti.linkstats import stream_columns, stream_kinds
 from rti.presets import los_7node, nlos_2node, nlos_7node, ring_layout
 from rti.simulator import (
     AntennaGainModel,
@@ -257,19 +258,21 @@ def test_scenario_rejects_node_id_outside_32_bits(node_id):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
 @pytest.mark.parametrize("tx, rx", [(0, 1), (6, 5), (2**32 - 1, 0)])
-@pytest.mark.parametrize("kind", [(None, None), (26, None), (None, PatternPair(6, 1))])
+@pytest.mark.parametrize("kind", [(None, None, None), (26, None, None), (None, 6, 1)])
 def test_stream_rng_matches_the_int_list_seeding(seed, tx, rx, kind):
     states = _seed_states(_seed_words(seed, [(tx, rx)], [kind]))
     assert states.shape == (1, 4)
     got = _stream_generators()(states[0])
-    want = sim_oracles.stream_rng(seed, tx, rx, kind)
+    channel, tx_dir, rx_dir = kind
+    pair = PatternPair(tx_dir, rx_dir) if tx_dir is not None else None
+    want = sim_oracles.stream_rng(seed, tx, rx, (channel, pair))
     assert got.bit_generator.state == want.bit_generator.state
     assert np.array_equal(got.standard_normal(4), want.normal(0.0, 1.0, 4))
     assert np.array_equal(got.random(4), want.random(4))
 
 
 def test_seed_words_follow_the_trace_order():
-    kinds = [(None, PatternPair(1, 2)), (None, PatternPair(6, 5))]
+    kinds = [(None, 1, 2), (None, 6, 5)]
     words = _seed_words(7, [(0, 1), (2**32 - 1, 3)], kinds)
     assert words.dtype == np.uint32
     assert words.tolist() == [
@@ -278,8 +281,8 @@ def test_seed_words_follow_the_trace_order():
         [7, 2**32 - 1, 3, 2, 1, 2],
         [7, 2**32 - 1, 3, 2, 6, 5],
     ]
-    omni = _seed_words(0, [(4, 5)], [(None, None)])
-    channel = _seed_words(0, [(4, 5)], [(26, None)])
+    omni = _seed_words(0, [(4, 5)], [(None, None, None)])
+    channel = _seed_words(0, [(4, 5)], [(26, None, None)])
     assert omni.tolist() == [[0, 4, 5, 0, 0, 0]]
     assert channel.tolist() == [[0, 4, 5, 1, 26, 0]]
 
@@ -920,6 +923,18 @@ def test_simulate_matches_per_stream_oracle(factory, seed, mode):
     scenario, params = factory(seed)
     scenario = replace(scenario, mode=mode)
     assert_same_trace(simulate(scenario, params), sim_oracles.simulate(scenario, params))
+
+
+@pytest.mark.parametrize("mode", ["omni", "multichannel", "directional"])
+def test_simulated_streams_are_each_link_times_the_mode_kinds(mode):
+    scenario, params = nlos_2node(0)
+    scenario = replace(scenario, mode=mode, channels=(21, 11, 26), rounds=3, calibration_rounds=2)
+    trace, _ = simulate(scenario, params)
+    links = tuple(scenario.layout.links)
+    kinds = stream_kinds(mode, scenario.channels)
+    assert trace.streams == tuple((*link, *kind) for link in links for kind in kinds)
+    table = stream_columns(trace, links, kinds)
+    assert np.array_equal(table, np.arange(len(links) * len(kinds)).reshape(len(links), -1))
 
 
 def test_simulate_peak_memory_stays_near_the_trace():

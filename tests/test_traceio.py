@@ -210,13 +210,43 @@ def test_reader_rejects_half_pattern(tmp_path):
 
 
 def test_reader_rejects_mixed_mode_and_tx_power(tmp_path):
-    rows = replaced(5, "1,0,1,omni,,1,2,0.0,1,true,-52.5")
+    rows = replaced(5, "1,0,1,omni,,,,0.0,1,true,-52.5")
     assert rejection(tmp_path, rows) == (
-        "line 5: 0->1 pair (1,2) tick 1: mode 'omni' and tx power 0.0 differ "
+        "line 5: 0->1 omni tick 1: mode 'omni' and tx power 0.0 differ "
         "from the first row's 'directional' and 0.0"
     )
     rows = replaced(4, "1,0,1,directional,,1,1,3.0,1,true,-51.0")
     assert "tx power 3.0 differ" in rejection(tmp_path, rows)
+
+
+@pytest.mark.parametrize(
+    "line, row, message",
+    [
+        (3, "0,0,1,directional,11,,,0.0,0,true,-50.0",
+         "line 3: tick 0: 0->1 channel 11 is not a stream of mode 'directional'"),
+        (4, "1,0,1,directional,,,,0.0,1,true,-51.0",
+         "line 4: tick 1: 0->1 omni is not a stream of mode 'directional'"),
+        (5, "1,0,1,omni,,1,2,0.0,1,true,-52.5",
+         "line 5: tick 1: 0->1 pair (1,2) is not a stream of mode 'omni'"),
+    ],
+)
+def test_reader_rejects_a_stream_of_another_mode(tmp_path, line, row, message):
+    assert rejection(tmp_path, replaced(line, row)) == message
+
+
+def test_reader_rejects_channel_and_omni_streams_in_a_directional_file(tmp_path):
+    rows = [
+        "0,0,1,directional,11,,,0.0,0,true,-50.0",
+        "0,0,1,directional,,,,0.0,0,false,",
+        "1,0,1,directional,11,,,0.0,1,true,-51.0",
+        "1,0,1,directional,,,,0.0,1,true,-52.5",
+    ]
+    assert rejection(tmp_path, rows) == (
+        "line 2: tick 0: 0->1 channel 11 is not a stream of mode 'directional'"
+    )
+    assert rejection(tmp_path, rows[1::2]) == (
+        "line 2: tick 0: 0->1 omni is not a stream of mode 'directional'"
+    )
 
 
 def test_reader_rejects_seq_other_than_tick(tmp_path):

@@ -31,7 +31,7 @@ def _parse_stream(row: list[str]) -> tuple[str, float, StreamKey]:
     if not math.isfinite(power):
         raise ValueError(f"non-finite tx power {row[7]!r}")
     key = (int(row[1]), int(row[2]), opt_int(row[4]), opt_int(row[5]), opt_int(row[6]))
-    check_stream(key)
+    check_stream(key, mode)
     return mode, power, key
 
 

@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import ConfigError, PhaseError, read_config_file, run_experiment
-from .simulator import SEED_LIMIT, ScenarioError, read_json_object, read_scenario_file, simulate
-from .traceio import write_trace_file, write_truth_file
+from .experiment import ConfigError, PhaseError, read_config_file, record_run, run_experiment
+from .simulator import SEED_LIMIT, ScenarioError, read_json_object, read_scenario_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,12 +54,7 @@ def _cmd_simulate(args) -> int:
     if seed is not None:
         scenario = replace(scenario, seed=seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace, truth = simulate(scenario, params)
-    write_trace_file(out_dir / "trace.csv", trace)
-    write_truth_file(
-        out_dir / "truth.csv", truth, first_tick=scenario.calibration_rounds
-    )
+    trace, _truth = record_run(scenario, params, out_dir)
     received = int(np.count_nonzero(~np.isnan(trace.rssi)))
     print(f"mode: {scenario.mode}")
     print(f"ticks: {scenario.total_ticks} ({scenario.calibration_rounds} calibration)")
@@ -75,14 +69,13 @@ def _cmd_run(args) -> int:
     seed = _effective_seed(args.seed)
     if seed is not None:
         config = replace(config, seed=seed)
-    result = run_experiment(config)
-    metrics = result.metrics
+    metrics = run_experiment(config).metrics
     print(f"method: {metrics['method']} (mode {metrics['mode']}, seed {metrics['seed']})")
     print(f"links: {metrics['num_links']}, rounds: {metrics['rounds']}")
     print(f"rmse_kalman_m: {metrics['rmse_kalman_m']:.4f}")
     print(f"rmse_argmax_m: {metrics['rmse_argmax_m']:.4f}")
     print(f"p90_error_m: {metrics['p90_error_m']:.4f}")
-    print(f"outputs in {result.out_dir}")
+    print(f"outputs in {config.out_dir}")
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
 """End-to-end experiment pipeline: simulate, select, calibrate, image, track.
 
-`run_experiment` drives one method over one scenario and writes every
-artefact (trace, selection, link statistics, images, trajectory, metrics)
-into an output directory. `compare` evaluates several methods on one
-scenario in memory, simulating each radio mode once. All outputs are
+`run_experiment` drives one method over one scenario: `record_run`
+simulates and writes the trace and truth, `evaluate_method` evaluates, and
+`write_evaluation` writes every other artefact into the output directory.
+`compare` evaluates several methods on one scenario in memory, simulating
+each radio mode once; both simulate through `simulate_run`. All outputs are
 deterministic for a fixed config.
 """
 
@@ -332,19 +333,6 @@ class Evaluation:
     errors: np.ndarray        # per-tick tracking error, (rounds,)
 
 
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    scenario: Scenario
-    params: PropagationParams
-    metrics: dict
-    stats: np.ndarray
-    measurements: np.ndarray
-    estimates: np.ndarray
-    truth: np.ndarray
-    out_dir: Path
-
-
 def _check_scenario_fits(config: ExperimentConfig, scenario: Scenario) -> None:
     """The scenario has a trajectory to track, and a variance method's first
     window fits in its calibration rounds."""
@@ -392,15 +380,26 @@ def evaluate_method(
 ) -> Evaluation:
     """The pure pipeline: selection, statistics, imaging, tracking, metrics.
 
-    The trace's mode must be the method's; the scenario's is not read. A
-    prebuilt reconstructor for the scenario's grid and layout may be passed
-    to skip the solve.
+    The trace's mode must be the method's; the scenario's is not read. The
+    trace must span the scenario's ticks and carry no channel the scenario
+    does not list. A prebuilt reconstructor for the scenario's grid and
+    layout may be passed to skip the solve.
     """
     mode = mode_for_method(config.method)
     if trace.mode != mode:
         raise PhaseError(
             f"statistics: trace has no records for {config.method}, which needs "
             f"mode {mode!r}; the trace's mode is {trace.mode!r}"
+        )
+    if trace.num_ticks != scenario.total_ticks:
+        raise PhaseError(
+            f"trace: {trace.num_ticks} ticks, the scenario has {scenario.total_ticks}"
+        )
+    extra = sorted({key[2] for key in trace.streams} - {None, *scenario.channels})
+    if extra:
+        raise PhaseError(
+            f"trace: channels {extra} are not among the scenario's "
+            f"{list(scenario.channels)}"
         )
     _check_scenario_fits(config, scenario)
     truth = _checked_truth(truth, scenario)
@@ -493,6 +492,25 @@ def evaluate_method(
     )
 
 
+def simulate_run(scenario: Scenario, params: PropagationParams):
+    """`simulate`, with any failure raised as a PhaseError naming the phase."""
+    try:
+        return simulate(scenario, params)
+    except Exception as exc:
+        raise PhaseError(f"simulate: {exc}") from exc
+
+
+def record_run(scenario: Scenario, params: PropagationParams, out_dir):
+    """`simulate_run`, then `trace.csv` and `truth.csv` in `out_dir` before
+    anything else runs, so a later failure leaves them on disk."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace, truth = simulate_run(scenario, params)
+    write_trace_file(out_dir / "trace.csv", trace)
+    write_truth_file(out_dir / "truth.csv", truth, first_tick=scenario.calibration_rounds)
+    return trace, truth
+
+
 def compare(
     scenario: Scenario,
     params: PropagationParams,
@@ -514,10 +532,7 @@ def compare(
     for config in configs:
         mode = mode_for_method(config.method)
         if mode not in runs:
-            try:
-                runs[mode] = simulate(replace(scenario, mode=mode), params)
-            except Exception as exc:
-                raise PhaseError(f"simulate: {exc}") from exc
+            runs[mode] = simulate_run(replace(scenario, mode=mode), params)
         rec = reconstructor
         if rec is None:
             if config.imaging not in reconstructors:
@@ -530,64 +545,51 @@ def compare(
     return evaluations
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> Evaluation:
+    """Simulate the config's scenario in the method's mode, evaluate the
+    method on it and write every artefact into `config.out_dir`."""
     # A missing, unreadable or malformed scenario file is a configuration
     # problem: it propagates as a ScenarioError, not a PhaseError.
     scenario, params = read_scenario_file(config.scenario)
-
-    mode = mode_for_method(config.method)
-    scenario = replace(scenario, mode=mode)
+    scenario = replace(scenario, mode=mode_for_method(config.method))
     if config.seed is not None:
         scenario = replace(scenario, seed=config.seed)
     _check_scenario_fits(config, scenario)
+    trace, truth = record_run(scenario, params, config.out_dir)
+    evaluation = evaluate_method(config, scenario, params, trace, truth)
+    write_evaluation(config.out_dir, config, scenario, evaluation, truth)
+    return evaluation
+
+
+def write_evaluation(
+    out_dir, config: ExperimentConfig, scenario: Scenario, evaluation: Evaluation, truth
+) -> None:
+    """An evaluation's artefacts in `out_dir`: `selection.txt` (dRTI),
+    `stats.csv`, `trajectory.csv`, `images/` (if the config asks for them)
+    and `metrics.json`, written last so that it marks a complete run."""
+    out_dir = Path(out_dir)
     cal = scenario.calibration_rounds
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
-        trace, truth = simulate(scenario, params)
-    except Exception as exc:
-        raise PhaseError(f"simulate: {exc}") from exc
-    # Flush phase outputs as they become available so a later phase failure
-    # leaves the completed artefacts on disk.
-    write_trace_file(out_dir / "trace.csv", trace)
-    write_truth_file(out_dir / "truth.csv", truth, first_tick=cal)
-
-    ev = evaluate_method(config, scenario, params, trace, truth)
-
-    try:
-        if ev.selection is not None:
-            write_selection_file(out_dir / "selection.txt", ev.selection)
-        _write_stats(out_dir / "stats.csv", scenario, ev.stats, cal)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if evaluation.selection is not None:
+            write_selection_file(out_dir / "selection.txt", evaluation.selection)
+        _write_stats(out_dir / "stats.csv", scenario, evaluation.stats, cal)
         ticks = range(cal, cal + scenario.rounds)
-        rows = zip(ticks, *ev.estimates.T, *truth.T, ev.errors)
+        rows = zip(ticks, *evaluation.estimates.T, *truth.T, evaluation.errors)
         write_trajectory(out_dir / "trajectory.csv", rows)
         if config.write_images:
             img_dir = out_dir / "images"
             img_dir.mkdir(exist_ok=True)
-            for t, values in enumerate(ev.images):
+            for t, values in enumerate(evaluation.images):
                 frame = ImageFrame(time=cal + t, values=values)
                 stem = f"frame_{cal + t:04d}"
                 write_frame_csv(img_dir / f"{stem}.csv", frame, scenario.grid)
                 write_frame_pgm(img_dir / f"{stem}.pgm", frame, scenario.grid)
         with open(out_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(ev.metrics, fh, indent=2, sort_keys=True)
+            json.dump(evaluation.metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise PhaseError(f"output: {exc}") from exc
-
-    return ExperimentResult(
-        config=config,
-        scenario=scenario,
-        params=params,
-        metrics=ev.metrics,
-        stats=ev.stats,
-        measurements=ev.measurements,
-        estimates=ev.estimates,
-        truth=truth,
-        out_dir=out_dir,
-    )
 
 
 def _write_stats(path, scenario: Scenario, stats: np.ndarray, first_tick: int) -> None:

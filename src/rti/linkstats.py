@@ -34,6 +34,7 @@ from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS, PatternPair
 StreamKey = tuple  # (tx_id, rx_id, channel | None, tx_dir | None, rx_dir | None)
 
 MODES = ("omni", "multichannel", "directional")
+VALID_CHANNELS = (11, 15, 18, 21, 26)
 
 
 class InsufficientWindowError(ValueError):
@@ -57,6 +58,8 @@ def check_stream(key: StreamKey, mode: str) -> None:
     has_pattern = tx_dir is not None or rx_dir is not None
     if channel is not None and has_pattern:
         raise ValueError("a stream cannot carry both channel and pattern fields")
+    if channel is not None and channel not in VALID_CHANNELS:
+        raise ValueError(f"channel {channel} outside supported set {VALID_CHANNELS}")
     if has_pattern and (tx_dir is None or rx_dir is None):
         raise ValueError("pattern streams need both tx_dir and rx_dir")
     if has_pattern and not (1 <= tx_dir <= NUM_DIRECTIONS and 1 <= rx_dir <= NUM_DIRECTIONS):

@@ -56,9 +56,8 @@ from .geometry import (
     ellipse_contains,
     segments_intersect,
 )
-from .linkstats import MODES, RssTrace, stream_kinds
+from .linkstats import MODES, VALID_CHANNELS, RssTrace, stream_kinds
 
-VALID_CHANNELS = (11, 15, 18, 21, 26)
 DEFAULT_CHANNELS = (11, 15, 18, 21)
 
 # Streams per group in `simulate`: whole links are simulated together up to

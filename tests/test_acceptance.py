@@ -467,13 +467,13 @@ def test_criterion_10_rerun_is_byte_identical(tmp_path):
             tracking=COMPARISON_TRACKING,
             write_images=True,
         )
-        result = run_experiment(config)
+        run_experiment(config)
         files = sorted(
-            p.relative_to(result.out_dir)
-            for p in result.out_dir.rglob("*")
+            p.relative_to(config.out_dir)
+            for p in config.out_dir.rglob("*")
             if p.is_file()
         )
-        outputs.append({str(p): (result.out_dir / p).read_bytes() for p in files})
+        outputs.append({str(p): (config.out_dir / p).read_bytes() for p in files})
     same = outputs[0] == outputs[1]
     names = sorted(outputs[0])
     ok = same and "trace.csv" in names and "metrics.json" in names

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import rti.experiment
 from rti.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from rti.geometry import NetworkLayout, NodeSpec, build_grid
 from rti.simulator import (
@@ -65,6 +66,16 @@ def test_simulate_writes_trace_and_truth(tmp_path, scenario_file, capsys):
     stdout = capsys.readouterr().out
     assert "mode: omni" in stdout
     assert "ticks: 10 (4 calibration)" in stdout
+
+
+def test_simulate_failure_exits_3_naming_the_phase(tmp_path, scenario_file, monkeypatch, capsys):
+    def failing(scenario, params):
+        raise ValueError("radio on fire")
+
+    monkeypatch.setattr(rti.experiment, "simulate", failing)
+    code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "sim")])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: simulate: radio on fire\n"
 
 
 def test_simulate_missing_scenario_is_a_config_error(tmp_path, capsys):

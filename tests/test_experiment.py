@@ -26,6 +26,7 @@ from rti.experiment import (
     compute_stat_matrix,
     run_experiment,
     streams_for_method,
+    write_evaluation,
 )
 from rti.geometry import PATTERN_PAIRS, NetworkLayout, NodeSpec, build_grid, build_weight_matrix
 from rti.imaging import build_reconstructor
@@ -53,9 +54,11 @@ from rti.simulator import (
     Scenario,
     Trajectory,
     Wall,
+    read_scenario_file,
     simulate,
     write_scenario_file,
 )
+from rti.traceio import read_trace_file, read_truth_file
 
 import eval_oracles
 
@@ -326,7 +329,6 @@ def test_seed_override_reaches_the_simulation(tmp_path):
     config = make_config(tmp_path, scenario, QUIET, seed=7)
     result = run_experiment(config)
     assert result.metrics["seed"] == 7
-    assert result.scenario.seed == 7
 
 
 def test_variance_window_must_fit_calibration(tmp_path):
@@ -349,8 +351,8 @@ def test_experiment_writes_the_full_artefact_set(tmp_path):
         method="dRTI-mean",
         write_images=True,
     )
-    result = run_experiment(config)
-    out = result.out_dir
+    run_experiment(config)
+    out = config.out_dir
     for name in ("trace.csv", "truth.csv", "stats.csv", "trajectory.csv",
                  "metrics.json", "selection.txt"):
         assert (out / name).exists(), name
@@ -378,8 +380,8 @@ def test_rerun_is_byte_identical(tmp_path):
         config = ExperimentConfig(
             scenario=scen_path, method="mRTI", out_dir=tmp_path / tag
         )
-        result = run_experiment(config)
-        blobs.append({n: (result.out_dir / n).read_bytes() for n in names})
+        run_experiment(config)
+        blobs.append({n: (config.out_dir / n).read_bytes() for n in names})
     assert blobs[0] == blobs[1]
 
 
@@ -387,7 +389,7 @@ def test_stats_csv_matches_in_memory_statistics(tmp_path):
     scenario = square_scenario(rounds=5, cal=4)
     config = make_config(tmp_path, scenario, QUIET)
     result = run_experiment(config)
-    lines = (result.out_dir / "stats.csv").read_text().strip().splitlines()
+    lines = (config.out_dir / "stats.csv").read_text().strip().splitlines()
     assert lines[0] == "tick,tx_id,rx_id,stat"
     assert len(lines) == 1 + scenario.rounds * scenario.layout.num_links
     tick, tx, rx, stat = lines[1].split(",")
@@ -402,7 +404,7 @@ def test_trajectory_file_agrees_with_reported_rmse(tmp_path):
     result = run_experiment(config)
     rows = [
         line.split(",")
-        for line in (result.out_dir / "trajectory.csv").read_text().strip().splitlines()[1:]
+        for line in (config.out_dir / "trajectory.csv").read_text().strip().splitlines()[1:]
     ]
     err = np.array([float(r[-1]) for r in rows])
     assert math.sqrt(np.mean(err**2)) == pytest.approx(
@@ -807,6 +809,59 @@ def test_compare_names_the_simulate_phase(monkeypatch):
         compare(square_scenario(rounds=3, cal=4), QUIET, [in_memory("mRTI")])
 
 
+def test_run_experiment_simulates_once_through_the_shared_step(
+    tmp_path, monkeypatch, count_simulations
+):
+    steps = []
+    shared = experiment.simulate_run
+
+    def counting(scenario, params):
+        steps.append(scenario.mode)
+        return shared(scenario, params)
+
+    monkeypatch.setattr(experiment, "simulate_run", counting)
+    scenario = square_scenario(rounds=3, cal=4)
+    run_experiment(make_config(tmp_path, scenario, QUIET, method="dRTI-mean"))
+    assert steps == count_simulations == ["directional"]
+
+
+@pytest.mark.parametrize(
+    "factory, config",
+    [
+        (los_7node, replace(
+            comparison_config("dRTI-mean", SelectionConfig(method="fadelevel")),
+            write_images=True,
+        )),
+        (nlos_2node, comparison_config("mRTI")),
+        (nlos_2node, comparison_config("cRTI-var")),
+        (nlos_2node, comparison_config("dRTI-var", SelectionConfig(method="prr"))),
+    ],
+    ids=["los_7node-dRTI-mean-fadelevel", "nlos_2node-mRTI", "nlos_2node-cRTI-var",
+         "nlos_2node-dRTI-var-prr"],
+)
+def test_a_run_directory_reanalyses_to_itself_byte_for_byte(tmp_path, factory, config):
+    scen_path = tmp_path / "scenario.json"
+    write_scenario_file(scen_path, *factory(0))
+    run = tmp_path / "run"
+    run_experiment(replace(config, scenario=scen_path, out_dir=run))
+
+    scenario, params = read_scenario_file(scen_path)
+    scenario = replace(scenario, mode=mode_for_method(config.method))
+    trace = read_trace_file(run / "trace.csv")
+    _ticks, truth = read_truth_file(run / "truth.csv")
+    again = tmp_path / "again"
+    evaluation = evaluate_method(config, scenario, params, trace, truth)
+    write_evaluation(again, config, scenario, evaluation, truth)
+
+    recorded = {p.relative_to(run) for p in run.rglob("*") if p.is_file()}
+    written = {p.relative_to(again) for p in again.rglob("*") if p.is_file()}
+    assert written == recorded - {Path("trace.csv"), Path("truth.csv")}
+    frames = [p for p in written if p.parts[0] == "images"]
+    assert len(frames) == (2 * scenario.rounds if config.write_images else 0)
+    for name in sorted(written):
+        assert (again / name).read_bytes() == (run / name).read_bytes(), name
+
+
 # ------------------------------------------------------------ array stages
 
 
@@ -831,6 +886,34 @@ def test_non_finite_truth_is_a_truth_phase_error():
     truth[7, 1] = np.inf
     with pytest.raises(PhaseError, match=r"truth: row 7 \(tick 47\) is not finite"):
         evaluate_method(config, scenario, params, trace, truth)
+
+
+@pytest.mark.parametrize("extra_rounds", [20, -10])
+def test_a_trace_of_another_length_is_rejected_naming_both_counts(extra_rounds):
+    scenario, params = nlos_2node()
+    longer = replace(scenario, rounds=scenario.rounds + extra_rounds)
+    trace, truth = simulate(longer, params)
+    ticks = scenario.total_ticks + extra_rounds
+    with pytest.raises(PhaseError) as info:
+        evaluate_method(in_memory("dRTI-mean"), scenario, params, trace, truth)
+    assert str(info.value) == f"trace: {ticks} ticks, the scenario has {scenario.total_ticks}"
+
+
+def test_a_trace_with_channels_the_scenario_does_not_list_is_rejected(monkeypatch):
+    scenario, params = nlos_2node()
+    scenario = replace(scenario, mode="multichannel")
+    trace, truth = simulate(scenario, params)
+    assert scenario.channels == (11, 15, 18, 21)
+
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a phase ran")
+
+    monkeypatch.setattr(experiment, "streams_for_method", no_phase)
+    with pytest.raises(PhaseError) as info:
+        evaluate_method(
+            in_memory("cRTI-mean"), replace(scenario, channels=(11,)), params, trace, truth
+        )
+    assert str(info.value) == "trace: channels [15, 18, 21] are not among the scenario's [11]"
 
 
 def _same_evaluation(a, b) -> None:

@@ -86,6 +86,14 @@ def test_trace_rejects_malformed_columns():
         RssTrace("omni", math.nan, streams, np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("channel", [99, -5, 12])
+def test_trace_rejects_channels_outside_the_supported_set(channel):
+    streams = ((0, 1, 11, None, None), (0, 1, channel, None, None))
+    with pytest.raises(ValueError) as info:
+        RssTrace("multichannel", 0.0, streams, np.zeros((3, 2)))
+    assert str(info.value) == f"channel {channel} outside supported set (11, 15, 18, 21, 26)"
+
+
 def test_trace_rejects_pattern_directions_outside_the_antenna():
     for key in ((0, 1, None, 7, 1), (0, 1, None, 1, 0)):
         with pytest.raises(ValueError, match=r"^pattern directions must be in \[1, 6\]$"):

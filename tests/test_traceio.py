@@ -202,6 +202,16 @@ def test_reader_rejects_pattern_directions_outside_the_antenna(tmp_path, dirs):
     )
 
 
+def test_reader_rejects_a_channel_outside_the_supported_set(tmp_path):
+    rows = [
+        "0,0,1,multichannel,11,,,0.0,0,true,-50.0",
+        "0,0,1,multichannel,99,,,0.0,0,true,-51.0",
+    ]
+    assert rejection(tmp_path, rows) == (
+        "line 3: tick 0: channel 99 outside supported set (11, 15, 18, 21, 26)"
+    )
+
+
 def test_reader_rejects_half_pattern(tmp_path):
     rows = replaced(2, "0,0,1,directional,,1,,0.0,0,true,-50.0")
     assert rejection(tmp_path, rows) == (

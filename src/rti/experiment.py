@@ -382,8 +382,9 @@ def evaluate_method(
 
     The trace's mode must be the method's; the scenario's is not read. The
     trace must span the scenario's ticks and carry no channel the scenario
-    does not list. A prebuilt reconstructor for the scenario's grid and
-    layout may be passed to skip the solve.
+    does not list and no stream on a link its layout lacks. A prebuilt
+    reconstructor for the scenario's grid and layout may be passed to skip
+    the solve.
     """
     mode = mode_for_method(config.method)
     if trace.mode != mode:
@@ -400,6 +401,17 @@ def evaluate_method(
         raise PhaseError(
             f"trace: channels {extra} are not among the scenario's "
             f"{list(scenario.channels)}"
+        )
+    # `streams_for_method` reads the same memoised table.
+    table = stream_columns(
+        trace, tuple(scenario.layout.links), stream_kinds(mode, scenario.channels)
+    )
+    if np.count_nonzero(table >= 0) < len(trace.streams):
+        placed = np.zeros(len(trace.streams), dtype=bool)
+        placed[table[table >= 0]] = True
+        stray = trace.streams[int(np.argmin(placed))]
+        raise PhaseError(
+            f"trace: stream {format_stream(stray)} is not on a link of the scenario's layout"
         )
     _check_scenario_fits(config, scenario)
     truth = _checked_truth(truth, scenario)
@@ -504,10 +516,14 @@ def record_run(scenario: Scenario, params: PropagationParams, out_dir):
     """`simulate_run`, then `trace.csv` and `truth.csv` in `out_dir` before
     anything else runs, so a later failure leaves them on disk."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace, truth = simulate_run(scenario, params)
-    write_trace_file(out_dir / "trace.csv", trace)
-    write_truth_file(out_dir / "truth.csv", truth, first_tick=scenario.calibration_rounds)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # Raises only PhaseError, so an OSError here is the output's.
+        trace, truth = simulate_run(scenario, params)
+        write_trace_file(out_dir / "trace.csv", trace)
+        write_truth_file(out_dir / "truth.csv", truth, first_tick=scenario.calibration_rounds)
+    except OSError as exc:
+        raise PhaseError(f"output: {exc}") from exc
     return trace, truth
 
 

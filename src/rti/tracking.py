@@ -18,48 +18,25 @@ class InvalidStateError(ValueError):
 @dataclass(frozen=True)
 class KalmanParams:
     """Constant-velocity filter noise levels: q drives the white-acceleration
-    process noise, r the position measurement noise."""
+    process noise, r the position measurement noise. One step is one tick."""
 
     q: float = 0.05
     r: float = 0.5
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.q < 0 or self.r <= 0 or self.dt <= 0:
-            raise ValueError("need q >= 0, r > 0, dt > 0")
+        if self.q < 0 or self.r <= 0:
+            raise ValueError("need q >= 0, r > 0")
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, ...]:
         """(F, F.T, Q, r * I2, I4): the filter's constant matrices, built once
         per parameter set and read-only."""
-        F = _transition(self.dt)
-        Q = _process_noise(self.q, self.dt)
+        F = _transition()
+        Q = _process_noise(self.q)
         matrices = (F, F.T, Q, self.r * np.eye(2), np.eye(4))
         for m in matrices:
             m.flags.writeable = False
         return matrices
-
-
-@dataclass(frozen=True)
-class TrackState:
-    """Kalman state: [x, y, vx, vy] mean and covariance at one tick."""
-
-    time: int
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (4,) or cov.shape != (4, 4):
-            raise InvalidStateError("state needs a (4,) mean and (4, 4) covariance")
-        _check_covariance(cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (float(self.mean[0]), float(self.mean[1]))
 
 
 def _check_covariance(cov: np.ndarray) -> None:
@@ -69,32 +46,25 @@ def _check_covariance(cov: np.ndarray) -> None:
         raise InvalidStateError("covariance diagonal must be positive")
 
 
-def _transition(dt: float) -> np.ndarray:
+def _transition() -> np.ndarray:
     F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
+    F[0, 2] = 1.0
+    F[1, 3] = 1.0
     return F
 
 
-def _process_noise(q: float, dt: float) -> np.ndarray:
-    # White-noise acceleration model.
-    d4, d3, d2 = dt**4 / 4.0, dt**3 / 2.0, dt**2
+def _process_noise(q: float) -> np.ndarray:
+    # White-noise acceleration model over one tick.
     return q * np.array(
         [
-            [d4, 0.0, d3, 0.0],
-            [0.0, d4, 0.0, d3],
-            [d3, 0.0, d2, 0.0],
-            [0.0, d3, 0.0, d2],
+            [0.25, 0.0, 0.5, 0.0],
+            [0.0, 0.25, 0.0, 0.5],
+            [0.5, 0.0, 1.0, 0.0],
+            [0.0, 0.5, 0.0, 1.0],
         ]
     )
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-
-
-def kalman_init(measurement: Sequence[float], time: int = 0) -> TrackState:
-    """Start a track at the first measurement with zero velocity."""
-    mean = np.array([measurement[0], measurement[1], 0.0, 0.0])
-    return TrackState(time=time, mean=mean, cov=10.0 * np.eye(4))
 
 
 def _covariance_update(cov: np.ndarray, params: KalmanParams) -> tuple[np.ndarray, np.ndarray]:
@@ -113,26 +83,13 @@ def _mean_update(mean: np.ndarray, z: np.ndarray, F: np.ndarray, K: np.ndarray) 
     return mean + K @ (z - _H @ mean)
 
 
-def kalman_step(
-    state: TrackState,
-    measurement: Sequence[float],
-    params: KalmanParams = KalmanParams(),
-) -> TrackState:
-    """One predict/update cycle against a position measurement."""
-    z = np.asarray(measurement, dtype=float)
-    if z.shape != (2,):
-        raise ValueError("measurement must be a 2-D position")
-    cov, K = _covariance_update(state.cov, params)
-    mean = _mean_update(state.mean, z, params.matrices[0], K)
-    return TrackState(time=state.time + 1, mean=mean, cov=cov)
-
-
 @functools.lru_cache(maxsize=16)
 def kalman_gains(params: KalmanParams, steps: int) -> np.ndarray:
-    """The gains of ``steps`` `kalman_step` calls after `kalman_init`, shaped
-    (steps, 4, 2): they do not depend on the measurements, so one checked,
-    read-only sequence serves every track with these parameters."""
-    cov = kalman_init((0.0, 0.0)).cov
+    """The gains of the first ``steps`` updates after a track starts with
+    covariance 10 I, shaped (steps, 4, 2): they do not depend on the
+    measurements, so one checked, read-only sequence serves every track
+    with these parameters."""
+    cov = 10.0 * np.eye(4)
     gains = np.empty((steps, 4, 2))
     for i in range(steps):
         cov, gains[i] = _covariance_update(cov, params)
@@ -147,7 +104,7 @@ def track(measurements: np.ndarray, params: KalmanParams = KalmanParams()) -> np
     z = np.asarray(measurements, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2 or not len(z):
         raise ValueError(f"measurements must be (T, 2) positions, got {z.shape}")
-    mean = kalman_init(z[0]).mean
+    mean = np.array([z[0, 0], z[0, 1], 0.0, 0.0])
     out = [mean[:2]]
     for zt, gain in zip(z[1:], kalman_gains(params, len(z) - 1)):
         mean = _mean_update(mean, zt, params.matrices[0], gain)
@@ -156,46 +113,49 @@ def track(measurements: np.ndarray, params: KalmanParams = KalmanParams()) -> np
 
 
 class KalmanTracker:
-    """Feeds per-tick position measurements through the filter."""
+    """Feeds one position measurement per tick through the filter `track`
+    runs: the first starts the track at rest, each later one is a mean update
+    with the next of the shared `kalman_gains`."""
 
     def __init__(self, params: KalmanParams = KalmanParams()):
         self.params = params
-        self.state: TrackState | None = None
+        self.mean: np.ndarray | None = None
+        self.time: int | None = None
+        self.steps = 0
+        self.gains = np.empty((0, 4, 2))
 
     def update(self, measurement: Sequence[float], time: int) -> tuple[float, float]:
-        if self.state is None:
-            self.state = kalman_init(measurement, time)
+        """The filtered position after ``measurement`` at tick ``time``, which
+        must follow the previous update's tick by one."""
+        z = np.asarray(measurement, dtype=float)
+        if z.shape != (2,):
+            raise ValueError(f"measurement must be a 2-D position, got shape {z.shape}")
+        if self.mean is None:
+            self.mean = np.array([z[0], z[1], 0.0, 0.0])
         else:
-            self.state = kalman_step(self.state, measurement, self.params)
-        return self.state.position
+            if time != self.time + 1:
+                raise ValueError(f"tick {time} does not follow tick {self.time}")
+            if self.steps == len(self.gains):
+                self.gains = kalman_gains(self.params, max(64, 2 * len(self.gains)))
+            F = self.params.matrices[0]
+            self.mean = _mean_update(self.mean, z, F, self.gains[self.steps])
+            self.steps += 1
+        self.time = time
+        return (float(self.mean[0]), float(self.mean[1]))
 
 
 # ---------------------------------------------------------------- metrics
 
 
-def rmse(
-    estimates: np.ndarray,
-    truth: np.ndarray,
-    window: tuple[int, int] | None = None,
-) -> float:
-    """Root-mean-square position error.
-
-    ``estimates`` and ``truth`` align tick-for-tick; ``window`` selects the
-    half-open tick range [t_c, t_d), so the divisor equals the number of
-    samples.
-    """
+def rmse(estimates: np.ndarray, truth: np.ndarray) -> float:
+    """Root-mean-square position error of (T, 2) ``estimates`` against
+    ``truth``, aligned tick for tick."""
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape or est.ndim != 2 or est.shape[1] != 2:
         raise ValueError("estimates and truth must both be (T, 2) arrays")
-    if window is not None:
-        t_c, t_d = window
-        if not 0 <= t_c < t_d <= est.shape[0]:
-            raise ValueError(f"window ({t_c}, {t_d}) outside [0, {est.shape[0]}]")
-        est = est[t_c:t_d]
-        tru = tru[t_c:t_d]
     if est.shape[0] == 0:
-        raise ValueError("empty evaluation window")
+        raise ValueError("no positions to compare")
     errors = np.hypot(est[:, 0] - tru[:, 0], est[:, 1] - tru[:, 1])
     return float(np.sqrt(np.mean(errors**2)))
 

@@ -27,7 +27,7 @@ from rti.linkstats import (
     omni_stream,
     pattern_stream,
 )
-from rti.tracking import _H, KalmanParams, TrackState, kalman_init
+from rti.tracking import _H, KalmanParams
 from stat_oracles import batch_window_variance, calibrate
 
 
@@ -173,39 +173,44 @@ def argmax_voxel(frame: ImageFrame, grid: VoxelGrid) -> tuple[float, float]:
 
 
 def kalman_step(
-    state: TrackState,
+    state: tuple[np.ndarray, np.ndarray],
     measurement: Sequence[float],
     params: KalmanParams = KalmanParams(),
-) -> TrackState:
-    """One predict/update cycle against a position measurement."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One predict/update cycle of a (mean, covariance) state against a
+    position measurement."""
     z = np.asarray(measurement, dtype=float)
     if z.shape != (2,):
         raise ValueError("measurement must be a 2-D position")
     F, F_T, Q, R, I4 = params.matrices
-    mean = F @ state.mean
-    cov = F @ state.cov @ F_T + Q
+    mean, cov = state
+    mean = F @ mean
+    cov = F @ cov @ F_T + Q
     innovation = z - _H @ mean
     S = _H @ cov @ _H.T + R
     K = cov @ _H.T @ np.linalg.inv(S)
     mean = mean + K @ innovation
     cov = (I4 - K @ _H) @ cov
     cov = (cov + cov.T) / 2.0  # keep symmetry against float drift
-    return TrackState(time=state.time + 1, mean=mean, cov=cov)
+    return mean, cov
 
 
 class KalmanTracker:
-    """Feeds per-tick position measurements through the filter."""
+    """Feeds per-tick position measurements through the filter, starting at
+    the first measurement with zero velocity and covariance 10 I."""
 
     def __init__(self, params: KalmanParams = KalmanParams()):
         self.params = params
-        self.state: TrackState | None = None
+        self.state: tuple[np.ndarray, np.ndarray] | None = None
 
     def update(self, measurement: Sequence[float], time: int) -> tuple[float, float]:
         if self.state is None:
-            self.state = kalman_init(measurement, time)
+            mean = np.array([measurement[0], measurement[1], 0.0, 0.0])
+            self.state = (mean, 10.0 * np.eye(4))
         else:
             self.state = kalman_step(self.state, measurement, self.params)
-        return self.state.position
+        mean = self.state[0]
+        return (float(mean[0]), float(mean[1]))
 
 
 def track_per_tick(reconstructor, change, grid, tracking, first_tick):

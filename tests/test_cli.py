@@ -78,6 +78,20 @@ def test_simulate_failure_exits_3_naming_the_phase(tmp_path, scenario_file, monk
     assert capsys.readouterr().err == "error: simulate: radio on fire\n"
 
 
+@pytest.mark.parametrize("blocked", ["out", "trace.csv"])
+def test_simulate_output_failure_exits_3_naming_the_phase(tmp_path, scenario_file, blocked, capsys):
+    # An existing file where the run directory goes, or a directory where
+    # trace.csv goes.
+    out = tmp_path / "sim"
+    if blocked == "out":
+        out.write_text("")
+    else:
+        (out / "trace.csv").mkdir(parents=True)
+    code = main(["simulate", "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: output: ")
+
+
 def test_simulate_missing_scenario_is_a_config_error(tmp_path, capsys):
     code = main(
         ["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]

@@ -916,6 +916,26 @@ def test_a_trace_with_channels_the_scenario_does_not_list_is_rejected(monkeypatc
     assert str(info.value) == "trace: channels [15, 18, 21] are not among the scenario's [11]"
 
 
+def test_a_trace_with_streams_on_links_the_layout_lacks_is_rejected(monkeypatch):
+    scenario, params = nlos_2node()
+    scenario = replace(scenario, mode="omni")
+    trace, truth = simulate(scenario, params)
+    extra = RssTrace(
+        mode=trace.mode,
+        tx_power_dbm=trace.tx_power_dbm,
+        streams=(*trace.streams, omni_stream((0, 7)), omni_stream((7, 0))),
+        rssi=np.column_stack([trace.rssi, trace.rssi[:, :2]]),
+    )
+
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a phase ran")
+
+    monkeypatch.setattr(experiment, "streams_for_method", no_phase)
+    with pytest.raises(PhaseError) as info:
+        evaluate_method(in_memory("mRTI"), scenario, params, extra, truth)
+    assert str(info.value) == "trace: stream 0->7 omni is not on a link of the scenario's layout"
+
+
 def _same_evaluation(a, b) -> None:
     assert a.metrics == b.metrics
     for name in ("stats", "baseline", "images", "measurements", "estimates", "errors"):
@@ -959,7 +979,6 @@ def test_compare_prepares_each_trace_once(monkeypatch):
 
     monkeypatch.setattr(rti.imaging, "reconstruct", per_tick)
     monkeypatch.setattr(rti.imaging, "argmax_voxel", per_tick)
-    monkeypatch.setattr(rti.tracking, "kalman_step", per_tick)
     monkeypatch.setattr(rti.tracking.KalmanTracker, "update", per_tick)
     configs = [
         comparison_config(method, SelectionConfig(method=selector))

@@ -10,14 +10,13 @@ from rti.tracking import (
     InvalidStateError,
     KalmanParams,
     KalmanTracker,
-    TrackState,
     error_cdf,
     kalman_gains,
-    kalman_init,
-    kalman_step,
     rmse,
     track,
     write_trajectory,
+    _check_covariance,
+    _covariance_update,
     _process_noise,
     _transition,
 )
@@ -51,7 +50,7 @@ class ReferenceFilter:
         P = self.F @ self.P @ self.F.T + self.Q
         y = np.asarray(z) - self.H @ x
         S = self.H @ P @ self.H.T + self.R
-        K = P @ self.H.T @ np.linalg.inv(S)
+        self.K = K = P @ self.H.T @ np.linalg.inv(S)
         self.x = x + K @ y
         ImKH = np.eye(4) - K @ self.H
         self.P = ImKH @ P @ ImKH.T + K @ self.R @ K.T  # Joseph form
@@ -61,32 +60,32 @@ class ReferenceFilter:
 # ----------------------------------------------------------------- kalman
 
 
-def test_init_uses_first_measurement():
-    state = kalman_init((2.0, 3.0), time=5)
-    assert state.position == (2.0, 3.0)
-    assert state.mean[2] == 0.0 and state.mean[3] == 0.0
-    assert np.array_equal(state.cov, 10.0 * np.eye(4))
+def test_first_update_starts_the_track_at_rest():
+    tracker = KalmanTracker()
+    assert tracker.update((2.0, 3.0), time=5) == (2.0, 3.0)
+    assert np.array_equal(tracker.mean, [2.0, 3.0, 0.0, 0.0])
+    assert tracker.steps == 0
 
 
 def test_static_measurement_convergence():
-    params = KalmanParams(q=0.0, r=1e-9)
-    state = kalman_init((0.0, 0.0))
+    tracker = KalmanTracker(KalmanParams(q=0.0, r=1e-9))
+    tracker.update((0.0, 0.0), time=0)
     target = (4.0, -2.0)
-    for _ in range(50):
-        state = kalman_step(state, target, params)
-    assert state.position[0] == pytest.approx(target[0], abs=1e-6)
-    assert state.position[1] == pytest.approx(target[1], abs=1e-6)
+    for t in range(1, 51):
+        position = tracker.update(target, time=t)
+    assert position[0] == pytest.approx(target[0], abs=1e-6)
+    assert position[1] == pytest.approx(target[1], abs=1e-6)
 
 
 def test_huge_r_ignores_measurements():
-    params = KalmanParams(q=0.01, r=1e12)
-    state = kalman_init((1.0, 1.0))
+    tracker = KalmanTracker(KalmanParams(q=0.01, r=1e12))
+    tracker.update((1.0, 1.0), time=0)
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        state = kalman_step(state, rng.normal(50.0, 1.0, size=2), params)
+    for t in range(1, 21):
+        position = tracker.update(rng.normal(50.0, 1.0, size=2), time=t)
     # Prediction from a zero-velocity start stays near the initial position.
-    assert abs(state.position[0] - 1.0) < 0.1
-    assert abs(state.position[1] - 1.0) < 0.1
+    assert abs(position[0] - 1.0) < 0.1
+    assert abs(position[1] - 1.0) < 0.1
 
 
 def test_matches_reference_filter():
@@ -94,66 +93,99 @@ def test_matches_reference_filter():
     z0 = rng.normal(0, 1, 2)
     params = KalmanParams(q=0.05, r=0.5)
     ref = ReferenceFilter(z0, q=params.q, r=params.r)
-    state = kalman_init(z0)
-    for _ in range(100):
+    tracker = KalmanTracker(params)
+    tracker.update(z0, time=0)
+    for t in range(1, 101):
         z = rng.normal(0, 1, 2) + np.array([3.0, -1.0])
         expected = ref.step(z)
-        state = kalman_step(state, z, params)
-        assert np.max(np.abs(np.array(state.position) - expected)) < 1e-9
-    assert np.max(np.abs(state.cov - ref.P)) < 1e-9
+        position = tracker.update(z, time=t)
+        assert np.max(np.abs(np.array(position) - expected)) < 1e-9
+        assert np.max(np.abs(tracker.gains[t - 1] - ref.K)) < 1e-9
 
 
 def test_covariance_stays_spd_along_run():
-    rng = np.random.default_rng(13)
-    state = kalman_init((0.0, 0.0))
+    cov = 10.0 * np.eye(4)
     params = KalmanParams()
     for _ in range(200):
-        state = kalman_step(state, rng.normal(0, 2, 2), params)
-        assert np.max(np.abs(state.cov - state.cov.T)) <= 1e-9
-        np.linalg.cholesky(state.cov)  # raises if not positive definite
+        cov, _ = _covariance_update(cov, params)
+        assert np.max(np.abs(cov - cov.T)) <= 1e-9
+        np.linalg.cholesky(cov)  # raises if not positive definite
 
 
 def kalman_step_rebuilding(state, measurement, params):
-    """Oracle: kalman_step as it was when it rebuilt its constant matrices
-    on every call."""
+    """Oracle: one (mean, cov) predict/update cycle that rebuilds its
+    constant matrices and its covariance and gain on every call."""
+    mean, cov = state
     z = np.asarray(measurement, dtype=float)
-    F = _transition(params.dt)
-    mean = F @ state.mean
-    cov = F @ state.cov @ F.T + _process_noise(params.q, params.dt)
+    F = _transition()
+    mean = F @ mean
+    cov = F @ cov @ F.T + _process_noise(params.q)
     innovation = z - _H @ mean
     S = _H @ cov @ _H.T + params.r * np.eye(2)
     K = cov @ _H.T @ np.linalg.inv(S)
     mean = mean + K @ innovation
     cov = (np.eye(4) - K @ _H) @ cov
     cov = (cov + cov.T) / 2.0
-    return TrackState(time=state.time + 1, mean=mean, cov=cov)
+    return mean, cov
 
 
 @pytest.mark.parametrize(
-    "params", [KalmanParams(), KalmanParams(q=0.3, r=2.0, dt=0.5), KalmanParams(q=0.0)]
+    "params", [KalmanParams(), KalmanParams(q=0.3, r=2.0), KalmanParams(q=0.0)]
 )
-def test_step_with_cached_matrices_is_bit_identical(params):
+def test_tracker_is_bit_identical_to_the_per_step_filter(params):
+    # 300 steps take the tracker's gains through 64, 128, 256 and 512.
     rng = np.random.default_rng(17)
-    state = expected = kalman_init(rng.normal(0, 1, 2))
-    for _ in range(200):
+    z0 = rng.normal(0, 1, 2)
+    tracker = KalmanTracker(params)
+    assert tracker.update(z0, time=0) == tuple(z0)
+    expected = (np.array([z0[0], z0[1], 0.0, 0.0]), 10.0 * np.eye(4))
+    lengths = set()
+    for t in range(1, 301):
         z = rng.normal(0, 2, 2)
-        state = kalman_step(state, z, params)
+        position = tracker.update(z, time=t)
         expected = kalman_step_rebuilding(expected, z, params)
-        assert np.array_equal(state.mean, expected.mean)
-        assert np.array_equal(state.cov, expected.cov)
+        assert np.array_equal(position, expected[0][:2])
+        assert np.array_equal(tracker.mean, expected[0])
+        lengths.add(len(tracker.gains))
+    assert lengths == {64, 128, 256, 512}
     assert params.matrices is params.matrices
     assert not any(m.flags.writeable for m in params.matrices)
 
 
-def test_invalid_state_rejected():
+def test_tracker_needs_consecutive_ticks():
+    tracker = KalmanTracker()
+    tracker.update((0.0, 0.0), time=3)
+    tracker.update((0.1, 0.0), time=4)
+    for bad in (4, 6, 3):
+        with pytest.raises(ValueError, match=f"tick {bad} does not follow tick 4"):
+            tracker.update((0.2, 0.0), time=bad)
+    # A rejected update leaves the track where it was.
+    assert tracker.steps == 1
+    expected = track([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])[-1]
+    assert np.array_equal(tracker.update((0.2, 0.0), time=5), expected)
+
+
+def test_tracker_rejects_a_measurement_that_is_not_a_position():
+    tracker = KalmanTracker()
+    for bad in ((1.0,), (1.0, 2.0, 3.0), [[1.0, 2.0]], 1.0):
+        with pytest.raises(ValueError, match="measurement must be a 2-D position"):
+            tracker.update(bad, time=0)
+    tracker.update((1.0, 2.0), time=0)
+    with pytest.raises(ValueError, match="measurement must be a 2-D position"):
+        tracker.update(np.zeros(3), time=1)
+    assert tracker.steps == 0
+
+
+def test_check_covariance_rejects_unusable_covariances():
+    _check_covariance(10.0 * np.eye(4))
     bad_cov = np.eye(4)
     bad_cov[0, 1] = 0.5  # asymmetric
-    with pytest.raises(InvalidStateError):
-        TrackState(time=0, mean=np.zeros(4), cov=bad_cov)
+    with pytest.raises(InvalidStateError, match="not symmetric"):
+        _check_covariance(bad_cov)
     neg = np.eye(4)
     neg[2, 2] = -1.0
-    with pytest.raises(InvalidStateError):
-        TrackState(time=0, mean=np.zeros(4), cov=neg)
+    with pytest.raises(InvalidStateError, match="diagonal must be positive"):
+        _check_covariance(neg)
 
 
 def test_params_validation():
@@ -193,18 +225,9 @@ def test_rmse_mixed_errors():
     assert rmse(estimates, truth) == pytest.approx(math.sqrt(2.0))
 
 
-def test_rmse_window_is_half_open():
-    truth = np.zeros((4, 2))
-    estimates = np.array([[9.0, 0.0], [1.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
-    assert rmse(estimates, truth, window=(1, 3)) == pytest.approx(1.0)
-
-
-def test_rmse_rejects_empty_window():
-    truth = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        rmse(truth, truth, window=(2, 2))
-    with pytest.raises(ValueError):
-        rmse(truth, truth, window=(1, 9))
+def test_rmse_rejects_empty_input():
+    with pytest.raises(ValueError, match="no positions"):
+        rmse(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_rmse_rejects_shape_mismatch():

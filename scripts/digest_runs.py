@@ -1,0 +1,63 @@
+"""SHA-256 of every artefact the twelve comparison configs write.
+
+For each preset and seed, writes the scenario file, then runs
+`run_experiment` for mRTI, vRTI, cRTI-mean, cRTI-var, and dRTI-mean and
+dRTI-var under each selector, at the comparison settings, in a temporary
+directory; dRTI-mean with fade-level selection also writes its images. Prints
+one `sha256  preset/seed/config/file` line per file, sorted by path, so two trees
+that should give byte-identical runs can be compared with `diff`.
+
+    python scripts/digest_runs.py --presets los_7node nlos_7node --seeds 3
+"""
+
+import argparse
+import hashlib
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from rti.experiment import METHODS, SELECTION_METHODS, SelectionConfig, run_experiment
+from rti.presets import PRESETS, comparison_config
+from rti.simulator import write_scenario_file
+
+
+def comparison_runs():
+    """(label, config) of the twelve comparison configs."""
+    for method in METHODS:
+        if not method.startswith("dRTI"):
+            yield method, comparison_config(method)
+            continue
+        for selector in SELECTION_METHODS:
+            config = comparison_config(method, SelectionConfig(method=selector))
+            write_images = (method, selector) == ("dRTI-mean", "fadelevel")
+            yield f"{method}-{selector}", replace(config, write_images=write_images)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--presets", nargs="+", required=True, choices=sorted(PRESETS))
+    parser.add_argument("--seeds", type=int, nargs="+", required=True, help="scenario seeds")
+    args = parser.parse_args()
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for preset in args.presets:
+            for seed in args.seeds:
+                run_dir = root / preset / str(seed)
+                run_dir.mkdir(parents=True, exist_ok=True)
+                scenario_path = run_dir / "scenario.json"
+                write_scenario_file(scenario_path, *PRESETS[preset](seed))
+                for label, config in comparison_runs():
+                    run_experiment(replace(config, scenario=scenario_path, out_dir=run_dir / label))
+        for path in root.rglob("*"):
+            if path.is_file():
+                digests[path.relative_to(root).as_posix()] = hashlib.sha256(
+                    path.read_bytes()
+                ).hexdigest()
+    for name in sorted(digests):
+        print(f"{digests[name]}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ deterministic for a fixed config.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -175,11 +175,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         out_dir = resolve("out_dir")
     except KeyError as exc:
         raise ConfigError(f"config missing required field: {exc}") from exc
-    known = {
-        "scenario", "method", "out_dir", "selection", "imaging",
-        "tracking", "window", "seed", "write_images",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return ExperimentConfig(
@@ -231,22 +227,22 @@ def streams_for_method(
 
 
 def _link_sums(region: np.ndarray, columns: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    """Each link's sum over its live rows of a (streams, ticks) region,
-    shaped (links, ticks), in the order numpy sums a link's gathered
+    """Each link's sum over its live columns of a (ticks, streams) region,
+    shaped (ticks, links), in the order numpy sums a link's gathered
     (live streams, ticks) rows along axis 0: in sequence, or pairwise when
     the region is one tick long.
 
     Each link's live columns come first. Slot j of every link is gathered as
-    one (links, ticks) array with its dead entries zeroed; adding those is
+    one (ticks, links) array with its dead entries zeroed; adding those is
     exact, because every value is >= 0 or NaN. Gathering slot by slot keeps
-    no (links, k, ticks) block alive.
+    no (ticks, links, k) block alive.
     """
-    def term(j, rows=slice(None)):
-        part = region[columns[rows, j]]
-        part[dead[rows, j]] = 0.0
+    def term(j, links=slice(None)):
+        part = np.take(region, columns[links, j], axis=1)
+        part[:, dead[links, j]] = 0.0
         return part
 
-    if region.shape[1] != 1:
+    if region.shape[0] != 1:
         total = term(0)
         for j in range(1, columns.shape[1]):
             total += term(j)
@@ -254,8 +250,8 @@ def _link_sums(region: np.ndarray, columns: np.ndarray, dead: np.ndarray) -> np.
     sums = term(0)
     counts = np.count_nonzero(~dead, axis=1)
     for count in np.unique(counts[counts > 1]):
-        rows = np.flatnonzero(counts == count)
-        sums[rows] = _window_sum(lambda j: term(j, rows), 0, count)
+        links = np.flatnonzero(counts == count)
+        sums[:, links] = _window_sum(lambda j: term(j, links), 0, count)
     return sums
 
 
@@ -302,11 +298,12 @@ def compute_stat_matrix(
         per_stream = window_variance(trace, window)
     else:
         per_stream = calibration_deviation(trace, first_tick)
-    region = per_stream[:, first_tick : first_tick + num_ticks]
-    stats = np.ascontiguousarray(_link_sums(region, columns, dead).T)
+    stats = _link_sums(per_stream[first_tick : first_tick + num_ticks], columns, dead)
     # A silent link sums zeroed slots only: no evidence, and a zero baseline.
+    cal = _link_sums(per_stream[lag:first_tick], columns, dead)
     baseline = np.zeros(layout.num_links)
-    for i, link_cal in enumerate(_link_sums(per_stream[:, lag:first_tick], columns, dead)):
+    for i in range(layout.num_links):
+        link_cal = cal[:, i]
         valid = link_cal[~np.isnan(link_cal)]
         if valid.size == 0:
             raise PhaseError(
@@ -370,6 +367,20 @@ def scenario_reconstructor(scenario: Scenario, imaging: ImagingConfig):
         raise PhaseError(f"imaging: {exc}") from exc
 
 
+def _check_reconstructor(reconstructor, scenario: Scenario, imaging: ImagingConfig) -> None:
+    """A prebuilt reconstructor must fit the run; the ellipse excess it was
+    built with is not recorded, so it cannot be checked."""
+    compared = (
+        ("links", reconstructor.num_links, scenario.layout.num_links),
+        ("voxels", reconstructor.num_voxels, scenario.grid.num_voxels),
+        ("alpha", reconstructor.alpha, imaging.alpha),
+        ("regularizer", reconstructor.regularizer, imaging.regularizer),
+    )
+    wrong = [f"{key} {got!r}, the run has {want!r}" for key, got, want in compared if got != want]
+    if wrong:
+        raise PhaseError("imaging: prebuilt reconstructor has " + "; ".join(wrong))
+
+
 def evaluate_method(
     config: ExperimentConfig,
     scenario: Scenario,
@@ -383,8 +394,8 @@ def evaluate_method(
     The trace's mode must be the method's; the scenario's is not read. The
     trace must span the scenario's ticks and carry no channel the scenario
     does not list and no stream on a link its layout lacks. A prebuilt
-    reconstructor for the scenario's grid and layout may be passed to skip
-    the solve.
+    reconstructor for the scenario's grid and layout and the config's alpha
+    and regularizer may be passed to skip the solve.
     """
     mode = mode_for_method(config.method)
     if trace.mode != mode:
@@ -415,6 +426,8 @@ def evaluate_method(
         )
     _check_scenario_fits(config, scenario)
     truth = _checked_truth(truth, scenario)
+    if reconstructor is not None:
+        _check_reconstructor(reconstructor, scenario, config.imaging)
     cal = scenario.calibration_rounds
     selection = None
     if config.method.startswith("dRTI"):
@@ -435,13 +448,7 @@ def evaluate_method(
         trace, scenario.layout, config.method, scenario.channels, selection
     )
     stats, baseline = compute_stat_matrix(
-        trace,
-        scenario.layout,
-        config.method,
-        columns,
-        config.window,
-        cal,
-        scenario.rounds,
+        trace, scenario.layout, config.method, columns, config.window, cal, scenario.rounds
     )
     change = stats - baseline
 
@@ -451,6 +458,9 @@ def evaluate_method(
     try:
         images = reconstruct_images(reconstructor, change)
         measurements = argmax_positions(images, scenario.grid)
+    except Exception as exc:
+        raise PhaseError(f"imaging: {exc}") from exc
+    try:
         estimates = track(measurements, KalmanParams(config.tracking.q, config.tracking.r))
     except Exception as exc:
         raise PhaseError(f"tracking: {exc}") from exc
@@ -538,10 +548,13 @@ def compare(
     Each radio mode the configs need is simulated once, in the order the
     configs first need it, and shared by every config of that mode. Without
     a prebuilt reconstructor, one is built per distinct imaging config.
-    Every config is checked against the scenario before anything is simulated.
+    Every config is checked, also against a prebuilt reconstructor, before
+    anything is simulated.
     """
     for config in configs:
         _check_scenario_fits(config, scenario)
+        if reconstructor is not None:
+            _check_reconstructor(reconstructor, scenario, config.imaging)
     runs = {}
     reconstructors = {}
     evaluations = []
@@ -549,15 +562,10 @@ def compare(
         mode = mode_for_method(config.method)
         if mode not in runs:
             runs[mode] = simulate_run(replace(scenario, mode=mode), params)
-        rec = reconstructor
-        if rec is None:
-            if config.imaging not in reconstructors:
-                reconstructors[config.imaging] = scenario_reconstructor(
-                    scenario, config.imaging
-                )
-            rec = reconstructors[config.imaging]
-        trace, truth = runs[mode]
-        evaluations.append(evaluate_method(config, scenario, params, trace, truth, rec))
+        if reconstructor is None and config.imaging not in reconstructors:
+            reconstructors[config.imaging] = scenario_reconstructor(scenario, config.imaging)
+        rec = reconstructors.get(config.imaging, reconstructor)
+        evaluations.append(evaluate_method(config, scenario, params, *runs[mode], rec))
     return evaluations
 
 

@@ -16,7 +16,8 @@ NaN where a packet was lost. Every stream attempts one packet per tick, so
 the array has no holes other than lost packets.
 
 A trace's RSS array is read-only, so the arrays derived from it are computed
-once per trace and kept on it, shared by every config evaluated on it.
+once per trace and kept on it, shared by every config evaluated on it. They
+are (ticks, streams) like the trace: column s of each is stream s.
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ def per_trace(fn):
 
 @per_trace
 def carry_forward(trace: RssTrace) -> np.ndarray:
-    """Carry-forward RSS shaped (streams, ticks): a lost packet repeats the
+    """Carry-forward RSS shaped (ticks, streams): a lost packet repeats the
     stream's last reception, NaN before the first one."""
-    return forward_fill(np.ascontiguousarray(trace.rssi.T))
+    return forward_fill(trace.rssi)
 
 
 @per_trace
@@ -188,18 +189,18 @@ def sum_over_ticks(values: np.ndarray) -> np.ndarray:
 
 @per_trace
 def calibration_deviation(trace: RssTrace, first_tick: int) -> np.ndarray:
-    """|carry-forward RSS - calibration mean| per stream and tick, shaped
-    (streams, ticks). The mean is over the receptions of ticks [0,
+    """|carry-forward RSS - calibration mean| per tick and stream, shaped
+    (ticks, streams). The mean is over the receptions of ticks [0,
     first_tick), summed in tick order; NaN for a stream not heard there."""
     block = trace.rssi[:first_tick]
     with np.errstate(invalid="ignore"):
         means = sum_over_ticks(block) / np.count_nonzero(~np.isnan(block), axis=0)
-    return np.abs(carry_forward(trace) - means[:, None])
+    return np.abs(carry_forward(trace) - means)
 
 
 @per_trace
 def window_variance(trace: RssTrace, window: int) -> np.ndarray:
-    """`batch_window_variance` of the trace's carry-forward array."""
+    """`batch_window_variance` of the carry-forward array, (ticks, streams)."""
     return batch_window_variance(carry_forward(trace), window)
 
 
@@ -210,16 +211,11 @@ def stream_columns(trace: RssTrace, links: tuple, kinds: tuple) -> np.ndarray:
     # One pass over the streams: lookups in `RssTrace.column` raised dRTI peak RSS.
     row = {link: i for i, link in enumerate(links)}
     at = {kind: j for j, kind in enumerate(kinds)}
-    found = [
-        (i, j, col)
-        for col, (tx, rx, channel, tx_dir, rx_dir) in enumerate(trace.streams)
-        if (i := row.get((tx, rx))) is not None
-        and (j := at.get((channel, tx_dir, rx_dir))) is not None
-    ]
     table = np.full((len(links), len(kinds)), -1)
-    if found:
-        rows, slots, cols = zip(*found)
-        table[rows, slots] = cols
+    for col, (tx, rx, *kind) in enumerate(trace.streams):
+        i, j = row.get((tx, rx)), at.get(tuple(kind))
+        if i is not None and j is not None:
+            table[i, j] = col
     return table
 
 
@@ -263,50 +259,51 @@ def fn_fp_sweep(
 
 
 def forward_fill(values: np.ndarray) -> np.ndarray:
-    """Propagate the last non-NaN value forward along the last axis; leading
-    NaNs stay NaN."""
-    values = np.asarray(values, dtype=float)
-    idx = np.where(np.isnan(values), 0, np.arange(values.shape[-1]))
-    np.maximum.accumulate(idx, axis=-1, out=idx)
-    return np.take_along_axis(values, idx, axis=-1)
+    """A copy of ``values`` with each NaN replaced by the last non-NaN value
+    above it along the first (tick) axis; leading NaNs stay NaN."""
+    filled = np.array(values, dtype=float)
+    rows = filled[:, None] if filled.ndim == 1 else filled
+    for prev, row in zip(rows[:-1], rows[1:]):
+        np.copyto(row, prev, where=np.isnan(row))
+    return filled
 
 
-# Rows per block in `batch_window_variance`: a block's shifted slices and
-# accumulators stay in cache, and its temporaries small next to the output.
-VARIANCE_BLOCK_ROWS = 64
+# Columns per block in `batch_window_variance`. A block is copied out whole, so
+# its shifted slices are contiguous, and its temporaries stay in cache.
+VARIANCE_BLOCK_COLUMNS = 64
 
 
 def batch_window_variance(filled: np.ndarray, v: int) -> np.ndarray:
-    """Sample variance of the window ending at each tick, for stacked streams.
+    """Sample variance of the window ending at each tick, for each stream.
 
-    filled: (S, T) carry-forward matrix. Output (S, T) with NaN where the
+    filled: (T, S) carry-forward matrix. Output (T, S) with NaN where the
     window does not fit or contains unfilled values.
 
     The result is ``np.var(window, ddof=1)`` of every window bit for bit,
-    computed from the v shifted (rows, T - v + 1) slices of a block of rows
-    with np.var's float operations: the window sum in numpy's order
+    computed from the v shifted (T - v + 1, columns) slices of a block of
+    columns with np.var's float operations: the window sum in numpy's order
     (`_window_sum`) over v, the deviations from that mean, their squares,
     and their sum in the same order over v - 1.
     """
     if v < 2:
         raise InsufficientWindowError("window length must be >= 2")
-    s, t = filled.shape
-    out = np.full((s, t), np.nan)
+    t, s = filled.shape
+    out = np.full((t, s), np.nan)
     if t < v:
         return out
     w = t - v + 1
-    for i in range(0, s, VARIANCE_BLOCK_ROWS):
-        block = filled[i : i + VARIANCE_BLOCK_ROWS]
-        mean = _window_sum(lambda j: block[:, j : j + w], 0, v)
+    for i in range(0, s, VARIANCE_BLOCK_COLUMNS):
+        block = np.ascontiguousarray(filled[:, i : i + VARIANCE_BLOCK_COLUMNS])
+        mean = _window_sum(lambda j: block[j : j + w], 0, v)
         mean /= v
 
         def square(j):
-            deviation = block[:, j : j + w] - mean
+            deviation = block[j : j + w] - mean
             deviation *= deviation
             return deviation
 
         total = _window_sum(square, 0, v)
-        np.divide(total, v - 1, out=out[i : i + VARIANCE_BLOCK_ROWS, v - 1 :])
+        np.divide(total, v - 1, out=out[v - 1 :, i : i + VARIANCE_BLOCK_COLUMNS])
     return out
 
 

@@ -209,18 +209,12 @@ def generate_trajectory(
     seg = np.diff(points, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
     cumulative = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = float(cumulative[-1])
-    out = np.empty((num_ticks, 2))
-    for t in range(num_ticks):
-        s = min(speed * t, total)
-        i = int(np.searchsorted(cumulative, s, side="right") - 1)
-        i = min(i, len(seg) - 1)
-        if seg_len[i] == 0.0:
-            out[t] = points[i]
-        else:
-            frac = (s - cumulative[i]) / seg_len[i]
-            out[t] = points[i] + frac * seg[i]
-    return out
+    walked = np.minimum(speed * np.arange(num_ticks), cumulative[-1])
+    i = np.minimum(np.searchsorted(cumulative, walked, side="right") - 1, len(seg) - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (walked - cumulative[i]) / seg_len[i]
+    # A zero-length segment holds its start point.
+    return np.where((seg_len[i] == 0.0)[:, None], points[i], points[i] + frac[:, None] * seg[i])
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,11 @@ from rti.linkstats import (
     StreamKey,
     channel_stream,
     format_stream,
-    forward_fill,
     omni_stream,
     pattern_stream,
 )
 from rti.tracking import _H, KalmanParams
-from stat_oracles import batch_window_variance, calibrate
+from stat_oracles import batch_window_variance, calibrate, forward_fill
 
 
 def streams_for_method(

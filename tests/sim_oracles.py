@@ -6,8 +6,9 @@ tables, draws each stream's series in two calls, and runs the physics and
 the drift recursion over groups of whole links. These loops are the forms
 they replaced, kept as oracles: one scalar `ellipse_contains` per cell, and
 per stream its own gains, a generator seeded from the int list of the
-seeding contract, five draw calls and a tick-by-tick drift. The shipped
-code must reproduce them bit for bit.
+seeding contract, five draw calls and a tick-by-tick drift.
+`generate_trajectory` walks the path one tick at a time. The shipped code
+must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,38 @@ from rti.geometry import (
     segments_intersect,
 )
 from rti.linkstats import RssTrace
-from rti.simulator import AntennaGainModel, generate_trajectory, reception_probability
+from rti.simulator import AntennaGainModel, Trajectory, reception_probability
+
+
+def generate_trajectory(
+    waypoints, speed: float, num_ticks: int
+) -> np.ndarray:
+    """Positions at ticks 0..num_ticks-1 along the waypoint path.
+
+    The walker moves at constant speed along the polyline and holds the last
+    waypoint once the path is exhausted.
+    """
+    traj = Trajectory(tuple((float(x), float(y)) for x, y in waypoints), speed)
+    if num_ticks < 1:
+        raise ValueError("num_ticks must be >= 1")
+    points = np.asarray(traj.waypoints, dtype=float)
+    if len(points) == 1 or speed == 0.0:
+        return np.tile(points[0], (num_ticks, 1))
+    seg = np.diff(points, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cumulative = np.concatenate([[0.0], np.cumsum(seg_len)])
+    total = float(cumulative[-1])
+    out = np.empty((num_ticks, 2))
+    for t in range(num_ticks):
+        s = min(speed * t, total)
+        i = int(np.searchsorted(cumulative, s, side="right") - 1)
+        i = min(i, len(seg) - 1)
+        if seg_len[i] == 0.0:
+            out[t] = points[i]
+        else:
+            frac = (s - cumulative[i]) / seg_len[i]
+            out[t] = points[i] + frac * seg[i]
+    return out
 
 
 def stream_kinds(scenario):

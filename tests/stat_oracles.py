@@ -1,13 +1,14 @@
 """Scalar reference formulas for the link statistics and the metrics.
 
 The pipeline computes every statistic in `rti.experiment.compute_stat_matrix`
-over whole (streams, ticks) arrays, and the detection sweep and error CDF as
+over whole (ticks, streams) arrays, and the detection sweep and error CDF as
 array counts. These per-observation formulas and loops are the definitions
 those arrays must reproduce; tests use them as oracles. `calibrate` is the
 per-stream calibration the pipeline used before each trace kept its own
-calibration means. `batch_window_variance` is the `np.var` form that
-`rti.linkstats.batch_window_variance` replaced; the shipped function must
-match it bit for bit. `fn_fp_sweep_broadcast` is the sweep that compared
+calibration means. `forward_fill` and `batch_window_variance` are the
+(streams, ticks) forms, an index-array fill and `np.var`, that
+`rti.linkstats` replaced with tick-major ones; the shipped functions must
+match them bit for bit on the transposed arrays. `fn_fp_sweep_broadcast` is the sweep that compared
 every threshold with every observation, before the counts came from sorted
 observations.
 """
@@ -80,6 +81,15 @@ def calibrate(
         )
     means = {s: float(sums[column[s]] / counts[column[s]]) for s in wanted}
     return CalibrationTable(window=(t1, t2), means=means)
+
+
+def forward_fill(values: np.ndarray) -> np.ndarray:
+    """Propagate the last non-NaN value forward along the last axis; leading
+    NaNs stay NaN."""
+    values = np.asarray(values, dtype=float)
+    idx = np.where(np.isnan(values), 0, np.arange(values.shape[-1]))
+    np.maximum.accumulate(idx, axis=-1, out=idx)
+    return np.take_along_axis(values, idx, axis=-1)
 
 
 def batch_window_variance(filled: np.ndarray, v: int) -> np.ndarray:

@@ -253,10 +253,9 @@ def test_criterion_04_directional_variance_response_outgrows_omni():
             mask = obstructed_mask(scenario.layout, truth, params.person_lambda_m)
             obstructed = mask[:, scenario.layout.links.index((0, 1))]
             cols = [i for i, key in enumerate(trace.streams) if key[:2] == (0, 1)]
-            filled = np.stack([forward_fill(trace.rssi[:, i]) for i in cols])
-            var = batch_window_variance(filled, 10)
-            tracking = var[:, scenario.calibration_rounds :]
-            per_mode[mode] = float(np.nanmean(tracking[:, obstructed]))
+            var = batch_window_variance(forward_fill(trace.rssi[:, cols]), 10)
+            tracking = var[scenario.calibration_rounds :]
+            per_mode[mode] = float(np.nanmean(tracking[obstructed]))
         ratio = per_mode["directional"] / per_mode["omni"]
         ratios.append(ratio)
         wins += ratio > 1.5

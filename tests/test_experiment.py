@@ -553,17 +553,58 @@ def test_silent_link_contributes_no_evidence(tmp_path):
 
 
 def test_tracking_failure_names_the_phase():
-    # A prebuilt reconstructor for a three-node layout cannot image the
-    # square's twelve links.
+    # Process noise this large overflows the filter's covariance.
     scenario = square_scenario(rounds=3, cal=4)
     trace, truth = simulate(scenario, QUIET)
-    other = NetworkLayout(square_layout().nodes[:3])
-    weights = build_weight_matrix(scenario.grid, other, 0.5)
-    reconstructor = build_reconstructor(weights, 5.0, "identity")
     config = ExperimentConfig(
-        scenario=Path("unused"), method="mRTI", out_dir=Path("unused")
+        scenario=Path("unused"), method="mRTI", out_dir=Path("unused"),
+        tracking=TrackingConfig(q=1e308),
     )
-    with pytest.raises(PhaseError, match="tracking: expected 6 link statistics"):
+    with pytest.raises(PhaseError, match="^tracking: "):
+        evaluate_method(config, scenario, QUIET, trace, truth)
+
+
+@pytest.mark.parametrize("stage", ["reconstruct_images", "argmax_positions"])
+def test_imaging_failure_names_the_phase(monkeypatch, stage):
+    def failing(*args):
+        raise ValueError("no image")
+
+    monkeypatch.setattr(experiment, stage, failing)
+    scenario = square_scenario(rounds=3, cal=4)
+    trace, truth = simulate(scenario, QUIET)
+    config = ExperimentConfig(scenario=Path("unused"), method="mRTI", out_dir=Path("unused"))
+    with pytest.raises(PhaseError, match="^imaging: no image$"):
+        evaluate_method(config, scenario, QUIET, trace, truth)
+
+
+def square_reconstructor(scenario, layout=None, grid=None, alpha=5.0, regularizer="difference"):
+    """A reconstructor for the square scenario at the default imaging
+    settings, or for another layout, grid, alpha or regularizer."""
+    grid = grid or scenario.grid
+    weights = build_weight_matrix(grid, layout or scenario.layout, 1.5)
+    return build_reconstructor(weights, alpha, regularizer, grid=grid)
+
+
+@pytest.mark.parametrize(
+    "mismatch, message",
+    [
+        ({"layout": NetworkLayout(square_layout().nodes[:3])}, "links 6, the run has 12"),
+        ({"grid": build_grid((0.0, 0.0), 3.0, 3.0, 0.3)}, "voxels 100, the run has 225"),
+        ({"alpha": 1.0}, "alpha 1.0, the run has 5.0"),
+        ({"regularizer": "identity"}, "regularizer 'identity', the run has 'difference'"),
+    ],
+)
+def test_prebuilt_reconstructor_must_match_the_run(monkeypatch, mismatch, message):
+    scenario = square_scenario(mode="directional", rounds=3, cal=4)
+    trace, truth = simulate(scenario, QUIET)
+    reconstructor = square_reconstructor(scenario, **mismatch)
+    config = in_memory("dRTI-mean", selection=SelectionConfig(method="fadelevel"))
+
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a phase ran before the reconstructor was checked")
+
+    monkeypatch.setattr(experiment, "select_for_layout", no_phase)
+    with pytest.raises(PhaseError, match="^imaging: prebuilt reconstructor has " + message):
         evaluate_method(config, scenario, QUIET, trace, truth, reconstructor)
 
 
@@ -774,10 +815,20 @@ def test_compare_builds_one_reconstructor_per_imaging_config(monkeypatch):
     assert built == [(5.0, "difference"), (25.0, "identity")]
     built.clear()
     reconstructor = build_reconstructor(
-        build_weight_matrix(scenario.grid, scenario.layout, 1.5), 5.0, "identity"
+        build_weight_matrix(scenario.grid, scenario.layout, 0.8), 25.0, "identity"
     )
-    compare(scenario, QUIET, configs, reconstructor)
+    compare(scenario, QUIET, [replace(c, imaging=COMPARISON_IMAGING) for c in configs],
+            reconstructor)
     assert built == []
+
+
+def test_compare_checks_a_prebuilt_reconstructor_before_simulating(count_simulations):
+    scenario = square_scenario(rounds=3, cal=4)
+    reconstructor = square_reconstructor(scenario)
+    configs = [in_memory("mRTI"), in_memory("cRTI-mean", imaging=COMPARISON_IMAGING)]
+    with pytest.raises(PhaseError, match="imaging: .*alpha 5.0, the run has 25.0"):
+        compare(scenario, QUIET, configs, reconstructor)
+    assert count_simulations == []
 
 
 def test_compare_simulates_a_shared_mode_once(count_simulations):

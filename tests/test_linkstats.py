@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stat_oracles
-from rti.geometry import PatternPair
+from rti.geometry import PATTERN_PAIRS, PatternPair
 from rti.linkstats import (
     InsufficientWindowError,
     RssTrace,
@@ -25,7 +25,7 @@ from rti.linkstats import (
     stream_kinds,
     window_variance,
 )
-from rti.presets import los_7node, nlos_7node
+from rti.presets import los_7node, nlos_7node, ring_layout
 from rti.simulator import simulate
 from stat_oracles import (
     CalibrationTable,
@@ -428,33 +428,52 @@ def test_forward_fill_carries_last_received():
     assert list(filled[1:]) == [-50.0, -50.0, -50.0, -60.0]
 
 
-def test_forward_fill_works_per_stream_row():
-    values = np.array([[np.nan, -50.0, np.nan], [-40.0, np.nan, -41.0]])
+def test_forward_fill_works_per_stream_column():
+    values = np.array([[np.nan, -40.0], [-50.0, np.nan], [np.nan, -41.0]])
     filled = forward_fill(values)
-    for row, want in zip(filled, values):
-        np.testing.assert_array_equal(row, forward_fill(want))
+    for col, want in zip(filled.T, values.T):
+        np.testing.assert_array_equal(col, forward_fill(want))
     assert filled.flags.c_contiguous
+    assert np.isnan(values[2, 0])  # the input is not filled in place
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_forward_fill_matches_the_index_array_fill():
+    # Leading NaNs, streams never heard, and one or no tick.
+    rng = np.random.default_rng(13)
+    for ticks, streams in ((1, 5), (0, 3), (2, 1), (140, 300)):
+        raw = rng.normal(-55.0, 4.0, (ticks, streams))
+        raw[rng.random(raw.shape) < 0.3] = np.nan
+        raw[:, ::7] = np.nan
+        for col in range(1, streams, 5):
+            raw[: rng.integers(0, ticks + 1), col] = np.nan
+        assert same_bits(forward_fill(raw), stat_oracles.forward_fill(raw.T).T)
+        for col in raw.T:
+            assert same_bits(forward_fill(col), stat_oracles.forward_fill(col))
 
 
 def test_stream_series_window_carry_forward():
     raw = np.array([-50.0, -52.0, np.nan, np.nan, -58.0, -58.0])
-    var = batch_window_variance(forward_fill(raw)[None, :], 5)
-    assert var[0, 4] == vrti_stat([-50.0, -52.0, -52.0, -52.0, -58.0])
+    var = batch_window_variance(forward_fill(raw)[:, None], 5)
+    assert var[4, 0] == vrti_stat([-50.0, -52.0, -52.0, -52.0, -58.0])
 
 
 def test_stream_series_window_before_first_reception():
     # The first full window starts at the first reception, tick 3.
     raw = np.array([np.nan, np.nan, np.nan, -50.0, np.nan, -51.0])
-    var = batch_window_variance(forward_fill(raw)[None, :], 3)
-    assert np.isnan(var[0, :5]).all()
-    assert var[0, 5] == vrti_stat([-50.0, -50.0, -51.0])
+    var = batch_window_variance(forward_fill(raw)[:, None], 3)
+    assert np.isnan(var[:5, 0]).all()
+    assert var[5, 0] == vrti_stat([-50.0, -50.0, -51.0])
 
 
 def test_stream_series_window_needs_room():
-    var = batch_window_variance(np.full((1, 3), -50.0), 5)
-    assert np.isnan(var).all()
+    var = batch_window_variance(np.full((3, 1), -50.0), 5)
+    assert var.shape == (3, 1) and np.isnan(var).all()
     with pytest.raises(InsufficientWindowError):
-        batch_window_variance(np.full((1, 3), -50.0), 1)
+        batch_window_variance(np.full((3, 1), -50.0), 1)
 
 
 def test_trace_columns_group_by_stream():
@@ -464,47 +483,47 @@ def test_trace_columns_group_by_stream():
     assert math.isnan(trace.rssi[1, trace.column[omni_stream((1, 0))]])
 
 
-def test_batch_window_variance_rows_stand_alone():
-    # Rows are computed in blocks; a row's variance must not depend on which
-    # other rows share its block.
+def test_batch_window_variance_columns_stand_alone():
+    # Columns are computed in blocks; a column's variance must not depend on
+    # which other columns share its block.
     rng = np.random.default_rng(31)
-    filled = forward_fill(np.where(rng.random((600, 50)) < 0.1, np.nan,
-                                   rng.normal(-55, 4, size=(600, 50))))
+    filled = forward_fill(np.where(rng.random((50, 600)) < 0.1, np.nan,
+                                   rng.normal(-55, 4, size=(50, 600))))
     batch = batch_window_variance(filled, 10)
-    for row in (0, 255, 256, 511, 599, 63, 64, 127, 128, 575, 576):
-        one = batch_window_variance(filled[row : row + 1], 10)[0]
-        assert np.array_equal(batch[row], one, equal_nan=True)
+    for col in (0, 63, 64, 127, 128, 129, 255, 256, 511, 512, 575, 576, 599):
+        one = batch_window_variance(filled[:, col : col + 1], 10)[:, 0]
+        assert np.array_equal(batch[:, col], one, equal_nan=True)
 
 
-def same_bits(got, want):
-    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+def oracle_window_variance(filled, v):
+    """`stat_oracles.batch_window_variance` of a (ticks, streams) array."""
+    return stat_oracles.batch_window_variance(np.ascontiguousarray(filled.T), v).T
 
 
 @pytest.mark.parametrize("v", range(2, 34))
 def test_batch_window_variance_matches_np_var_bit_for_bit(v):
-    # Row counts around the 64-row block; tick counts where no window, one
-    # window and two windows fit; leading NaNs of streams first heard late.
+    # Column counts around 64 and the 128-column block; tick counts where no
+    # window, one window and two windows fit; leading NaNs of streams first
+    # heard late.
     rng = np.random.default_rng(v)
-    for rows in (1, 63, 64, 65, 600):
+    for columns in (1, 63, 64, 65, 127, 128, 129, 600):
         for ticks in (v - 1, v, v + 1):
-            raw = rng.normal(-55.0, 4.0, (rows, ticks))
+            raw = rng.normal(-55.0, 4.0, (ticks, columns))
             raw[rng.random(raw.shape) < 0.2] = np.nan
-            raw[:, : rng.integers(0, ticks + 1)] = np.nan
+            raw[: rng.integers(0, ticks + 1)] = np.nan
             filled = forward_fill(raw)
             assert same_bits(
-                batch_window_variance(filled, v),
-                stat_oracles.batch_window_variance(filled, v),
-            ), (rows, ticks)
+                batch_window_variance(filled, v), oracle_window_variance(filled, v)
+            ), (columns, ticks)
 
 
 @pytest.mark.parametrize("v", [129, 136, 200, 300])
 def test_batch_window_variance_matches_np_var_beyond_128_terms(v):
     # numpy splits a sum of more than 128 terms into two halves.
     rng = np.random.default_rng(v)
-    filled = forward_fill(np.where(rng.random((65, v + 9)) < 0.2, np.nan,
-                                   rng.normal(-55.0, 4.0, (65, v + 9))))
-    assert same_bits(batch_window_variance(filled, v),
-                     stat_oracles.batch_window_variance(filled, v))
+    filled = forward_fill(np.where(rng.random((v + 9, 65)) < 0.2, np.nan,
+                                   rng.normal(-55.0, 4.0, (v + 9, 65))))
+    assert same_bits(batch_window_variance(filled, v), oracle_window_variance(filled, v))
 
 
 @pytest.mark.parametrize("factory", [los_7node, nlos_7node])
@@ -516,18 +535,21 @@ def test_batch_window_variance_matches_np_var_on_simulated_traces(factory, mode)
         filled = carry_forward(trace)
         for v in (2, 5, 10, 20, 40):
             assert same_bits(
-                batch_window_variance(filled, v),
-                stat_oracles.batch_window_variance(filled, v),
+                batch_window_variance(filled, v), oracle_window_variance(filled, v)
             ), (seed, v)
 
 
+def ring12_directional_rssi(seed):
+    """Random RSS with 10% lost packets, shaped like a 12-node directional
+    ring's trace: 140 ticks by 4,752 streams."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((140, 4752)) < 0.1, np.nan, rng.normal(-55.0, 4.0, (140, 4752)))
+
+
 def test_batch_window_variance_peak_memory_stays_near_the_output():
-    # 4,752 streams (a 12-node directional ring) by 140 ticks; the blocks'
-    # temporaries stay small next to the output.
-    rng = np.random.default_rng(5)
-    filled = forward_fill(np.where(rng.random((4752, 140)) < 0.1, np.nan,
-                                   rng.normal(-55.0, 4.0, (4752, 140))))
-    batch_window_variance(filled[:2], 10)
+    # The blocks' temporaries stay small next to the output.
+    filled = forward_fill(ring12_directional_rssi(5))
+    batch_window_variance(filled[:, :2], 10)
     tracemalloc.start()
     try:
         out = batch_window_variance(filled, 10)
@@ -537,18 +559,35 @@ def test_batch_window_variance_peak_memory_stays_near_the_output():
     assert peak <= 1.5 * out.nbytes
 
 
+def test_carry_forward_peak_memory_stays_near_the_trace():
+    # The fill works in one copy of the trace's RSS, a tick at a time; the
+    # index-array fill peaked near 3x.
+    layout = ring_layout(12, 2.9, (3.0, 3.0))
+    streams = tuple(pattern_stream(link, pair) for link in layout.links for pair in PATTERN_PAIRS)
+    trace = RssTrace("directional", 0.0, streams, ring12_directional_rssi(7))
+    forward_fill(trace.rssi[:2])
+    tracemalloc.start()
+    try:
+        filled = carry_forward(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert filled.shape == trace.rssi.shape == (140, 4752)
+    assert peak <= 1.2 * trace.rssi.nbytes
+
+
 def test_batch_window_variance_matches_scalar():
     rng = np.random.default_rng(29)
-    filled = rng.normal(-55, 4, size=(6, 40))
+    filled = rng.normal(-55, 4, size=(40, 6))
     v = 10
     batch = batch_window_variance(filled, v)
     for s in range(6):
         for t in range(40):
             if t < v - 1:
-                assert math.isnan(batch[s, t])
+                assert math.isnan(batch[t, s])
             else:
-                assert batch[s, t] == pytest.approx(
-                    vrti_stat(filled[s, t - v + 1 : t + 1]), abs=1e-12
+                assert batch[t, s] == pytest.approx(
+                    vrti_stat(filled[t - v + 1 : t + 1, s]), abs=1e-12
                 )
 
 
@@ -580,7 +619,7 @@ def test_trace_derived_arrays_match_the_per_stream_definitions():
     trace = RssTrace("omni", 0.0, tuple(omni_stream(lk) for lk in links), rssi.copy())
 
     for col in range(len(links)):
-        np.testing.assert_array_equal(carry_forward(trace)[col], forward_fill(rssi[:, col]))
+        np.testing.assert_array_equal(carry_forward(trace)[:, col], forward_fill(rssi[:, col]))
         heard = np.flatnonzero(~np.isnan(rssi[:, col]))
         assert first_heard(trace)[col] == (heard[0] if heard.size else 30)
     for first_tick in (10, 20):
@@ -588,8 +627,8 @@ def test_trace_derived_arrays_match_the_per_stream_definitions():
         for col, key in enumerate(trace.streams[:2]):
             mean = calibrate(trace, (0, first_tick - 1), streams=[key]).mean(key)
             expected = np.abs(forward_fill(rssi[:, col]) - mean)
-            np.testing.assert_array_equal(deviation[col], expected)
-        assert np.isnan(deviation[3]).all()
+            np.testing.assert_array_equal(deviation[:, col], expected)
+        assert np.isnan(deviation[:, 3]).all()
     for window in (3, 10):
         np.testing.assert_array_equal(
             window_variance(trace, window), batch_window_variance(carry_forward(trace), window)

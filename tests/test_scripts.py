@@ -79,3 +79,16 @@ def test_scripts_reject_fewer_than_one_seed(args, seeds, tmp_path):
     done = run_script(*args, "--seeds", seeds, "--out", str(out), returncode=2)
     assert "--seeds must be at least 1" in done.stderr
     assert not out.exists()
+
+
+def test_digest_runs_is_reproducible():
+    args = ("digest_runs.py", "--presets", "nlos_2node", "--seeds", "0")
+    first = run_script(*args).stdout
+    assert run_script(*args).stdout == first
+    lines = first.splitlines()
+    names = [line.split("  ", 1)[1] for line in lines]
+    assert names == sorted(names)
+    assert "nlos_2node/0/scenario.json" in names
+    assert "nlos_2node/0/dRTI-mean-fadelevel/images/frame_0020.pgm" in names
+    assert len({name.split("/")[2] for name in names if name.count("/") > 2}) == 12
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

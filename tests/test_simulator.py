@@ -192,6 +192,22 @@ def test_trajectory_corner_exact():
     np.testing.assert_allclose(pos[3], [1.0, 0.5], atol=1e-12)
 
 
+def test_trajectory_matches_the_per_tick_loop_bit_for_bit():
+    # Random polylines with repeated waypoints (zero-length segments),
+    # zero speed and paths shorter and longer than the run.
+    rng = np.random.default_rng(17)
+    for case in range(300):
+        points = rng.uniform(0.0, 6.0, (rng.integers(1, 7), 2)).round(rng.integers(1, 4))
+        repeat = rng.random(len(points)) < 0.3
+        waypoints = np.repeat(points, np.where(repeat, 2, 1), axis=0).tolist()
+        speed = 0.0 if case % 25 == 0 else float(rng.uniform(0.0, 0.5))
+        num_ticks = int(rng.integers(1, 401))
+        got = generate_trajectory(waypoints, speed, num_ticks)
+        want = sim_oracles.generate_trajectory(waypoints, speed, num_ticks)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         generate_trajectory([], 1.0, 3)

@@ -4,13 +4,15 @@
 simulates and writes the trace and truth, `evaluate_method` evaluates, and
 `write_evaluation` writes every other artefact into the output directory.
 `compare` evaluates several methods on one scenario in memory, simulating
-each radio mode once; both simulate through `simulate_run`. All outputs are
-deterministic for a fixed config.
+each radio mode once. `check_config` and `check_trace` hold a run's
+preconditions; past them, `phase` raises any failure as a `PhaseError` that
+names the phase. All outputs are deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from .simulator import (
     PropagationParams,
     Scenario,
     _is_int,
+    _number,
     _section,
     obstructed_mask,
     read_json_object,
@@ -63,6 +66,18 @@ class PhaseError(RuntimeError):
     """A pipeline phase failed; the message names the phase."""
 
 
+@contextmanager
+def phase(name: str):
+    """Raise any failure inside as a PhaseError naming the phase; a
+    PhaseError, from a nested phase say, passes through unchanged."""
+    try:
+        yield
+    except PhaseError:
+        raise
+    except Exception as exc:
+        raise PhaseError(f"{name}: {exc}") from exc
+
+
 def mode_for_method(method: str) -> str:
     if method in ("mRTI", "vRTI"):
         return "omni"
@@ -75,6 +90,17 @@ def _is_variance(method: str) -> bool:
     return method.endswith("var") or method == "vRTI"
 
 
+def _check_fields(config, section: str) -> None:
+    """Int fields hold ints and float fields finite numbers, as in a config
+    file; the first field that does not is a ConfigError naming it."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and not _is_int(value):
+            raise ConfigError(f"{section} {f.name} must be an integer, got {value!r}")
+        if f.type == "float":
+            _number(value, f"{section} {f.name}", ConfigError)
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     method: str = "all"
@@ -83,6 +109,7 @@ class SelectionConfig:
     k: int = 9
 
     def __post_init__(self) -> None:
+        _check_fields(self, "selection")
         if self.method not in SELECTION_METHODS:
             raise ConfigError(
                 f"selection method must be one of {SELECTION_METHODS}, got {self.method!r}"
@@ -103,6 +130,7 @@ class ImagingConfig:
     ellipse_excess_m: float = 1.5
 
     def __post_init__(self) -> None:
+        _check_fields(self, "imaging")
         if self.alpha <= 0:
             raise ConfigError("imaging alpha must be positive")
         if self.regularizer not in ("identity", "difference"):
@@ -117,6 +145,7 @@ class TrackingConfig:
     r: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_fields(self, "tracking")
         if self.q <= 0 or self.r <= 0:
             raise ConfigError("tracking q and r must be positive")
 
@@ -178,17 +207,14 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return ExperimentConfig(
-        scenario=scenario,
-        method=method,
-        out_dir=out_dir,
-        selection=_section(SelectionConfig, data.get("selection", {}), "selection", _bad_field),
-        imaging=_section(ImagingConfig, data.get("imaging", {}), "imaging", _bad_field),
-        tracking=_section(TrackingConfig, data.get("tracking", {}), "tracking", _bad_field),
-        window=data.get("window", 10),
-        seed=data.get("seed"),
-        write_images=data.get("write_images", False),
-    )
+    # Only the fields present are passed: the dataclass holds the defaults.
+    sections = {"selection": SelectionConfig, "imaging": ImagingConfig, "tracking": TrackingConfig}
+    values = {
+        key: _section(sections[key], value, key, _bad_field) if key in sections else value
+        for key, value in data.items()
+    }
+    values.update(scenario=scenario, method=method, out_dir=out_dir)
+    return ExperimentConfig(**values)
 
 
 def read_config_file(path) -> ExperimentConfig:
@@ -330,20 +356,57 @@ class Evaluation:
     errors: np.ndarray        # per-tick tracking error, (rounds,)
 
 
-def _check_scenario_fits(config: ExperimentConfig, scenario: Scenario) -> None:
-    """The scenario has a trajectory to track, and a variance method's first
-    window fits in its calibration rounds."""
+def check_config(config: ExperimentConfig, scenario: Scenario, reconstructor=None) -> None:
+    """What a config needs of a scenario before anything is simulated: a
+    trajectory to track, a variance window that fits in the calibration
+    rounds and, if one is passed, a reconstructor built for the scenario's
+    layout and grid with the config's imaging settings."""
     if scenario.trajectory is None:
         raise ConfigError("experiment scenarios need a trajectory to track")
     cal = scenario.calibration_rounds
     if _is_variance(config.method) and cal < config.window:
         raise ConfigError(
-            f"variance window {config.window} does not fit in "
-            f"{cal} calibration rounds"
+            f"variance window {config.window} does not fit in {cal} calibration rounds"
         )
+    if reconstructor is None:
+        return
+    imaging = config.imaging
+    compared = (
+        ("links", reconstructor.num_links, scenario.layout.num_links),
+        ("voxels", reconstructor.num_voxels, scenario.grid.num_voxels),
+        ("alpha", reconstructor.alpha, imaging.alpha),
+        ("regularizer", reconstructor.regularizer, imaging.regularizer),
+        ("ellipse_excess_m", reconstructor.lam, imaging.ellipse_excess_m),
+    )
+    wrong = [f"{key} {got!r}, the run has {want!r}" for key, got, want in compared if got != want]
+    if wrong:
+        raise PhaseError("imaging: prebuilt reconstructor has " + "; ".join(wrong))
 
 
-def _checked_truth(truth, scenario: Scenario) -> np.ndarray:
+def check_trace(method: str, scenario: Scenario, trace, truth) -> np.ndarray:
+    """The truth, as a float array, once the trace and truth fit the method
+    and scenario: the trace is in the method's mode, spans the scenario's
+    ticks and has only streams of the scenario's layout and channels, and
+    the truth has one finite position per tracking tick."""
+    mode = mode_for_method(method)
+    if trace.mode != mode:
+        raise PhaseError(
+            f"statistics: trace has no records for {method}, which needs "
+            f"mode {mode!r}; the trace's mode is {trace.mode!r}"
+        )
+    if trace.num_ticks != scenario.total_ticks:
+        raise PhaseError(
+            f"trace: {trace.num_ticks} ticks, the scenario has {scenario.total_ticks}"
+        )
+    # `streams_for_method` reads the same memoised table.
+    table = stream_columns(
+        trace, tuple(scenario.layout.links), stream_kinds(mode, scenario.channels)
+    )
+    if np.count_nonzero(table >= 0) < len(trace.streams):
+        placed = np.zeros(len(trace.streams), dtype=bool)
+        placed[table[table >= 0]] = True
+        stray = trace.streams[int(np.argmin(placed))]
+        raise PhaseError(f"trace: stream {format_stream(stray)} is not a stream of the scenario")
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (scenario.rounds, 2):
         raise PhaseError(f"truth: expected shape {(scenario.rounds, 2)}, got {truth.shape}")
@@ -356,29 +419,9 @@ def _checked_truth(truth, scenario: Scenario) -> np.ndarray:
 
 def scenario_reconstructor(scenario: Scenario, imaging: ImagingConfig):
     """The Tikhonov map for a scenario's grid and layout."""
-    try:
-        weights = build_weight_matrix(
-            scenario.grid, scenario.layout, imaging.ellipse_excess_m
-        )
-        return build_reconstructor(
-            weights, imaging.alpha, imaging.regularizer, grid=scenario.grid
-        )
-    except Exception as exc:
-        raise PhaseError(f"imaging: {exc}") from exc
-
-
-def _check_reconstructor(reconstructor, scenario: Scenario, imaging: ImagingConfig) -> None:
-    """A prebuilt reconstructor must fit the run; the ellipse excess it was
-    built with is not recorded, so it cannot be checked."""
-    compared = (
-        ("links", reconstructor.num_links, scenario.layout.num_links),
-        ("voxels", reconstructor.num_voxels, scenario.grid.num_voxels),
-        ("alpha", reconstructor.alpha, imaging.alpha),
-        ("regularizer", reconstructor.regularizer, imaging.regularizer),
-    )
-    wrong = [f"{key} {got!r}, the run has {want!r}" for key, got, want in compared if got != want]
-    if wrong:
-        raise PhaseError("imaging: prebuilt reconstructor has " + "; ".join(wrong))
+    with phase("imaging"):
+        weights = build_weight_matrix(scenario.grid, scenario.layout, imaging.ellipse_excess_m)
+        return build_reconstructor(weights, imaging.alpha, imaging.regularizer, grid=scenario.grid)
 
 
 def evaluate_method(
@@ -391,47 +434,18 @@ def evaluate_method(
 ) -> Evaluation:
     """The pure pipeline: selection, statistics, imaging, tracking, metrics.
 
-    The trace's mode must be the method's; the scenario's is not read. The
-    trace must span the scenario's ticks and carry no channel the scenario
-    does not list and no stream on a link its layout lacks. A prebuilt
-    reconstructor for the scenario's grid and layout and the config's alpha
-    and regularizer may be passed to skip the solve.
+    `check_config` and `check_trace` run first, so a bad input stops the
+    run before any phase; the trace's mode must be the method's, and the
+    scenario's is not read. A prebuilt reconstructor for the scenario's
+    layout and grid and the config's imaging settings may be passed to skip
+    the solve. A phase that fails raises a PhaseError naming it.
     """
-    mode = mode_for_method(config.method)
-    if trace.mode != mode:
-        raise PhaseError(
-            f"statistics: trace has no records for {config.method}, which needs "
-            f"mode {mode!r}; the trace's mode is {trace.mode!r}"
-        )
-    if trace.num_ticks != scenario.total_ticks:
-        raise PhaseError(
-            f"trace: {trace.num_ticks} ticks, the scenario has {scenario.total_ticks}"
-        )
-    extra = sorted({key[2] for key in trace.streams} - {None, *scenario.channels})
-    if extra:
-        raise PhaseError(
-            f"trace: channels {extra} are not among the scenario's "
-            f"{list(scenario.channels)}"
-        )
-    # `streams_for_method` reads the same memoised table.
-    table = stream_columns(
-        trace, tuple(scenario.layout.links), stream_kinds(mode, scenario.channels)
-    )
-    if np.count_nonzero(table >= 0) < len(trace.streams):
-        placed = np.zeros(len(trace.streams), dtype=bool)
-        placed[table[table >= 0]] = True
-        stray = trace.streams[int(np.argmin(placed))]
-        raise PhaseError(
-            f"trace: stream {format_stream(stray)} is not on a link of the scenario's layout"
-        )
-    _check_scenario_fits(config, scenario)
-    truth = _checked_truth(truth, scenario)
-    if reconstructor is not None:
-        _check_reconstructor(reconstructor, scenario, config.imaging)
+    check_config(config, scenario, reconstructor)
+    truth = check_trace(config.method, scenario, trace, truth)
     cal = scenario.calibration_rounds
     selection = None
     if config.method.startswith("dRTI"):
-        try:
+        with phase("selection"):
             selection = select_for_layout(
                 scenario.layout,
                 config.selection.method,
@@ -441,8 +455,6 @@ def evaluate_method(
                 n_receiver=config.selection.n_receiver,
                 k=config.selection.k,
             )
-        except Exception as exc:
-            raise PhaseError(f"selection: {exc}") from exc
 
     columns = streams_for_method(
         trace, scenario.layout, config.method, scenario.channels, selection
@@ -450,24 +462,15 @@ def evaluate_method(
     stats, baseline = compute_stat_matrix(
         trace, scenario.layout, config.method, columns, config.window, cal, scenario.rounds
     )
-    change = stats - baseline
-
     if reconstructor is None:
         reconstructor = scenario_reconstructor(scenario, config.imaging)
-
-    try:
-        images = reconstruct_images(reconstructor, change)
+    with phase("imaging"):
+        images = reconstruct_images(reconstructor, stats - baseline)
         measurements = argmax_positions(images, scenario.grid)
-    except Exception as exc:
-        raise PhaseError(f"imaging: {exc}") from exc
-    try:
+    with phase("tracking"):
         estimates = track(measurements, KalmanParams(config.tracking.q, config.tracking.r))
-    except Exception as exc:
-        raise PhaseError(f"tracking: {exc}") from exc
 
-    errors = np.hypot(
-        estimates[:, 0] - truth[:, 0], estimates[:, 1] - truth[:, 1]
-    )
+    errors = np.hypot(*(estimates - truth).T)
     obstructed = obstructed_mask(scenario.layout, truth, params.person_lambda_m)
     lo, hi = float(stats.min()), float(stats.max())
     thresholds = np.unique(np.linspace(lo, hi, 50))
@@ -498,42 +501,23 @@ def evaluate_method(
         "p90_error_m": float(np.percentile(errors, 90)),
         "mean_error_m": float(np.mean(errors)),
         "error_cdf": {f"{lvl:.1f}": frac for lvl, frac in error_cdf(errors, CDF_LEVELS)},
-        "fn_fp": [
-            {"threshold": tau, "fn_rate": fn, "fp_rate": fp} for tau, fn, fp in sweep
-        ],
+        "fn_fp": [{"threshold": tau, "fn_rate": fn, "fp_rate": fp} for tau, fn, fp in sweep],
     }
     return Evaluation(
-        metrics=metrics,
-        selection=selection,
-        stats=stats,
-        baseline=baseline,
-        images=images,
-        measurements=measurements,
-        estimates=estimates,
-        errors=errors,
+        metrics, selection, stats, baseline, images, measurements, estimates, errors
     )
 
 
-def simulate_run(scenario: Scenario, params: PropagationParams):
-    """`simulate`, with any failure raised as a PhaseError naming the phase."""
-    try:
-        return simulate(scenario, params)
-    except Exception as exc:
-        raise PhaseError(f"simulate: {exc}") from exc
-
-
 def record_run(scenario: Scenario, params: PropagationParams, out_dir):
-    """`simulate_run`, then `trace.csv` and `truth.csv` in `out_dir` before
+    """`simulate`, then `trace.csv` and `truth.csv` in `out_dir` before
     anything else runs, so a later failure leaves them on disk."""
     out_dir = Path(out_dir)
-    try:
+    with phase("output"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        # Raises only PhaseError, so an OSError here is the output's.
-        trace, truth = simulate_run(scenario, params)
+        with phase("simulate"):
+            trace, truth = simulate(scenario, params)
         write_trace_file(out_dir / "trace.csv", trace)
         write_truth_file(out_dir / "truth.csv", truth, first_tick=scenario.calibration_rounds)
-    except OSError as exc:
-        raise PhaseError(f"output: {exc}") from exc
     return trace, truth
 
 
@@ -552,16 +536,15 @@ def compare(
     anything is simulated.
     """
     for config in configs:
-        _check_scenario_fits(config, scenario)
-        if reconstructor is not None:
-            _check_reconstructor(reconstructor, scenario, config.imaging)
+        check_config(config, scenario, reconstructor)
     runs = {}
     reconstructors = {}
     evaluations = []
     for config in configs:
         mode = mode_for_method(config.method)
         if mode not in runs:
-            runs[mode] = simulate_run(replace(scenario, mode=mode), params)
+            with phase("simulate"):
+                runs[mode] = simulate(replace(scenario, mode=mode), params)
         if reconstructor is None and config.imaging not in reconstructors:
             reconstructors[config.imaging] = scenario_reconstructor(scenario, config.imaging)
         rec = reconstructors.get(config.imaging, reconstructor)
@@ -578,7 +561,7 @@ def run_experiment(config: ExperimentConfig) -> Evaluation:
     scenario = replace(scenario, mode=mode_for_method(config.method))
     if config.seed is not None:
         scenario = replace(scenario, seed=config.seed)
-    _check_scenario_fits(config, scenario)
+    check_config(config, scenario)
     trace, truth = record_run(scenario, params, config.out_dir)
     evaluation = evaluate_method(config, scenario, params, trace, truth)
     write_evaluation(config.out_dir, config, scenario, evaluation, truth)
@@ -593,7 +576,7 @@ def write_evaluation(
     and `metrics.json`, written last so that it marks a complete run."""
     out_dir = Path(out_dir)
     cal = scenario.calibration_rounds
-    try:
+    with phase("output"):
         out_dir.mkdir(parents=True, exist_ok=True)
         if evaluation.selection is not None:
             write_selection_file(out_dir / "selection.txt", evaluation.selection)
@@ -612,8 +595,6 @@ def write_evaluation(
         with open(out_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(evaluation.metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError as exc:
-        raise PhaseError(f"output: {exc}") from exc
 
 
 def _write_stats(path, scenario: Scenario, stats: np.ndarray, first_tick: int) -> None:

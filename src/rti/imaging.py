@@ -32,6 +32,7 @@ class Reconstructor:
     pi: np.ndarray  # (num_voxels, num_links)
     alpha: float
     regularizer: str
+    lam: float | None  # the WeightMatrix's ellipse excess; None for a bare array
     residual: float  # link-space bound on max |(A^T A + alpha Q) pi - A^T|, <= 1e-6
 
     @property
@@ -81,7 +82,10 @@ def build_reconstructor(
     The check is in link space too: a bound on max |(A^T A + alpha Q) pi -
     A^T| above 1e-6, or not finite, raises ReconstructionError.
     """
-    A = weights.entries if isinstance(weights, WeightMatrix) else np.asarray(weights, dtype=float)
+    if isinstance(weights, WeightMatrix):
+        A, lam = weights.entries, weights.lam
+    else:
+        A, lam = np.asarray(weights, dtype=float), None
     if A.ndim != 2 or A.size == 0:
         raise ValueError("weight matrix must be a nonempty 2-D array")
     if not np.any(A):
@@ -132,7 +136,9 @@ def build_reconstructor(
         raise ReconstructionError(
             f"solve residual {residual:.3e} exceeds 1e-6; system is ill-conditioned"
         )
-    return Reconstructor(pi=pi, alpha=float(alpha), regularizer=regularizer, residual=residual)
+    return Reconstructor(
+        pi=pi, alpha=float(alpha), regularizer=regularizer, lam=lam, residual=residual
+    )
 
 
 def reconstruct(rec: Reconstructor, stats: np.ndarray, time: int = 0) -> ImageFrame:

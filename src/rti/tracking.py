@@ -24,6 +24,9 @@ class KalmanParams:
     r: float = 0.5
 
     def __post_init__(self) -> None:
+        for name, value in (("q", self.q), ("r", self.r)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.q < 0 or self.r <= 0:
             raise ValueError("need q >= 0, r > 0")
 

@@ -82,3 +82,25 @@ def test_pair_counter_reads_a_real_selection():
     assert done.stdout.split("\n")[:4] == [
         "fadelevel 378 42", "prr 210 42", "location 168 42", "all 1512 42"
     ]
+
+
+# The library functions `rti.experiment` calls through its own module
+# globals, which `tracing.Library.installed` swaps for traced ones.
+PIPELINE_GLOBALS = (
+    "simulate",
+    "select_for_layout",
+    "build_weight_matrix",
+    "build_reconstructor",
+    "compute_stat_matrix",
+    "fn_fp_sweep",
+    "obstructed_mask",
+    "write_trace_file",
+    "write_truth_file",
+)
+
+
+def test_the_pipeline_calls_every_traced_name_through_its_module_globals():
+    import rti.experiment as experiment
+
+    missing = [name for name in PIPELINE_GLOBALS if not callable(getattr(experiment, name, None))]
+    assert missing == []

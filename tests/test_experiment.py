@@ -22,6 +22,7 @@ from rti.experiment import (
     config_from_dict,
     evaluate_method,
     mode_for_method,
+    phase,
     read_config_file,
     compute_stat_matrix,
     run_experiment,
@@ -282,6 +283,45 @@ def test_config_sections_keep_their_range_messages_and_json_ints():
     assert str(info.value) == "selection k must be in [1, 36]"
     cfg = config_from_dict({**data, "imaging": {"alpha": 25}, "tracking": {"q": 1, "r": 2}})
     assert cfg.imaging == ImagingConfig(alpha=25.0) and cfg.tracking == TrackingConfig(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ImagingConfig(alpha=math.nan), "imaging alpha must be a finite number, got nan"),
+        (lambda: ImagingConfig(ellipse_excess_m=math.inf),
+         "imaging ellipse_excess_m must be a finite number, got inf"),
+        (lambda: TrackingConfig(q=math.nan), "tracking q must be a finite number, got nan"),
+        (lambda: TrackingConfig(r=math.inf), "tracking r must be a finite number, got inf"),
+        (lambda: TrackingConfig(q=True), "tracking q must be a finite number, got True"),
+        (lambda: SelectionConfig(k=2.5), "selection k must be an integer, got 2.5"),
+        (lambda: SelectionConfig(n_transmitter=2.0),
+         "selection n_transmitter must be an integer, got 2.0"),
+        (lambda: SelectionConfig(n_receiver=True),
+         "selection n_receiver must be an integer, got True"),
+    ],
+)
+def test_config_sections_reject_at_construction_what_their_json_rejects(make, message):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_config_from_dict_passes_only_the_fields_present(monkeypatch):
+    passed = []
+
+    class Capturing(ExperimentConfig):
+        def __init__(self, **kwargs):
+            passed.append(sorted(kwargs))
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(experiment, "ExperimentConfig", Capturing)
+    data = {"scenario": "s", "method": "vRTI", "out_dir": "o"}
+    cfg = config_from_dict(data)
+    assert (cfg.window, cfg.seed, cfg.write_images) == (10, None, False)
+    config_from_dict({**data, "window": 4, "imaging": {}})
+    assert passed == [["method", "out_dir", "scenario"],
+                      ["imaging", "method", "out_dir", "scenario", "window"]]
 
 
 @pytest.mark.parametrize("field", ["scenario", "out_dir"])
@@ -577,11 +617,13 @@ def test_imaging_failure_names_the_phase(monkeypatch, stage):
         evaluate_method(config, scenario, QUIET, trace, truth)
 
 
-def square_reconstructor(scenario, layout=None, grid=None, alpha=5.0, regularizer="difference"):
+def square_reconstructor(
+    scenario, layout=None, grid=None, alpha=5.0, regularizer="difference", lam=1.5
+):
     """A reconstructor for the square scenario at the default imaging
-    settings, or for another layout, grid, alpha or regularizer."""
+    settings, or for another layout, grid, alpha, regularizer or ellipse."""
     grid = grid or scenario.grid
-    weights = build_weight_matrix(grid, layout or scenario.layout, 1.5)
+    weights = build_weight_matrix(grid, layout or scenario.layout, lam)
     return build_reconstructor(weights, alpha, regularizer, grid=grid)
 
 
@@ -592,6 +634,7 @@ def square_reconstructor(scenario, layout=None, grid=None, alpha=5.0, regularize
         ({"grid": build_grid((0.0, 0.0), 3.0, 3.0, 0.3)}, "voxels 100, the run has 225"),
         ({"alpha": 1.0}, "alpha 1.0, the run has 5.0"),
         ({"regularizer": "identity"}, "regularizer 'identity', the run has 'difference'"),
+        ({"lam": 0.8}, "ellipse_excess_m 0.8, the run has 1.5"),
     ],
 )
 def test_prebuilt_reconstructor_must_match_the_run(monkeypatch, mismatch, message):
@@ -606,6 +649,44 @@ def test_prebuilt_reconstructor_must_match_the_run(monkeypatch, mismatch, messag
     monkeypatch.setattr(experiment, "select_for_layout", no_phase)
     with pytest.raises(PhaseError, match="^imaging: prebuilt reconstructor has " + message):
         evaluate_method(config, scenario, QUIET, trace, truth, reconstructor)
+
+
+def test_a_reconstructor_from_a_bare_array_is_rejected_on_the_run_path():
+    scenario = square_scenario(rounds=3, cal=4)
+    trace, truth = simulate(scenario, QUIET)
+    weights = build_weight_matrix(scenario.grid, scenario.layout, 1.5)
+    bare = build_reconstructor(weights.entries, 5.0, "difference", grid=scenario.grid)
+    with pytest.raises(PhaseError) as info:
+        evaluate_method(in_memory("mRTI"), scenario, QUIET, trace, truth, bare)
+    assert str(info.value) == (
+        "imaging: prebuilt reconstructor has ellipse_excess_m None, the run has 1.5"
+    )
+
+
+def test_phase_names_a_failure_once():
+    failure = PhaseError("statistics: no stream")
+    with pytest.raises(PhaseError) as info, phase("imaging"):
+        raise failure
+    assert info.value is failure
+    with pytest.raises(PhaseError) as info, phase("output"), phase("simulate"):
+        raise ValueError("radio on fire")
+    assert str(info.value) == "simulate: radio on fire"
+    assert isinstance(info.value.__cause__, ValueError)
+    with pytest.raises(PhaseError) as info, phase("output"):
+        raise KeyError("x")
+    assert str(info.value) == "output: 'x'"
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_an_output_failure_of_any_kind_names_the_phase(tmp_path, monkeypatch):
+    def failing(*args):
+        raise ValueError("no room")
+
+    monkeypatch.setattr(experiment, "write_trajectory", failing)
+    scenario = square_scenario(rounds=3, cal=4)
+    with pytest.raises(PhaseError, match="^output: no room$"):
+        run_experiment(make_config(tmp_path, scenario, QUIET))
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("selector", ["all", "fadelevel"])
@@ -860,20 +941,10 @@ def test_compare_names_the_simulate_phase(monkeypatch):
         compare(square_scenario(rounds=3, cal=4), QUIET, [in_memory("mRTI")])
 
 
-def test_run_experiment_simulates_once_through_the_shared_step(
-    tmp_path, monkeypatch, count_simulations
-):
-    steps = []
-    shared = experiment.simulate_run
-
-    def counting(scenario, params):
-        steps.append(scenario.mode)
-        return shared(scenario, params)
-
-    monkeypatch.setattr(experiment, "simulate_run", counting)
+def test_run_experiment_simulates_once_through_the_shared_step(tmp_path, count_simulations):
     scenario = square_scenario(rounds=3, cal=4)
     run_experiment(make_config(tmp_path, scenario, QUIET, method="dRTI-mean"))
-    assert steps == count_simulations == ["directional"]
+    assert count_simulations == ["directional"]
 
 
 @pytest.mark.parametrize(
@@ -964,7 +1035,7 @@ def test_a_trace_with_channels_the_scenario_does_not_list_is_rejected(monkeypatc
         evaluate_method(
             in_memory("cRTI-mean"), replace(scenario, channels=(11,)), params, trace, truth
         )
-    assert str(info.value) == "trace: channels [15, 18, 21] are not among the scenario's [11]"
+    assert str(info.value) == "trace: stream 0->1 channel 15 is not a stream of the scenario"
 
 
 def test_a_trace_with_streams_on_links_the_layout_lacks_is_rejected(monkeypatch):
@@ -984,7 +1055,7 @@ def test_a_trace_with_streams_on_links_the_layout_lacks_is_rejected(monkeypatch)
     monkeypatch.setattr(experiment, "streams_for_method", no_phase)
     with pytest.raises(PhaseError) as info:
         evaluate_method(in_memory("mRTI"), scenario, params, extra, truth)
-    assert str(info.value) == "trace: stream 0->7 omni is not on a link of the scenario's layout"
+    assert str(info.value) == "trace: stream 0->7 omni is not a stream of the scenario"
 
 
 def _same_evaluation(a, b) -> None:

@@ -301,6 +301,14 @@ def test_reconstruct_checks_length():
         reconstruct(rec, np.zeros(3))
 
 
+def test_reconstructor_records_the_ellipse_it_was_built_for():
+    layout = NetworkLayout([NodeSpec(0, 0.0, 1.0), NodeSpec(1, 4.0, 1.0)])
+    grid = build_grid((0.0, 0.0), 4.0, 2.0, 0.25)
+    wm = build_weight_matrix(grid, layout, 0.8)
+    assert build_reconstructor(wm, 1.0, regularizer="identity").lam == 0.8
+    assert build_reconstructor(wm.entries, 1.0, regularizer="identity").lam is None
+
+
 def test_single_link_activation_lands_in_support():
     layout = NetworkLayout([NodeSpec(0, 0.0, 1.0), NodeSpec(1, 4.0, 1.0)])
     grid = build_grid((0.0, 0.0), 4.0, 2.0, 0.25)

@@ -195,6 +195,12 @@ def test_params_validation():
         KalmanParams(r=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("q", math.nan), ("q", math.inf), ("r", math.nan)])
+def test_params_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value!r}$"):
+        KalmanParams(**{field: value})
+
+
 def test_tracker_smooths_noisy_measurements():
     rng = np.random.default_rng(17)
     ticks = 120

@@ -4,8 +4,11 @@ For each preset and seed, writes the scenario file, then runs
 `run_experiment` for mRTI, vRTI, cRTI-mean, cRTI-var, and dRTI-mean and
 dRTI-var under each selector, at the comparison settings, in a temporary
 directory; dRTI-mean with fade-level selection also writes its images. Prints
-one `sha256  preset/seed/config/file` line per file, sorted by path, so two trees
-that should give byte-identical runs can be compared with `diff`.
+one `sha256  preset/seed/config/file` line per file, and one
+`sha256  preset/seed/config/trace.csv (read)` line per run for the trace
+`read_trace_file` returns (its mode, tx power and streams, then its RSSI
+bytes), sorted by path, so two trees that should give byte-identical runs,
+and read them back alike, can be compared with `diff`.
 
     python scripts/digest_runs.py --presets los_7node nlos_7node --seeds 3
 """
@@ -19,6 +22,7 @@ from pathlib import Path
 from rti.experiment import METHODS, SELECTION_METHODS, SelectionConfig, run_experiment
 from rti.presets import PRESETS, comparison_config
 from rti.simulator import write_scenario_file
+from rti.traceio import read_trace_file
 
 
 def comparison_runs():
@@ -52,9 +56,12 @@ def main() -> None:
                     run_experiment(replace(config, scenario=scenario_path, out_dir=run_dir / label))
         for path in root.rglob("*"):
             if path.is_file():
-                digests[path.relative_to(root).as_posix()] = hashlib.sha256(
-                    path.read_bytes()
-                ).hexdigest()
+                name = path.relative_to(root).as_posix()
+                digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in root.rglob("trace.csv"):
+            trace = read_trace_file(path)
+            read = repr((trace.mode, trace.tx_power_dbm, trace.streams)).encode() + trace.rssi.tobytes()
+            digests[f"{path.relative_to(root).as_posix()} (read)"] = hashlib.sha256(read).hexdigest()
     for name in sorted(digests):
         print(f"{digests[name]}  {name}")
 

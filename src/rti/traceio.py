@@ -28,22 +28,34 @@ with a message naming the line and the field.
 
 Reading in blocks
 -----------------
-`read_trace_file` reads the file in blocks of about 1 MiB cut at line ends
-and checks each block with array operations: newline and comma positions
-give every field, tick and `seq` are parsed by digit arithmetic, each
-distinct tx_id..tx_power_dbm span is parsed once (spans that parse to the
-same stream share a column), and RSSI text is cast by numpy after its bytes
-pass the grammar. Only each row's tick, column and RSSI outlive the block.
-The first row in file order that breaks a rule is worded by one scalar row
-check. Duplicate and missing (tick, stream) cells are found from the sorted
-cells once the whole file is read.
+`read_trace_file` reads the file into one reused buffer, in blocks of
+256 KiB cut at line ends, and checks each block with array operations:
+newline and comma positions give every field, tick and `seq` are parsed by
+digit arithmetic, each distinct tx_id..tx_power_dbm span is parsed once
+(spans that parse to the same stream share a column), and RSSI text is cast
+by numpy after its bytes pass the grammar. A line longer than the longest
+well-formed row is rejected once that many of its bytes are read. The first
+row in file order that breaks a rule is worded by one scalar row check.
+
+Each block's rows are then scattered straight into one (ticks, streams)
+RSSI array, beside an array of the line of each cell's first row. That
+line names the earlier row of a repeated cell, and the cells never seen
+give the first missing one. Both arrays are sized once the first tick is
+complete, from its stream count and the file's size, and grow only for a
+stream first heard later or a file longer than that estimate. A tick beyond
+what a file of its size can hold complete is set aside, never sized for. A
+pipe, which has no size, is read from a temporary copy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import shutil
+import tempfile
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,16 +78,21 @@ TRACE_HEADER = [
 
 TRUTH_HEADER = ["tick", "x", "y"]
 
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 _INT_DIGITS = 18
 _FLOAT_CHARS = 32
 # No well-formed tx_id..tx_power_dbm span is longer: five signed integers,
 # the longest mode, a decimal and six commas.
 _SPAN_CHARS = 5 * (1 + _INT_DIGITS) + max(map(len, MODES)) + _FLOAT_CHARS + 6
+# Nor a line, without its `\n`: seven signed integers, the longest mode, two
+# decimals, `false`, ten commas and a `\r`.
+_LINE_BYTES = 7 * (1 + _INT_DIGITS) + max(map(len, MODES)) + 2 * _FLOAT_CHARS + 5 + 10 + 1
+_LONG_LINE = f"longer than {_LINE_BYTES} bytes, the most a well-formed row takes"
+# Nor is a row shorter than this one.
+_SHORTEST_ROW = len(b"0,0,0,omni,,,,0,0,false,\n")
 _NON_FINITE = ("nan", "inf", "-inf")
 _NL, _CR, _COMMA, _MINUS = b"\n\r,-"
-_TRUE = np.frombuffer(b"true", np.uint8)
-_FALSE = np.frombuffer(b"false", np.uint8)
+_TRUE, _FALSE = (int.from_bytes(word, "little") for word in (b"true", b"false"))
 
 
 class TraceParseError(ValueError):
@@ -169,7 +186,7 @@ def write_trace_file(path, trace: RssTrace) -> None:
     ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
-        for tick, row in enumerate(trace.rssi.tolist()):
+        for tick, row in enumerate(map(np.ndarray.tolist, trace.rssi)):
             fh.write(
                 "".join(
                     f"{tick},{stream}{tick},false,\r\n"
@@ -217,6 +234,7 @@ class _Streams:
         self.columns: dict[StreamKey, int] = {}
         self.known: dict[bytes, int] = {}
         self.first: tuple[str, float] | None = None  # the first row's mode and tx power
+        self.last = (0, b"", None)  # the last block's span width, padded spans and columns
 
     def add(self, span: bytes, mode: str, power: float, key: StreamKey) -> int:
         if self.first is None:
@@ -229,38 +247,45 @@ class _Streams:
         self.known[span] = column = self.columns.setdefault(key, len(self.columns))
         return column
 
-    def columns_of(self, block: bytes, padded, starts, ends) -> tuple[np.ndarray, int]:
-        """Column of each row's span block[starts:ends], and the first row
+    def columns_of(self, buf: np.ndarray, starts, ends) -> tuple[np.ndarray, int]:
+        """Column of each row's span buf[starts:ends], and the first row
         whose span is bad (len(starts) if none); later rows get no column.
 
         Spans are padded with commas to one width before `np.unique`: a
         span holds exactly six, so padded spans are equal only if the spans
-        are."""
+        are. A known span ends in its tx power's last digit, so it is its
+        padded text without the trailing commas."""
         sizes = ends - starts
         width = min(int(sizes.max()), _SPAN_CHARS + 1)
-        text = np.where(np.arange(width) < sizes[:, None], _gather(padded, starts, width), _COMMA)
-        spans = text.view(f"V{width}").ravel()
-        _, first, inverse = np.unique(spans, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        found, stop = [], len(starts)
-        rows = first[order]
-        for row, a, b in zip(rows.tolist(), starts[rows].tolist(), ends[rows].tolist()):
-            span = block[a:b]
-            column = self.known.get(span)
-            if column is None:
-                try:
-                    column = self.add(span, *_parse_stream(span.decode(errors="replace").split(",")))
-                except ValueError:
-                    stop = row
-                    break
-            found.append(column)
-        columns = np.zeros(len(first), np.int32)
-        columns[order[: len(found)]] = found
+        text = np.where(np.arange(width) < sizes[:, None], _gather(buf, starts, width), _COMMA)
+        spans, first, inverse = np.unique(
+            text.view(f"V{width}").ravel(), return_index=True, return_inverse=True
+        )
+        padded = spans.tobytes()
+        if (width, padded) == self.last[:2]:  # the same spans as the last block's
+            return self.last[2][inverse], len(starts)
+        columns = np.array(
+            [self.known.get(padded[i : i + width].rstrip(b","), -1) for i in range(0, len(padded), width)],
+            np.int32,
+        )
+        stop = len(starts)
+        for k in sorted(np.flatnonzero(columns < 0), key=first.__getitem__):  # new spans, in file order
+            row = int(first[k])
+            span = buf[starts[row] : ends[row]].tobytes()
+            try:
+                columns[k] = self.add(span, *_parse_stream(span.decode(errors="replace").split(",")))
+            except ValueError:
+                stop = row
+                break
+        if stop == len(starts):
+            self.last = width, padded, columns
         return columns[inverse], stop
 
     def row_error(self, line: bytes) -> str:
-        """The message for a flagged row: the first rule it breaks, with its
-        stream and tick where they are known."""
+        """The message for a flagged row, given without its `\\n`: the first
+        rule it breaks, with its stream and tick where they are known."""
+        if len(line) > _LINE_BYTES:
+            return _LONG_LINE
         row = _split(line)
         if len(row) != len(TRACE_HEADER):
             return f"expected {len(TRACE_HEADER)} fields, got {len(row)}"
@@ -290,16 +315,16 @@ class _Streams:
         raise AssertionError(f"row {line!r} was flagged but breaks no rule")
 
 
-def _gather(padded: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The `width` bytes from each start, one row each."""
-    return sliding_window_view(padded, max(width, 1))[starts]
+    return sliding_window_view(buf, max(width, 1))[starts]
 
 
-def _integers(padded, starts, ends) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the integer fields padded[starts:ends], and whether each
+def _integers(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the integer fields buf[starts:ends], and whether each
     follows the grammar; values of fields that do not are meaningless."""
     sizes = ends - starts
-    text = _gather(padded, starts, min(int(sizes.max()), _INT_DIGITS + 1))
+    text = _gather(buf, starts, min(int(sizes.max()), _INT_DIGITS + 1))
     negative = text[:, 0] == _MINUS
     ok = (sizes - negative <= _INT_DIGITS) & _accepted(_INTEGER, text, sizes)
     value = np.zeros(len(text), np.int64)
@@ -309,53 +334,55 @@ def _integers(padded, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     return np.where(negative, -value, value), ok
 
 
-def _read_block(block: bytes, first_line: int, streams: _Streams):
-    """Tick, column and RSSI of each row of a block of whole lines, the
-    indices of its blank lines, and its line count. The first row that
-    breaks a rule raises TraceParseError; `first_line` numbers the block's
-    first line."""
-    padded = np.frombuffer(block + bytes(_SPAN_CHARS + 1), np.uint8)
-    buf = padded[: len(block)]
-    ends = np.flatnonzero(buf == _NL)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    ends -= buf[ends - 1] == _CR
-    empty = ends == starts
-    lines = np.flatnonzero(~empty)
-    starts, ends = starts[lines], ends[lines]
+def _read_block(buf: np.ndarray, size: int, first_line: int, streams: _Streams):
+    """Tick, column, RSSI and line number of each row of the block
+    buf[:size] of whole lines, and its line count. The first row that breaks
+    a rule raises TraceParseError; `first_line` numbers the block's first
+    line. Gathers read past the block into the rest of `buf`."""
+    block = buf[:size]
+    newlines = np.flatnonzero(block == _NL)
+    starts = np.concatenate(([0], newlines[:-1] + 1))
+    ends = newlines - (block[newlines - 1] == _CR)
+    rows = np.flatnonzero(ends != starts)
+    starts, ends, line_ends = starts[rows], ends[rows], newlines[rows]
 
-    commas = np.flatnonzero(buf == _COMMA)
+    commas = np.flatnonzero(block == _COMMA)
     lo = np.searchsorted(commas, starts)
-    whole = np.searchsorted(commas, ends) - lo == len(TRACE_HEADER) - 1
-    stop = len(lines) if whole.all() else int(np.argmin(whole))  # the first bad row
+    whole = (line_ends - starts <= _LINE_BYTES) & (
+        np.searchsorted(commas, ends) - lo == len(TRACE_HEADER) - 1
+    )
+    stop = len(rows) if whole.all() else int(np.argmin(whole))  # the first bad row
     tick, columns, values = np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0)
     if stop:
         # Up to the first row with a wrong field count, every row has ten
         # commas and no others lie between them.
         at = commas[lo[0] : lo[0] + 10 * stop].reshape(stop, 10)
-        tick, columns, values, stop = _read_rows(block, padded, starts[:stop], ends[:stop], at, streams)
-    if stop < len(lines):
-        message = streams.row_error(block[starts[stop] : ends[stop]])
-        raise TraceParseError(f"line {first_line + lines[stop]}: {message}")
-    return tick, columns, values, np.flatnonzero(empty), len(empty)
+        tick, columns, values, stop = _read_rows(buf, starts[:stop], ends[:stop], at, streams)
+    if stop < len(rows):
+        message = streams.row_error(buf[starts[stop] : line_ends[stop]].tobytes())
+        raise TraceParseError(f"line {first_line + rows[stop]}: {message}")
+    return tick, columns, values, first_line + rows, len(newlines)
 
 
-def _read_rows(block, padded, starts, ends, at, streams: _Streams):
+def _read_rows(buf, starts, ends, at, streams: _Streams):
     """Tick, column and RSSI of rows with eleven fields, whose commas are
     `at`, and the first row that breaks a rule (len(starts) if none)."""
-    tick, ok = _integers(padded, starts, at[:, 0])
-    seq, seq_ok = _integers(padded, at[:, 7] + 1, at[:, 8])
+    tick, ok = _integers(buf, starts, at[:, 0])
+    seq, seq_ok = _integers(buf, at[:, 7] + 1, at[:, 8])
     bad = ~ok | ~seq_ok | (tick < 0) | (seq != tick)
 
-    word = _gather(padded, at[:, 8] + 1, 5)
+    # The received field's first eight bytes as one little-endian word,
+    # masked to the four of `true` or the five of `false`.
+    word = _gather(buf, at[:, 8] + 1, 8).view("<u8")[:, 0]
     size = at[:, 9] - at[:, 8] - 1
-    received = (size == 4) & (word[:, :4] == _TRUE).all(1)
-    lost = (size == 5) & (word == _FALSE).all(1)
+    received = (size == 4) & (word & 0xFFFF_FFFF == _TRUE)
+    lost = (size == 5) & (word & 0xFF_FFFF_FFFF == _FALSE)
     sizes = ends - at[:, 9] - 1
     bad |= ~(received | lost) | (lost & (sizes > 0))
 
     got = np.flatnonzero(received)
     sizes = sizes[got]
-    text = _gather(padded, at[got, 9] + 1, min(int(sizes.max(initial=0)), _FLOAT_CHARS + 1))
+    text = _gather(buf, at[got, 9] + 1, min(int(sizes.max(initial=0)), _FLOAT_CHARS + 1))
     ok = (sizes <= _FLOAT_CHARS) & _accepted(_DECIMAL, text, sizes)
     # The cast also takes `_`, spaces and `+`, so only text that passed the
     # grammar reaches it; the rest is cast as "0" and stays flagged.
@@ -366,79 +393,192 @@ def _read_rows(block, padded, starts, ends, at, streams: _Streams):
     values = np.full(len(starts), np.nan)
     values[got] = rssi
 
-    columns, stop = streams.columns_of(block, padded, at[:, 0] + 1, at[:, 7])
+    columns, stop = streams.columns_of(buf, at[:, 0] + 1, at[:, 7])
     flagged = np.flatnonzero(bad[:stop])
     return tick, columns, values, int(flagged[0]) if flagged.size else stop
 
 
-def _blocks(fh):
-    """The rest of the file in blocks of whole lines, each ending in a newline."""
-    rest = b""
-    while chunk := fh.read(_BLOCK_BYTES):
-        head, newline, rest = (rest + chunk).rpartition(b"\n")
-        if newline:
-            yield head + newline
-    if rest:
-        yield rest + b"\n"
+class _Cells:
+    """The (ticks, streams) RSSI array the rows are scattered into, beside
+    the line of each cell's first row (-1 for a cell not yet seen).
+
+    The arrays are sized once the first tick is complete, from the stream
+    count and the bytes per row so far, and grow only for a stream first
+    heard later or a file longer than that estimate. A tick the file is too
+    small to hold complete is set aside with its row's column and line:
+    such a file lacks some cell, and nothing is ever sized by its tick."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size  # bytes of rows and blank lines
+        # No file of `size` bytes holds more rows; its last may lack its line end.
+        self.most_rows = (size + 1) // _SHORTEST_ROW
+        self.line_type = np.int32 if size < 2**31 - 2 else np.int64
+        self.rssi = self.first = None
+        self.ticks = 0  # one past the highest tick placed
+        self.rows = self.read = 0  # rows and bytes of the blocks so far
+        self.pending: list[tuple] = []  # blocks before the first tick is complete
+        self.tick0 = None  # the first row's tick
+        self.far: list[tuple] = []  # (tick, column, line) of rows set aside
+        self.duplicate: tuple | None = None  # (line, earlier line, column, tick)
+
+    def add(self, tick, column, value, line, num_streams: int, read: int) -> None:
+        """Place one block's rows; `read` is its size in bytes."""
+        self.rows += len(tick)
+        self.read += read
+        if self.rssi is not None:
+            self._place(tick, column, value, line, num_streams)
+            return
+        self.pending.append((tick, column, value, line))
+        if self.tick0 is None and tick.size:
+            self.tick0 = tick[0]
+        if (tick != self.tick0).any():
+            self._allocate(num_streams)
+
+    def _estimate(self, num_streams: int) -> int:
+        """Ticks the file holds at the bytes per row read so far."""
+        return -(-self.size * self.rows // (self.read * num_streams))
+
+    def _allocate(self, num_streams: int) -> None:
+        ticks = min(self._estimate(num_streams), self.most_rows // num_streams)
+        self.rssi = np.empty((ticks, num_streams))
+        self.first = np.full((ticks, num_streams), -1, self.line_type)
+        for block in self.pending:
+            self._place(*block, num_streams)
+        self.pending = []
+
+    def _place(self, tick, column, value, line, num_streams: int) -> None:
+        if self.duplicate is not None:
+            return  # the first repeat is known; later rows cannot come before it
+        if num_streams > self.rssi.shape[1]:
+            self._widen(num_streams)
+        if tick.size and tick.max() >= len(self.rssi):
+            limit = self.most_rows // num_streams  # no complete file has a tick beyond
+            grow = tick[tick < limit]
+            if grow.size and grow.max() >= len(self.rssi):
+                size = len(self.rssi)
+                self._lengthen(min(limit, max(int(grow.max()) + 1, size + size // 8)))
+            near = tick < len(self.rssi)
+            if not near.all():
+                self.far.append((tick[~near], column[~near], line[~near]))
+                tick, column, value, line = tick[near], column[near], value[near], line[near]
+        if not tick.size:
+            return
+        cell = tick * num_streams + column
+        first = self.first.reshape(-1)
+        earlier = first[cell]
+        first[cell] = line
+        # A row whose cell was seen in an earlier block, or whose line did
+        # not land because another row of this block shares its cell.
+        if (earlier >= 0).any() or (first[cell] != line).any():
+            order = np.argsort(cell, kind="stable")
+            repeat = earlier >= 0
+            repeat[order[1:]] |= cell[order[1:]] == cell[order[:-1]]
+            i = int(np.argmax(repeat))
+            j = earlier[i] if earlier[i] >= 0 else line[int(np.argmax(cell == cell[i]))]
+            self.duplicate = (int(line[i]), int(j), int(column[i]), int(tick[i]))
+            return
+        self.rssi.reshape(-1)[cell] = value
+        self.ticks = max(self.ticks, int(tick.max()) + 1)
+
+    def _lengthen(self, ticks: int) -> None:
+        size = len(self.first)
+        self.rssi.resize((ticks, self.rssi.shape[1]), refcheck=False)
+        self.first.resize((ticks, self.first.shape[1]), refcheck=False)
+        self.first[size:] = -1
+
+    def _widen(self, num_streams: int) -> None:
+        ticks = max(self.ticks, min(self._estimate(num_streams), self.most_rows // num_streams))
+        for name, fill in (("rssi", np.nan), ("first", -1)):
+            old = getattr(self, name)
+            new = np.full((ticks, num_streams), fill, old.dtype)
+            new[: self.ticks, : old.shape[1]] = old[: self.ticks]
+            setattr(self, name, new)
+
+    def trace(self, keys: list[StreamKey], path: Path) -> np.ndarray:
+        """The (ticks, streams) RSSI array, once every cell is known to
+        appear exactly once."""
+        num_streams = len(keys)
+        if self.rssi is None:
+            self._allocate(num_streams)
+        tick = column = line = np.empty(0, np.int64)
+        if self.far:
+            tick, column, line = map(np.concatenate, zip(*self.far))
+            # lexsort is stable, so the rows of a repeated cell stay in file order.
+            order = np.lexsort((column, tick))
+            tick, column, line = tick[order], column[order], line[order]
+            repeats = np.flatnonzero((tick[1:] == tick[:-1]) & (column[1:] == column[:-1])) + 1
+            if repeats.size:
+                i = int(repeats[np.argmin(line[repeats])])
+                j = int(np.argmax((tick == tick[i]) & (column == column[i])))
+                if self.duplicate is None or line[i] < self.duplicate[0]:
+                    self.duplicate = (int(line[i]), int(line[j]), int(column[i]), int(tick[i]))
+        if self.duplicate is not None:
+            at, earlier, col, t = self.duplicate
+            raise TraceParseError(f"line {at}: {_where(keys[col], t)}duplicate of line {earlier}")
+        # The first missing cell is the first unseen one of the placed ticks,
+        # or else the first cell past them that the rows set aside skip.
+        unseen = (self.first[: self.ticks] < 0).reshape(-1)
+        missing = int(np.argmax(unseen)) if unseen.any() else None
+        if missing is None and tick.size:
+            cell = self.ticks * num_streams + np.arange(len(tick))
+            gaps = np.flatnonzero((tick != cell // num_streams) | (column != cell % num_streams))
+            missing = int(cell[gaps[0]]) if gaps.size else int(cell[-1]) + 1
+        if missing is not None:
+            t, col = divmod(missing, num_streams)
+            raise TraceParseError(f"{path}: no row for {format_stream(keys[col])} tick {t}")
+        self.first = None
+        self.rssi.resize((self.ticks, num_streams), refcheck=False)
+        return self.rssi
 
 
 def read_trace_file(path) -> RssTrace:
     """Parse and check a trace file; any problem raises TraceParseError."""
     path = Path(path)
-    streams = _Streams()
-    ticks: list[np.ndarray] = []  # per block
-    columns: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    skipped: list[np.ndarray] = []  # rows before each blank line
     with open(path, "rb") as fh:
-        head = fh.readline()
-        if not head:
-            raise TraceParseError(f"{path}: empty trace file")
-        header = _split(head)
-        if header != TRACE_HEADER:
-            raise TraceParseError(
-                f"{path}: bad header {header!r}, expected {TRACE_HEADER!r}"
-            )
-        line, rows = 2, 0  # the block's first line, and the rows before it
-        for block in _blocks(fh):
-            tick, column, value, blank, num_lines = _read_block(block, line, streams)
-            ticks.append(tick)
-            columns.append(column)
-            values.append(value)
-            skipped.append(rows + blank - np.arange(len(blank)))
+        if S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return _read_trace(fh, path)
+        # A pipe has no size to bound its ticks by, so it is read from a copy.
+        with tempfile.TemporaryFile() as copy:
+            shutil.copyfileobj(fh, copy)
+            copy.seek(0)
+            return _read_trace(copy, path)
+
+
+def _read_trace(fh, path: Path) -> RssTrace:
+    head = fh.readline(_LINE_BYTES + 1)
+    if not head:
+        raise TraceParseError(f"{path}: empty trace file")
+    header = _split(head)
+    if header != TRACE_HEADER:
+        raise TraceParseError(f"{path}: bad header {header!r}, expected {TRACE_HEADER!r}")
+    streams = _Streams()
+    cells = _Cells(os.fstat(fh.fileno()).st_size - len(head))
+    # One buffer for every block: a partial last line is moved to its front,
+    # and gathers may read past a block's end.
+    data = bytearray(_BLOCK_BYTES + _LINE_BYTES + _SPAN_CHARS + 1)
+    buf = np.frombuffer(data, np.uint8)
+    line, kept = 2, 0  # the next block's first line, and its bytes already read
+    while True:
+        read = fh.readinto(memoryview(data)[kept : kept + _BLOCK_BYTES])
+        end = kept + read
+        if not read:
+            if not kept:
+                break
+            buf[end] = _NL  # the last line lacks its line end
+            end += 1
+        cut = data.rfind(b"\n", 0, end) + 1
+        if cut:
+            tick, column, value, lines, num_lines = _read_block(buf, cut, line, streams)
+            cells.add(tick, column, value, lines, len(streams.columns), cut)
             line += num_lines
-            rows += len(tick)
-    if not rows:
-        raise TraceParseError(f"{path}: trace file has no rows")
-    ticks, columns, values, skipped = map(np.concatenate, (ticks, columns, values, skipped))
-
-    def line_of(row: int) -> int:
-        return row + 2 + int(np.searchsorted(skipped, row, side="right"))
-
-    # Every (tick, stream) cell exactly once: that is what makes each stream
-    # attempt one packet per tick. lexsort is stable, so the rows of a
-    # repeated cell stay in file order.
+        kept = end - cut
+        if kept > _LINE_BYTES:
+            raise TraceParseError(f"line {line}: {_LONG_LINE}")
+        buf[:kept] = buf[cut:end].copy()
     keys = list(streams.columns)
-    num_streams = len(keys)
-    order = np.lexsort((columns, ticks))
-    tick, column = ticks[order], columns[order]
-    repeats = order[1:][(tick[1:] == tick[:-1]) & (column[1:] == column[:-1])]
-    if repeats.size:
-        i = int(repeats.min())
-        earlier = int(np.flatnonzero((ticks == ticks[i]) & (columns == columns[i]))[0])
-        raise TraceParseError(
-            f"line {line_of(i)}: {_where(keys[columns[i]], ticks[i])}"
-            f"duplicate of line {line_of(earlier)}"
-        )
-    # Sorted and free of repeats, the cells are complete when the k-th is
-    # cell k and the last tick is whole.
-    cell = np.arange(rows)
-    gaps = np.flatnonzero((tick != cell // num_streams) | (column != cell % num_streams))
-    missing = int(gaps[0]) if gaps.size else rows
-    if missing < rows or rows % num_streams:
-        tick, col = divmod(missing, num_streams)
-        raise TraceParseError(f"{path}: no row for {format_stream(keys[col])} tick {tick}")
-    rssi = values[order].reshape(-1, num_streams)
+    if not keys:
+        raise TraceParseError(f"{path}: trace file has no rows")
+    rssi = cells.trace(keys, path)
     return RssTrace(streams.first[0], streams.first[1], tuple(keys), rssi)
 
 

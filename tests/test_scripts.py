@@ -90,5 +90,7 @@ def test_digest_runs_is_reproducible():
     assert names == sorted(names)
     assert "nlos_2node/0/scenario.json" in names
     assert "nlos_2node/0/dRTI-mean-fadelevel/images/frame_0020.pgm" in names
+    assert "nlos_2node/0/dRTI-mean-fadelevel/trace.csv (read)" in names
+    assert sum(name.endswith("/trace.csv (read)") for name in names) == 12
     assert len({name.split("/")[2] for name in names if name.count("/") > 2}) == 12
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

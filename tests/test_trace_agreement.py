@@ -5,6 +5,7 @@ oracle accepts, and the same error from every file it rejects."""
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,3 +156,97 @@ def test_agrees_on_single_field_corruptions(tmp_path):
         old = assert_agrees(path)
         outcomes.add("accepted" if not isinstance(old, str) else CONVERSION.sub("", old).split(": ")[-1][:20])
     assert len(outcomes) > 15
+
+
+def first_block_streams(text: bytes) -> int:
+    """Streams in the rows that begin in the file's first block."""
+    head = text[: traceio._BLOCK_BYTES].split(b"\n")[1:-1]
+    return len({tuple(line.split(b",")[1:8]) for line in head if line.strip()})
+
+
+def test_agrees_when_streams_are_first_heard_in_a_later_block(tmp_path, monkeypatch):
+    # Shuffled rows: the array is sized from the first block's streams and
+    # widened for each stream heard later; then the same file without one
+    # row, and with one row twice.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 3000)
+    lines = written_lines(tmp_path)
+    text = reshaped(lines, "shuffled")
+    assert first_block_streams(text) < 72  # of the two links' 36 pattern pairs each
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text)
+    assert_agrees(path)
+    rows = text.split(b"\r\n")
+    path.write_bytes(b"\r\n".join(rows[:40] + rows[41:]))
+    assert "no row for" in assert_agrees(path)
+    path.write_bytes(b"\r\n".join(rows[:-20] + [rows[30]] + rows[-20:]))
+    assert "duplicate of line 31" in assert_agrees(path)
+
+
+def test_agrees_on_a_file_longer_than_its_first_ticks_suggest(tmp_path, monkeypatch):
+    # The first ticks' RSSI is written long, so the bytes per row they show
+    # undercount the ticks and the array is lengthened as later ticks come.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 3000)
+    lines = written_lines(tmp_path)
+    rows = 2 * 72  # two ticks of 72 streams
+    long = [line.replace(b",true,-", b",true,-000000000000") for line in lines[1 : 1 + rows]]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\r\n".join([lines[0], *long, *lines[1 + rows :]]) + b"\r\n")
+    assert_agrees(path)
+
+
+def far_tick(line: bytes, tick: int) -> bytes:
+    fields = line.split(b",")
+    fields[0] = fields[8] = str(tick).encode()
+    return b",".join(fields)
+
+
+def test_agrees_on_a_far_tick_and_a_later_duplicate(tmp_path, monkeypatch):
+    # A tick beyond what the file can hold is set aside in an early block;
+    # a repeated row in a later block is still the error, as is a far row
+    # repeated before it.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 3000)
+    lines = written_lines(tmp_path)
+    path = tmp_path / "trace.csv"
+    far = list(lines)
+    far[5] = far_tick(far[5], 10**6)
+    repeated = far[:-10] + [far[100]] + far[-10:]
+    path.write_bytes(b"\r\n".join(repeated) + b"\r\n")
+    assert "tick 1: duplicate of line 101" in assert_agrees(path)
+    repeated = far[:300] + [far[5]] + repeated[300:]
+    path.write_bytes(b"\r\n".join(repeated) + b"\r\n")
+    assert "tick 1000000: duplicate of line 6" in assert_agrees(path)
+    path.write_bytes(b"\r\n".join(far) + b"\r\n")
+    assert assert_agrees(path).endswith("tick 0")  # the far row's own cell
+
+
+def test_agrees_on_a_far_tick_in_a_small_file_without_sizing_by_it(tmp_path):
+    # Tick 10**6 in a 2-stream file of 18 ticks: a missing cell, found
+    # without allocating anything of ticks x streams, even one byte a cell.
+    trace, _ = simulated_trace("omni", -64.0)
+    path = tmp_path / "trace.csv"
+    write_trace_file(path, trace)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[-2] = far_tick(lines[-2], 10**6)
+    path.write_bytes(b"\r\n".join(lines))
+    tracemalloc.start()
+    try:
+        message = outcome(read_trace_file, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == assert_agrees(path)
+    assert message.endswith(f"no row for 1->0 omni tick {trace.num_ticks - 1}")
+    assert peak < 10**6 * len(trace.streams)
+
+
+def test_agrees_on_a_far_tick_just_past_complete_ticks(tmp_path):
+    # Rows of the shortest form: the file holds no more rows than it has, so
+    # a row of tick 4 after four complete ticks of two streams is set aside,
+    # and the missing cell is found beyond the placed ticks.
+    rows = [f"{t},{tx},{1 - tx},omni,,,,0,{t},false," for t in range(4) for tx in (0, 1)]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([",".join(traceio.TRACE_HEADER), *rows, "4,0,1,omni,,,,0,4,false,"]) + "\n")
+    assert len(rows[0]) + 1 == traceio._SHORTEST_ROW
+    assert assert_agrees(path).endswith("no row for 1->0 omni tick 4")
+    path.write_text("\n".join([",".join(traceio.TRACE_HEADER), *rows, "4,1,0,omni,,,,0,4,false,"]) + "\n")
+    assert assert_agrees(path).endswith("no row for 0->1 omni tick 4")

@@ -3,14 +3,18 @@ parse errors, and the reader's ingest checks."""
 
 from __future__ import annotations
 
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rti import traceio
-from rti.geometry import build_grid
-from rti.linkstats import RssTrace
+from rti.geometry import PATTERN_PAIRS, build_grid
+from rti.linkstats import RssTrace, pattern_stream
+from rti.presets import ring_layout
 from rti.simulator import PropagationParams, Scenario, Trajectory, simulate
 from rti.traceio import (
     TRACE_HEADER,
@@ -358,11 +362,101 @@ def test_reader_matches_stream_fields_byte_for_byte(tmp_path):
 
 
 def test_reader_reports_a_far_tick_as_a_missing_cell(tmp_path):
-    # Cells are checked from their sorted order, so a tick near the int64
-    # limit costs nothing sized ticks x streams.
+    # A tick beyond what the file can hold is set aside, so a tick near the
+    # int64 limit costs nothing sized ticks x streams.
     far = "9" * 18
     rows = replaced(4, f"{far},0,1,directional,,1,1,0.0,{far},true,-51.0")
     assert rejection(tmp_path, rows).endswith("trace.csv: no row for 0->1 pair (1,1) tick 1")
+
+
+@pytest.mark.parametrize("where", ["within a block", "across blocks"])
+def test_reader_rejects_a_line_longer_than_any_well_formed_row(tmp_path, monkeypatch, where):
+    # One message whether the line ends inside a block or runs past it.
+    if where == "across blocks":
+        monkeypatch.setattr(traceio, "_BLOCK_BYTES", 100)
+    longest = "-1" + "0" * 32
+    assert len(longest) > traceio._FLOAT_CHARS
+    rows = replaced(4, f"1,0,1,directional,,1,1,0.0,1,true,{longest * 6}")
+    message = "line 4: longer than 225 bytes, the most a well-formed row takes"
+    assert rejection(tmp_path, rows) == message
+    assert rejection(tmp_path, replaced(5, GOOD_ROWS[3] + "," * 300)) == message.replace("4", "5")
+
+
+def test_reader_rejects_an_overlong_line_without_holding_it(tmp_path):
+    # A 4 MiB body with no line end is rejected after one block, so the
+    # peak stays near the block buffer; the whole line read into memory
+    # peaked at 5x its size.
+    path = tmp_path / "trace.csv"
+    path.write_bytes(",".join(TRACE_HEADER).encode() + b"\n" + b"0," * (2 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceParseError) as info:
+            read_trace_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "line 2: longer than 225 bytes, the most a well-formed row takes"
+    assert peak <= 4 * traceio._BLOCK_BYTES
+
+
+def test_reader_reads_a_pipe(tmp_path):
+    # A pipe has no size to bound the ticks by, so it is read from a copy.
+    trace, _ = simulated_trace(rounds=3)
+    path = tmp_path / "trace.csv"
+    write_trace_file(path, trace)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        loaded = read_trace_file(pipe)
+    finally:
+        writer.join()
+    assert loaded.streams == trace.streams
+    assert np.array_equal(loaded.rssi, trace.rssi, equal_nan=True)
+
+
+def seven_node_directional_trace() -> RssTrace:
+    """Random RSS with 20% lost packets, shaped like a 7-node directional
+    run's trace: 160 ticks by 1,512 streams."""
+    layout = ring_layout(7, 2.9, (3.0, 3.0))
+    streams = tuple(pattern_stream(link, pair) for link in layout.links for pair in PATTERN_PAIRS)
+    rng = np.random.default_rng(18)
+    shape = (160, len(streams))
+    rssi = np.where(rng.random(shape) < 0.2, np.nan, rng.normal(-55.0, 4.0, shape))
+    return RssTrace("directional", 0.0, streams, rssi)
+
+
+def test_writer_peak_memory_stays_below_half_the_trace(tmp_path):
+    # The writer formats one tick at a time; the whole array as Python
+    # floats peaked at 4.2x the trace.
+    trace = seven_node_directional_trace()
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_trace_file(path, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * trace.rssi.nbytes
+
+
+def test_reader_peak_memory_stays_near_the_trace(tmp_path, monkeypatch):
+    # The reader holds the (ticks, streams) array, the first line of each
+    # cell and one block's temporaries; keeping every row until the end of
+    # the file peaked at 7.5x the trace.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 64 << 10)
+    trace = seven_node_directional_trace()
+    path = tmp_path / "trace.csv"
+    write_trace_file(path, trace)
+    tracemalloc.start()
+    try:
+        loaded = read_trace_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.rssi, trace.rssi, equal_nan=True)
+    assert peak <= 2 * trace.rssi.nbytes + 16 * traceio._BLOCK_BYTES
 
 
 @pytest.mark.parametrize(

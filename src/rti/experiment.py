@@ -11,6 +11,7 @@ names the phase. All outputs are deterministic for a fixed config.
 
 from __future__ import annotations
 
+import functools
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -424,6 +425,16 @@ def scenario_reconstructor(scenario: Scenario, imaging: ImagingConfig):
         return build_reconstructor(weights, imaging.alpha, imaging.regularizer, grid=scenario.grid)
 
 
+@functools.lru_cache(maxsize=1)
+def _truth_mask(layout, truth: bytes, lam: float) -> np.ndarray:
+    """`obstructed_mask` of a truth given by its float64 bytes, computed once
+    per (layout, truth, lam): every config of a `compare` shares one truth,
+    so the last one is all that is kept. The cached mask is read-only."""
+    mask = obstructed_mask(layout, np.frombuffer(truth).reshape(-1, 2), lam)
+    mask.flags.writeable = False
+    return mask
+
+
 def evaluate_method(
     config: ExperimentConfig,
     scenario: Scenario,
@@ -471,7 +482,7 @@ def evaluate_method(
         estimates = track(measurements, KalmanParams(config.tracking.q, config.tracking.r))
 
     errors = np.hypot(*(estimates - truth).T)
-    obstructed = obstructed_mask(scenario.layout, truth, params.person_lambda_m)
+    obstructed = _truth_mask(scenario.layout, truth.tobytes(), params.person_lambda_m)
     lo, hi = float(stats.min()), float(stats.max())
     thresholds = np.unique(np.linspace(lo, hi, 50))
     sweep = fn_fp_sweep(stats, obstructed, thresholds)

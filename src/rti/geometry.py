@@ -237,9 +237,13 @@ def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> W
     row = {n.id: k for k, n in enumerate(layout.nodes)}
     tx, rx = np.array([(row[a], row[b]) for a, b in layout.links]).T
     d = [layout.link_distance(a, b) for a, b in layout.links]
-    inside = to_node[tx] + to_node[rx] < np.add(d, lam)[:, None]
-    weight = np.array([[1.0 / math.sqrt(v)] for v in d])
-    return WeightMatrix(entries=inside * weight, lam=lam)
+    # One link's row at a time, in place, so no (links, voxels) temporary is
+    # made beside the result.
+    entries = np.empty((len(d), grid.num_voxels))
+    for out, a, b, reach, v in zip(entries, tx, rx, np.add(d, lam), d):
+        np.add(to_node[a], to_node[b], out=out)
+        np.multiply(out < reach, 1.0 / math.sqrt(v), out=out)
+    return WeightMatrix(entries=entries, lam=lam)
 
 
 def segments_intersect(

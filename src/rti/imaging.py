@@ -47,6 +47,9 @@ class Reconstructor:
 # Eigenvalue given to the Laplacian's constant null mode before Woodbury takes
 # it back out; any positive value yields the same pi.
 _NULL_MODE_LIFT = 1.0
+# Links per block of the difference regulariser's DCT chain, so that its
+# transforms hold a few (block, voxels) arrays rather than (links, voxels) ones.
+_LINK_BLOCK = 64
 
 
 def _dct_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -58,6 +61,50 @@ def _dct_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     basis[0] = np.sqrt(1.0 / n)
     eigenvalues = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
     return basis, eigenvalues
+
+
+def _b_inv_rows(A: np.ndarray, alpha: float, grid: VoxelGrid) -> np.ndarray:
+    """B^-1 applied to each row of A, for B = alpha Q + beta u u^T on the
+    grid's Neumann Laplacian Q: the DCT-II, the spectrum's reciprocal and the
+    inverse DCT-II, a block of links at a time."""
+    height, width = grid.height_voxels, grid.width_voxels
+    c_h, lam_h = _dct_basis(height)
+    c_w, lam_w = _dct_basis(width)
+    spectrum = alpha * (lam_h[:, None] + lam_w[None, :])
+    spectrum[0, 0] = _NULL_MODE_LIFT
+    out = np.empty((len(A), height * width))
+    for start in range(0, len(A), _LINK_BLOCK):
+        rows = slice(start, start + _LINK_BLOCK)
+        modes = c_h @ A[rows].reshape(-1, height, width) @ c_w.T
+        modes /= spectrum
+        out[rows] = (c_h.T @ modes @ c_w).reshape(-1, height * width)
+    return out
+
+
+def _checked_residual(A: np.ndarray, s: np.ndarray, x: np.ndarray) -> float:
+    """The link-space bound on max |(A^T A + alpha Q) pi - A^T| for the
+    solution x of s, which raises ReconstructionError above 1e-6 or when not
+    finite.
+
+    The voxel residual is A^T E[:L] - beta u E[L] for E = s x - [I; 0] (no
+    row E[L] for the identity): bound it by A's largest column 1-norm and |u|.
+    """
+    links, n = A.shape
+    error = s @ x
+    error[np.diag_indices(links)] -= 1.0
+    np.abs(error, out=error)
+    # The column sums of |A| add its rows in order, as np.linalg.norm(A, 1)
+    # does, without an |A| copy.
+    column_norms = np.abs(A[0])
+    for row in A[1:]:
+        column_norms += np.abs(row)
+    residual = float(column_norms.max() * error[:links].max()
+                     + _NULL_MODE_LIFT / np.sqrt(n) * error[links:].max(initial=0.0))
+    if not np.isfinite(residual) or residual > 1e-6:
+        raise ReconstructionError(
+            f"solve residual {residual:.3e} exceeds 1e-6; system is ill-conditioned"
+        )
+    return residual
 
 
 def build_reconstructor(
@@ -79,8 +126,13 @@ def build_reconstructor(
     and Woodbury with U = [A^T, u], D = diag(I, -beta) leaves one
     (L+1) x (L+1) solve. For L links on an H x W grid of N voxels, the DCT
     costs O(L N (H+W)) and the link-space products O(L^2 N).
-    The check is in link space too: a bound on max |(A^T A + alpha Q) pi -
-    A^T| above 1e-6, or not finite, raises ReconstructionError.
+    The check is in link space too, before pi is formed: a bound on
+    max |(A^T A + alpha Q) pi - A^T| above 1e-6, or not finite, raises
+    ReconstructionError.
+
+    The set-up's working set is A, B^-1 A^T (difference only), pi and a few
+    (L+1) x (L+1) arrays; the DCT runs on blocks of 64 links, so its
+    transforms add a few such blocks, not (L, N) arrays.
     """
     if isinstance(weights, WeightMatrix):
         A, lam = weights.entries, weights.lam
@@ -104,38 +156,30 @@ def build_reconstructor(
             )
     try:
         if regularizer == "identity":
-            s = A @ A.T + alpha * np.eye(links)
+            s = A @ A.T
+            s[np.diag_indices(links)] += alpha
             x = np.linalg.inv(s)
-            pi = A.T @ x
         else:
-            height, width = grid.height_voxels, grid.width_voxels
-            c_h, lam_h = _dct_basis(height)
-            c_w, lam_w = _dct_basis(width)
-            spectrum = alpha * (lam_h[:, None] + lam_w[None, :])
-            spectrum[0, 0] = _NULL_MODE_LIFT
             # Row l of b_inv_at is B^-1 applied to link l's weight row.
-            modes = c_h @ A.reshape(links, height, width) @ c_w.T
-            b_inv_at = (c_h.T @ (modes / spectrum) @ c_w).reshape(links, n)
+            b_inv_at = _b_inv_rows(A, alpha, grid)
             # B^-1 u = u / beta, a constant vector with this entry.
             b_inv_u = 1.0 / (np.sqrt(n) * _NULL_MODE_LIFT)
             # s = D^-1 + U^T B^-1 U; its corner -1/beta + u^T B^-1 u is 0.
             s = np.zeros((links + 1, links + 1))
-            s[:links, :links] = np.eye(links) + A @ b_inv_at.T
+            np.matmul(A, b_inv_at.T, out=s[:links, :links])
+            s[np.diag_indices(links)] += 1.0
             s[:links, links] = s[links, :links] = A.sum(axis=1) * b_inv_u
             x = np.linalg.solve(s, np.eye(links + 1, links))
-            # pi is the link columns of B^-1 U s^-1.
-            pi = b_inv_at.T @ x[:links] + b_inv_u * x[links]
     except np.linalg.LinAlgError as exc:
         raise ReconstructionError(f"regularized system is singular: {exc}") from exc
-    # The voxel residual is A^T E[:L] - beta u E[L] for E = s x - [I; 0] (no row
-    # E[L] for the identity): bound it by A's largest column 1-norm and |u|.
-    error = np.abs(s @ x - np.eye(len(s), links))
-    residual = float(np.linalg.norm(A, 1) * error[:links].max()
-                     + _NULL_MODE_LIFT / np.sqrt(n) * error[links:].max(initial=0.0))
-    if not np.isfinite(residual) or residual > 1e-6:
-        raise ReconstructionError(
-            f"solve residual {residual:.3e} exceeds 1e-6; system is ill-conditioned"
-        )
+    residual = _checked_residual(A, s, x)
+    del s  # its last use; pi needs the room
+    if regularizer == "identity":
+        pi = A.T @ x
+    else:
+        # pi is the link columns of B^-1 U s^-1.
+        pi = b_inv_at.T @ x[:links]
+        pi += b_inv_u * x[links]
     return Reconstructor(
         pi=pi, alpha=float(alpha), regularizer=regularizer, lam=lam, residual=residual
     )

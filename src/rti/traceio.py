@@ -88,6 +88,9 @@ _SPAN_CHARS = 5 * (1 + _INT_DIGITS) + max(map(len, MODES)) + _FLOAT_CHARS + 6
 # decimals, `false`, ten commas and a `\r`.
 _LINE_BYTES = 7 * (1 + _INT_DIGITS) + max(map(len, MODES)) + 2 * _FLOAT_CHARS + 5 + 10 + 1
 _LONG_LINE = f"longer than {_LINE_BYTES} bytes, the most a well-formed row takes"
+# Nor a truth line: a signed integer, two decimals, two commas and a `\r`.
+_TRUTH_LINE_BYTES = 1 + _INT_DIGITS + 2 * _FLOAT_CHARS + 2 + 1
+_LONG_TRUTH_LINE = f"longer than {_TRUTH_LINE_BYTES} bytes, the most a well-formed row takes"
 # Nor is a row shorter than this one.
 _SHORTEST_ROW = len(b"0,0,0,omni,,,,0,0,false,\n")
 _NON_FINITE = ("nan", "inf", "-inf")
@@ -179,22 +182,26 @@ def _opt(value) -> str:
 
 def write_trace_file(path, trace: RssTrace) -> None:
     # Rows are assembled by hand, with the CSV writer's line ending: every
-    # field is a number or a mode name, none of which would need quoting.
+    # field is a number or a mode name, so none needs quoting and none holds
+    # a `%` or a NUL. A tick is one `%` format of its row template, with NUL
+    # standing for the tick and `%r` for each received RSSI.
     streams = [
         f"{tx},{rx},{trace.mode},{_opt(ch)},{_opt(td)},{_opt(rd)},{trace.tx_power_dbm!r},"
         for tx, rx, ch, td, rd in trace.streams
     ]
+    received = np.array([f"\0,{stream}\0,true,%r\r\n" for stream in streams], dtype=object)
+    lost = np.array([f"\0,{stream}\0,false,\r\n" for stream in streams], dtype=object)
+    all_received = "".join(received)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
-        for tick, row in enumerate(map(np.ndarray.tolist, trace.rssi)):
-            fh.write(
-                "".join(
-                    f"{tick},{stream}{tick},false,\r\n"
-                    if math.isnan(rssi)
-                    else f"{tick},{stream}{tick},true,{rssi!r}\r\n"
-                    for stream, rssi in zip(streams, row)
-                )
-            )
+        for tick, row in enumerate(trace.rssi):
+            missing = np.isnan(row)
+            if missing.any():
+                template = "".join(np.where(missing, lost, received))
+                row = row[~missing]
+            else:
+                template = all_received
+            fh.write(template.replace("\0", str(tick)) % tuple(row.tolist()))
 
 
 def _parse_stream(fields: list[str]) -> tuple[str, float, StreamKey]:
@@ -595,12 +602,16 @@ def write_truth_file(path, truth: np.ndarray, first_tick: int = 0) -> None:
 
 def read_truth_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (ticks, positions) with positions shaped (T, 2). Each tick
-    follows the previous one by 1 and every coordinate is finite."""
+    follows the previous one by 1 and every coordinate is finite. A line
+    longer than the longest well-formed row is rejected without being read
+    whole."""
     path = Path(path)
     ticks: list[int] = []
     rows: list[tuple[float, float]] = []
     with open(path, "rb") as fh:
-        head = fh.readline()
+        # Each line is read up to one byte past the longest well-formed row.
+        lines = iter(lambda: fh.readline(_TRUTH_LINE_BYTES + 1), b"")
+        head = next(lines, b"")
         if not head:
             raise TraceParseError(f"{path}: empty truth file")
         header = _split(head)
@@ -608,11 +619,13 @@ def read_truth_file(path) -> tuple[np.ndarray, np.ndarray]:
             raise TraceParseError(
                 f"{path}: bad header {header!r}, expected {TRUTH_HEADER!r}"
             )
-        for line, text in enumerate(fh, start=2):
+        for line, text in enumerate(lines, start=2):
             row = _split(text)
             if not row:
                 continue
             try:
+                if len(text.removesuffix(b"\n")) > _TRUTH_LINE_BYTES:
+                    raise ValueError(_LONG_TRUTH_LINE)
                 if len(row) != len(TRUTH_HEADER):
                     raise ValueError(f"expected {len(TRUTH_HEADER)} fields, got {len(row)}")
                 tick = _integer(row[0], "tick")

@@ -1,6 +1,7 @@
 """Reconstructor set-up code that left the library, kept here as oracles: the
-per-link weight loop and the voxel-space Laplacian product that the build
-used to check its solve with."""
+per-link weight loop, the whole-array weight expression, the one-shot
+link-space build and the voxel-space Laplacian product that the build used
+to check its solve with."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 import numpy as np
 
 from rti.geometry import NetworkLayout, VoxelGrid, WeightMatrix
+from rti.imaging import _NULL_MODE_LIFT, _dct_basis
 
 
 def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> WeightMatrix:
@@ -23,6 +25,49 @@ def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> W
         inside = (d1 + d2) < (d + lam)
         entries[i, inside] = 1.0 / math.sqrt(d)
     return WeightMatrix(entries=entries, lam=lam)
+
+
+def build_weight_matrix_at_once(
+    grid: VoxelGrid, layout: NetworkLayout, lam: float
+) -> WeightMatrix:
+    """Every link at once, as (links, voxels) distance and mask arrays."""
+    x, y = grid.centers().T
+    to_node = np.hypot(x - [[n.x] for n in layout.nodes], y - [[n.y] for n in layout.nodes])
+    row = {n.id: k for k, n in enumerate(layout.nodes)}
+    tx, rx = np.array([(row[a], row[b]) for a, b in layout.links]).T
+    d = [layout.link_distance(a, b) for a, b in layout.links]
+    inside = to_node[tx] + to_node[rx] < np.add(d, lam)[:, None]
+    weight = np.array([[1.0 / math.sqrt(v)] for v in d])
+    return WeightMatrix(entries=inside * weight, lam=lam)
+
+
+def build_at_once(A, alpha, regularizer, grid=None) -> tuple[np.ndarray, float]:
+    """(pi, residual) of the link-space build, each step on whole arrays:
+    the DCT chain over every link, A A^T + alpha I with an identity matrix,
+    and the residual of s x - [I; 0] with np.linalg.norm(A, 1)."""
+    links, n = A.shape
+    if regularizer == "identity":
+        s = A @ A.T + alpha * np.eye(links)
+        x = np.linalg.inv(s)
+        pi = A.T @ x
+    else:
+        height, width = grid.height_voxels, grid.width_voxels
+        c_h, lam_h = _dct_basis(height)
+        c_w, lam_w = _dct_basis(width)
+        spectrum = alpha * (lam_h[:, None] + lam_w[None, :])
+        spectrum[0, 0] = _NULL_MODE_LIFT
+        modes = c_h @ A.reshape(links, height, width) @ c_w.T
+        b_inv_at = (c_h.T @ (modes / spectrum) @ c_w).reshape(links, n)
+        b_inv_u = 1.0 / (np.sqrt(n) * _NULL_MODE_LIFT)
+        s = np.zeros((links + 1, links + 1))
+        s[:links, :links] = np.eye(links) + A @ b_inv_at.T
+        s[:links, links] = s[links, :links] = A.sum(axis=1) * b_inv_u
+        x = np.linalg.solve(s, np.eye(links + 1, links))
+        pi = b_inv_at.T @ x[:links] + b_inv_u * x[links]
+    error = np.abs(s @ x - np.eye(len(s), links))
+    residual = float(np.linalg.norm(A, 1) * error[:links].max()
+                     + _NULL_MODE_LIFT / np.sqrt(n) * error[links:].max(initial=0.0))
+    return pi, residual
 
 
 def apply_laplacian(pi: np.ndarray, height: int, width: int) -> np.ndarray:

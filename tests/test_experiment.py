@@ -45,6 +45,7 @@ from rti.linkstats import (
     calibration_deviation,
     channel_stream,
     first_heard,
+    fn_fp_sweep,
     omni_stream,
     pattern_stream,
     window_variance,
@@ -55,6 +56,7 @@ from rti.simulator import (
     Scenario,
     Trajectory,
     Wall,
+    obstructed_mask,
     read_scenario_file,
     simulate,
     write_scenario_file,
@@ -921,6 +923,30 @@ def test_compare_simulates_a_shared_mode_once(count_simulations):
     evaluations = compare(scenario, QUIET, configs)
     assert count_simulations == ["directional"]
     assert [ev.metrics["mode"] for ev in evaluations] == ["directional"] * 6
+
+
+def test_compare_computes_the_truth_mask_once_per_truth(monkeypatch):
+    # Every mode's simulation walks the same truth, so the twelve-config
+    # comparison needs the obstruction mask once, not once per config.
+    masks = []
+
+    def counting(layout, truth, lam):
+        masks.append(lam)
+        return obstructed_mask(layout, truth, lam)
+
+    monkeypatch.setattr(experiment, "obstructed_mask", counting)
+    scenario = square_scenario(mode="omni", rounds=4, cal=12, seed=7)
+    configs = [in_memory(m) for m in ("mRTI", "vRTI", "cRTI-mean", "dRTI-mean", "dRTI-var")]
+    evaluations = compare(scenario, QUIET, configs)
+    assert masks == [QUIET.person_lambda_m]
+    _, truth = simulate(scenario, QUIET)
+    mask = obstructed_mask(scenario.layout, truth, QUIET.person_lambda_m)
+    for ev in evaluations:
+        thresholds = [row["threshold"] for row in ev.metrics["fn_fp"]]
+        expected = fn_fp_sweep(ev.stats, mask, np.array(thresholds))
+        assert ev.metrics["fn_fp"] == [
+            {"threshold": tau, "fn_rate": fn, "fp_rate": fp} for tau, fn, fp in expected
+        ]
 
 
 def test_compare_checks_every_window_before_simulating(count_simulations):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,7 +240,26 @@ def test_weight_matrix_equals_per_link_loop(case):
     assert wm.entries.dtype == np.float64 and wm.entries.flags.c_contiguous
     assert np.array_equal(wm.entries, expected.entries)
     assert np.array_equal(np.signbit(wm.entries), np.signbit(expected.entries))
+    assert wm.entries.tobytes() == build_oracles.build_weight_matrix_at_once(
+        grid, layout, lam
+    ).entries.tobytes()
     assert wm.lam == lam
+
+
+def test_weight_matrix_peak_memory_on_the_ring20_grid():
+    # The rows are filled one link at a time, so the build holds the result
+    # and less than one 64-link block of rows besides; the whole-array
+    # expression peaked at 22.5 MB, twice the result, against this bound of
+    # 12.8 MB.
+    grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
+    layout = ring_layout(20, 2.9, (3.0, 3.0))
+    tracemalloc.start()
+    try:
+        wm = build_weight_matrix(grid, layout, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= wm.entries.nbytes + 64 * grid.num_voxels * 8
 
 
 def test_weight_matrix_lambda_monotonicity():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rti import imaging
 from rti.geometry import NetworkLayout, NodeSpec, build_grid, build_weight_matrix
 from rti.imaging import (
     ImageFrame,
@@ -180,6 +183,54 @@ def test_residual_bound_covers_a_perturbed_solve(monkeypatch, regularizer):
     dense = build_oracles.dense_residual(A, 2.0, regularizer, rec.pi, grid)
     assert dense > 1e-11
     assert 0.5 * rec.residual <= dense <= rec.residual + 1e-12
+
+
+def one_shot_case(case):
+    """Weights (a WeightMatrix or a bare array) and grid of one case; the
+    number in a name is its link count, against blocks of 64 links."""
+    coarse = build_grid((0.0, 0.0), 6.0, 6.0, 0.2)
+    if case == "ring7-42":
+        return build_weight_matrix(coarse, ring_layout(7, 2.9, (3.0, 3.0)), 0.5), coarse
+    if case in ("ring9-64", "ring9-65"):
+        wm = build_weight_matrix(coarse, ring_layout(9, 2.9, (3.0, 3.0)), 0.5)
+        return wm.entries[: int(case[-2:])], coarse
+    if case == "signed-65":
+        grid = grid_of(8, 12)
+        return np.random.default_rng(19).normal(size=(65, grid.num_voxels)), grid
+    ring20 = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
+    return build_weight_matrix(ring20, ring_layout(20, 2.9, (3.0, 3.0)), 0.5), ring20
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+@pytest.mark.parametrize("case", ["ring7-42", "ring9-64", "ring9-65", "signed-65", "ring20-380"])
+def test_build_is_bit_identical_to_the_one_shot_build(case, regularizer):
+    weights, grid = one_shot_case(case)
+    A = getattr(weights, "entries", weights)
+    assert len(A) == int(case.rsplit("-", 1)[1])
+    rec = build_reconstructor(weights, 25.0, regularizer, grid=grid)
+    pi, residual = build_oracles.build_at_once(A, 25.0, regularizer, grid)
+    assert rec.pi.tobytes() == pi.tobytes()
+    assert rec.residual.hex() == residual.hex()
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+def test_build_peak_memory_on_the_ring20_grid(regularizer):
+    # Besides A, the build holds pi, B^-1 A^T (difference only), a few
+    # (L+1) x (L+1) arrays and one block of links' transforms. Building each
+    # step on whole arrays peaked at 47.4 MB (difference) and 25.4 MB
+    # (identity), against these bounds of 28.4 and 17.4 MB.
+    grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
+    wm = build_weight_matrix(grid, ring_layout(20, 2.9, (3.0, 3.0)), 0.5)
+    links, n = wm.entries.shape
+    tracemalloc.start()
+    try:
+        rec = build_reconstructor(wm, 25.0, regularizer, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    b_inv_at = wm.entries.nbytes if regularizer == "difference" else 0
+    block = imaging._LINK_BLOCK * n * 8
+    assert peak <= rec.pi.nbytes + b_inv_at + 4 * (links + 1) ** 2 * 8 + block
 
 
 @pytest.mark.parametrize("height,width", [(3, 5), (5, 3), (2, 7), (1, 6), (6, 1), (1, 1)])

@@ -94,3 +94,17 @@ def test_digest_runs_is_reproducible():
     assert sum(name.endswith("/trace.csv (read)") for name in names) == 12
     assert len({name.split("/")[2] for name in names if name.count("/") > 2}) == 12
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
+
+
+def test_probe_build_prints_one_line_per_part():
+    lines = run_script("probe_build.py", "--cases", "7:1.0").stdout.splitlines()
+    assert lines[0].split() == [
+        "nodes", "voxel_m", "links", "voxels", "part", "time_s", "peak_mib", "rss_mib"
+    ]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:5] for row in rows] == [
+        ["7", "1.0", "42", "36", part] for part in ("weights", "identity", "difference")
+    ]
+    for row in rows:
+        seconds, peak, rss = map(float, row[5:])
+        assert seconds >= 0.0 and peak > 0.0 and rss > peak

@@ -510,6 +510,36 @@ def test_truth_error_names_line(tmp_path):
         read_truth_file(path)
 
 
+def test_truth_reader_takes_the_longest_well_formed_row(tmp_path):
+    # A 19-character tick, two 32-character decimals, two commas and `\r`.
+    decimal = "-1." + "0" * 27 + "e0"
+    row = f"-100000000000000000,{decimal},{decimal}\r\n"
+    assert len(row) == traceio._TRUTH_LINE_BYTES + 1
+    path = tmp_path / "truth.csv"
+    path.write_bytes(b"tick,x,y\r\n" + row.encode())
+    ticks, positions = read_truth_file(path)
+    assert ticks.tolist() == [-10**17] and positions.tolist() == [[-1.0, -1.0]]
+    path.write_bytes(b"tick,x,y\r\n" + row.replace(",", ",0", 1).encode())
+    with pytest.raises(TraceParseError, match="^line 2: longer than 86 bytes, the most"):
+        read_truth_file(path)
+
+
+def test_truth_reader_rejects_an_overlong_line_in_bounded_memory(tmp_path):
+    # A 16 MiB body without a line end; reading it as one line peaked at
+    # 104 MB traced.
+    path = tmp_path / "truth.csv"
+    path.write_bytes(b"tick,x,y\n" + b"0," * (8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceParseError) as info:
+            read_truth_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "line 2: longer than 86 bytes, the most a well-formed row takes"
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [

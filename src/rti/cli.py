@@ -4,9 +4,11 @@
     rti run --config C.json [--seed N]
     rti report --dir DIR [--format text|csv]
 
-Exit codes: 0 success, 2 configuration problem, 3 runtime failure. The
-RTI_SEED environment variable overrides the seed from scenario and config
-files; an explicit --seed flag beats both.
+Exit codes: 0 success, 1 standard output closed before all of it was
+written (a broken pipe, as in `rti report ... | head`; no message), 2
+configuration problem, 3 runtime failure. The RTI_SEED environment variable
+overrides the seed from scenario and config files; an explicit --seed flag
+beats both.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .experiment import ConfigError, PhaseError, read_config_file, record_run, r
 from .simulator import SEED_LIMIT, ScenarioError, read_json_object, read_scenario_file
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
@@ -147,7 +150,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of standard output has gone. As in the recipe of
+        # Python's signal docs, stdout is pointed at devnull so that the
+        # flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

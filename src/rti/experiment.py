@@ -52,7 +52,7 @@ from .simulator import (
     simulate,
 )
 from .tracking import KalmanParams, error_cdf, rmse, track, write_trajectory
-from .traceio import write_trace_file, write_truth_file
+from .traceio import text_table, write_grid, write_trace_file, write_truth_file
 
 METHODS = ("mRTI", "vRTI", "cRTI-mean", "cRTI-var", "dRTI-mean", "dRTI-var")
 SELECTION_METHODS = ("all", "location", "fadelevel", "prr")
@@ -609,8 +609,7 @@ def write_evaluation(
 
 
 def _write_stats(path, scenario: Scenario, stats: np.ndarray, first_tick: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tick,tx_id,rx_id,stat\n")
-        for t in range(stats.shape[0]):
-            for i, (tx, rx) in enumerate(scenario.layout.links):
-                fh.write(f"{first_tick + t},{tx},{rx},{float(stats[t, i])!r}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"tick,tx_id,rx_id,stat\n")
+        links = text_table(f",{tx},{rx}," for tx, rx in scenario.layout.links)
+        write_grid(fh, stats, ["tick", links, "value", ("", "nan"), b"\n"], first_tick)

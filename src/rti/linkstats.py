@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -108,7 +109,16 @@ class RssTrace:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not math.isfinite(self.tx_power_dbm):
+        # Kept as a Python float, so a trace file shows `0.0`, never `0` or
+        # `np.float64(0.0)`; a bool is refused rather than taken as 0 or 1.
+        power = self.tx_power_dbm
+        if isinstance(power, bool) or not isinstance(power, numbers.Real):
+            raise ValueError(f"tx_power_dbm must be a real number, got {power!r}")
+        try:
+            power = float(power)
+        except OverflowError:
+            power = math.inf
+        if not math.isfinite(power):
             raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm!r}")
         streams = tuple(tuple(key) for key in self.streams)
         for key in streams:
@@ -127,6 +137,7 @@ class RssTrace:
                 f"{format_stream(streams[col])} tick {tick}: non-finite rssi"
             )
         rssi.flags.writeable = False
+        object.__setattr__(self, "tx_power_dbm", power)
         object.__setattr__(self, "streams", streams)
         object.__setattr__(self, "rssi", rssi)
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import rti.experiment
-from rti.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from rti.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPE, EXIT_RUNTIME, main
 from rti.geometry import NetworkLayout, NodeSpec, build_grid
 from rti.simulator import (
     PropagationParams,
@@ -231,6 +235,36 @@ def test_report_text_and_csv(tmp_path, scenario_file, capsys):
     assert csv_out[0] == "metric,value"
     assert any(line.startswith("rmse_kalman_m,") for line in csv_out)
     assert any(".fn_rate," in line for line in csv_out)
+
+
+def report_with_stdout(tmp_path, stdout, metrics: int) -> subprocess.Popen:
+    """`rti report --format csv` of `metrics` metrics, in a subprocess."""
+    (tmp_path / "metrics.json").write_text(json.dumps({f"m{i}": i for i in range(metrics)}))
+    src = Path(rti.experiment.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "rti.cli", "report", "--dir", str(tmp_path), "--format", "csv"]
+    return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_report_into_a_closed_pipe_exits_1_without_a_message(tmp_path):
+    # The reader of the pipe has gone before the first line is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = report_with_stdout(tmp_path, write_end, metrics=3)
+    finally:
+        os.close(write_end)
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (EXIT_PIPE, b"")
+
+
+def test_report_into_a_pipe_closed_after_one_line_exits_1_without_a_message(tmp_path):
+    # As `rti report ... | head -1`, with more output than a pipe buffers.
+    child = report_with_stdout(tmp_path, subprocess.PIPE, metrics=50_000)
+    assert child.stdout.readline() == b"metric,value\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (EXIT_PIPE, b"")
 
 
 def test_report_without_metrics_exits_2(tmp_path, capsys):

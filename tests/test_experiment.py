@@ -10,6 +10,7 @@ import pytest
 import rti.experiment as experiment
 import rti.imaging
 import rti.linkstats
+import rti.traceio
 import rti.tracking
 from rti.experiment import (
     ConfigError,
@@ -64,6 +65,7 @@ from rti.simulator import (
 from rti.traceio import read_trace_file, read_truth_file
 
 import eval_oracles
+import trace_oracles
 
 QUIET = PropagationParams(
     fading_std_db=0.0, noise_std_db=0.0, agitation_std_db=0.0
@@ -438,6 +440,31 @@ def test_stats_csv_matches_in_memory_statistics(tmp_path):
     assert int(tick) == scenario.calibration_rounds
     link_index = scenario.layout.links.index((int(tx), int(rx)))
     assert float(stat) == result.stats[0, link_index]
+
+
+@pytest.mark.parametrize("mode, method", [("omni", "mRTI"), ("directional", "dRTI-var")])
+def test_stats_csv_is_the_repr_writers_bytes(tmp_path, mode, method):
+    scenario = square_scenario(mode, rounds=6, cal=12)
+    config = make_config(tmp_path, scenario, PropagationParams(), method)
+    result = run_experiment(config)
+    oracle = tmp_path / "oracle.csv"
+    trace_oracles.write_stats_file(oracle, scenario.layout.links, result.stats, scenario.calibration_rounds)
+    assert (config.out_dir / "stats.csv").read_bytes() == oracle.read_bytes()
+
+
+def test_stats_csv_writes_nan_and_values_repr_writes_its_own_way(tmp_path, monkeypatch):
+    # Blocks of part of a tick and of several ticks.
+    scenario = square_scenario(rounds=5, cal=4)
+    rng = np.random.default_rng(8)
+    specials = [np.nan, np.inf, -0.0, 0.0, 1e-9, 0.5, 3.0, 1e16, 2.0**50 + 0.25, -12.345]
+    stats = rng.choice(specials, (7, scenario.layout.num_links))
+    stats[:, 0] = rng.normal(2.0, 1.0, 7)
+    oracle = tmp_path / "oracle.csv"
+    trace_oracles.write_stats_file(oracle, scenario.layout.links, stats, 998)
+    for block_lines in (3, 2048):
+        monkeypatch.setattr(rti.traceio, "_BLOCK_LINES", block_lines)
+        experiment._write_stats(tmp_path / "stats.csv", scenario, stats, 998)
+        assert (tmp_path / "stats.csv").read_bytes() == oracle.read_bytes()
 
 
 def test_trajectory_file_agrees_with_reported_rmse(tmp_path):

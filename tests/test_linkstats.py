@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -84,6 +85,31 @@ def test_trace_rejects_malformed_columns():
         RssTrace("radar", 0.0, streams, np.zeros((3, 1)))
     with pytest.raises(ValueError, match="tx_power_dbm"):
         RssTrace("omni", math.nan, streams, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "power, kept",
+    [(0, 0.0), (np.float64(-7.25), -7.25), (np.int64(3), 3.0), (np.float32(0.5), 0.5)],
+)
+def test_trace_keeps_its_tx_power_as_a_python_float(power, kept):
+    trace = RssTrace("omni", power, (omni_stream((0, 1)),), np.zeros((2, 1)))
+    assert type(trace.tx_power_dbm) is float and trace.tx_power_dbm == kept
+
+
+@pytest.mark.parametrize(
+    "power, message",
+    [
+        (True, "must be a real number, got True"),
+        (np.True_, "must be a real number, got np.True_"),
+        ("0.0", "must be a real number, got '0.0'"),
+        (None, "must be a real number, got None"),
+        (np.inf, "must be finite, got inf"),
+        (10**400, "must be finite"),
+    ],
+)
+def test_trace_rejects_a_tx_power_that_is_not_a_finite_real(power, message):
+    with pytest.raises(ValueError, match=r"^tx_power_dbm " + re.escape(message)):
+        RssTrace("omni", power, (omni_stream((0, 1)),), np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("channel", [99, -5, 12])

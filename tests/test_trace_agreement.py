@@ -1,6 +1,7 @@
 """The block-streamed trace reader against the line-by-line reader it
 replaced (`tests/trace_oracles.py`): the same trace from every file the
-oracle accepts, and the same error from every file it rejects."""
+oracle accepts, and the same error from every file it rejects. And the
+trace writer against the repr writer it replaced: the same bytes."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ import pytest
 from rti import traceio
 from rti.traceio import TraceParseError, read_trace_file, write_trace_file
 from tests.test_traceio import simulated_trace
+from rti.linkstats import RssTrace
 from tests.trace_oracles import read_trace_file as oracle_read_trace_file
+from tests.trace_oracles import write_trace_file as oracle_write_trace_file
 
 # Python's own wording of a bad number, which the oracle passes on and the
 # reader replaces with the field's name and grammar.
@@ -250,3 +253,55 @@ def test_agrees_on_a_far_tick_just_past_complete_ticks(tmp_path):
     assert assert_agrees(path).endswith("no row for 1->0 omni tick 4")
     path.write_text("\n".join([",".join(traceio.TRACE_HEADER), *rows, "4,1,0,omni,,,,0,4,false,"]) + "\n")
     assert assert_agrees(path).endswith("no row for 0->1 omni tick 4")
+
+
+def assert_writes_alike(tmp_path, trace) -> bytes:
+    """The bytes both writers write for `trace`."""
+    write_trace_file(tmp_path / "new.csv", trace)
+    oracle_write_trace_file(tmp_path / "old.csv", trace)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    return new
+
+
+@pytest.mark.parametrize(
+    "mode, sensitivity_dbm",
+    [("omni", -64.0), ("multichannel", -64.0), ("directional", -60.0), ("directional", -90.0)],
+)
+def test_writer_writes_the_oracle_bytes_on_simulated_traces(tmp_path, mode, sensitivity_dbm):
+    trace, _ = simulated_trace(mode, sensitivity_dbm, rounds=30)
+    assert np.isnan(trace.rssi).any() or sensitivity_dbm < -80
+    assert_writes_alike(tmp_path, trace)
+
+
+def test_writer_writes_the_oracle_bytes_for_values_repr_writes_its_own_way(tmp_path, monkeypatch):
+    # RSSI outside 1 <= |x| < 1e16, exact ties, 16-digit candidates above
+    # 2**53, short decimals and integers, beside lost packets; blocks of
+    # part of a tick and of several ticks.
+    trace, _ = simulated_trace("multichannel", -64.0, rounds=30)
+    rng = np.random.default_rng(5)
+    specials = np.array(
+        [-0.0, 0.0, 5e-324, -0.25, 0.999, 1e16, -1e16, 1.7976931348623157e308, -1e-5,
+         2.0**50 + 0.25, 1e15 + 0.125, -9.123456789012345, -52.0, -52.5, 7.0, 1e22]
+    )
+    rssi = trace.rssi.copy()
+    cells = rng.choice(rssi.size, rssi.size // 4, replace=False)
+    rssi.reshape(-1)[cells] = rng.choice(specials, len(cells))
+    trace = RssTrace(trace.mode, trace.tx_power_dbm, trace.streams, rssi)
+    assert np.isnan(trace.rssi).any()
+    for block_lines in (5, 2048):
+        monkeypatch.setattr(traceio, "_BLOCK_LINES", block_lines)
+        assert_writes_alike(tmp_path, trace)
+
+
+@pytest.mark.parametrize("power", [0.0, -12.5, 3, np.float64(-7.25), np.int64(2)])
+def test_writer_writes_the_oracle_bytes_for_any_tx_power(tmp_path, power):
+    # The trace keeps its power as a Python float, so both write `3.0` for
+    # 3 and `-7.25` for np.float64(-7.25); a write, read and write is a
+    # fixed point.
+    trace, _ = simulated_trace("omni", -64.0)
+    trace = RssTrace(trace.mode, power, trace.streams, trace.rssi)
+    written = assert_writes_alike(tmp_path, trace)
+    assert f",{float(power)!r},".encode() in written.split(b"\r\n")[1]
+    write_trace_file(tmp_path / "again.csv", read_trace_file(tmp_path / "new.csv"))
+    assert (tmp_path / "again.csv").read_bytes() == written

@@ -1,10 +1,14 @@
-"""The line-by-line trace reader the block-streamed `rti.traceio` reader
-replaced, kept as an oracle.
+"""The trace reader and the CSV writers that `rti.traceio` replaced, kept
+as oracles.
 
-It parses each row with the `csv` module and Python's `int` and `float`, so
-it also lets through a few forms the shipped reader now rejects (`-5_0.0`,
-` 0`, `+0`, `"0"`, ` TRUE `). On every file it accepts or rejects alike,
-the shipped reader must return the same trace or the same error.
+The reader parses each row with the `csv` module and Python's `int` and
+`float`, so it also lets through a few forms the shipped reader now rejects
+(`-5_0.0`, ` 0`, `+0`, `"0"`, ` TRUE `). On every file it accepts or rejects
+alike, the shipped reader must return the same trace or the same error.
+
+The writers format every float with Python's repr, one `%r` or f-string at
+a time; the shipped writers, built on `format_values`, must write the same
+bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +21,41 @@ import numpy as np
 
 from rti.linkstats import MODES, RssTrace, StreamKey, check_stream, format_stream
 from rti.traceio import TRACE_HEADER, TraceParseError
+
+
+def _opt(value) -> str:
+    return "" if value is None else str(value)
+
+
+def write_trace_file(path, trace: RssTrace) -> None:
+    # A tick is one `%` format of its row template, with NUL standing for
+    # the tick and `%r` for each received RSSI.
+    streams = [
+        f"{tx},{rx},{trace.mode},{_opt(ch)},{_opt(td)},{_opt(rd)},{trace.tx_power_dbm!r},"
+        for tx, rx, ch, td, rd in trace.streams
+    ]
+    received = np.array([f"\0,{stream}\0,true,%r\r\n" for stream in streams], dtype=object)
+    lost = np.array([f"\0,{stream}\0,false,\r\n" for stream in streams], dtype=object)
+    all_received = "".join(received)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        for tick, row in enumerate(trace.rssi):
+            missing = np.isnan(row)
+            if missing.any():
+                template = "".join(np.where(missing, lost, received))
+                row = row[~missing]
+            else:
+                template = all_received
+            fh.write(template.replace("\0", str(tick)) % tuple(row.tolist()))
+
+
+def write_stats_file(path, links, stats: np.ndarray, first_tick: int) -> None:
+    """`stats.csv` of a run: one row per tick and link."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("tick,tx_id,rx_id,stat\n")
+        for t in range(stats.shape[0]):
+            for i, (tx, rx) in enumerate(links):
+                fh.write(f"{first_tick + t},{tx},{rx},{float(stats[t, i])!r}\n")
 
 
 def _parse_stream(row: list[str]) -> tuple[str, float, StreamKey]:

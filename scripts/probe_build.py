@@ -7,6 +7,8 @@ regulariser. Every line comes from its own spawned interpreter with one BLAS
 thread, which builds the weights (untraced, for the two builds) and then
 times one call under tracemalloc:
 
+- `distinct_rows`: the reconstructor's distinct weight rows, the size of
+  its link-space system (`-` for the weights);
 - `time_s`: wall time of the call, traced;
 - `peak_mib`: the tracemalloc peak during the call, counting what was held
   when it started (the weights, for the builds);
@@ -25,7 +27,8 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 PARTS = ("weights", "identity", "difference")
-COLUMNS = ("nodes", "voxel_m", "links", "voxels", "part", "time_s", "peak_mib", "rss_mib")
+COLUMNS = ("nodes", "voxel_m", "links", "voxels", "part", "distinct_rows", "time_s", "peak_mib",
+           "rss_mib")
 
 
 def probe(nodes: int, voxel: float, part: str) -> tuple:
@@ -40,16 +43,19 @@ def probe(nodes: int, voxel: float, part: str) -> tuple:
     if part == "weights":
         start = time.perf_counter()
         build_weight_matrix(grid, layout, 0.5)
+        seconds = time.perf_counter() - start
+        distinct = "-"
     else:
         weights = build_weight_matrix(grid, layout, 0.5)
         tracemalloc.reset_peak()
         start = time.perf_counter()
-        build_reconstructor(weights, 25.0, part, grid=grid)
-    seconds = time.perf_counter() - start
+        rec = build_reconstructor(weights, 25.0, part, grid=grid)
+        seconds = time.perf_counter() - start
+        distinct = rec.distinct_rows
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return (nodes, voxel, layout.num_links, grid.num_voxels, part,
+    return (nodes, voxel, layout.num_links, grid.num_voxels, part, distinct,
             f"{seconds:.3f}", f"{peak / 2**20:.2f}", f"{rss_kib / 1024:.1f}")
 
 

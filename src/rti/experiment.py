@@ -504,6 +504,7 @@ def evaluate_method(
         "reconstructor": {
             "links": reconstructor.num_links,
             "voxels": reconstructor.num_voxels,
+            "distinct_rows": reconstructor.distinct_rows,
             "residual": reconstructor.residual,
         },
         "tracking": asdict(config.tracking),

@@ -27,21 +27,45 @@ class ImageFrame:
 
 @dataclass(frozen=True)
 class Reconstructor:
-    """Precomputed linear map from link statistics to a voxel image."""
+    """Precomputed linear map from link statistics to a voxel image.
 
-    pi: np.ndarray  # (num_voxels, num_links)
+    Links with identical weight rows (a->b and b->a in the elliptical model)
+    form one group and share one column of pi, which images the mean of the
+    group's statistics.
+    """
+
+    pi: np.ndarray  # (num_voxels, distinct_rows)
+    groups: np.ndarray  # (num_links,): each link's group, in order of first appearance
     alpha: float
     regularizer: str
     lam: float | None  # the WeightMatrix's ellipse excess; None for a bare array
-    residual: float  # link-space bound on max |(A^T A + alpha Q) pi - A^T|, <= 1e-6
+    residual: float  # bound on the per-link map's max |(A^T A + alpha Q) pi - A^T|, <= 1e-6
 
     @property
     def num_links(self) -> int:
-        return self.pi.shape[1]
+        return len(self.groups)
 
     @property
     def num_voxels(self) -> int:
         return self.pi.shape[0]
+
+    @property
+    def distinct_rows(self) -> int:
+        return self.pi.shape[1]
+
+    @functools.cached_property
+    def _mean_plan(self) -> tuple[np.ndarray, list, np.ndarray]:
+        """(first, slots, counts) for `_group_means`: the first link of each
+        group, then per slot k >= 1 the groups with more than k links and
+        the k-th link of each, and the groups' link counts."""
+        counts = np.bincount(self.groups)
+        order = np.argsort(self.groups, kind="stable")
+        starts = np.cumsum(counts) - counts
+        slots = []
+        for k in range(1, counts.max()):
+            groups = np.flatnonzero(counts > k)
+            slots.append((groups, order[starts[groups] + k]))
+        return order[starts], slots, counts.astype(float)
 
 
 # Eigenvalue given to the Laplacian's constant null mode before Woodbury takes
@@ -81,25 +105,67 @@ def _b_inv_rows(A: np.ndarray, alpha: float, grid: VoxelGrid) -> np.ndarray:
     return out
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """A uint64 key per row: the wrapping dot product of its bit pattern with
+    fixed odd multipliers, exact in any summation order, so that equal bits
+    give equal keys."""
+    multipliers = np.random.default_rng(0).integers(2**64, size=rows.shape[1], dtype=np.uint64)
+    return rows.view(np.uint64) @ (multipliers | np.uint64(1))
+
+
+def _check_finite(A: np.ndarray) -> None:
+    """Raise ReconstructionError naming the first row of A, a block of rows
+    at a time, that holds a NaN or an infinity."""
+    for start in range(0, len(A), _LINK_BLOCK):
+        finite = np.isfinite(A[start:start + _LINK_BLOCK]).all(axis=1)
+        if not finite.all():
+            raise ReconstructionError(
+                f"weight row of link {start + int(finite.argmin())} is not finite"
+            )
+
+
+def _distinct_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, groups) of A's rows: groups[l] is row l's group, numbered in
+    order of first appearance, and first[g] is group g's first row. A key
+    only proposes a group; a row joins one when it equals the group's first
+    row entry for entry."""
+    first, groups, candidates = [], np.empty(len(A), dtype=np.intp), {}
+    for link, key in enumerate(_row_keys(A).tolist()):
+        same_key = candidates.setdefault(key, [])
+        for group in same_key:
+            if np.array_equal(A[link], A[first[group]]):
+                break
+        else:
+            group = len(first)
+            first.append(link)
+            same_key.append(group)
+        groups[link] = group
+    return np.array(first, dtype=np.intp), groups
+
+
 def _checked_residual(A: np.ndarray, s: np.ndarray, x: np.ndarray) -> float:
     """The link-space bound on max |(A^T A + alpha Q) pi - A^T| for the
-    solution x of s, which raises ReconstructionError above 1e-6 or when not
-    finite.
+    per-link map pi of the solution x of the grouped system s, which raises
+    ReconstructionError above 1e-6 or when not finite.
 
-    The voxel residual is A^T E[:L] - beta u E[L] for E = s x - [I; 0] (no
-    row E[L] for the identity): bound it by A's largest column 1-norm and |u|.
+    With A' the G distinct rows, C = diag(counts) and F the (links, G)
+    indicator of each link's group, the voxel residual is
+    (A'^T C E[:G] - beta u E[G]) C^-1 F^T for E = s x - [I; 0] (no row E[G]
+    for the identity). Every column of C^-1 F^T holds one entry of at most 1,
+    and the column 1-norms of A' weighted by C are those of the full A: bound
+    it by the full A's largest column 1-norm and |u|.
     """
-    links, n = A.shape
+    distinct, n = x.shape[1], A.shape[1]
     error = s @ x
-    error[np.diag_indices(links)] -= 1.0
+    error[np.diag_indices(distinct)] -= 1.0
     np.abs(error, out=error)
     # The column sums of |A| add its rows in order, as np.linalg.norm(A, 1)
     # does, without an |A| copy.
     column_norms = np.abs(A[0])
     for row in A[1:]:
         column_norms += np.abs(row)
-    residual = float(column_norms.max() * error[:links].max()
-                     + _NULL_MODE_LIFT / np.sqrt(n) * error[links:].max(initial=0.0))
+    residual = float(column_norms.max() * error[:distinct].max()
+                     + _NULL_MODE_LIFT / np.sqrt(n) * error[distinct:].max(initial=0.0))
     if not np.isfinite(residual) or residual > 1e-6:
         raise ReconstructionError(
             f"solve residual {residual:.3e} exceeds 1e-6; system is ill-conditioned"
@@ -113,26 +179,35 @@ def build_reconstructor(
     regularizer: str = "difference",
     grid: VoxelGrid | None = None,
 ) -> Reconstructor:
-    """Precompute pi = (A^T A + alpha Q)^-1 A^T, the regularized pseudo-inverse.
+    """Precompute the regularized pseudo-inverse (A^T A + alpha Q)^-1 A^T on
+    the distinct rows of A.
 
     The difference regularizer (Q = D^T D, D the 4-neighbour first
     differences) penalises spatial gradients and needs the grid to know the
     row layout; the identity regularizer (Q = I) penalises magnitude.
 
-    Every solve is in link space, so no voxels x voxels array is formed. For
-    the identity, pi = A^T (A A^T + alpha I)^-1. For the difference, Q is the
-    grid's Neumann Laplacian, which the separable DCT-II diagonalises. Its
-    constant null mode u = 1/sqrt(N) is lifted to B = alpha Q + beta u u^T,
-    and Woodbury with U = [A^T, u], D = diag(I, -beta) leaves one
-    (L+1) x (L+1) solve. For L links on an H x W grid of N voxels, the DCT
-    costs O(L N (H+W)) and the link-space products O(L^2 N).
-    The check is in link space too, before pi is formed: a bound on
-    max |(A^T A + alpha Q) pi - A^T| above 1e-6, or not finite, raises
-    ReconstructionError.
+    Links whose weight rows are equal (a->b and b->a, in the elliptical
+    model) are grouped first. In least squares, c equal rows with
+    measurements y_1..y_c give the solution of one row of weight c with their
+    mean, so the build solves on the G distinct rows A' with counts
+    C = diag(c), and pi (N, G) images the group means. When every row is
+    distinct, C = I and the map is the per-link one, bit for bit.
 
-    The set-up's working set is A, B^-1 A^T (difference only), pi and a few
-    (L+1) x (L+1) arrays; the DCT runs on blocks of 64 links, so its
-    transforms add a few such blocks, not (L, N) arrays.
+    Every solve is in link space, so no voxels x voxels array is formed. For
+    the identity, pi = A'^T (A' A'^T + alpha C^-1)^-1. For the difference, Q
+    is the grid's Neumann Laplacian, which the separable DCT-II diagonalises.
+    Its constant null mode u = 1/sqrt(N) is lifted to B = alpha Q + beta u u^T,
+    and Woodbury with U = [A'^T, u], D = diag(C, -beta) leaves one
+    (G+1) x (G+1) solve. For G distinct rows on an H x W grid of N voxels,
+    the DCT costs O(G N (H+W)) and the link-space products O(G^2 N).
+    The check is in link space too, before pi is formed: a bound on the
+    per-link map's max |(A^T A + alpha Q) pi - A^T| above 1e-6, or not
+    finite, raises ReconstructionError, as does a non-finite weight.
+
+    The set-up's working set is A, A' (only when rows repeat), B^-1 A'^T
+    (difference only), pi and a few (G+1) x (G+1) arrays; the finiteness
+    check and the DCT run on blocks of 64 rows, so they add a few such
+    blocks, not (L, N) arrays.
     """
     if isinstance(weights, WeightMatrix):
         A, lam = weights.entries, weights.lam
@@ -154,35 +229,56 @@ def build_reconstructor(
             raise ValueError(
                 f"grid has {grid.num_voxels} voxels but weight matrix has {n} columns"
             )
+    _check_finite(A)
+    first, groups = _distinct_rows(A)
+    distinct = len(first)
+    rows = A if distinct == links else A[first]
+    counts = np.bincount(groups).astype(float)
     try:
         if regularizer == "identity":
-            s = A @ A.T
-            s[np.diag_indices(links)] += alpha
+            s = rows @ rows.T
+            s[np.diag_indices(distinct)] += alpha / counts
             x = np.linalg.inv(s)
         else:
-            # Row l of b_inv_at is B^-1 applied to link l's weight row.
-            b_inv_at = _b_inv_rows(A, alpha, grid)
+            # Row g of b_inv_at is B^-1 applied to group g's weight row.
+            b_inv_at = _b_inv_rows(rows, alpha, grid)
             # B^-1 u = u / beta, a constant vector with this entry.
             b_inv_u = 1.0 / (np.sqrt(n) * _NULL_MODE_LIFT)
             # s = D^-1 + U^T B^-1 U; its corner -1/beta + u^T B^-1 u is 0.
-            s = np.zeros((links + 1, links + 1))
-            np.matmul(A, b_inv_at.T, out=s[:links, :links])
-            s[np.diag_indices(links)] += 1.0
-            s[:links, links] = s[links, :links] = A.sum(axis=1) * b_inv_u
-            x = np.linalg.solve(s, np.eye(links + 1, links))
+            s = np.zeros((distinct + 1, distinct + 1))
+            np.matmul(rows, b_inv_at.T, out=s[:distinct, :distinct])
+            s[np.diag_indices(distinct)] += 1.0 / counts
+            s[:distinct, distinct] = s[distinct, :distinct] = rows.sum(axis=1) * b_inv_u
+            x = np.linalg.solve(s, np.eye(distinct + 1, distinct))
     except np.linalg.LinAlgError as exc:
         raise ReconstructionError(f"regularized system is singular: {exc}") from exc
     residual = _checked_residual(A, s, x)
     del s  # its last use; pi needs the room
     if regularizer == "identity":
-        pi = A.T @ x
+        pi = rows.T @ x
     else:
-        # pi is the link columns of B^-1 U s^-1.
-        pi = b_inv_at.T @ x[:links]
-        pi += b_inv_u * x[links]
+        # pi is the group columns of B^-1 U s^-1.
+        pi = b_inv_at.T @ x[:distinct]
+        pi += b_inv_u * x[distinct]
     return Reconstructor(
-        pi=pi, alpha=float(alpha), regularizer=regularizer, lam=lam, residual=residual
+        pi=pi, groups=groups, alpha=float(alpha), regularizer=regularizer, lam=lam,
+        residual=residual,
     )
+
+
+def _group_means(rec: Reconstructor, y: np.ndarray) -> np.ndarray:
+    """Mean statistic of each group, (..., links) -> (..., groups). A group's
+    links add in link order before the division by its count, the same
+    order for one tick as for a batch of them."""
+    first, slots, counts = rec._mean_plan
+    # np.take keeps a batch C-ordered, where y[..., first] would be F-ordered
+    # and change the product's rounding.
+    means = np.take(y, first, axis=-1)
+    for groups, links in slots:
+        means[..., groups] += np.take(y, links, axis=-1)
+    if slots:
+        means /= counts
+    return means
 
 
 def reconstruct(rec: Reconstructor, stats: np.ndarray, time: int = 0) -> ImageFrame:
@@ -190,16 +286,17 @@ def reconstruct(rec: Reconstructor, stats: np.ndarray, time: int = 0) -> ImageFr
     y = np.asarray(stats, dtype=float)
     if y.shape != (rec.num_links,):
         raise ValueError(f"expected {rec.num_links} link statistics, got {y.shape}")
-    return ImageFrame(time=time, values=rec.pi @ y)
+    return ImageFrame(time=time, values=rec.pi @ _group_means(rec, y))
 
 
 def reconstruct_images(rec: Reconstructor, stats: np.ndarray) -> np.ndarray:
     """Images of (ticks, links) statistics as one (ticks, voxels) product; a
-    row equals `reconstruct` of it up to rounding (about 1e-15)."""
+    row equals `reconstruct` of it up to the product's rounding (about
+    1e-15), as both take the same group means."""
     y = np.asarray(stats, dtype=float)
     if y.ndim != 2 or y.shape[1] != rec.num_links:
         raise ValueError(f"expected {rec.num_links} link statistics, got {y.shape}")
-    return y @ rec.pi.T
+    return _group_means(rec, y) @ rec.pi.T
 
 
 @functools.lru_cache(maxsize=8)

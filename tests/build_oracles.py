@@ -1,7 +1,7 @@
 """Reconstructor set-up code that left the library, kept here as oracles: the
 per-link weight loop, the whole-array weight expression, the one-shot
 link-space build and the voxel-space Laplacian product that the build used
-to check its solve with."""
+to check its solve with; and the per-link map of a grouped reconstructor."""
 
 from __future__ import annotations
 
@@ -41,32 +41,51 @@ def build_weight_matrix_at_once(
     return WeightMatrix(entries=inside * weight, lam=lam)
 
 
+def group_rows(A) -> tuple[np.ndarray, np.ndarray]:
+    """(first, groups) of A's equal rows, by sorting them with np.unique and
+    renumbering the groups in order of first appearance."""
+    _, index, inverse = np.unique(A, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(index), dtype=np.intp)
+    rank[np.argsort(index)] = np.arange(len(index))
+    return np.sort(index), rank[inverse.ravel()]
+
+
+def expand(rec) -> np.ndarray:
+    """The per-link map (voxels, links) of a grouped reconstructor: link l's
+    column is its group's column over the group's size."""
+    counts = np.bincount(rec.groups).astype(float)
+    return rec.pi[:, rec.groups] / counts[rec.groups]
+
+
 def build_at_once(A, alpha, regularizer, grid=None) -> tuple[np.ndarray, float]:
-    """(pi, residual) of the link-space build, each step on whole arrays:
-    the DCT chain over every link, A A^T + alpha I with an identity matrix,
-    and the residual of s x - [I; 0] with np.linalg.norm(A, 1)."""
-    links, n = A.shape
+    """(pi, residual) of the grouped link-space build, each step on whole
+    arrays: the rows grouped by np.unique, the DCT chain over every distinct
+    row, A' A'^T + alpha C^-1 with a diagonal matrix, and the residual of
+    s x - [I; 0] with np.linalg.norm of the full A."""
+    first, groups = group_rows(A)
+    rows, counts = A[first], np.bincount(groups).astype(float)
+    distinct, n = rows.shape
     if regularizer == "identity":
-        s = A @ A.T + alpha * np.eye(links)
+        s = rows @ rows.T + np.diag(alpha / counts)
         x = np.linalg.inv(s)
-        pi = A.T @ x
+        pi = rows.T @ x
     else:
         height, width = grid.height_voxels, grid.width_voxels
         c_h, lam_h = _dct_basis(height)
         c_w, lam_w = _dct_basis(width)
         spectrum = alpha * (lam_h[:, None] + lam_w[None, :])
         spectrum[0, 0] = _NULL_MODE_LIFT
-        modes = c_h @ A.reshape(links, height, width) @ c_w.T
-        b_inv_at = (c_h.T @ (modes / spectrum) @ c_w).reshape(links, n)
+        modes = c_h @ rows.reshape(distinct, height, width) @ c_w.T
+        b_inv_at = (c_h.T @ (modes / spectrum) @ c_w).reshape(distinct, n)
         b_inv_u = 1.0 / (np.sqrt(n) * _NULL_MODE_LIFT)
-        s = np.zeros((links + 1, links + 1))
-        s[:links, :links] = np.eye(links) + A @ b_inv_at.T
-        s[:links, links] = s[links, :links] = A.sum(axis=1) * b_inv_u
-        x = np.linalg.solve(s, np.eye(links + 1, links))
-        pi = b_inv_at.T @ x[:links] + b_inv_u * x[links]
-    error = np.abs(s @ x - np.eye(len(s), links))
-    residual = float(np.linalg.norm(A, 1) * error[:links].max()
-                     + _NULL_MODE_LIFT / np.sqrt(n) * error[links:].max(initial=0.0))
+        s = np.zeros((distinct + 1, distinct + 1))
+        s[:distinct, :distinct] = np.diag(1.0 / counts) + rows @ b_inv_at.T
+        s[:distinct, distinct] = s[distinct, :distinct] = rows.sum(axis=1) * b_inv_u
+        x = np.linalg.solve(s, np.eye(distinct + 1, distinct))
+        pi = b_inv_at.T @ x[:distinct] + b_inv_u * x[distinct]
+    error = np.abs(s @ x - np.eye(len(s), distinct))
+    residual = float(np.linalg.norm(A, 1) * error[:distinct].max()
+                     + _NULL_MODE_LIFT / np.sqrt(n) * error[distinct:].max(initial=0.0))
     return pi, residual
 
 

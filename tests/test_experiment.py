@@ -411,6 +411,8 @@ def test_experiment_writes_the_full_artefact_set(tmp_path):
         scenario.layout.num_links,
         scenario.grid.num_voxels,
     )
+    # a->b and b->a share a weight row, so each distinct row serves two links
+    assert block["distinct_rows"] * 2 == block["links"]
     assert 0.0 <= block["residual"] <= 1e-6
 
 

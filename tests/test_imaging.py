@@ -127,8 +127,10 @@ def test_link_space_matches_dense_solve_on_ring20_grid():
     A = wm.entries
     assert A.shape == (380, 3600)
     rec = build_reconstructor(wm, 25.0, regularizer="difference", grid=grid)
+    assert rec.pi.shape == (3600, 190)
     assert 0.0 <= rec.residual <= 1e-6
-    dense = build_oracles.dense_residual(A, 25.0, "difference", rec.pi, grid)
+    pi = build_oracles.expand(rec)
+    dense = build_oracles.dense_residual(A, 25.0, "difference", pi, grid)
     assert dense <= rec.residual + 1e-12
     L = difference_operator(grid.height_voxels, grid.width_voxels)
     system = L.T @ L
@@ -136,7 +138,7 @@ def test_link_space_matches_dense_solve_on_ring20_grid():
     system *= 25.0
     system += A.T @ A
     expected = np.linalg.solve(system, A.T)
-    assert np.max(np.abs(rec.pi - expected)) <= 1e-10
+    assert np.max(np.abs(pi - expected)) <= 1e-10
 
 
 @pytest.mark.parametrize("regularizer", ["identity", "difference"])
@@ -156,12 +158,14 @@ def test_residual_bounds_the_dense_residual_of_random_systems(regularizer):
         assert dense <= rec.residual + 1e-12
 
 
+@pytest.mark.parametrize("grouped", [False, True])
 @pytest.mark.parametrize("regularizer", ["identity", "difference"])
-def test_residual_bound_covers_a_perturbed_solve(monkeypatch, regularizer):
-    # The voxel residual equals U D E for any link-space solution x, exact or
-    # not. Spoil x so that E = s x - [I; 0] is 1e-9 in every entry of its
-    # link rows (identity) or of its null-mode row (difference); the dense
-    # residual then reaches the matching term of the bound.
+def test_residual_bound_covers_a_perturbed_solve(monkeypatch, regularizer, grouped):
+    # The voxel residual equals U D E C^-1 F^T for any link-space solution x,
+    # exact or not. Spoil x so that E = s x - [I; 0] is 1e-9 in every entry
+    # of its link rows (identity) or of its null-mode row (difference); the
+    # dense residual then reaches the matching term of the bound, at a link
+    # whose group has one row when rows repeat.
     eps = 1e-9
     inv, solve = np.linalg.inv, np.linalg.solve
 
@@ -178,9 +182,14 @@ def test_residual_bound_covers_a_perturbed_solve(monkeypatch, regularizer):
     grid = grid_of(1, 3)
     # Nine links over three voxels: the column 1-norms of A exceed its row
     # 1-norms, so a bound from the wrong norm falls short.
+    # With groups of 1, 3 and 5 rows, a bound from the distinct rows' column
+    # norms falls short.
     A = np.abs(random_system(np.random.default_rng(331), m=9, n=3)) + 1.0
+    if grouped:
+        A = np.repeat(A[:3], [1, 3, 5], axis=0)[[4, 0, 7, 1, 5, 2, 8, 3, 6]]
     rec = build_reconstructor(A, 2.0, regularizer=regularizer, grid=grid)
-    dense = build_oracles.dense_residual(A, 2.0, regularizer, rec.pi, grid)
+    assert rec.distinct_rows == (3 if grouped else 9)
+    dense = build_oracles.dense_residual(A, 2.0, regularizer, build_oracles.expand(rec), grid)
     assert dense > 1e-11
     assert 0.5 * rec.residual <= dense <= rec.residual + 1e-12
 
@@ -208,29 +217,119 @@ def test_build_is_bit_identical_to_the_one_shot_build(case, regularizer):
     A = getattr(weights, "entries", weights)
     assert len(A) == int(case.rsplit("-", 1)[1])
     rec = build_reconstructor(weights, 25.0, regularizer, grid=grid)
+    first, groups = build_oracles.group_rows(A)
+    assert np.array_equal(rec.groups, groups)
     pi, residual = build_oracles.build_at_once(A, 25.0, regularizer, grid)
     assert rec.pi.tobytes() == pi.tobytes()
     assert rec.residual.hex() == residual.hex()
 
 
 @pytest.mark.parametrize("regularizer", ["identity", "difference"])
+def test_distinct_rows_build_the_per_link_map_bit_for_bit(regularizer):
+    # With every count 1, alpha / 1 and 1 / 1 are the same bits as alpha and
+    # 1, so the grouped build is the per-link build: for the identity, the
+    # per-link expression itself.
+    A, grid = one_shot_case("signed-65")
+    rec = build_reconstructor(A, 25.0, regularizer, grid=grid)
+    assert rec.groups.tolist() == list(range(65))
+    assert build_oracles.expand(rec).tobytes() == rec.pi.tobytes()
+    if regularizer == "identity":
+        s = A @ A.T + 25.0 * np.eye(65)
+        assert rec.pi.tobytes() == (A.T @ np.linalg.inv(s)).tobytes()
+    y = np.random.default_rng(23).normal(size=(9, 65))
+    assert reconstruct_images(rec, y).tobytes() == (y @ rec.pi.T).tobytes()
+    assert reconstruct(rec, y[0]).values.tobytes() == (rec.pi @ y[0]).tobytes()
+
+
+def test_opposite_links_of_a_ring_share_a_group():
+    layout = ring_layout(7, 2.9, (3.0, 3.0))
+    wm = build_weight_matrix(build_grid((0.0, 0.0), 6.0, 6.0, 0.2), layout, 0.5)
+    rec = build_reconstructor(wm, 25.0, "identity")
+    assert rec.num_links == 42 and rec.distinct_rows == 21
+    assert rec.groups[:2].tolist() == [0, 1]
+    index = {link: l for l, link in enumerate(layout.links)}
+    for (a, b), group in zip(layout.links, rec.groups):
+        assert rec.groups[index[(b, a)]] == group
+
+
+def grouped_system(rng, counts, n):
+    """Rows of |normal| weights repeated counts[g] times, with two all-zero
+    rows among them, in a shuffled order."""
+    base = np.abs(random_system(rng, m=len(counts), n=n))
+    A = np.vstack([np.repeat(base, counts, axis=0), np.zeros((2, n))])
+    return A[rng.permutation(len(A))]
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+@pytest.mark.parametrize("height,width", [(3, 5), (2, 7), (1, 6), (1, 1)])
+def test_groups_of_any_size_match_the_dense_solve(regularizer, height, width):
+    rng = np.random.default_rng(100 * height + width)
+    grid = grid_of(height, width)
+    n = grid.num_voxels
+    D = difference_operator(height, width)
+    Q = np.eye(n) if regularizer == "identity" else D.T @ D
+    for counts in ([1, 2, 3], [5, 1, 4, 3, 2], [3, 3]):
+        A = grouped_system(rng, counts, n)
+        alpha = float(rng.uniform(0.5, 30.0))
+        rec = build_reconstructor(A, alpha, regularizer=regularizer, grid=grid)
+        distinct = len(counts) + 1  # the zero rows form one group
+        assert rec.distinct_rows == distinct and rec.num_links == len(A)
+        assert np.array_equal(np.bincount(rec.groups), np.bincount(build_oracles.group_rows(A)[1]))
+        pi = build_oracles.expand(rec)
+        expected = inverse_based_reference(A, alpha, Q)
+        assert np.max(np.abs(pi - expected)) <= 1e-10
+        assert 0.0 <= rec.residual <= 1e-6
+        dense = build_oracles.dense_residual(A, alpha, regularizer, pi, grid)
+        assert dense <= rec.residual + 1e-12
+        y = rng.normal(size=len(A))
+        assert np.max(np.abs(reconstruct(rec, y).values - pi @ y)) <= 1e-12
+
+
+def test_rows_differing_in_their_last_bit_are_not_merged():
+    rng = np.random.default_rng(29)
+    A = np.repeat(np.abs(random_system(rng, m=3, n=12)), 2, axis=0)
+    A[3, 5] = np.nextafter(A[3, 5], np.inf)
+    rec = build_reconstructor(A, 2.0, regularizer="identity")
+    assert rec.groups.tolist() == [0, 0, 1, 2, 3, 3]
+    expected = inverse_based_reference(A, 2.0, np.eye(12))
+    assert np.max(np.abs(build_oracles.expand(rec) - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+def test_rows_whose_keys_collide_are_not_merged(monkeypatch, regularizer):
+    grid = grid_of(3, 4)
+    A = grouped_system(np.random.default_rng(31), [2, 1, 3, 2], 12)
+    rec = build_reconstructor(A, 3.0, regularizer=regularizer, grid=grid)
+    monkeypatch.setattr(imaging, "_row_keys", lambda rows: np.zeros(len(rows), np.uint64))
+    collided = build_reconstructor(A, 3.0, regularizer=regularizer, grid=grid)
+    assert collided.groups.tolist() == rec.groups.tolist()
+    assert collided.pi.tobytes() == rec.pi.tobytes()
+    assert collided.residual == rec.residual
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
 def test_build_peak_memory_on_the_ring20_grid(regularizer):
-    # Besides A, the build holds pi, B^-1 A^T (difference only), a few
-    # (L+1) x (L+1) arrays and one block of links' transforms. Building each
-    # step on whole arrays peaked at 47.4 MB (difference) and 25.4 MB
-    # (identity), against these bounds of 28.4 and 17.4 MB.
+    # Besides A, the build holds its G distinct rows A' (a copy, as rows
+    # repeat here), pi, B^-1 A'^T (difference only), a few (G+1) x (G+1)
+    # arrays and one block of rows' transforms: each of the first three is
+    # G x N. Building each step on whole arrays over all L links peaked at
+    # 47.4 MB (difference) and 25.4 MB (identity); the per-link build was
+    # bounded by 28.4 and 17.4 MB, and these bounds are 19.4 and 14.0 MB.
     grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
     wm = build_weight_matrix(grid, ring_layout(20, 2.9, (3.0, 3.0)), 0.5)
-    links, n = wm.entries.shape
+    n = grid.num_voxels
     tracemalloc.start()
     try:
         rec = build_reconstructor(wm, 25.0, regularizer, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    b_inv_at = wm.entries.nbytes if regularizer == "difference" else 0
+    distinct = rec.distinct_rows
+    assert distinct == 190
+    rows = distinct * n * 8
+    b_inv_at = rows if regularizer == "difference" else 0
     block = imaging._LINK_BLOCK * n * 8
-    assert peak <= rec.pi.nbytes + b_inv_at + 4 * (links + 1) ** 2 * 8 + block
+    assert peak <= rows + rec.pi.nbytes + b_inv_at + 4 * (distinct + 1) ** 2 * 8 + block
 
 
 @pytest.mark.parametrize("height,width", [(3, 5), (5, 3), (2, 7), (1, 6), (6, 1), (1, 1)])
@@ -260,6 +359,22 @@ def test_nan_weight_fails_loudly():
     A[2, 7] = np.nan
     for regularizer in ("identity", "difference"):
         with pytest.raises(ReconstructionError):
+            build_reconstructor(A, 2.0, regularizer=regularizer, grid=grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_names_its_link_before_any_grouping(monkeypatch, bad):
+    def unreachable(*args):
+        raise AssertionError("reached past the weight check")
+
+    monkeypatch.setattr(imaging, "_distinct_rows", unreachable)
+    monkeypatch.setattr(np.linalg, "inv", unreachable)
+    monkeypatch.setattr(np.linalg, "solve", unreachable)
+    grid = grid_of(12, 12)
+    A = np.abs(random_system(np.random.default_rng(227), m=150, n=144))
+    A[[131, 140], 7] = bad
+    for regularizer in ("identity", "difference"):
+        with pytest.raises(ReconstructionError, match=r"weight row of link 131 is not finite"):
             build_reconstructor(A, 2.0, regularizer=regularizer, grid=grid)
 
 
@@ -454,6 +569,34 @@ def test_plateau_means_group_rows_by_tie_count():
             assert positions[row].tolist() == [np.mean(tied[:, 0]), np.mean(tied[:, 1])]
     assert positions[-3].tolist() == list(grid.voxel_center(11))
     assert positions[-2].tolist() == [np.mean(centres[:, 0]), np.mean(centres[:, 1])]
+
+
+def test_a_nan_statistic_on_one_link_of_a_pair_gives_a_nan_image():
+    grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.2)
+    wm = build_weight_matrix(grid, ring_layout(7, 2.9, (3.0, 3.0)), 0.5)
+    rec = build_reconstructor(wm, 25.0, "difference", grid=grid)
+    stats = np.random.default_rng(37).normal(size=(3, 42))
+    stats[1, 5] = np.nan
+    images = reconstruct_images(rec, stats)
+    assert np.isnan(images[1]).all() and np.isfinite(images[[0, 2]]).all()
+    assert np.isnan(reconstruct(rec, stats[1]).values).all()
+
+
+def test_reconstruct_matches_its_row_of_the_batch_on_a_ring():
+    # Both take the same group means, bit for bit; the products differ only
+    # in their rounding.
+    grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.2)
+    wm = build_weight_matrix(grid, ring_layout(9, 2.9, (3.0, 3.0)), 0.5)
+    rec = build_reconstructor(wm, 25.0, "difference", grid=grid)
+    stats = np.random.default_rng(41).normal(size=(30, 72))
+    means = imaging._group_means(rec, stats)
+    assert all(imaging._group_means(rec, y).tobytes() == row.tobytes()
+               for y, row in zip(stats, means))
+    images = reconstruct_images(rec, stats)
+    for y, image in zip(stats, images):
+        assert np.max(np.abs(reconstruct(rec, y).values - image)) <= 1e-12
+    per_link = stats @ build_oracles.expand(rec).T
+    assert np.max(np.abs(images - per_link)) <= 1e-12
 
 
 def test_batched_images_match_per_tick_products():

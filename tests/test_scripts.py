@@ -99,12 +99,14 @@ def test_digest_runs_is_reproducible():
 def test_probe_build_prints_one_line_per_part():
     lines = run_script("probe_build.py", "--cases", "7:1.0").stdout.splitlines()
     assert lines[0].split() == [
-        "nodes", "voxel_m", "links", "voxels", "part", "time_s", "peak_mib", "rss_mib"
+        "nodes", "voxel_m", "links", "voxels", "part", "distinct_rows", "time_s", "peak_mib",
+        "rss_mib",
     ]
     rows = [line.split() for line in lines[1:]]
-    assert [row[:5] for row in rows] == [
-        ["7", "1.0", "42", "36", part] for part in ("weights", "identity", "difference")
+    assert [row[:6] for row in rows] == [
+        ["7", "1.0", "42", "36", part, distinct]
+        for part, distinct in (("weights", "-"), ("identity", "21"), ("difference", "21"))
     ]
     for row in rows:
-        seconds, peak, rss = map(float, row[5:])
+        seconds, peak, rss = map(float, row[6:])
         assert seconds >= 0.0 and peak > 0.0 and rss > peak

@@ -30,13 +30,28 @@ with a message naming the line and the field.
 Reading in blocks
 -----------------
 `read_trace_file` reads the file into one reused buffer, in blocks of
-256 KiB cut at line ends, and checks each block with array operations:
+256 KiB cut at line ends, and checks each block with array operations.
+Once a block's rows were in exact stream order (each the cell tick *
+streams + column after the one before), the next block's rows are expected
+to continue it, and their bytes are compared eight at a time with those
+cells' text: the tick, the column's known span, the tick as `seq`, then
+`true,` and a decimal or `false,`. A block with any row that differs goes
+whole to the general path, the only one that adds streams or raises:
 newline and comma positions give every field, tick and `seq` are parsed by
-digit arithmetic, each distinct tx_id..tx_power_dbm span is parsed once
-(spans that parse to the same stream share a column), and RSSI text is cast
-by numpy after its bytes pass the grammar. A line longer than the longest
-well-formed row is rejected once that many of its bytes are read. The first
-row in file order that breaks a rule is worded by one scalar row check.
+digit arithmetic, and each distinct tx_id..tx_power_dbm span is parsed once
+(spans that parse to the same stream share a column). A line longer than
+the longest well-formed row is rejected once that many of its bytes are
+read. The first row in file order that breaks a rule is worded by one
+scalar row check.
+
+Both paths read RSSI alike. A field `-?D+(\\.D+)?` of at most 17 digits is
+checked by byte classes in the 24 bytes that end where it ends, which also
+give its digits as one integer, eight digits a word by SWAR arithmetic; a
+loop over the digit columns cost more than the cast it saves. With that
+mantissa m at most 2**53, m / 10**k (k decimals) is float()'s value bit for
+bit (Clinger's fast path): about 72% of simulated RSSI. The rest, and other
+forms once they pass the grammar, are cast by numpy, one Python float parse
+each.
 
 Each block's rows are then scattered straight into one (ticks, streams)
 RSSI array, beside an array of the line of each cell's first row. That
@@ -76,7 +91,6 @@ from pathlib import Path
 from stat import S_ISREG
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .linkstats import MODES, RssTrace, StreamKey, check_stream, format_stream
 
@@ -113,7 +127,9 @@ _LONG_TRUTH_LINE = f"longer than {_TRUTH_LINE_BYTES} bytes, the most a well-form
 _SHORTEST_ROW = len(b"0,0,0,omni,,,,0,0,false,\n")
 _NON_FINITE = ("nan", "inf", "-inf")
 _NL, _CR, _COMMA, _MINUS = b"\n\r,-"
-_TRUE, _FALSE = (int.from_bytes(word, "little") for word in (b"true", b"false"))
+_TRUE, _FALSE, _TRUE_COMMA, _FALSE_COMMA = (
+    int.from_bytes(word, "little") for word in (b"true", b"false", b"true,", b"false,")
+)
 
 
 class TraceParseError(ValueError):
@@ -461,15 +477,34 @@ def _where(key: StreamKey | None, tick: int | None) -> str:
     return " ".join(parts) + ": " if parts else ""
 
 
+def _words(texts: list[bytes]) -> np.ndarray:
+    """A (texts, 2, words + 1) uint64 table of texts without NUL: [:, 0,
+    :-1] holds each text as little-endian 8-byte words padded with NUL,
+    [:, 1, :-1] the masks of its bytes and [:, 0, -1] its size."""
+    table = np.array(texts, np.bytes_)
+    table = table.view(np.uint8).reshape(len(texts), table.itemsize)
+    table = np.pad(table, ((0, 0), (0, -table.shape[1] % 8)))
+    used = table != 0
+    words = np.zeros((len(texts), 2, table.shape[1] // 8 + 1), np.uint64)
+    words[:, 0, :-1] = table.view("<u8")
+    words[:, 1, :-1] = used.view("<u8") * np.uint64(0xFF)
+    words[:, 0, -1] = used.sum(axis=1)
+    return words
+
+
 class _Streams:
     """The streams met so far: a column per stream key, by the raw bytes of
-    each distinct tx_id..tx_power_dbm span."""
+    each distinct tx_id..tx_power_dbm span, and the cell (tick * streams +
+    column) that the next row is expected at once a block was read in exact
+    stream order."""
 
     def __init__(self) -> None:
         self.columns: dict[StreamKey, int] = {}
         self.known: dict[bytes, int] = {}
+        self.spans: list[bytes] = []  # each column's first span, with its comma
         self.first: tuple[str, float] | None = None  # the first row's mode and tx power
-        self.last = (0, b"", None)  # the last block's span width, padded spans and columns
+        self.next: int | None = None  # the cell the next block is expected at
+        self.table = None  # `_words` of `spans`, made when next needed
 
     def add(self, span: bytes, mode: str, power: float, key: StreamKey) -> int:
         if self.first is None:
@@ -479,8 +514,56 @@ class _Streams:
                 f"mode {mode!r} and tx power {power!r} differ from "
                 f"the first row's {self.first[0]!r} and {self.first[1]!r}"
             )
+        if key not in self.columns:
+            self.spans.append(span + b",")
+            self.table = None
         self.known[span] = column = self.columns.setdefault(key, len(self.columns))
         return column
+
+    def expected(self, buf: np.ndarray, starts, ends):
+        """Tick, column and RSSI of rows buf[starts:ends] that continue the
+        expected stream order, each the text of its cell exactly: the tick,
+        the column's known span, the tick as `seq`, then `true,` and a
+        decimal or `false,`. None if any row is not."""
+        if not 0 <= self.next < 2**62 - len(starts):  # cells that fit an int64
+            return None
+        tick, column = divmod(self.next + np.arange(len(starts)), len(self.columns))
+        t0, t1 = int(tick[0]), int(tick[-1])
+        if t1 >= 10**_INT_DIGITS:
+            return None
+        if self.table is None:
+            self.table = _words(self.spans)
+        # Each row's tick and span text, in cell order: ticks repeat, and
+        # spans cycle from the first row's column.
+        ticks = np.repeat(_words([b"%d," % t for t in range(t0, t1 + 1)]), np.bincount(tick - t0), axis=0)
+        spans = np.resize(np.roll(self.table, -int(column[0]), axis=0), (len(starts),) + self.table.shape[1:])
+        tick_sizes = ticks[:, 0, -1].astype(np.int64)
+        span_at = starts + tick_sizes
+        seq_at = span_at + spans[:, 0, -1].astype(np.int64)
+        received_at = seq_at + tick_sizes
+        sizes = ends - received_at
+        # `false,` and nothing, or `true,` and a decimal: every gather below
+        # then ends within a span's width of the row.
+        if not (sizes >= 6).all():
+            return None
+        ok = np.ones(len(starts), bool)
+        for at, texts in ((starts, ticks), (seq_at, ticks), (span_at, spans)):
+            found = _gather(buf, at, 8 * (texts.shape[2] - 1)).view("<u8") & texts[:, 1, :-1]
+            ok &= (found == texts[:, 0, :-1]).all(axis=1)
+        del ticks, spans, texts, found
+        word = _gather(buf, received_at, 8).view("<u8")[:, 0]
+        received = (word & 0xFF_FFFF_FFFF) == _TRUE_COMMA
+        ok &= received | (((word & 0xFFFF_FFFF_FFFF) == _FALSE_COMMA) & (sizes == 6))
+        if not ok.all():
+            return None
+        got = np.flatnonzero(received)
+        rssi, ok = _decimals(buf, received_at[got] + 5, ends[got])
+        if not ok.all():
+            return None
+        values = np.full(len(starts), np.nan)
+        values[got] = rssi
+        self.next += len(starts)
+        return tick, column.astype(np.int32), values
 
     def columns_of(self, buf: np.ndarray, starts, ends) -> tuple[np.ndarray, int]:
         """Column of each row's span buf[starts:ends], and the first row
@@ -497,8 +580,6 @@ class _Streams:
             text.view(f"V{width}").ravel(), return_index=True, return_inverse=True
         )
         padded = spans.tobytes()
-        if (width, padded) == self.last[:2]:  # the same spans as the last block's
-            return self.last[2][inverse], len(starts)
         columns = np.array(
             [self.known.get(padded[i : i + width].rstrip(b","), -1) for i in range(0, len(padded), width)],
             np.int32,
@@ -512,8 +593,6 @@ class _Streams:
             except ValueError:
                 stop = row
                 break
-        if stop == len(starts):
-            self.last = width, padded, columns
         return columns[inverse], stop
 
     def row_error(self, line: bytes) -> str:
@@ -552,7 +631,8 @@ class _Streams:
 
 def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The `width` bytes from each start, one row each."""
-    return sliding_window_view(buf, max(width, 1))[starts]
+    width = max(width, 1)
+    return np.ndarray((len(buf) - width + 1, width), np.uint8, buf, strides=(1, 1))[starts]
 
 
 def _integers(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
@@ -569,6 +649,82 @@ def _integers(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     return np.where(negative, -value, value), ok
 
 
+# An RSSI field `-?D+(\\.D+)?` of at most 17 digits (and a sign and a point)
+# is read from the 24 bytes, three words, that end where it ends.
+_WINDOW = 24
+_FIELD = np.arange(_WINDOW - 1, -1, -1) < np.arange(_WINDOW + 1)[:, None]  # the last s bytes, by s
+_SWAR = ((8, 10, 0x00FF_00FF_00FF_00FF), (16, 100, 0x0000_FFFF_0000_FFFF), (32, 10_000, 0xFFFF_FFFF))
+
+
+def _number(table: np.ndarray) -> np.ndarray:
+    """What each row of a (rows, 24) uint8 table of digit values (not ASCII)
+    writes, modulo 2**64: eight digits a word, by SWAR arithmetic."""
+    words = table.view("<u8")
+    for shift, scale, mask in _SWAR:
+        words = ((words >> shift) + words * scale) & mask
+    return (words[:, 0] * 10**8 + words[:, 1]) * 10**8 + words[:, 2]
+
+
+def _count(mask: np.ndarray) -> np.ndarray:
+    """The True bytes of each row of a (rows, 24) boolean mask."""
+    words = mask.view("<u8")
+    return ((words[:, 0] + words[:, 1] + words[:, 2]) * 0x0101_0101_0101_0101 >> 56).astype(np.int64)
+
+
+def _short_decimals(buf, ends, sizes):
+    """Values of the decimal fields of `sizes` bytes that end at `ends`;
+    whether each is `-?D+(\\.D+)?` of at most 17 digits; and whether it is
+    then valued exactly, its mantissa m being at most 2**53. The digits write
+    x, the point read as a 0, and the point's mask 10**k for k decimals; m is
+    x without the point, and m / 10**k, one correctly rounded division of
+    exact doubles, is float()'s value (Clinger's fast path)."""
+    text = _gather(buf, np.maximum(ends - _WINDOW, 0), _WINDOW)
+    negative = text[np.arange(len(text)), _WINDOW - np.clip(sizes, 1, _WINDOW)] == _MINUS
+    field = _FIELD.take(np.clip(sizes, 0, _WINDOW), axis=0)
+    point = (text == ord(".")) & field
+    text -= np.uint8(ord("0"))
+    digit = (text < 10) & field
+    text *= digit
+    digits, points = _count(digit), _count(point)
+    del field, digit
+    x, scale = _number(text).astype(np.int64), _number(point.view(np.uint8)).astype(np.int64)
+    del text, point
+    simple = (
+        (ends >= _WINDOW) & (digits >= 1) & (digits <= 17) & (digits + points + negative == sizes)
+        # at most one point, with digits on both sides
+        & ((points == 0) | ((points == 1) & (scale >= 10) & (scale < _INT_POW10.take(np.minimum(digits, 18)))))
+    )
+    scale[~simple | (points == 0)] = 1
+    below = x % scale
+    mantissa = np.where(scale > 1, (x - below) // 10 + below, x)
+    values = mantissa / scale
+    np.negative(values, out=values, where=negative)
+    return values, simple, simple & (mantissa <= _TWO53)
+
+
+def _decimals(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the RSSI fields buf[starts:ends], and whether each follows
+    the grammar and is finite; values of fields that do not are meaningless.
+    Fields `_short_decimals` does not value exactly are cast by numpy, which
+    also takes `_`, spaces and `+`: a field not of its simple form is cast
+    only if it passes the grammar, and as "0" if not."""
+    sizes = ends - starts
+    values, simple, ok = _short_decimals(buf, ends, sizes)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        sizes = sizes[rest]
+        text = _gather(buf, starts[rest], min(int(sizes.max()), _FLOAT_CHARS + 1))
+        good = simple[rest]
+        if not good.all():
+            good = (sizes <= _FLOAT_CHARS) & _accepted(_DECIMAL, text, sizes)
+        text = np.where((np.arange(text.shape[1]) < sizes[:, None]) & good[:, None], text, 0)
+        text[~good, 0] = ord("0")
+        cast = text.view(f"S{text.shape[1]}").ravel().astype(np.float64)
+        values[rest] = cast
+        ok[rest] = good & np.isfinite(cast)
+    return values, ok
+
+
 def _read_block(buf: np.ndarray, size: int, first_line: int, streams: _Streams):
     """Tick, column, RSSI and line number of each row of the block
     buf[:size] of whole lines, and its line count. The first row that breaks
@@ -580,6 +736,10 @@ def _read_block(buf: np.ndarray, size: int, first_line: int, streams: _Streams):
     ends = newlines - (block[newlines - 1] == _CR)
     rows = np.flatnonzero(ends != starts)
     starts, ends, line_ends = starts[rows], ends[rows], newlines[rows]
+    if rows.size and streams.next is not None:
+        read = streams.expected(buf, starts, ends)
+        if read is not None:
+            return *read, first_line + rows, len(newlines)
 
     commas = np.flatnonzero(block == _COMMA)
     lo = np.searchsorted(commas, starts)
@@ -596,6 +756,9 @@ def _read_block(buf: np.ndarray, size: int, first_line: int, streams: _Streams):
     if stop < len(rows):
         message = streams.row_error(buf[starts[stop] : line_ends[stop]].tobytes())
         raise TraceParseError(f"line {first_line + rows[stop]}: {message}")
+    if stop:  # the next block is expected to continue rows in exact stream order
+        cell = tick * len(streams.columns) + columns
+        streams.next = int(cell[-1]) + 1 if (np.diff(cell) == 1).all() else None
     return tick, columns, values, first_line + rows, len(newlines)
 
 
@@ -616,15 +779,8 @@ def _read_rows(buf, starts, ends, at, streams: _Streams):
     bad |= ~(received | lost) | (lost & (sizes > 0))
 
     got = np.flatnonzero(received)
-    sizes = sizes[got]
-    text = _gather(buf, at[got, 9] + 1, min(int(sizes.max(initial=0)), _FLOAT_CHARS + 1))
-    ok = (sizes <= _FLOAT_CHARS) & _accepted(_DECIMAL, text, sizes)
-    # The cast also takes `_`, spaces and `+`, so only text that passed the
-    # grammar reaches it; the rest is cast as "0" and stays flagged.
-    text = np.where((np.arange(text.shape[1]) < sizes[:, None]) & ok[:, None], text, 0)
-    text[~ok, 0] = ord("0")
-    rssi = text.view(f"S{text.shape[1]}").ravel().astype(np.float64)
-    bad[got] |= ~ok | ~np.isfinite(rssi)
+    rssi, ok = _decimals(buf, at[got, 9] + 1, ends[got])
+    bad[got] |= ~ok
     values = np.full(len(starts), np.nan)
     values[got] = rssi
 

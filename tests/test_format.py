@@ -1,9 +1,11 @@
-"""`format_values` against Python's repr, and `write_grid`'s blocks."""
+"""`format_values` against Python's repr, `write_grid`'s blocks, and the
+trace reader's decimal routine against Python's float()."""
 
 from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,3 +137,133 @@ def test_grid_lines_are_tick_major_in_any_block_size(monkeypatch, block_lines):
 def test_grid_of_no_cells_writes_nothing():
     assert grid_lines(np.empty((0, 3))) == []
     assert grid_lines(np.empty((4, 0))) == []
+
+
+DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def read_decimals(fields: list[str], lead: bytes = b"9" * 24):
+    """`_decimals` and `_short_decimals` on the fields, each after a comma
+    as an RSSI field is, in a buffer that starts with `lead` and has room
+    for the reader's gathers."""
+    # Digits after the last field: the routine reads no byte outside a field.
+    text = lead + b"".join(b"," + field.encode() for field in fields)
+    buf = np.frombuffer(text + b"9" * 64, np.uint8).copy()
+    sizes = np.array([len(field) for field in fields])
+    ends = len(lead) + np.cumsum(sizes + 1)
+    values, ok = traceio._decimals(buf, ends - sizes, ends)
+    short = traceio._short_decimals(buf, ends, sizes)
+    return values, ok, short
+
+
+def assert_reads_as_float(fields: list[str], lead: bytes = b"9" * 24) -> np.ndarray:
+    """The reader's decimal routine accepts exactly the fields of the grammar
+    that are finite, and reads each bit for bit as float() does, the sign of
+    a zero included. Returns whether each took the exact fast path."""
+    values, ok, (short_values, simple, exact) = read_decimals(fields, lead)
+    for i, field in enumerate(fields):
+        accepted = len(field) <= 32 and DECIMAL.fullmatch(field) is not None and math.isfinite(float(field))
+        assert ok[i] == accepted, field
+        if accepted:
+            assert values[i].tobytes() == np.float64(float(field)).tobytes(), field
+        if exact[i]:
+            assert short_values[i].tobytes() == np.float64(float(field)).tobytes(), field
+        if simple[i]:
+            assert re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", field) and len(field.strip("-.")) <= 18, field
+    return exact
+
+
+EDGES = {
+    # field: whether it takes the fast path
+    "9007199254740992": True,  # 2**53
+    "9007199254740993": False,
+    "-900719925474099.2": True,
+    "-900719925474099.3": False,
+    "12345678901234567": False,  # 17 digits, above 2**53
+    "9123456.789012345": False,
+    "1234567.890123456": True,
+    "-0.0000000000000001": True,  # 17 digits, 16 decimals
+    "123456789012345678": False,  # 18 digits
+    "-0.00000000000000001": False,
+    "0.0000000000000000000001": False,  # 22 decimals
+    "1.0000000000000000000000": False,
+    "0.00000000000000000000001": False,  # 23
+    "-1.00000000000000000000000": False,
+    "007": True,
+    "-000.5": True,
+    "00000000000000061.25": False,
+    "0000000000000000000000000000001.5": False,  # 33 characters
+    "-0": True,
+    "-0.0": True,
+    "0": True,
+    "0.0": True,
+    "-61.25": True,
+    "-61.234567890123456": False,
+    "1.": False,
+    ".5": False,
+    "-": False,
+    "": False,
+    "-.5": False,
+    "1..2": False,
+    "1.2.3": False,
+    "12.3.4": False,
+    "-123.45.6": False,
+    "12-3": False,
+    "--1": False,
+    "5e3": False,
+    "-1.5E-3": False,
+    "1e400": False,
+    "+1": False,
+    " 1": False,
+    "1_0": False,
+    "1,5": False,
+    "1\x002": False,
+    "nan": False,
+    "inf": False,
+}
+
+
+def test_decimals_read_as_float_on_edge_cases():
+    fields = list(EDGES)
+    exact = assert_reads_as_float(fields)
+    assert dict(zip(fields, exact.tolist())) == EDGES
+    # Each edge alone too, and first in a buffer: a window that would
+    # start before the buffer is never read, and the field is cast.
+    for field in fields:
+        assert assert_reads_as_float([field]).tolist() == [EDGES[field]]
+        assert assert_reads_as_float([field], lead=b"").tolist() == [False]
+
+
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=24)
+SIMPLE = st.builds(
+    lambda sign, whole, part: sign + whole + ("" if part is None else "." + part),
+    st.sampled_from(["", "-"]),
+    DIGITS,
+    st.none() | DIGITS,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SIMPLE | st.text(alphabet="0123456789.-eE+", max_size=26), min_size=1, max_size=40))
+def test_decimals_read_as_float_on_any_text(fields):
+    assert_reads_as_float(fields)
+
+
+def test_decimals_read_every_simulated_rssi_as_float():
+    # The RSSI of a 7-node directional run, as the writer writes it: the
+    # fast path takes about 72%; the rest have a 17-digit mantissa above
+    # 2**53 and are cast.
+    from dataclasses import replace
+
+    from rti.presets import los_7node
+    from rti.simulator import simulate
+
+    scenario, params = los_7node(3)
+    trace, _ = simulate(replace(scenario, mode="directional"), params)
+    values = trace.rssi[~np.isnan(trace.rssi)]
+    assert len(values) > 200_000
+    fields = [repr(v) for v in values.tolist()]
+    read, ok, (_, simple, exact) = read_decimals(fields)
+    assert ok.all() and simple.all()
+    assert read.tobytes() == values.tobytes()
+    assert 0.6 < exact.mean() < 0.85

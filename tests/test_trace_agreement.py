@@ -161,6 +161,182 @@ def test_agrees_on_single_field_corruptions(tmp_path):
     assert len(outcomes) > 15
 
 
+def path_counts(monkeypatch) -> dict[str, int]:
+    """Blocks read by the expected-rows path and by the general path, as the
+    reads go on."""
+    counts = {"expected": 0, "general": 0}
+    expected, read_rows = traceio._Streams.expected, traceio._read_rows
+
+    def counted_expected(self, *args):
+        read = expected(self, *args)
+        counts["expected"] += read is not None
+        return read
+
+    def counted_read_rows(*args):
+        counts["general"] += 1
+        return read_rows(*args)
+
+    monkeypatch.setattr(traceio._Streams, "expected", counted_expected)
+    monkeypatch.setattr(traceio, "_read_rows", counted_read_rows)
+    return counts
+
+
+@pytest.mark.parametrize("block_bytes, general", [(None, 1), (3000, 2)])
+def test_every_later_block_of_a_written_file_takes_the_expected_rows(tmp_path, monkeypatch, block_bytes, general):
+    # The general path reads the blocks until the first tick is complete
+    # (two blocks of 3000 bytes for 72 streams), then every block continues
+    # the stream order. A silent fall-back would only slow the reader.
+    if block_bytes:
+        monkeypatch.setattr(traceio, "_BLOCK_BYTES", block_bytes)
+    lines = written_lines(tmp_path, rounds=700 if block_bytes is None else 12)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    counts = path_counts(monkeypatch)
+    read_trace_file(path)
+    blocks = counts["expected"] + counts["general"]
+    assert counts["general"] == general and blocks > 2 + general
+    assert blocks == -(-(path.stat().st_size - len(lines[0]) - 2) // traceio._BLOCK_BYTES) or block_bytes
+
+
+def test_agrees_on_corruptions_in_later_blocks(tmp_path, monkeypatch):
+    # Every corruption lands in a block that the expected-rows path reads
+    # first; the block then goes whole to the general path, which words the
+    # error as the oracle does, or reads it as the oracle reads it.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 3000)
+    lines = written_lines(tmp_path)
+    path = tmp_path / "trace.csv"
+    rng = np.random.default_rng(2025)
+    counts = path_counts(monkeypatch)
+    cases = fell_back = 0
+    for field, values in CORRUPTIONS.items():
+        for value in values:
+            row = int(rng.integers(len(lines) // 2, len(lines)))
+            fields = lines[row].split(b",")
+            if fields[field] == value.encode():
+                continue
+            fields[field] = value.encode()
+            path.write_bytes(b"\r\n".join(lines[:row] + [b",".join(fields)] + lines[row + 1 :]) + b"\r\n")
+            counts["general"] = 0
+            assert_agrees(path)
+            cases += 1
+            fell_back += counts["general"] > 2
+    assert cases > 50 and fell_back > 0.9 * cases
+
+
+def test_agrees_when_the_stream_order_changes_after_the_first_block(tmp_path, monkeypatch):
+    # From tick 5 on, each tick lists its streams in another order: the
+    # expected rows stop matching, and the general path places each row.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 3000)
+    lines = written_lines(tmp_path)
+    streams = 72
+    ticks = [lines[1 + t * streams : 1 + (t + 1) * streams] for t in range((len(lines) - 1) // streams)]
+    rng = np.random.default_rng(4)
+    for t in range(5, len(ticks)):
+        ticks[t] = [ticks[t][i] for i in (rng.permutation(streams) if t % 2 else np.arange(streams)[::-1])]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\r\n".join([lines[0]] + [row for tick in ticks for row in tick]) + b"\r\n")
+    counts = path_counts(monkeypatch)
+    assert_agrees(path)
+    assert counts["expected"] > 0 and counts["general"] > 10
+
+
+@pytest.mark.parametrize("where", ["last", "middle"])
+def test_agrees_when_a_stream_is_first_heard_after_the_order_is_known(tmp_path, monkeypatch, where):
+    # One stream's rows of the first ticks move to the end of the file, so
+    # the order is known without it; it is first heard in a later block and
+    # gets the last column. Then the same without one of the moved rows.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 3000)
+    lines = written_lines(tmp_path)
+    streams, late = 72, 71 if where == "last" else 30
+    moved = [1 + t * streams + late for t in range(4)]
+    rows = [line for i, line in enumerate(lines) if i not in moved] + [lines[i] for i in moved]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+    counts = path_counts(monkeypatch)
+    assert_agrees(path)
+    assert counts["expected"] > 0
+    path.write_bytes(b"\r\n".join(rows[:-2] + rows[-1:]) + b"\r\n")
+    assert "no row for" in assert_agrees(path)
+
+
+def test_agrees_on_blank_lines_and_mixed_line_ends_in_later_blocks(tmp_path, monkeypatch):
+    # Blank lines, `\r` alone, and LF or CRLF line ends do not stop the
+    # expected rows: every block after the first tick takes them.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 3000)
+    lines = written_lines(tmp_path)
+    rng = np.random.default_rng(8)
+    text = [lines[0] + b"\r\n"]
+    for line in lines[1:]:
+        text.append(line + (b"\n" if rng.random() < 0.5 else b"\r\n"))
+        if rng.random() < 0.1:
+            text.append(rng.choice([b"\n", b"\r\n", b"\n\n", b"\r\n\r\n"]))
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"".join(text))
+    counts = path_counts(monkeypatch)
+    assert_agrees(path)
+    assert counts["general"] == 2 and counts["expected"] > 10
+
+
+def edge_rows(kind: str) -> list[str]:
+    """Rows of a complete two-stream trace: the shortest received rows (one-
+    digit ticks, 24 bytes), or long ones (18-digit ids and directions, a
+    32-character tx power and RSSI) ending in the longest, whose tick and
+    `seq` have 18 digits too."""
+    if kind == "shortest":
+        return [f"{t},{tx},{1 - tx},omni,,,,0,{t},true,{t}" for t in range(10) for tx in (0, 1)]
+    ids, power = "{:018d}", "-0.00000000000000000000000000001"
+    rssi = ["-61.0000000000000000000000000001", "-0.00000000000000000000000000001", "-61.25", "-5"]
+    ticks = [str(t) for t in range(11)] + [ids.format(11)]
+    return [
+        f"{tick},{ids.format(tx)},{ids.format(1 - tx)},directional,,{ids.format(2)},{ids.format(5)},{power},{tick},"
+        + (f"true,{rssi[(t + tx) % 4]}" if (t + tx) % 5 else "false,")
+        for t, tick in enumerate(ticks)
+        for tx in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["shortest", "longest"])
+@pytest.mark.parametrize("block_bytes", [40, 64, 100])
+def test_gathers_stay_in_the_buffer_at_block_edges(tmp_path, monkeypatch, kind, block_bytes):
+    # No gather of either path starts before the block or outside it, or
+    # reaches past the buffer: a negative start would wrap silently. Rows of
+    # the shortest form start blocks, where a right-aligned RSSI window
+    # starts at the block's first byte; rows of the longest form end them.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", block_bytes)
+    read_block, gather = traceio._read_block, traceio._gather
+    block = {}
+
+    def checked_read_block(buf, size, *args):
+        block["size"] = size
+        return read_block(buf, size, *args)
+
+    def checked_gather(buf, starts, width):
+        if len(starts):
+            assert 0 <= starts.min() and starts.max() < block["size"]
+            assert starts.max() + max(width, 1) <= len(buf)
+            if width == traceio._WINDOW:
+                block["window at 0"] = block.get("window at 0", False) or starts.min() == 0
+        return gather(buf, starts, width)
+
+    monkeypatch.setattr(traceio, "_read_block", checked_read_block)
+    monkeypatch.setattr(traceio, "_gather", checked_gather)
+    counts = path_counts(monkeypatch)
+    rows = edge_rows(kind)
+    assert len(rows[0]) == 24 if kind == "shortest" else len(rows[-1]) == max(map(len, rows)) == 197
+    path = tmp_path / "trace.csv"
+    # The rows; without one; with a bad flag near the end; with no tick in
+    # the first row, a row of eleven fields one byte shorter; and with the
+    # last row's numbers written without their leading zeros, so that it is
+    # far shorter than the expected text of its cell.
+    bad_flag = rows[:-3] + [rows[-3].replace(",true,", ",yes,")] + rows[-2:]
+    short_last = rows[:-1] + [re.sub(r"(?<![^,])0+(?=[0-9])", "", rows[-1])]
+    for rows in (rows, rows[:7] + rows[8:], bad_flag, [rows[0][1:]] + rows[1:], short_last):
+        path.write_text("\r\n".join([",".join(traceio.TRACE_HEADER), *rows]) + "\r\n")
+        assert_agrees(path)
+    assert counts["expected"] > 5 and counts["general"] > 3
+    assert block.get("window at 0") or kind == "longest"
+
+
 def first_block_streams(text: bytes) -> int:
     """Streams in the rows that begin in the file's first block."""
     head = text[: traceio._BLOCK_BYTES].split(b"\n")[1:-1]

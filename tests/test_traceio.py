@@ -361,6 +361,17 @@ def test_reader_matches_stream_fields_byte_for_byte(tmp_path):
     )
 
 
+def test_reader_rejects_a_19_digit_tick_that_continues_the_stream_order(tmp_path, monkeypatch):
+    # Blocks of a row or two: rows in stream order up to tick 10**18 - 1
+    # are read as expected rows; the next tick has 19 digits.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 64)
+    ticks = range(10**18 - 3, 10**18 + 1)
+    rows = [f"{t},{tx},{1 - tx},omni,,,,0,{t},true,-5{tx}.5" for t in ticks for tx in (0, 1)]
+    assert rejection(tmp_path, rows) == (
+        f"line 8: tick must be an integer of at most 18 digits, got '{10**18}'"
+    )
+
+
 def test_reader_reports_a_far_tick_as_a_missing_cell(tmp_path):
     # A tick beyond what the file can hold is set aside, so a tick near the
     # int64 limit costs nothing sized ticks x streams.

@@ -727,9 +727,11 @@ def _decimals(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_block(buf: np.ndarray, size: int, first_line: int, streams: _Streams):
     """Tick, column, RSSI and line number of each row of the block
-    buf[:size] of whole lines, and its line count. The first row that breaks
-    a rule raises TraceParseError; `first_line` numbers the block's first
-    line. Gathers read past the block into the rest of `buf`."""
+    buf[:size] of whole lines, and its line count: by `_Streams.expected` if
+    the rows continue the stream order, else field by field. The first row
+    that breaks a rule raises TraceParseError; `first_line` numbers the
+    block's first line. Gathers start in the block and may read past it into
+    the rest of `buf`."""
     block = buf[:size]
     newlines = np.flatnonzero(block == _NL)
     starts = np.concatenate(([0], newlines[:-1] + 1))
@@ -756,7 +758,7 @@ def _read_block(buf: np.ndarray, size: int, first_line: int, streams: _Streams):
     if stop < len(rows):
         message = streams.row_error(buf[starts[stop] : line_ends[stop]].tobytes())
         raise TraceParseError(f"line {first_line + rows[stop]}: {message}")
-    if stop:  # the next block is expected to continue rows in exact stream order
+    if stop:  # rows in exact stream order: expect the next block to continue them
         cell = tick * len(streams.columns) + columns
         streams.next = int(cell[-1]) + 1 if (np.diff(cell) == 1).all() else None
     return tick, columns, values, first_line + rows, len(newlines)

@@ -46,12 +46,12 @@ scalar row check.
 
 Both paths read RSSI alike. A field `-?D+(\\.D+)?` of at most 17 digits is
 checked by byte classes in the 24 bytes that end where it ends, which also
-give its digits as one integer, eight digits a word by SWAR arithmetic; a
-loop over the digit columns cost more than the cast it saves. With that
-mantissa m at most 2**53, m / 10**k (k decimals) is float()'s value bit for
-bit (Clinger's fast path): about 72% of simulated RSSI. The rest, and other
-forms once they pass the grammar, are cast by numpy, one Python float parse
-each.
+give its digits as one integer, eight digits a word by SWAR arithmetic: a
+few whole-array steps a block, where a loop over the digit columns cost more
+than the cast it would save. With that mantissa m at most 2**53, m / 10**k
+(k decimals) is float()'s value bit for bit (Clinger's fast path): about 72%
+of simulated RSSI. The rest, and other forms once they pass the grammar, are
+cast by numpy, one Python float parse each.
 
 Each block's rows are then scattered straight into one (ticks, streams)
 RSSI array, beside an array of the line of each cell's first row. That

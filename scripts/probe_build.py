@@ -7,15 +7,18 @@ regulariser. Every line comes from its own spawned interpreter with one BLAS
 thread, which builds the weights (untraced, for the two builds) and then
 times one call under tracemalloc:
 
-- `distinct_rows`: the reconstructor's distinct weight rows, the size of
-  its link-space system (`-` for the weights);
+- `distinct_rows`: the distinct weight rows G, which the weights store and
+  the reconstructor solves on;
 - `time_s`: wall time of the call, traced;
 - `peak_mib`: the tracemalloc peak during the call, counting what was held
   when it started (the weights, for the builds);
 - `rss_mib`: the interpreter's `ru_maxrss` after the call.
 
-    python scripts/probe_build.py                  # ring20, ring40 at 0.1 m; ring40 at 0.05 m
-    python scripts/probe_build.py --cases 7:1.0    # a 7-node ring at 1 m voxels
+From a checkout, put the sources on the path, as the spawned interpreters
+import `rti` too (or install the package):
+
+    PYTHONPATH=src python scripts/probe_build.py                # ring20, ring40 at 0.1 m; ring40 at 0.05 m
+    PYTHONPATH=src python scripts/probe_build.py --cases 7:1.0  # a 7-node ring at 1 m voxels
 """
 
 import argparse
@@ -42,9 +45,9 @@ def probe(nodes: int, voxel: float, part: str) -> tuple:
     tracemalloc.start()
     if part == "weights":
         start = time.perf_counter()
-        build_weight_matrix(grid, layout, 0.5)
+        weights = build_weight_matrix(grid, layout, 0.5)
         seconds = time.perf_counter() - start
-        distinct = "-"
+        distinct = len(weights.rows)
     else:
         weights = build_weight_matrix(grid, layout, 0.5)
         tracemalloc.reset_peak()

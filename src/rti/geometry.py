@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -134,7 +135,7 @@ class NetworkLayout:
     """A set of nodes plus the derived list of directed links.
 
     Links are every ordered pair of distinct nodes, enumerated in node order:
-    (n0->n1, n0->n2, ..., n1->n0, n1->n2, ...). Weight matrix rows and link
+    (n0->n1, n0->n2, ..., n1->n0, n1->n2, ...). Weight groups and link
     statistic vectors follow this order.
     """
 
@@ -208,18 +209,48 @@ def ellipse_contains(
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Link-to-voxel weights; rows follow NetworkLayout.links order."""
+    """Link-to-voxel weights, each distinct row once: link l's row is
+    rows[groups[l]] (NetworkLayout.links order); rows are in first-seen order."""
 
-    entries: np.ndarray
+    rows: np.ndarray
+    groups: np.ndarray
     lam: float
 
     @property
-    def num_links(self) -> int:
-        return self.entries.shape[0]
+    def entries(self) -> np.ndarray:
+        """The per-link (links, voxels) matrix, expanded anew on each access."""
+        return self.rows[self.groups]
 
-    @property
-    def num_voxels(self) -> int:
-        return self.entries.shape[1]
+
+def _key_multipliers(width: int) -> np.ndarray:
+    """Fixed odd uint64 multipliers, one per column; numpy.random is a slow first import."""
+    return np.frombuffer(random.Random(0).randbytes(8 * width), dtype=np.uint64) | np.uint64(1)
+
+
+def distinct_rows(fill, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, groups) of `count` float64 rows of `width` entries, each written
+    by fill(k, out) into the next free row: rows holds each distinct row once,
+    in order of first appearance, and groups[k] is row k's index in it. A key,
+    the wrapping dot product of the row's bits with `_key_multipliers`,
+    proposes a group, which the row joins only when equal entry for entry.
+    rows starts with room for half the rows (the elliptical model's a->b, b->a
+    pairs) and one more and is resized in place: fill keeps no view of out."""
+    multipliers, candidates, distinct = _key_multipliers(width), {}, 0
+    rows, groups = np.empty((count // 2 + 1, width)), np.empty(count, dtype=np.intp)
+    for k in range(count):
+        if distinct == len(rows):
+            rows.resize((min(2 * distinct, count), width), refcheck=False)
+        fill(k, rows[distinct])  # no view of rows is kept, as it is resized in place
+        key = int(rows[distinct].view(np.uint64).dot(multipliers))
+        for group in candidates.get(key, ()):
+            if (rows[distinct] == rows[group]).all():
+                break
+        else:
+            group, distinct = distinct, distinct + 1
+            candidates.setdefault(key, []).append(group)
+        groups[k] = group
+    rows.resize((distinct, width), refcheck=False)
+    return rows, groups
 
 
 def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> WeightMatrix:
@@ -227,23 +258,21 @@ def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> W
 
     A voxel contributes to a link when the sum of the distances from its
     center to the two nodes is strictly less than the node distance plus lam;
-    contributing voxels weigh 1/sqrt(link distance).
+    contributing voxels weigh 1/sqrt(link distance). Each link's row is
+    computed alone and kept only if new (`distinct_rows`).
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     x, y = grid.centers().T
-    # Row k holds the distances from node k to every voxel center.
-    to_node = np.hypot(x - [[n.x] for n in layout.nodes], y - [[n.y] for n in layout.nodes])
-    row = {n.id: k for k, n in enumerate(layout.nodes)}
-    tx, rx = np.array([(row[a], row[b]) for a, b in layout.links]).T
-    d = [layout.link_distance(a, b) for a, b in layout.links]
-    # One link's row at a time, in place, so no (links, voxels) temporary is
-    # made beside the result.
-    entries = np.empty((len(d), grid.num_voxels))
-    for out, a, b, reach, v in zip(entries, tx, rx, np.add(d, lam), d):
-        np.add(to_node[a], to_node[b], out=out)
-        np.multiply(out < reach, 1.0 / math.sqrt(v), out=out)
-    return WeightMatrix(entries=entries, lam=lam)
+    to_node = {n.id: np.hypot(x - n.x, y - n.y) for n in layout.nodes}
+
+    def fill(link, out):
+        a, b = layout.links[link]
+        d = layout.link_distance(a, b)
+        np.add(to_node[a], to_node[b], out)
+        np.multiply(out < d + lam, 1.0 / math.sqrt(d), out)
+
+    return WeightMatrix(*distinct_rows(fill, layout.num_links, grid.num_voxels), lam=lam)
 
 
 def segments_intersect(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import VoxelGrid, WeightMatrix
+from .geometry import VoxelGrid, WeightMatrix, distinct_rows
 from .linkstats import _window_sum
 
 REGULARIZERS = ("identity", "difference")
@@ -105,45 +105,16 @@ def _b_inv_rows(A: np.ndarray, alpha: float, grid: VoxelGrid) -> np.ndarray:
     return out
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """A uint64 key per row: the wrapping dot product of its bit pattern with
-    fixed odd multipliers, exact in any summation order, so that equal bits
-    give equal keys."""
-    multipliers = np.random.default_rng(0).integers(2**64, size=rows.shape[1], dtype=np.uint64)
-    return rows.view(np.uint64) @ (multipliers | np.uint64(1))
+def _check_finite(rows: np.ndarray, groups: np.ndarray) -> None:
+    """Raise ReconstructionError naming the first link whose weight row,
+    rows[groups[l]], has a NaN or an infinity, checking 64 rows at a time."""
+    finite = np.concatenate([np.isfinite(rows[start:start + _LINK_BLOCK]).all(axis=1)
+                             for start in range(0, len(rows), _LINK_BLOCK)])
+    if not finite.all():
+        raise ReconstructionError(f"weight row of link {finite[groups].argmin()} is not finite")
 
 
-def _check_finite(A: np.ndarray) -> None:
-    """Raise ReconstructionError naming the first row of A, a block of rows
-    at a time, that holds a NaN or an infinity."""
-    for start in range(0, len(A), _LINK_BLOCK):
-        finite = np.isfinite(A[start:start + _LINK_BLOCK]).all(axis=1)
-        if not finite.all():
-            raise ReconstructionError(
-                f"weight row of link {start + int(finite.argmin())} is not finite"
-            )
-
-
-def _distinct_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, groups) of A's rows: groups[l] is row l's group, numbered in
-    order of first appearance, and first[g] is group g's first row. A key
-    only proposes a group; a row joins one when it equals the group's first
-    row entry for entry."""
-    first, groups, candidates = [], np.empty(len(A), dtype=np.intp), {}
-    for link, key in enumerate(_row_keys(A).tolist()):
-        same_key = candidates.setdefault(key, [])
-        for group in same_key:
-            if np.array_equal(A[link], A[first[group]]):
-                break
-        else:
-            group = len(first)
-            first.append(link)
-            same_key.append(group)
-        groups[link] = group
-    return np.array(first, dtype=np.intp), groups
-
-
-def _checked_residual(A: np.ndarray, s: np.ndarray, x: np.ndarray) -> float:
+def _checked_residual(rows: np.ndarray, groups: np.ndarray, s: np.ndarray, x: np.ndarray) -> float:
     """The link-space bound on max |(A^T A + alpha Q) pi - A^T| for the
     per-link map pi of the solution x of the grouped system s, which raises
     ReconstructionError above 1e-6 or when not finite.
@@ -155,15 +126,14 @@ def _checked_residual(A: np.ndarray, s: np.ndarray, x: np.ndarray) -> float:
     and the column 1-norms of A' weighted by C are those of the full A: bound
     it by the full A's largest column 1-norm and |u|.
     """
-    distinct, n = x.shape[1], A.shape[1]
+    distinct, n = x.shape[1], rows.shape[1]
     error = s @ x
     error[np.diag_indices(distinct)] -= 1.0
     np.abs(error, out=error)
-    # The column sums of |A| add its rows in order, as np.linalg.norm(A, 1)
-    # does, without an |A| copy.
-    column_norms = np.abs(A[0])
-    for row in A[1:]:
-        column_norms += np.abs(row)
+    # |A|'s column sums, adding each link's row in link order as np.linalg.norm(A, 1) does.
+    column_norms = np.abs(rows[groups[0]])
+    for group in groups[1:].tolist():
+        column_norms += np.abs(rows[group])
     residual = float(column_norms.max() * error[:distinct].max()
                      + _NULL_MODE_LIFT / np.sqrt(n) * error[distinct:].max(initial=0.0))
     if not np.isfinite(residual) or residual > 1e-6:
@@ -186,12 +156,12 @@ def build_reconstructor(
     differences) penalises spatial gradients and needs the grid to know the
     row layout; the identity regularizer (Q = I) penalises magnitude.
 
-    Links whose weight rows are equal (a->b and b->a, in the elliptical
-    model) are grouped first. In least squares, c equal rows with
+    It solves on a WeightMatrix's G distinct rows A' in place (a bare array is
+    grouped by `distinct_rows`, a copy). In least squares, c equal rows with
     measurements y_1..y_c give the solution of one row of weight c with their
-    mean, so the build solves on the G distinct rows A' with counts
-    C = diag(c), and pi (N, G) images the group means. When every row is
-    distinct, C = I and the map is the per-link one, bit for bit.
+    mean, so the build solves on A' with counts C = diag(c), and pi (N, G)
+    images the group means. When every row is distinct, C = I and the map is
+    the per-link one, bit for bit.
 
     Every solve is in link space, so no voxels x voxels array is formed. For
     the identity, pi = A'^T (A' A'^T + alpha C^-1)^-1. For the difference, Q
@@ -204,24 +174,23 @@ def build_reconstructor(
     per-link map's max |(A^T A + alpha Q) pi - A^T| above 1e-6, or not
     finite, raises ReconstructionError, as does a non-finite weight.
 
-    The set-up's working set is A, A' (only when rows repeat), B^-1 A'^T
-    (difference only), pi and a few (G+1) x (G+1) arrays; the finiteness
-    check and the DCT run on blocks of 64 rows, so they add a few such
-    blocks, not (L, N) arrays.
+    The set-up's working set is A', B^-1 A'^T (difference only), pi and a
+    few (G+1) x (G+1) arrays; the finiteness check and the DCT run on blocks
+    of 64 rows, so they add a few such blocks, and no (L, N) array is made.
     """
     if isinstance(weights, WeightMatrix):
-        A, lam = weights.entries, weights.lam
+        rows, groups, lam = weights.rows, weights.groups, weights.lam
     else:
-        A, lam = np.asarray(weights, dtype=float), None
-    if A.ndim != 2 or A.size == 0:
+        rows, groups, lam = np.asarray(weights, dtype=float), None, None
+    if rows.ndim != 2 or rows.size == 0:
         raise ValueError("weight matrix must be a nonempty 2-D array")
-    if not np.any(A):
+    if not np.any(rows):
         raise ValueError("weight matrix has no nonzero entries")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-    links, n = A.shape
+    n = rows.shape[1]
     if regularizer == "difference":
         if grid is None:
             raise ValueError("difference regularizer needs the voxel grid")
@@ -229,11 +198,13 @@ def build_reconstructor(
             raise ValueError(
                 f"grid has {grid.num_voxels} voxels but weight matrix has {n} columns"
             )
-    _check_finite(A)
-    first, groups = _distinct_rows(A)
-    distinct = len(first)
-    rows = A if distinct == links else A[first]
-    counts = np.bincount(groups).astype(float)
+    _check_finite(rows, np.arange(len(rows)) if groups is None else groups)
+    if groups is None:
+        rows, groups = distinct_rows(lambda link, out, A=rows: np.copyto(out, A[link]), *rows.shape)
+    counts = np.bincount(groups, minlength=len(rows)).astype(float)
+    if len(counts) != len(rows) or not counts.all():
+        raise ValueError("weight groups must name every row, and only those")
+    distinct = len(rows)
     try:
         if regularizer == "identity":
             s = rows @ rows.T
@@ -252,7 +223,7 @@ def build_reconstructor(
             x = np.linalg.solve(s, np.eye(distinct + 1, distinct))
     except np.linalg.LinAlgError as exc:
         raise ReconstructionError(f"regularized system is singular: {exc}") from exc
-    residual = _checked_residual(A, s, x)
+    residual = _checked_residual(rows, groups, s, x)
     del s  # its last use; pi needs the room
     if regularizer == "identity":
         pi = rows.T @ x

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 
-from rti.geometry import NetworkLayout, VoxelGrid, WeightMatrix
+from rti.geometry import NetworkLayout, VoxelGrid
 from rti.imaging import _NULL_MODE_LIFT, _dct_basis
 
 
-def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> WeightMatrix:
-    """One link at a time: voxels with d1 + d2 < d + lam weigh 1/sqrt(d)."""
+def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> np.ndarray:
+    """The (links, voxels) matrix, one link at a time: voxels with
+    d1 + d2 < d + lam weigh 1/sqrt(d)."""
     centers = grid.centers()
     entries = np.zeros((layout.num_links, grid.num_voxels))
     for i, (tx_id, rx_id) in enumerate(layout.links):
@@ -24,13 +25,14 @@ def build_weight_matrix(grid: VoxelGrid, layout: NetworkLayout, lam: float) -> W
         d2 = np.hypot(centers[:, 0] - rx.x, centers[:, 1] - rx.y)
         inside = (d1 + d2) < (d + lam)
         entries[i, inside] = 1.0 / math.sqrt(d)
-    return WeightMatrix(entries=entries, lam=lam)
+    return entries
 
 
 def build_weight_matrix_at_once(
     grid: VoxelGrid, layout: NetworkLayout, lam: float
-) -> WeightMatrix:
-    """Every link at once, as (links, voxels) distance and mask arrays."""
+) -> np.ndarray:
+    """The (links, voxels) matrix, every link at once, as (links, voxels)
+    distance and mask arrays."""
     x, y = grid.centers().T
     to_node = np.hypot(x - [[n.x] for n in layout.nodes], y - [[n.y] for n in layout.nodes])
     row = {n.id: k for k, n in enumerate(layout.nodes)}
@@ -38,7 +40,7 @@ def build_weight_matrix_at_once(
     d = [layout.link_distance(a, b) for a, b in layout.links]
     inside = to_node[tx] + to_node[rx] < np.add(d, lam)[:, None]
     weight = np.array([[1.0 / math.sqrt(v)] for v in d])
-    return WeightMatrix(entries=inside * weight, lam=lam)
+    return inside * weight
 
 
 def group_rows(A) -> tuple[np.ndarray, np.ndarray]:

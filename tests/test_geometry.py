@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rti import geometry
 from rti.geometry import (
     LayoutError,
     NetworkLayout,
@@ -15,9 +16,11 @@ from rti.geometry import (
     build_grid,
     build_weight_matrix,
     direction_bearing,
+    distinct_rows,
     ellipse_contains,
     segments_intersect,
 )
+from rti.imaging import build_reconstructor
 from rti.presets import los_7node, nlos_7node, ring_layout
 import build_oracles
 
@@ -196,6 +199,13 @@ def test_weight_matrix_rejects_negative_lambda():
         build_weight_matrix(build_grid((0, 0), 1, 1, 0.5), two_node_layout(), -1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_weight_matrix_rejects_a_non_finite_lambda(lam):
+    # NaN used to give an all-zero matrix, and inf a matrix with lam=inf.
+    with pytest.raises(ValueError, match=r"lam must be finite and >= 0, got -?(nan|inf)"):
+        build_weight_matrix(build_grid((0, 0), 1, 1, 0.5), two_node_layout(), lam)
+
+
 def test_weight_matrix_equals_brute_force_random_layouts():
     rng = np.random.default_rng(7)
     for _ in range(12):
@@ -238,19 +248,27 @@ def test_weight_matrix_equals_per_link_loop(case):
     wm = build_weight_matrix(grid, layout, lam)
     expected = build_oracles.build_weight_matrix(grid, layout, lam)
     assert wm.entries.dtype == np.float64 and wm.entries.flags.c_contiguous
-    assert np.array_equal(wm.entries, expected.entries)
-    assert np.array_equal(np.signbit(wm.entries), np.signbit(expected.entries))
+    assert np.array_equal(wm.entries, expected)
+    assert np.array_equal(np.signbit(wm.entries), np.signbit(expected))
     assert wm.entries.tobytes() == build_oracles.build_weight_matrix_at_once(
         grid, layout, lam
-    ).entries.tobytes()
+    ).tobytes()
     assert wm.lam == lam
+    # The stored rows are the distinct ones, each once, in order of first
+    # appearance, as the np.unique oracle groups them.
+    first, groups = build_oracles.group_rows(expected)
+    assert wm.rows.dtype == np.float64 and wm.rows.flags.c_contiguous
+    assert np.array_equal(wm.groups, groups)
+    assert wm.rows.tobytes() == expected[first].tobytes()
 
 
 def test_weight_matrix_peak_memory_on_the_ring20_grid():
-    # The rows are filled one link at a time, so the build holds the result
-    # and less than one 64-link block of rows besides; the whole-array
-    # expression peaked at 22.5 MB, twice the result, against this bound of
-    # 12.8 MB.
+    # The rows are filled one link at a time into the next free row, so the
+    # build holds the G distinct rows, one spare row, the node-to-voxel
+    # distances (20 rows) and the key multipliers (1 row): less than one
+    # 64-row block besides. The whole-array expression peaked at 22.5 MB;
+    # holding all L rows was bounded by 12.8 MB (L + 64 rows), and this
+    # bound is 7.3 MB (G + 64 rows).
     grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
     layout = ring_layout(20, 2.9, (3.0, 3.0))
     tracemalloc.start()
@@ -259,7 +277,8 @@ def test_weight_matrix_peak_memory_on_the_ring20_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= wm.entries.nbytes + 64 * grid.num_voxels * 8
+    assert wm.rows.shape == (190, grid.num_voxels)
+    assert peak <= wm.rows.nbytes + 64 * grid.num_voxels * 8
 
 
 def test_weight_matrix_lambda_monotonicity():
@@ -283,6 +302,97 @@ def test_weight_matrix_direction_symmetry():
             up = wm.entries[layout.link_index(layout.nodes[a].id, layout.nodes[b].id)]
             down = wm.entries[layout.link_index(layout.nodes[b].id, layout.nodes[a].id)]
             assert np.array_equal(up, down)
+
+
+# ---------------------------------------------------------------- grouping
+
+
+def group(A):
+    """`distinct_rows` of the rows of A."""
+    return distinct_rows(lambda k, out: np.copyto(out, A[k]), *A.shape)
+
+
+def repeated_rows(rng, counts, n):
+    """Rows of |normal| weights repeated counts[g] times, with two all-zero
+    rows among them, in a shuffled order."""
+    base = np.abs(rng.normal(size=(len(counts), n)))
+    A = np.vstack([np.repeat(base, counts, axis=0), np.zeros((2, n))])
+    return A[rng.permutation(len(A))]
+
+
+@pytest.mark.parametrize("counts", [[1], [1] * 9, [2] * 6, [5, 1, 4, 3, 2], [11]])
+def test_distinct_rows_match_the_sorting_oracle(counts):
+    # All distinct rows outgrow the half the store starts with; a few
+    # repeated ones leave it to shrink.
+    A = repeated_rows(np.random.default_rng(len(counts)), counts, 7)
+    rows, groups = group(A)
+    first, expected = build_oracles.group_rows(A)
+    assert np.array_equal(groups, expected)
+    assert rows.flags.c_contiguous and rows.flags.owndata
+    assert rows.tobytes() == A[first].tobytes()
+
+
+def test_opposite_links_of_a_ring_share_a_group():
+    layout = ring_layout(7, 2.9, (3.0, 3.0))
+    wm = build_weight_matrix(build_grid((0.0, 0.0), 6.0, 6.0, 0.2), layout, 0.5)
+    assert len(wm.groups) == 42 and len(wm.rows) == 21
+    # Groups are numbered in order of first appearance.
+    assert wm.groups[:2].tolist() == [0, 1]
+    assert np.all(np.diff(np.unique(wm.groups, return_index=True)[1]) > 0)
+    index = {link: l for l, link in enumerate(layout.links)}
+    for (a, b), group_ in zip(layout.links, wm.groups):
+        assert wm.groups[index[(b, a)]] == group_
+    rec = build_reconstructor(wm, 25.0, "identity")
+    assert rec.distinct_rows == 21 and np.array_equal(rec.groups, wm.groups)
+
+
+def test_rows_differing_in_their_last_bit_are_not_merged():
+    A = np.repeat(np.abs(np.random.default_rng(29).normal(size=(3, 12))), 2, axis=0)
+    A[3, 5] = np.nextafter(A[3, 5], np.inf)
+    rows, groups = group(A)
+    assert groups.tolist() == [0, 0, 1, 2, 3, 3]
+    assert rows.tobytes() == A[[0, 2, 3, 4]].tobytes()
+    rec = build_reconstructor(A, 2.0, regularizer="identity")
+    assert rec.groups.tolist() == [0, 0, 1, 2, 3, 3]
+    expected = np.linalg.inv(A.T @ A + 2.0 * np.eye(12)) @ A.T
+    assert np.max(np.abs(build_oracles.expand(rec) - expected)) <= 1e-10
+
+
+def test_all_zero_rows_merge():
+    A = repeated_rows(np.random.default_rng(37), [1, 2], 5)
+    rows, groups = group(A)
+    zero = np.flatnonzero(~A.any(axis=1))
+    assert len(rows) == 3 and len(zero) == 2 and groups[zero[0]] == groups[zero[1]]
+    # With lam = 0 every weight row is zero: one row for all 42 links.
+    grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.2)
+    wm = build_weight_matrix(grid, ring_layout(7, 2.9, (3.0, 3.0)), 0.0)
+    assert wm.rows.shape == (1, grid.num_voxels) and not wm.rows.any()
+    assert wm.groups.tolist() == [0] * 42
+
+
+@pytest.mark.parametrize("regularizer", ["identity", "difference"])
+def test_rows_whose_keys_collide_are_not_merged(monkeypatch, regularizer):
+    grid = build_grid((0.0, 0.0), 2.0, 1.5, 0.5)  # 3 x 4 voxels
+    A = repeated_rows(np.random.default_rng(31), [2, 1, 3, 2], 12)
+    rec = build_reconstructor(A, 3.0, regularizer=regularizer, grid=grid)
+    ring_grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.2)
+    wm = build_weight_matrix(ring_grid, ring_layout(7, 2.9, (3.0, 3.0)), 0.5)
+    widths = []
+
+    def colliding(width):
+        widths.append(width)
+        return np.zeros(width, np.uint64)
+
+    monkeypatch.setattr(geometry, "_key_multipliers", colliding)
+    collided = build_reconstructor(A, 3.0, regularizer=regularizer, grid=grid)
+    assert widths == [12]
+    assert collided.groups.tolist() == rec.groups.tolist()
+    assert collided.pi.tobytes() == rec.pi.tobytes()
+    assert collided.residual == rec.residual
+    same = build_weight_matrix(ring_grid, ring_layout(7, 2.9, (3.0, 3.0)), 0.5)
+    assert widths == [12, ring_grid.num_voxels]
+    assert same.rows.tobytes() == wm.rows.tobytes()
+    assert np.array_equal(same.groups, wm.groups)
 
 
 def test_perpendicular_band_is_covered():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rti import imaging
-from rti.geometry import NetworkLayout, NodeSpec, build_grid, build_weight_matrix
+from rti.geometry import NetworkLayout, NodeSpec, WeightMatrix, build_grid, build_weight_matrix
 from rti.imaging import (
     ImageFrame,
     ReconstructionError,
@@ -241,17 +241,6 @@ def test_distinct_rows_build_the_per_link_map_bit_for_bit(regularizer):
     assert reconstruct(rec, y[0]).values.tobytes() == (rec.pi @ y[0]).tobytes()
 
 
-def test_opposite_links_of_a_ring_share_a_group():
-    layout = ring_layout(7, 2.9, (3.0, 3.0))
-    wm = build_weight_matrix(build_grid((0.0, 0.0), 6.0, 6.0, 0.2), layout, 0.5)
-    rec = build_reconstructor(wm, 25.0, "identity")
-    assert rec.num_links == 42 and rec.distinct_rows == 21
-    assert rec.groups[:2].tolist() == [0, 1]
-    index = {link: l for l, link in enumerate(layout.links)}
-    for (a, b), group in zip(layout.links, rec.groups):
-        assert rec.groups[index[(b, a)]] == group
-
-
 def grouped_system(rng, counts, n):
     """Rows of |normal| weights repeated counts[g] times, with two all-zero
     rows among them, in a shuffled order."""
@@ -285,36 +274,15 @@ def test_groups_of_any_size_match_the_dense_solve(regularizer, height, width):
         assert np.max(np.abs(reconstruct(rec, y).values - pi @ y)) <= 1e-12
 
 
-def test_rows_differing_in_their_last_bit_are_not_merged():
-    rng = np.random.default_rng(29)
-    A = np.repeat(np.abs(random_system(rng, m=3, n=12)), 2, axis=0)
-    A[3, 5] = np.nextafter(A[3, 5], np.inf)
-    rec = build_reconstructor(A, 2.0, regularizer="identity")
-    assert rec.groups.tolist() == [0, 0, 1, 2, 3, 3]
-    expected = inverse_based_reference(A, 2.0, np.eye(12))
-    assert np.max(np.abs(build_oracles.expand(rec) - expected)) <= 1e-10
-
-
-@pytest.mark.parametrize("regularizer", ["identity", "difference"])
-def test_rows_whose_keys_collide_are_not_merged(monkeypatch, regularizer):
-    grid = grid_of(3, 4)
-    A = grouped_system(np.random.default_rng(31), [2, 1, 3, 2], 12)
-    rec = build_reconstructor(A, 3.0, regularizer=regularizer, grid=grid)
-    monkeypatch.setattr(imaging, "_row_keys", lambda rows: np.zeros(len(rows), np.uint64))
-    collided = build_reconstructor(A, 3.0, regularizer=regularizer, grid=grid)
-    assert collided.groups.tolist() == rec.groups.tolist()
-    assert collided.pi.tobytes() == rec.pi.tobytes()
-    assert collided.residual == rec.residual
-
-
 @pytest.mark.parametrize("regularizer", ["identity", "difference"])
 def test_build_peak_memory_on_the_ring20_grid(regularizer):
-    # Besides A, the build holds its G distinct rows A' (a copy, as rows
-    # repeat here), pi, B^-1 A'^T (difference only), a few (G+1) x (G+1)
-    # arrays and one block of rows' transforms: each of the first three is
+    # Besides the weights' G distinct rows A', which it reads in place, the
+    # build holds pi, B^-1 A'^T (difference only), a few (G+1) x (G+1)
+    # arrays and one block of rows' transforms: each of the first two is
     # G x N. Building each step on whole arrays over all L links peaked at
     # 47.4 MB (difference) and 25.4 MB (identity); the per-link build was
-    # bounded by 28.4 and 17.4 MB, and these bounds are 19.4 and 14.0 MB.
+    # bounded by 28.4 and 17.4 MB, the build that copied A' out of the full
+    # A by 19.4 and 14.0 MB, and these bounds are 13.9 and 8.5 MB.
     grid = build_grid((0.0, 0.0), 6.0, 6.0, 0.1)
     wm = build_weight_matrix(grid, ring_layout(20, 2.9, (3.0, 3.0)), 0.5)
     n = grid.num_voxels
@@ -326,10 +294,9 @@ def test_build_peak_memory_on_the_ring20_grid(regularizer):
         tracemalloc.stop()
     distinct = rec.distinct_rows
     assert distinct == 190
-    rows = distinct * n * 8
-    b_inv_at = rows if regularizer == "difference" else 0
+    b_inv_at = distinct * n * 8 if regularizer == "difference" else 0
     block = imaging._LINK_BLOCK * n * 8
-    assert peak <= rows + rec.pi.nbytes + b_inv_at + 4 * (distinct + 1) ** 2 * 8 + block
+    assert peak <= rec.pi.nbytes + b_inv_at + 4 * (distinct + 1) ** 2 * 8 + block
 
 
 @pytest.mark.parametrize("height,width", [(3, 5), (5, 3), (2, 7), (1, 6), (6, 1), (1, 1)])
@@ -367,7 +334,7 @@ def test_non_finite_weight_names_its_link_before_any_grouping(monkeypatch, bad):
     def unreachable(*args):
         raise AssertionError("reached past the weight check")
 
-    monkeypatch.setattr(imaging, "_distinct_rows", unreachable)
+    monkeypatch.setattr(imaging, "distinct_rows", unreachable)
     monkeypatch.setattr(np.linalg, "inv", unreachable)
     monkeypatch.setattr(np.linalg, "solve", unreachable)
     grid = grid_of(12, 12)
@@ -376,6 +343,22 @@ def test_non_finite_weight_names_its_link_before_any_grouping(monkeypatch, bad):
     for regularizer in ("identity", "difference"):
         with pytest.raises(ReconstructionError, match=r"weight row of link 131 is not finite"):
             build_reconstructor(A, 2.0, regularizer=regularizer, grid=grid)
+
+
+def test_non_finite_row_of_a_weight_matrix_names_its_first_link():
+    rows = np.abs(random_system(np.random.default_rng(229), m=3, n=12))
+    rows[1, 4] = np.inf
+    wm = WeightMatrix(rows=rows, groups=np.array([2, 0, 2, 1, 1, 0]), lam=0.5)
+    with pytest.raises(ReconstructionError, match=r"weight row of link 3 is not finite"):
+        build_reconstructor(wm, 2.0, regularizer="identity")
+
+
+@pytest.mark.parametrize("groups", [[0, 1, 1], [0, 2, 0, 1, 3], [0, -1, 1, 2]])
+def test_weight_groups_must_name_every_row_and_only_those(groups):
+    rows = np.abs(random_system(np.random.default_rng(233), m=3, n=12))
+    wm = WeightMatrix(rows=rows, groups=np.array(groups), lam=0.5)
+    with pytest.raises(ValueError):
+        build_reconstructor(wm, 2.0, regularizer="identity")
 
 
 def test_identity_on_range_consistency():

@@ -19,22 +19,10 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from rti.experiment import METHODS, SELECTION_METHODS, SelectionConfig, run_experiment
-from rti.presets import PRESETS, comparison_config
+from rti.experiment import run_experiment
+from rti.presets import PRESETS, comparison_configs
 from rti.simulator import write_scenario_file
 from rti.traceio import read_trace_file
-
-
-def comparison_runs():
-    """(label, config) of the twelve comparison configs."""
-    for method in METHODS:
-        if not method.startswith("dRTI"):
-            yield method, comparison_config(method)
-            continue
-        for selector in SELECTION_METHODS:
-            config = comparison_config(method, SelectionConfig(method=selector))
-            write_images = (method, selector) == ("dRTI-mean", "fadelevel")
-            yield f"{method}-{selector}", replace(config, write_images=write_images)
 
 
 def main() -> None:
@@ -52,8 +40,9 @@ def main() -> None:
                 run_dir.mkdir(parents=True, exist_ok=True)
                 scenario_path = run_dir / "scenario.json"
                 write_scenario_file(scenario_path, *PRESETS[preset](seed))
-                for label, config in comparison_runs():
-                    run_experiment(replace(config, scenario=scenario_path, out_dir=run_dir / label))
+                for label, config in comparison_configs().items():
+                    config = replace(config, scenario=scenario_path, out_dir=run_dir / label)
+                    run_experiment(replace(config, write_images=label == "dRTI-mean-fadelevel"))
         for path in root.rglob("*"):
             if path.is_file():
                 name = path.relative_to(root).as_posix()

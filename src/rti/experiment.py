@@ -24,9 +24,9 @@ from .imaging import (
     ImageFrame,
     argmax_positions,
     build_reconstructor,
+    frame_to_csv,
+    frame_to_pgm,
     reconstruct_images,
-    write_frame_csv,
-    write_frame_pgm,
 )
 from .linkstats import (
     _window_sum,
@@ -38,7 +38,7 @@ from .linkstats import (
     stream_kinds,
     window_variance,
 )
-from .selection import SelectionResult, select_for_layout, write_selection_file
+from .selection import SelectionResult, format_selection, select_for_layout
 from .simulator import (
     SEED_LIMIT,
     PropagationParams,
@@ -591,26 +591,24 @@ def write_evaluation(
     with phase("output"):
         out_dir.mkdir(parents=True, exist_ok=True)
         if evaluation.selection is not None:
-            write_selection_file(out_dir / "selection.txt", evaluation.selection)
+            (out_dir / "selection.txt").write_bytes(format_selection(evaluation.selection).encode())
         _write_stats(out_dir / "stats.csv", scenario, evaluation.stats, cal)
-        ticks = range(cal, cal + scenario.rounds)
-        rows = zip(ticks, *evaluation.estimates.T, *truth.T, evaluation.errors)
-        write_trajectory(out_dir / "trajectory.csv", rows)
+        trajectory = np.column_stack((evaluation.estimates, truth, evaluation.errors))
+        write_trajectory(out_dir / "trajectory.csv", trajectory, cal)
         if config.write_images:
             img_dir = out_dir / "images"
             img_dir.mkdir(exist_ok=True)
             for t, values in enumerate(evaluation.images):
                 frame = ImageFrame(time=cal + t, values=values)
                 stem = f"frame_{cal + t:04d}"
-                write_frame_csv(img_dir / f"{stem}.csv", frame, scenario.grid)
-                write_frame_pgm(img_dir / f"{stem}.pgm", frame, scenario.grid)
-        with open(out_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(evaluation.metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+                (img_dir / f"{stem}.csv").write_bytes(frame_to_csv(frame, scenario.grid))
+                (img_dir / f"{stem}.pgm").write_bytes(frame_to_pgm(frame, scenario.grid))
+        metrics = json.dumps(evaluation.metrics, indent=2, sort_keys=True) + "\n"
+        (out_dir / "metrics.json").write_bytes(metrics.encode())
 
 
 def _write_stats(path, scenario: Scenario, stats: np.ndarray, first_tick: int) -> None:
     with open(path, "wb") as fh:
         fh.write(b"tick,tx_id,rx_id,stat\n")
         links = text_table(f",{tx},{rx}," for tx, rx in scenario.layout.links)
-        write_grid(fh, stats, ["tick", links, "value", ("", "nan"), b"\n"], first_tick)
+        write_grid(fh, stats, ["tick", links, ("", "nan"), "value", b"\n"], first_tick)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import functools
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import VoxelGrid, WeightMatrix, distinct_rows
 from .linkstats import _window_sum
+from .traceio import text_table, write_grid
 
 REGULARIZERS = ("identity", "difference")
 
@@ -311,11 +313,13 @@ def argmax_voxel(frame: ImageFrame, grid: VoxelGrid) -> tuple[float, float]:
 # ------------------------------------------------------------- exporters
 
 
-def frame_to_csv(frame: ImageFrame, grid: VoxelGrid) -> str:
+def frame_to_csv(frame: ImageFrame, grid: VoxelGrid) -> bytes:
     """Row-major CSV: one line per grid row, southernmost row first."""
-    values = np.asarray(frame.values, dtype=float)
-    rows = values.reshape(grid.height_voxels, grid.width_voxels).tolist()
-    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    values = np.asarray(frame.values, dtype=float).reshape(grid.height_voxels, grid.width_voxels)
+    ends = text_table([","] * (grid.width_voxels - 1) + ["\n"])
+    fh = io.BytesIO()
+    write_grid(fh, values, [("", "nan"), "value", ends])
+    return fh.getvalue()
 
 
 def frame_to_pgm(frame: ImageFrame, grid: VoxelGrid) -> bytes:
@@ -336,13 +340,3 @@ def frame_to_pgm(frame: ImageFrame, grid: VoxelGrid) -> bytes:
     pixels = scaled.astype(np.uint8)[::-1, :]  # top row = northernmost
     header = f"P5 {grid.width_voxels} {grid.height_voxels} 255\n".encode("ascii")
     return header + pixels.tobytes()
-
-
-def write_frame_csv(path, frame: ImageFrame, grid: VoxelGrid) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(frame_to_csv(frame, grid))
-
-
-def write_frame_pgm(path, frame: ImageFrame, grid: VoxelGrid) -> None:
-    with open(path, "wb") as fh:
-        fh.write(frame_to_pgm(frame, grid))

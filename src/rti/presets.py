@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .experiment import ExperimentConfig, ImagingConfig, SelectionConfig, TrackingConfig
+from .experiment import METHODS, SELECTION_METHODS, ExperimentConfig, ImagingConfig
+from .experiment import SelectionConfig, TrackingConfig
 from .geometry import NetworkLayout, NodeSpec, build_grid
 from .simulator import DEFAULT_CHANNELS, PropagationParams, Scenario, Trajectory, Wall
 
@@ -47,6 +48,17 @@ def comparison_config(
         imaging=COMPARISON_IMAGING,
         tracking=COMPARISON_TRACKING,
     )
+
+
+def comparison_configs() -> dict[str, ExperimentConfig]:
+    """The twelve configs of a method comparison, by label, in order: each
+    method, and each dRTI method under every selector as `method-selector`."""
+    return {
+        f"{method}-{selector}" if method.startswith("dRTI") else method:
+            comparison_config(method, SelectionConfig(method=selector))
+        for method in METHODS
+        for selector in (SELECTION_METHODS if method.startswith("dRTI") else ("all",))
+    }
 
 
 def ring_layout(

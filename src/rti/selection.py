@@ -145,8 +145,3 @@ def format_selection(result: SelectionResult) -> str:
         pair_text = " ".join(f"({p.tx_direction},{p.rx_direction})" for p in pairs)
         lines.append(f"link {tx} {rx} method {result.method} pairs {pair_text}")
     return "\n".join(lines) + "\n"
-
-
-def write_selection_file(path, result: SelectionResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_selection(result))

@@ -64,27 +64,28 @@ pipe, which has no size, is read from a temporary copy.
 
 Writing
 -------
-`write_trace_file`, and the `stats.csv` writer of `rti.experiment`, write
-through `write_grid`: one line per cell of a (ticks, columns) array, in
-blocks of at most 3,072 lines (whole ticks, or part of one). A block is one
-NUL-padded (lines, width) byte array of its fields, written without the
+Every CSV artefact goes through `write_grid`: the trace and truth here,
+`stats.csv`, `trajectory.csv` and the image CSVs elsewhere. It writes one
+line per cell of a (ticks, columns) array, or of a (ticks, columns, k) one
+of k values a cell, in blocks of at most 3,072 lines (whole ticks, or part
+of one), each a NUL-padded (lines, width) byte array written without the
 NULs. Floats come from `format_values`, which gives repr's text without a
-Python call per value. For a finite x with 1 <= |x| < 1e16 it finds the
+Python call per value. For a finite x with 1e-4 <= |x| < 1e16 it finds the
 shortest decimal that reads back as x with exact integer and double
 arithmetic: Dekker's TwoProduct for the 17-digit mantissa, and one
 correctly rounded division as the read-back test of each shorter one.
 Every other value, and each whose 16-digit rounding is an exact tie or an
-odd integer above 2**53, goes through repr; on simulated RSSI between -90
-and -10 dBm that is none. On a 160-tick, 1,512-stream trace the writer
-peaks at about 0.38x the RSSI array under tracemalloc, with two ticks a
-block.
+odd integer above 2**53, goes through repr: no simulated RSSI between -90
+and -10 dBm, and about 5.6% of values spread evenly over [1e-4, 1). On a
+160-tick, 1,512-stream trace the writer peaks at about 0.41x the RSSI array
+under tracemalloc, with two ticks a block.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -150,9 +151,10 @@ def _grammar(states: list[dict[bytes, int]], accepting: list[int]):
 
 
 _DIGITS = b"0123456789"
-# -?[0-9]+
+# The scalar checks match the patterns; `_accepted` runs the automata.
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+_DECIMAL_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 _INTEGER = _grammar([{b"-": 1, _DIGITS: 2}, {_DIGITS: 2}, {_DIGITS: 2}], [2])
-# -?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?
 _DECIMAL = _grammar(
     [
         {b"-": 1, _DIGITS: 2},
@@ -168,14 +170,6 @@ _DECIMAL = _grammar(
 )
 
 
-def _follows(grammar, text: str) -> bool:
-    table, accepting = grammar
-    state = 0
-    for byte in text.encode():
-        state = int(table[state << 8 | byte])
-    return bool(accepting[state])
-
-
 def _accepted(grammar, text: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Whether each row's first `sizes` bytes of `text` follow the grammar."""
     table, accepting = grammar
@@ -186,7 +180,7 @@ def _accepted(grammar, text: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _integer(text: str, what: str) -> int:
-    if len(text.removeprefix("-")) <= _INT_DIGITS and _follows(_INTEGER, text):
+    if len(text.removeprefix("-")) <= _INT_DIGITS and _INTEGER_TEXT.fullmatch(text):
         return int(text)
     raise ValueError(
         f"{what} must be an integer of at most {_INT_DIGITS} digits, got {text!r}"
@@ -194,7 +188,7 @@ def _integer(text: str, what: str) -> int:
 
 
 def _finite(text: str, what: str) -> float:
-    if text in _NON_FINITE or (len(text) <= _FLOAT_CHARS and _follows(_DECIMAL, text)):
+    if text in _NON_FINITE or (len(text) <= _FLOAT_CHARS and _DECIMAL_TEXT.fullmatch(text)):
         value = float(text)
         if math.isfinite(value):
             return value
@@ -202,6 +196,14 @@ def _finite(text: str, what: str) -> float:
     raise ValueError(
         f"{what} must be a decimal of at most {_FLOAT_CHARS} characters, got {text!r}"
     )
+
+
+def _check_header(head: bytes, path: Path, expected: list[str], what: str) -> None:
+    if not head:
+        raise TraceParseError(f"{path}: empty {what} file")
+    header = _split(head)
+    if header != expected:
+        raise TraceParseError(f"{path}: bad header {header!r}, expected {expected!r}")
 
 
 def _split(line: bytes) -> list[str]:
@@ -215,9 +217,11 @@ def _opt(value) -> str:
 
 
 # Lines a writer assembles at a time (two ticks of a 7-node directional
-# trace); its arrays peak at about 250 bytes a line.
+# trace); its arrays peak at about 260 bytes a line.
 _BLOCK_LINES = 3072
 _POW10 = 10.0 ** np.arange(23)  # each one exact
+# 1e-4..0.1 each round up: a double is at least one iff at least its power.
+_DECADES = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1], _POW10[:17]))
 _INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
 _TWO53 = 2**53
 _ONE_UP = np.nextafter(1.0, 2.0)
@@ -230,26 +234,26 @@ _WORDS = np.concatenate(
     )
 ).astype(np.uint8).view(np.uint32)[:, 0]
 _MINUS_WORD, _POINT_WORD, _NO_WORD = 10_000, 10_001, 10_002
-# A formatted value is ten words: the sign, four of integer digits, the
-# point and four of decimals, as bytes padded with NUL. A repr, at most 24
-# characters, fits as well.
-_VALUE_CHARS = 40
-# Masks of those ten words, by the count of integer digits and decimals:
-# no leading zero, and no trailing one but the 0 of `x.0`. The last row
+# A formatted value is eleven words: the sign, four of integer digits, the
+# point and five of decimals, all right-aligned, as bytes padded with NUL. A
+# repr, at most 24 characters, fits as well.
+_VALUE_CHARS = 44
+# Masks of those eleven words, by the count of integer digits (0-16) and
+# decimals (0-20): the digits they keep, and the 0 of `x.0`. The last row
 # blanks a value written some other way.
 _KEEP = np.frombuffer(
     b"".join(
         b"\xff" * 4
         + b"\0" * (16 - whole) + b"\xff" * whole
         + b"\xff" * 4
-        + b"\xff" * max(part, 1) + b"\0" * (16 - max(part, 1))
+        + b"\0" * (20 - max(part, 1)) + b"\xff" * max(part, 1)
         for whole in range(17)
-        for part in range(17)
+        for part in range(21)
     )
-    + b"\0" * 40,
+    + b"\0" * _VALUE_CHARS,
     np.uint32,
-).reshape(17 * 17 + 1, 10)
-_BLANK = 17 * 17
+).reshape(17 * 21 + 1, 11)
+_BLANK = 17 * 21
 
 
 def _put_quads(words: np.ndarray, n: np.ndarray) -> None:
@@ -268,16 +272,13 @@ def _halves(v: np.ndarray):
     return high, v - high
 
 
-_SCALE_HIGH, _SCALE_LOW = _halves(_POW10[16::-1])  # of 10**(16 - e10), by e10
-
-
-def _two_product(a: np.ndarray, e10: np.ndarray):
-    """a * 10**(16 - e10) as product + err exactly: Dekker's TwoProduct, as
-    numpy has no fused multiply-add."""
-    product = a * _POW10.take(16 - e10)
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """a * b as product + err exactly: Dekker's TwoProduct, as numpy has no
+    fused multiply-add."""
+    product = a * b
     a_high, a_low = _halves(a)
-    s_high, s_low = _SCALE_HIGH.take(e10), _SCALE_LOW.take(e10)
-    err = ((a_high * s_high - product) + a_high * s_low + a_low * s_high) + a_low * s_low
+    b_high, b_low = _halves(b)
+    err = ((a_high * b_high - product) + a_high * b_low + a_low * b_high) + a_low * b_low
     return product, err
 
 
@@ -292,24 +293,25 @@ def _round(m: np.ndarray, up: np.ndarray, unit: int):
 
 def _shortest(a: np.ndarray):
     """Mantissa, decimal count and decimal exponent of the shortest decimal
-    that reads back as each a, 1 <= a < 1e16, and whether the exact tests
+    that reads back as each a, 1e-4 <= a < 1e16, and whether the exact tests
     settled it.
 
-    a * 10**(16 - e10) is held exactly as m + r, m its 17-digit mantissa.
-    The candidate with j digits fewer is m + r rounded at 10**j, and reads
-    back as a iff it is a double (at most 2**53, or even below 2**54) and
-    its one correctly rounded division by a power of ten gives a. A value is
-    left unsettled when m + r or its 16-digit rounding is an exact tie, or
-    when that rounding is odd and above 2**53.
+    a * 10**(16 - e10) is held exactly as m + r, m its 17-digit mantissa;
+    the scale is at most 10**20, still an exact double. The candidate with j
+    digits fewer is m + r rounded at 10**j, and reads back as a iff it is a
+    double (at most 2**53, or even below 2**54) and its one correctly
+    rounded division by a power of ten gives a. A value is left unsettled
+    when m + r or its 16-digit rounding is an exact tie, or when that
+    rounding is odd and above 2**53.
 
     A shorter candidate reads back only if every longer one does. From two
     digits fewer on, no test is needed: the interval that reads back as a is
     less than 23 units of m wide, so once a candidate of j >= 2 digits fewer
     reads back, the next does iff it is the same number with a trailing 0
     dropped."""
-    e10 = np.searchsorted(_POW10[:17], a, "right") - 1  # 10**e10 <= a, exactly
+    e10 = np.searchsorted(_DECADES, a, "right") - 5  # 10**e10 <= a
     scale = _POW10.take(16 - e10)
-    product, err = _two_product(a, e10)
+    product, err = _two_product(a, scale)
     step = np.rint(err)
     r = err - step  # in [-0.5, 0.5], exactly
     m = product.astype(np.int64) + step.astype(np.int64)
@@ -337,33 +339,36 @@ def _shortest(a: np.ndarray):
 
 
 def format_values(values) -> np.ndarray:
-    """repr of each float64, as rows of an (n, 40) uint8 array padded with
+    """repr of each float64, as rows of an (n, 44) uint8 array padded with
     NUL: row i without its NULs is the ASCII text of repr(values[i]). NaN,
     which stands for no value, gets no text.
 
-    Values with 1 <= |x| < 1e16 are formatted by `_shortest` in fixed
-    notation, as repr writes them there. Every other value, and each one the
-    exact tests leave unsettled, goes through repr itself."""
+    Values with 1e-4 <= |x| < 1e16 are formatted by `_shortest` in fixed
+    notation, as repr writes them there, with up to 16 integer digits and
+    20 decimals. Every other value, and each one the exact tests leave
+    unsettled, goes through repr itself."""
     x = np.asarray(values, np.float64).reshape(-1)
     a = np.abs(x)
-    fast = (a >= 1.0) & (a < 1e16)
+    fast = (a >= 1e-4) & (a < 1e16)
     # Others are formatted as 1.0000000000000002, which stops at 17 digits.
     a = np.where(fast, a, _ONE_UP)
     mantissa, decimals, e10, settled = _shortest(a)
     settled &= fast
-    keep = np.where(settled, (e10 + 1) * 17 + decimals, _BLANK)
+    keep = np.where(settled, np.maximum(e10 + 1, 1) * 21 + decimals, _BLANK)
 
     # The shortest decimal and a have the same integer part: an integer
-    # between them would read back as itself.
+    # between them would read back as itself. A value of 1 or more has at
+    # most 16 decimals.
     whole = a.astype(np.int64)
-    part = (mantissa - whole * _INT_POW10.take(decimals)) * _INT_POW10.take(16 - decimals)
+    part = mantissa - whole * _INT_POW10.take(np.minimum(decimals, 16))
     # Arrays are dropped once used: this is where the trace writer peaks.
     del mantissa, decimals, e10
-    words = np.empty((len(x), 10), np.intp)
+    words = np.empty((len(x), 11), np.intp)
     words[:, 0] = np.where(x < 0, _MINUS_WORD, _NO_WORD)
     _put_quads(words[:, 1:5], whole)
     words[:, 5] = _POINT_WORD
-    _put_quads(words[:, 6:], part)
+    np.floor_divide(part, 10**16, out=words[:, 6])
+    _put_quads(words[:, 7:], part - words[:, 6] * 10**16)
     del whole, part
     text = _WORDS.take(words)
     del words
@@ -384,20 +389,26 @@ def text_table(texts) -> np.ndarray:
 
 
 def write_grid(fh, grid: np.ndarray, fields, first_tick: int = 0) -> None:
-    """Write one line per cell of `grid`, a (ticks, columns) float array,
-    tick-major, to the binary file `fh`.
+    """Write one line per cell of `grid`, a (ticks, columns) float array or
+    a (ticks, columns, k) one of k values a cell, tick-major, to the binary
+    file `fh`.
 
     `fields` are a line's parts in order, joined as they are:
     - bytes: the same text on every line;
     - "tick": the cell's tick, first_tick plus its row;
-    - "value": repr of the cell's value, nothing for NaN;
+    - "value": repr of the cell's next value, nothing for NaN;
     - a (columns, width) `text_table`: the text of each column;
-    - a tuple of two str: the first for a number, the second for NaN.
+    - a tuple of two str: the first if the next value is a number, else the second.
 
+    A cell must have one value per "value" field, or ValueError is raised.
     Lines are assembled in blocks of at most `_BLOCK_LINES` (whole ticks,
     or part of one), as one NUL-padded (lines, width) byte array, and
     written without the NULs."""
-    ticks, columns = grid.shape
+    grid = np.atleast_3d(grid)
+    ticks, columns, count = grid.shape
+    wanted = sum(field == "value" for field in fields if isinstance(field, str))
+    if count != wanted:
+        raise ValueError(f"cells of {count} values for {wanted} value fields")
     if not grid.size:
         return
     per_tick = max(1, _BLOCK_LINES // columns)
@@ -417,8 +428,10 @@ def write_grid(fh, grid: np.ndarray, fields, first_tick: int = 0) -> None:
         ]
         for c0 in range(0, columns, span):
             block = grid[t0 : t0 + per_tick, c0 : c0 + span]
-            lines = np.empty(block.shape + (sum(sizes),), np.uint8)
-            at = 0
+            text = format_values(block).reshape(block.shape + (_VALUE_CHARS,))
+            missing = np.isnan(block).view(np.uint8)
+            lines = np.empty(block.shape[:2] + (sum(sizes),), np.uint8)
+            at = value = 0
             for field, table, size in zip(fields, tables, sizes):
                 part = lines[..., at : at + size]
                 if isinstance(field, bytes):
@@ -426,18 +439,19 @@ def write_grid(fh, grid: np.ndarray, fields, first_tick: int = 0) -> None:
                 elif isinstance(field, np.ndarray):
                     part[...] = table[c0 : c0 + span]
                 elif isinstance(field, tuple):
-                    part[...] = table.take(np.isnan(block).view(np.uint8), axis=0)
+                    part[...] = table.take(missing[..., value], axis=0)
                 elif field == "tick":
                     part[...] = tick
                 else:
-                    part[...] = format_values(block).reshape(block.shape + (_VALUE_CHARS,))
+                    part[...] = text[..., value, :]
+                    value += 1
                 at += size
+            del text, missing
             fh.write(lines[lines != 0])
 
 
 def write_trace_file(path, trace: RssTrace) -> None:
-    # Every field is a number or a mode name, so none needs quoting; lines
-    # end in `\r\n` like the CSV writer's.
+    # Every field is a number or a mode name, so none needs quoting.
     streams = text_table(
         f"{tx},{rx},{trace.mode},{_opt(ch)},{_opt(td)},{_opt(rd)},{trace.tx_power_dbm!r},"
         for tx, rx, ch, td, rd in trace.streams
@@ -939,11 +953,7 @@ def read_trace_file(path) -> RssTrace:
 
 def _read_trace(fh, path: Path) -> RssTrace:
     head = fh.readline(_LINE_BYTES + 1)
-    if not head:
-        raise TraceParseError(f"{path}: empty trace file")
-    header = _split(head)
-    if header != TRACE_HEADER:
-        raise TraceParseError(f"{path}: bad header {header!r}, expected {TRACE_HEADER!r}")
+    _check_header(head, path, TRACE_HEADER, "trace")
     streams = _Streams()
     cells = _Cells(os.fstat(fh.fileno()).st_size - len(head))
     # One buffer for every block: a partial last line is moved to its front,
@@ -978,12 +988,10 @@ def _read_trace(fh, path: Path) -> RssTrace:
 def write_truth_file(path, truth: np.ndarray, first_tick: int = 0) -> None:
     """Persist the walker's true position per tick. `truth` is (T, 2); row i
     is stamped with tick first_tick + i."""
-    truth = np.asarray(truth, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for i, (x, y) in enumerate(truth):
-            writer.writerow([first_tick + i, repr(float(x)), repr(float(y))])
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRUTH_HEADER).encode() + b"\r\n")
+        fields = ["tick"] + [b",", ("", "nan"), "value"] * 2 + [b"\r\n"]
+        write_grid(fh, np.asarray(truth, dtype=float)[:, None], fields, first_tick)
 
 
 def read_truth_file(path) -> tuple[np.ndarray, np.ndarray]:
@@ -997,14 +1005,7 @@ def read_truth_file(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "rb") as fh:
         # Each line is read up to one byte past the longest well-formed row.
         lines = iter(lambda: fh.readline(_TRUTH_LINE_BYTES + 1), b"")
-        head = next(lines, b"")
-        if not head:
-            raise TraceParseError(f"{path}: empty truth file")
-        header = _split(head)
-        if header != TRUTH_HEADER:
-            raise TraceParseError(
-                f"{path}: bad header {header!r}, expected {TRUTH_HEADER!r}"
-            )
+        _check_header(next(lines, b""), path, TRUTH_HEADER, "truth")
         for line, text in enumerate(lines, start=2):
             row = _split(text)
             if not row:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .traceio import write_grid
 
 
 class InvalidStateError(ValueError):
@@ -179,11 +180,10 @@ def error_cdf(
 TRAJECTORY_HEADER = ["tick", "est_x", "est_y", "truth_x", "truth_y", "error_m"]
 
 
-def write_trajectory(path, rows: Sequence[tuple]) -> None:
-    """Rows of (tick, est_x, est_y, truth_x, truth_y, error_m)."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_HEADER)
-        for tick, ex, ey, tx, ty, err in rows:
-            writer.writerow([tick, repr(float(ex)), repr(float(ey)),
-                             repr(float(tx)), repr(float(ty)), repr(float(err))])
+def write_trajectory(path, values: np.ndarray, first_tick: int = 0) -> None:
+    """`values` is (T, 5): est_x, est_y, truth_x, truth_y and error_m per
+    tick; row i is stamped with tick first_tick + i."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRAJECTORY_HEADER).encode() + b"\n")
+        fields = ["tick"] + [b",", ("", "nan"), "value"] * 5 + [b"\n"]
+        write_grid(fh, np.asarray(values, dtype=float)[:, None], fields, first_tick)

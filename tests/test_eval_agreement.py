@@ -14,26 +14,19 @@ import pytest
 
 import rti.experiment as experiment
 from rti.experiment import (
-    METHODS,
-    SELECTION_METHODS,
-    SelectionConfig,
     compare,
     mode_for_method,
     scenario_reconstructor,
     streams_for_method,
 )
-from rti.presets import COMPARISON_IMAGING, comparison_config, los_7node, nlos_7node
+from rti.presets import COMPARISON_IMAGING, comparison_configs, los_7node, nlos_7node
 from rti.simulator import obstructed_mask
 import eval_oracles
 import select_oracles
 from stat_oracles import fn_fp_sweep_broadcast
 
 PRESETS = {"los_7node": los_7node, "nlos_7node": nlos_7node}
-CONFIGS = [
-    comparison_config(method, SelectionConfig(method=selector))
-    for method in METHODS
-    for selector in (SELECTION_METHODS if method.startswith("dRTI") else ("all",))
-]
+CONFIGS = list(comparison_configs().values())
 IMAGE_TOLERANCE = 1e-12
 
 

@@ -36,6 +36,7 @@ from rti.presets import (
     COMPARISON_IMAGING,
     COMPARISON_TRACKING,
     comparison_config,
+    comparison_configs,
     los_7node,
     nlos_2node,
     nlos_7node,
@@ -1157,13 +1158,7 @@ def test_compare_prepares_each_trace_once(monkeypatch):
     monkeypatch.setattr(rti.imaging, "reconstruct", per_tick)
     monkeypatch.setattr(rti.imaging, "argmax_voxel", per_tick)
     monkeypatch.setattr(rti.tracking.KalmanTracker, "update", per_tick)
-    configs = [
-        comparison_config(method, SelectionConfig(method=selector))
-        for method in experiment.METHODS
-        for selector in (
-            experiment.SELECTION_METHODS if method.startswith("dRTI") else ("all",)
-        )
-    ]
+    configs = list(comparison_configs().values())
     assert len(configs) == 12
     scenario, params = nlos_2node(2)
     compare(scenario, params, configs)

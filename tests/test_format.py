@@ -51,7 +51,8 @@ def edge_cases() -> list[float]:
 
 def exact_ties(count: int) -> np.ndarray:
     """Values whose decimal expansion ends in 5 at the 18th significant
-    digit, or at the 17th: the 17- or 16-digit rounding of each is a tie."""
+    digit, or at the 17th: the 17- or 16-digit rounding of each is a tie.
+    Decimal exponents 0 to 15, then -4 to -1."""
     rng = np.random.default_rng(22)
     values = []
     for e10 in range(16):
@@ -61,6 +62,12 @@ def exact_ties(count: int) -> np.ndarray:
             odd = 2 * rng.integers(0, 2 ** (k - 1), count) + 1
             a = whole + odd / 2.0**k
             values.append(a[(a - whole) * 2.0**k == odd])  # those held exactly
+    for e10 in range(-4, 0):
+        for digits in (18, 17):
+            k = digits - 1 - e10
+            # odd / 2**k in [10**e10, 10**(e10 + 1)), exact as odd < 2**53
+            low, high = -(-(2**k) // 10**-e10), 2**k // 10 ** (-e10 - 1)
+            values.append((2 * rng.integers(low // 2, high // 2, count) + 1) / 2.0**k)
     return np.concatenate(values)
 
 
@@ -71,7 +78,38 @@ def test_matches_repr_on_edge_cases():
 def test_matches_repr_on_exact_ties():
     ties = exact_ties(2000)
     assert len(ties) > 50_000
+    below_one = ties[ties < 1.0]
+    assert len(below_one) == 16_000 and below_one.min() >= 1e-4
     assert_reprs(np.concatenate((ties, -ties)))
+
+
+def test_matches_repr_below_one():
+    # The fast range's lower decades, [1e-4, 1), where repr still writes
+    # fixed notation with up to 20 decimals; below 1e-4 it switches to an
+    # exponent. Image values mostly lie here.
+    rng = np.random.default_rng(24)
+    small = np.exp(rng.uniform(math.log(1e-4), 0.0, 100_000))
+    values = [small, rng.uniform(1e-4, 1.0, 100_000), np.round(small, 4), np.round(small, 9)]
+    edges = []
+    for k in range(-5, 1):
+        edges += neighbours(10.0**k) + neighbours(2.5 * 10.0**k)
+    for k in range(-15, 1):
+        edges += neighbours(2.0**k)
+    values.append(np.array(edges))
+    values = np.concatenate(values)
+    assert_reprs(np.concatenate((values, -values)))
+
+
+def test_values_below_one_mostly_take_the_fast_path(monkeypatch):
+    # Only those whose 16-digit rounding is odd and above 2**53, a leading
+    # 9007 or more, and the ties go through repr.
+    calls = []
+    monkeypatch.setattr(traceio, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    values = np.random.default_rng(25).uniform(1e-4, 1.0, 10_000)
+    assert_reprs(values)
+    assert 0 < len(calls) < 700
+    calls = np.array(calls)
+    assert (calls / 10.0 ** np.floor(np.log10(calls)) > 9.007).all()
 
 
 def test_matches_repr_on_random_bit_patterns():

@@ -602,7 +602,7 @@ def test_batched_images_match_per_tick_products():
 def test_frame_csv_layout():
     grid = build_grid((0.0, 0.0), 1.0, 1.0, 0.5)
     frame = ImageFrame(time=0, values=np.array([0.0, 1.0, 2.0, 3.0]))
-    text = frame_to_csv(frame, grid)
+    text = frame_to_csv(frame, grid).decode()
     assert text == "0.0,1.0\n2.0,3.0\n"
 
 

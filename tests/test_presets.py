@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from rti.presets import PRESETS, ring_layout
+from rti.experiment import SelectionConfig
+from rti.presets import PRESETS, comparison_config, comparison_configs, ring_layout
 from rti.simulator import read_scenario_file, scenario_to_dict
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -30,3 +31,14 @@ def test_checked_in_scenario_files_match_presets(name):
     scenario, params = PRESETS[name](seed=0)
     from_file = read_scenario_file(SCENARIO_DIR / f"{name}.json")
     assert scenario_to_dict(*from_file) == scenario_to_dict(scenario, params)
+
+
+def test_comparison_configs_are_the_twelve_labelled_configs():
+    configs = comparison_configs()
+    drti = [f"{m}-{s}" for m in ("dRTI-mean", "dRTI-var") for s in ("all", "location", "fadelevel", "prr")]
+    assert list(configs) == ["mRTI", "vRTI", "cRTI-mean", "cRTI-var", *drti]
+    for label, config in configs.items():
+        method, selector = config.method, config.selection.method
+        assert config == comparison_config(method, SelectionConfig(method=selector))
+        assert label == (f"{method}-{selector}" if method.startswith("dRTI") else method)
+        assert selector == "all" or method.startswith("dRTI")

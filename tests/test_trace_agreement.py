@@ -1,7 +1,8 @@
 """The block-streamed trace reader against the line-by-line reader it
 replaced (`tests/trace_oracles.py`): the same trace from every file the
 oracle accepts, and the same error from every file it rejects. And the
-trace writer against the repr writer it replaced: the same bytes."""
+trace, truth, trajectory and image CSV writers against the repr writers
+they replaced: the same bytes."""
 
 from __future__ import annotations
 
@@ -12,9 +13,13 @@ import numpy as np
 import pytest
 
 from rti import traceio
-from rti.traceio import TraceParseError, read_trace_file, write_trace_file
+from rti.geometry import build_grid
+from rti.imaging import ImageFrame, frame_to_csv
+from rti.traceio import TraceParseError, read_trace_file, write_trace_file, write_truth_file
+from rti.tracking import write_trajectory
 from tests.test_traceio import simulated_trace
 from rti.linkstats import RssTrace
+from tests import trace_oracles
 from tests.trace_oracles import read_trace_file as oracle_read_trace_file
 from tests.trace_oracles import write_trace_file as oracle_write_trace_file
 
@@ -451,7 +456,7 @@ def test_writer_writes_the_oracle_bytes_on_simulated_traces(tmp_path, mode, sens
 
 
 def test_writer_writes_the_oracle_bytes_for_values_repr_writes_its_own_way(tmp_path, monkeypatch):
-    # RSSI outside 1 <= |x| < 1e16, exact ties, 16-digit candidates above
+    # RSSI outside 1e-4 <= |x| < 1e16, and below 1 inside it, exact ties, 16-digit candidates above
     # 2**53, short decimals and integers, beside lost packets; blocks of
     # part of a tick and of several ticks.
     trace, _ = simulated_trace("multichannel", -64.0, rounds=30)
@@ -481,3 +486,53 @@ def test_writer_writes_the_oracle_bytes_for_any_tx_power(tmp_path, power):
     assert f",{float(power)!r},".encode() in written.split(b"\r\n")[1]
     write_trace_file(tmp_path / "again.csv", read_trace_file(tmp_path / "new.csv"))
     assert (tmp_path / "again.csv").read_bytes() == written
+
+
+def awkward_values() -> np.ndarray:
+    """NaN, infinities, signed zeros, subnormals, the neighbours of 1e-4, 1
+    and 1e16, and values like positions and image values, of both signs."""
+    values = [np.nan, np.inf, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 0.5, 52.0]
+    for x in (1e-4, 1.0, 1e16):
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    rng = np.random.default_rng(26)
+    values += list(rng.uniform(0.0, 6.0, 20)) + list(np.exp(rng.uniform(-12.0, 3.0, 40)))
+    values = np.array(values)
+    return np.concatenate((values, -values))
+
+
+def shuffled(shape) -> np.ndarray:
+    """The awkward values in random order, repeated to fill `shape`."""
+    values = awkward_values()
+    return np.random.default_rng(27).permutation(np.resize(values, int(np.prod(shape)))).reshape(shape)
+
+
+@pytest.mark.parametrize("block_lines", [1, 3, 2048])
+def test_truth_and_trajectory_writers_write_the_oracle_bytes(tmp_path, monkeypatch, block_lines):
+    monkeypatch.setattr(traceio, "_BLOCK_LINES", block_lines)
+    truth = shuffled((60, 2))
+    write_truth_file(tmp_path / "truth.csv", truth, first_tick=40)
+    trace_oracles.write_truth_file(tmp_path / "old_truth.csv", truth, first_tick=40)
+    assert (tmp_path / "truth.csv").read_bytes() == (tmp_path / "old_truth.csv").read_bytes()
+    track = shuffled((50, 5))
+    write_trajectory(tmp_path / "trajectory.csv", track, 7)
+    rows = [(7 + i, *row) for i, row in enumerate(track.tolist())]
+    trace_oracles.write_trajectory(tmp_path / "old_trajectory.csv", rows)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "old_trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 7), (30, 30), (61, 3)])
+def test_frame_csv_writer_writes_the_oracle_bytes(width, height):
+    grid = build_grid((0.0, 0.0), width * 0.5, height * 0.5, 0.5)
+    frame = ImageFrame(time=0, values=shuffled(grid.num_voxels))
+    assert frame_to_csv(frame, grid) == trace_oracles.frame_to_csv(frame, grid).encode()
+
+
+def test_truth_and_trajectory_of_the_wrong_width_are_refused(tmp_path):
+    # The old writers failed unpacking such a row; a grid writer would
+    # write only the first values of each.
+    with pytest.raises(ValueError, match="cells of 3 values for 2 value fields"):
+        write_truth_file(tmp_path / "truth.csv", np.ones((4, 3)))
+    with pytest.raises(ValueError, match="cells of 4 values for 5 value fields"):
+        write_trajectory(tmp_path / "trajectory.csv", np.ones((4, 4)))
+    with pytest.raises(ValueError):
+        trace_oracles.write_truth_file(tmp_path / "old_truth.csv", np.ones((4, 3)))

@@ -303,7 +303,7 @@ def test_trajectory_round_trip(tmp_path):
         (1, 1.5, 2.5, 1.4, 2.4, math.hypot(0.1, 0.1)),
     ]
     path = tmp_path / "trajectory.csv"
-    write_trajectory(path, rows)
+    write_trajectory(path, np.array(rows)[:, 1:])
     back = read_trajectory(path)
     assert len(back) == 2
     for original, parsed in zip(rows, back):

@@ -6,9 +6,11 @@ The reader parses each row with the `csv` module and Python's `int` and
 (`-5_0.0`, ` 0`, `+0`, `"0"`, ` TRUE `). On every file it accepts or rejects
 alike, the shipped reader must return the same trace or the same error.
 
-The writers format every float with Python's repr, one `%r` or f-string at
-a time; the shipped writers, built on `format_values`, must write the same
-bytes.
+The writers format every float with Python's repr, one `%r`, f-string or
+`repr` call at a time: the trace and `stats.csv`, then the truth file,
+`trajectory.csv` and an image's CSV, which went through `csv.writer` or a
+join. The shipped writers, built on `format_values` and `write_grid`, must
+write the same bytes.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+from rti.geometry import VoxelGrid
+from rti.imaging import ImageFrame
 from rti.linkstats import MODES, RssTrace, StreamKey, check_stream, format_stream
-from rti.traceio import TRACE_HEADER, TraceParseError
+from rti.traceio import TRACE_HEADER, TRUTH_HEADER, TraceParseError
+from rti.tracking import TRAJECTORY_HEADER
 
 
 def _opt(value) -> str:
@@ -56,6 +61,34 @@ def write_stats_file(path, links, stats: np.ndarray, first_tick: int) -> None:
         for t in range(stats.shape[0]):
             for i, (tx, rx) in enumerate(links):
                 fh.write(f"{first_tick + t},{tx},{rx},{float(stats[t, i])!r}\n")
+
+
+def write_truth_file(path, truth: np.ndarray, first_tick: int = 0) -> None:
+    """Persist the walker's true position per tick. `truth` is (T, 2); row i
+    is stamped with tick first_tick + i."""
+    truth = np.asarray(truth, dtype=float)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRUTH_HEADER)
+        for i, (x, y) in enumerate(truth):
+            writer.writerow([first_tick + i, repr(float(x)), repr(float(y))])
+
+
+def write_trajectory(path, rows) -> None:
+    """Rows of (tick, est_x, est_y, truth_x, truth_y, error_m)."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRAJECTORY_HEADER)
+        for tick, ex, ey, tx, ty, err in rows:
+            writer.writerow([tick, repr(float(ex)), repr(float(ey)),
+                             repr(float(tx)), repr(float(ty)), repr(float(err))])
+
+
+def frame_to_csv(frame: ImageFrame, grid: VoxelGrid) -> str:
+    """Row-major CSV: one line per grid row, southernmost row first."""
+    values = np.asarray(frame.values, dtype=float)
+    rows = values.reshape(grid.height_voxels, grid.width_voxels).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _parse_stream(row: list[str]) -> tuple[str, float, StreamKey]:

@@ -43,8 +43,8 @@ from .simulator import (
     SEED_LIMIT,
     PropagationParams,
     Scenario,
+    _check_fields,
     _is_int,
-    _number,
     _section,
     obstructed_mask,
     read_json_object,
@@ -91,17 +91,6 @@ def _is_variance(method: str) -> bool:
     return method.endswith("var") or method == "vRTI"
 
 
-def _check_fields(config, section: str) -> None:
-    """Int fields hold ints and float fields finite numbers, as in a config
-    file; the first field that does not is a ConfigError naming it."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int" and not _is_int(value):
-            raise ConfigError(f"{section} {f.name} must be an integer, got {value!r}")
-        if f.type == "float":
-            _number(value, f"{section} {f.name}", ConfigError)
-
-
 @dataclass(frozen=True)
 class SelectionConfig:
     method: str = "all"
@@ -110,7 +99,7 @@ class SelectionConfig:
     k: int = 9
 
     def __post_init__(self) -> None:
-        _check_fields(self, "selection")
+        _check_fields(self, "selection", ConfigError)
         if self.method not in SELECTION_METHODS:
             raise ConfigError(
                 f"selection method must be one of {SELECTION_METHODS}, got {self.method!r}"
@@ -131,7 +120,7 @@ class ImagingConfig:
     ellipse_excess_m: float = 1.5
 
     def __post_init__(self) -> None:
-        _check_fields(self, "imaging")
+        _check_fields(self, "imaging", ConfigError)
         if self.alpha <= 0:
             raise ConfigError("imaging alpha must be positive")
         if self.regularizer not in ("identity", "difference"):
@@ -146,7 +135,7 @@ class TrackingConfig:
     r: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_fields(self, "tracking")
+        _check_fields(self, "tracking", ConfigError)
         if self.q <= 0 or self.r <= 0:
             raise ConfigError("tracking q and r must be positive")
 
@@ -337,6 +326,17 @@ def compute_stat_matrix(
                 f"statistics: no usable calibration ticks for link {layout.links[i]}"
             )
         baseline[i] = float(valid.mean())
+        if not np.isfinite(baseline[i]):
+            tx, rx = layout.links[i]
+            raise PhaseError(f"statistics: link {tx}->{rx} has a non-finite baseline {baseline[i]}")
+    # RSSI that is finite but huge, such as 1e160, can overflow a statistic.
+    bad = np.argwhere(~np.isfinite(stats))
+    if bad.size:
+        t, i = bad[0]
+        tx, rx = layout.links[i]
+        raise PhaseError(
+            f"statistics: link {tx}->{rx} tick {first_tick + t} has a non-finite statistic {stats[t, i]}"
+        )
     return stats, baseline
 
 

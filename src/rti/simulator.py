@@ -86,6 +86,28 @@ class ScenarioError(ValueError):
     """Scenario description is inconsistent or out of range."""
 
 
+def _number(value, name: str, error=ScenarioError):
+    """A finite JSON number, int or float but not bool, returned as given."""
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    ):
+        return value
+    raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_fields(config, section: str, error) -> None:
+    """Int fields hold ints and float fields finite numbers, as in a JSON
+    file; the first field that does not is an `error` naming it."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and not _is_int(value):
+            raise error(f"{section} {f.name} must be an integer, got {value!r}")
+        if f.type == "float":
+            _number(value, f"{section} {f.name}", error)
+
+
 @dataclass(frozen=True)
 class AntennaGainModel:
     """Raised-cosine directional gain between g_max (boresight) and g_min."""
@@ -95,6 +117,7 @@ class AntennaGainModel:
     g_min_db: float = -4.0
 
     def __post_init__(self) -> None:
+        _check_fields(self, "AntennaGainModel", ValueError)
         if self.directional and self.g_max_db < self.g_min_db:
             raise ValueError("g_max_db must be >= g_min_db")
 
@@ -138,6 +161,7 @@ class PropagationParams:
     gain_model: AntennaGainModel = AntennaGainModel()
 
     def __post_init__(self) -> None:
+        _check_fields(self, "PropagationParams", ValueError)
         if self.path_loss_exponent < 1.0:
             raise ValueError("path_loss_exponent must be >= 1")
         if min(self.fading_std_db, self.noise_std_db, self.drift_std_db,
@@ -602,17 +626,6 @@ def read_json_object(path, what: str, error) -> dict:
     if not isinstance(data, dict):
         raise error(f"{path}: {what} must be a JSON object")
     return data
-
-
-def _number(value, name: str, error=ScenarioError):
-    """A finite JSON number, int or float but not bool, returned as given."""
-    if (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    ):
-        return value
-    raise error(f"{name} must be a finite number, got {value!r}")
 
 
 def _object(value, name: str, keys, error) -> dict:

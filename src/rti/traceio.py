@@ -37,21 +37,24 @@ to continue it, and their bytes are compared eight at a time with those
 cells' text: the tick, the column's known span, the tick as `seq`, then
 `true,` and a decimal or `false,`. A block with any row that differs goes
 whole to the general path, the only one that adds streams or raises:
-newline and comma positions give every field, tick and `seq` are parsed by
-digit arithmetic, and each distinct tx_id..tx_power_dbm span is parsed once
-(spans that parse to the same stream share a column). A line longer than
-the longest well-formed row is rejected once that many of its bytes are
-read. The first row in file order that breaks a rule is worded by one
-scalar row check.
+newline and comma positions give every field, and each distinct
+tx_id..tx_power_dbm span is parsed once (spans that parse to the same
+stream share a column). Tick and `seq` are `-?[0-9]{1,18}` when the digits
+inside the field, counted by byte class in the digit loop that values them,
+are all its bytes but a leading `-`. A line longer than the longest
+well-formed row is rejected once that many of its bytes are read. The first
+row in file order that breaks a rule is worded by one scalar row check.
 
-Both paths read RSSI alike. A field `-?D+(\\.D+)?` of at most 17 digits is
-checked by byte classes in the 24 bytes that end where it ends, which also
-give its digits as one integer, eight digits a word by SWAR arithmetic: a
-few whole-array steps a block, where a loop over the digit columns cost more
-than the cast it would save. With that mantissa m at most 2**53, m / 10**k
-(k decimals) is float()'s value bit for bit (Clinger's fast path): about 72%
-of simulated RSSI. The rest, and other forms once they pass the grammar, are
-cast by numpy, one Python float parse each.
+Both paths read the received field and its RSSI by one routine, which
+matches `true,` or `false,` as one little-endian word. An RSSI field
+`-?D+(\\.D+)?` of at most 17 digits is checked by byte classes in the 24
+bytes that end where it ends, which also give its digits as one integer,
+eight digits a word by SWAR arithmetic: a few whole-array steps a block,
+where a loop over the digit columns cost more than the cast it would save.
+With that mantissa m at most 2**53, m / 10**k (k decimals) is float()'s
+value bit for bit (Clinger's fast path): about 72% of simulated RSSI. The
+rest, and every other form, are cast by numpy once byte classes pass them:
+a valid file makes no Python call per field.
 
 Each block's rows are then scattered straight into one (ticks, streams)
 RSSI array, beside an array of the line of each cell's first row. That
@@ -128,55 +131,19 @@ _LONG_TRUTH_LINE = f"longer than {_TRUTH_LINE_BYTES} bytes, the most a well-form
 _SHORTEST_ROW = len(b"0,0,0,omni,,,,0,0,false,\n")
 _NON_FINITE = ("nan", "inf", "-inf")
 _NL, _CR, _COMMA, _MINUS = b"\n\r,-"
-_TRUE, _FALSE, _TRUE_COMMA, _FALSE_COMMA = (
-    int.from_bytes(word, "little") for word in (b"true", b"false", b"true,", b"false,")
-)
+_TRUE_COMMA, _FALSE_COMMA = (int.from_bytes(word, "little") for word in (b"true,", b"false,"))
 
 
 class TraceParseError(ValueError):
     """A trace or truth file does not follow the expected format."""
 
 
-def _grammar(states: list[dict[bytes, int]], accepting: list[int]):
-    """Byte automaton: (transitions, accepting flag per state). The next
-    state after `byte` is transitions[state << 8 | byte]. State 0 starts;
-    every byte without an edge leads to an extra, dead state."""
-    dead = len(states)
-    table = bytearray([dead]) * ((dead + 1) << 8)
-    for state, edges in enumerate(states):
-        for chars, target in edges.items():
-            for byte in chars:
-                table[state << 8 | byte] = target
-    return np.frombuffer(table, np.uint8), np.array([s in accepting for s in range(dead + 1)])
-
-
-_DIGITS = b"0123456789"
-# The scalar checks match the patterns; `_accepted` runs the automata.
+# The scalar checks match these patterns, as `_decimals` does once numpy's
+# cast refuses a field; the array checks use byte classes.
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _DECIMAL_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
-_INTEGER = _grammar([{b"-": 1, _DIGITS: 2}, {_DIGITS: 2}, {_DIGITS: 2}], [2])
-_DECIMAL = _grammar(
-    [
-        {b"-": 1, _DIGITS: 2},
-        {_DIGITS: 2},
-        {_DIGITS: 2, b".": 3, b"eE": 5},
-        {_DIGITS: 4},
-        {_DIGITS: 4, b"eE": 5},
-        {b"+-": 6, _DIGITS: 7},
-        {_DIGITS: 7},
-        {_DIGITS: 7},
-    ],
-    [2, 4, 7],
-)
-
-
-def _accepted(grammar, text: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Whether each row's first `sizes` bytes of `text` follow the grammar."""
-    table, accepting = grammar
-    state = np.zeros(len(text), np.uint16)
-    for j in range(text.shape[1]):
-        state = np.where(j < sizes, table.take(state << 8 | text[:, j]), state)
-    return accepting[state]
+# The bytes of a decimal in any of its forms.
+_DECIMAL_BYTE = np.frombuffer(bytes(byte in b"0123456789.eE+-" for byte in range(256)), bool)
 
 
 def _integer(text: str, what: str) -> int:
@@ -555,27 +522,20 @@ class _Streams:
         span_at = starts + tick_sizes
         seq_at = span_at + spans[:, 0, -1].astype(np.int64)
         received_at = seq_at + tick_sizes
-        sizes = ends - received_at
         # `false,` and nothing, or `true,` and a decimal: every gather below
         # then ends within a span's width of the row.
-        if not (sizes >= 6).all():
+        if not (ends - received_at >= 6).all():
             return None
         ok = np.ones(len(starts), bool)
         for at, texts in ((starts, ticks), (seq_at, ticks), (span_at, spans)):
             found = _gather(buf, at, 8 * (texts.shape[2] - 1)).view("<u8") & texts[:, 1, :-1]
             ok &= (found == texts[:, 0, :-1]).all(axis=1)
         del ticks, spans, texts, found
-        word = _gather(buf, received_at, 8).view("<u8")[:, 0]
-        received = (word & 0xFF_FFFF_FFFF) == _TRUE_COMMA
-        ok &= received | (((word & 0xFFFF_FFFF_FFFF) == _FALSE_COMMA) & (sizes == 6))
         if not ok.all():
             return None
-        got = np.flatnonzero(received)
-        rssi, ok = _decimals(buf, received_at[got] + 5, ends[got])
+        values, ok = _received(buf, received_at, ends)
         if not ok.all():
             return None
-        values = np.full(len(starts), np.nan)
-        values[got] = rssi
         self.next += len(starts)
         return tick, column.astype(np.int32), values
 
@@ -650,16 +610,19 @@ def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 
 
 def _integers(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the integer fields buf[starts:ends], and whether each
-    follows the grammar; values of fields that do not are meaningless."""
+    """Values of the integer fields buf[starts:ends], and whether each is
+    `-?[0-9]{1,18}`: the digits inside the field, counted by byte class in
+    the loop that values them, are all its bytes but a leading `-`. Values
+    of fields that are not are meaningless."""
     sizes = ends - starts
     text = _gather(buf, starts, min(int(sizes.max()), _INT_DIGITS + 1))
     negative = text[:, 0] == _MINUS
-    ok = (sizes - negative <= _INT_DIGITS) & _accepted(_INTEGER, text, sizes)
-    value = np.zeros(len(text), np.int64)
+    value, digits = np.zeros((2, len(text)), np.int64)
     for j in range(text.shape[1]):
-        digit = (j < sizes) & (j >= negative)
+        digit = (text[:, j] - np.uint8(ord("0")) < 10) & (j < sizes)
+        digits += digit
         value = np.where(digit, value * 10 + text[:, j] - ord("0"), value)
+    ok = (digits >= 1) & (digits <= _INT_DIGITS) & (digits + negative == sizes)
     return np.where(negative, -value, value), ok
 
 
@@ -720,22 +683,51 @@ def _decimals(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     """Values of the RSSI fields buf[starts:ends], and whether each follows
     the grammar and is finite; values of fields that do not are meaningless.
     Fields `_short_decimals` does not value exactly are cast by numpy, which
-    also takes `_`, spaces and `+`: a field not of its simple form is cast
-    only if it passes the grammar, and as "0" if not."""
+    reads what float() reads. Byte classes first refuse what float() reads
+    but the grammar does not: a byte other than a digit, `.`, `e`, `E`, `+`
+    or `-` (so `_`, spaces, `inf` and `nan`), a leading `+`, and a point
+    without a digit on each side. Such a field is cast as "0", and the cast
+    raises on the rest, such as `1e`, `1e5e5` or `--1`; only then is each
+    field checked and read apart."""
     sizes = ends - starts
     values, simple, ok = _short_decimals(buf, ends, sizes)
     rest = np.flatnonzero(~ok)
     if rest.size:
         sizes = sizes[rest]
         text = _gather(buf, starts[rest], min(int(sizes.max()), _FLOAT_CHARS + 1))
+        field = np.arange(text.shape[1]) < sizes[:, None]
         good = simple[rest]
         if not good.all():
-            good = (sizes <= _FLOAT_CHARS) & _accepted(_DECIMAL, text, sizes)
-        text = np.where((np.arange(text.shape[1]) < sizes[:, None]) & good[:, None], text, 0)
+            digit = np.pad((text - np.uint8(ord("0")) < 10) & field, 1)[1:-1]
+            refused = (text == ord(".")) & ~(digit[:, :-2] & digit[:, 2:])  # a lone point
+            refused |= ~_DECIMAL_BYTE.take(text)
+            refused &= field
+            good = (sizes <= _FLOAT_CHARS) & (text[:, 0] != ord("+")) & ~refused.any(axis=1)
+        text = np.where(field & good[:, None], text, 0)
         text[~good, 0] = ord("0")
-        cast = text.view(f"S{text.shape[1]}").ravel().astype(np.float64)
+        texts = text.view(f"S{text.shape[1]}").ravel()
+        try:
+            cast = texts.astype(np.float64)
+        except ValueError:
+            cast = np.array([float(t) if _DECIMAL_TEXT.fullmatch(t.decode()) else np.nan for t in texts.tolist()])
         values[rest] = cast
         ok[rest] = good & np.isfinite(cast)
+    return values, ok
+
+
+def _received(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """RSSI of the rows whose received field starts at `starts` and that end
+    at `ends`, NaN for a lost packet, and whether each reads `true,` and a
+    decimal or `false,` and nothing. The field's first eight bytes are read
+    as one little-endian word, masked to the five of `true,` or the six of
+    `false,`."""
+    word = _gather(buf, starts, 8).view("<u8")[:, 0]
+    received = (word & 0xFF_FFFF_FFFF) == _TRUE_COMMA
+    ok = received | (((word & 0xFFFF_FFFF_FFFF) == _FALSE_COMMA) & (ends - starts == 6))
+    got = np.flatnonzero(received)
+    rssi, ok[got] = _decimals(buf, starts[got] + 5, ends[got])
+    values = np.full(len(starts), np.nan)
+    values[got] = rssi
     return values, ok
 
 
@@ -783,23 +775,8 @@ def _read_rows(buf, starts, ends, at, streams: _Streams):
     `at`, and the first row that breaks a rule (len(starts) if none)."""
     tick, ok = _integers(buf, starts, at[:, 0])
     seq, seq_ok = _integers(buf, at[:, 7] + 1, at[:, 8])
-    bad = ~ok | ~seq_ok | (tick < 0) | (seq != tick)
-
-    # The received field's first eight bytes as one little-endian word,
-    # masked to the four of `true` or the five of `false`.
-    word = _gather(buf, at[:, 8] + 1, 8).view("<u8")[:, 0]
-    size = at[:, 9] - at[:, 8] - 1
-    received = (size == 4) & (word & 0xFFFF_FFFF == _TRUE)
-    lost = (size == 5) & (word & 0xFF_FFFF_FFFF == _FALSE)
-    sizes = ends - at[:, 9] - 1
-    bad |= ~(received | lost) | (lost & (sizes > 0))
-
-    got = np.flatnonzero(received)
-    rssi, ok = _decimals(buf, at[got, 9] + 1, ends[got])
-    bad[got] |= ~ok
-    values = np.full(len(starts), np.nan)
-    values[got] = rssi
-
+    values, received_ok = _received(buf, at[:, 8] + 1, ends)
+    bad = ~ok | ~seq_ok | (tick < 0) | (seq != tick) | ~received_ok
     columns, stop = streams.columns_of(buf, at[:, 0] + 1, at[:, 7])
     flagged = np.flatnonzero(bad[:stop])
     return tick, columns, values, int(flagged[0]) if flagged.size else stop

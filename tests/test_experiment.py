@@ -1165,3 +1165,28 @@ def test_compare_prepares_each_trace_once(monkeypatch):
     # One carry-forward array per trace (omni, multichannel, directional),
     # one window variance per (trace, window).
     assert calls == {"forward_fill": 3, "batch_window_variance": 3}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "tick, message",
+    [
+        (50, "statistics: link 0->1 tick 50 has a non-finite statistic inf"),
+        (20, "statistics: link 0->1 has a non-finite baseline inf"),
+    ],
+)
+def test_non_finite_link_statistics_fail_loudly(tick, message):
+    # A finite RSSI of 1e160, which the trace reader accepts, overflows
+    # dRTI-var's window variance in tracking or in calibration. dRTI-mean's
+    # deviations stay finite, so it still evaluates.
+    scenario, params = los_7node(3)
+    scenario = replace(scenario, mode="directional")
+    trace, truth = simulate(scenario, params)
+    rssi = trace.rssi.copy()
+    rssi[tick, 0] = 1e160
+    trace = RssTrace(trace.mode, trace.tx_power_dbm, trace.streams, rssi)
+    with pytest.raises(PhaseError) as info:
+        evaluate_method(in_memory("dRTI-var"), scenario, params, trace, truth)
+    assert str(info.value) == message
+    evaluation = evaluate_method(in_memory("dRTI-mean"), scenario, params, trace, truth)
+    assert np.isfinite(evaluation.stats).all() and np.isfinite(evaluation.baseline).all()

@@ -251,6 +251,14 @@ EDGES = {
     "5e3": False,
     "-1.5E-3": False,
     "1e400": False,
+    "1e": False,
+    "1e+": False,
+    "e5": False,
+    "1e5e5": False,
+    "1.e5": False,
+    "1e5.5": False,
+    "+1e5": False,
+    "1E+05": False,
     "+1": False,
     " 1": False,
     "1_0": False,

@@ -96,6 +96,16 @@ def test_digest_runs_is_reproducible():
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
 
 
+def test_probe_read_prints_one_line_per_form():
+    lines = run_script("probe_read.py", "--preset", "nlos_2node", "--repeats", "1").stdout.splitlines()
+    assert lines[0].split() == ["form", "rows", "min_ms", "median_ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [[form, "5760"] for form in ("stream", "shuffled", "exponent")]
+    for row in rows:
+        low, median = map(float, row[2:])
+        assert 0.0 < low <= median
+
+
 def test_probe_build_prints_one_line_per_part():
     lines = run_script("probe_build.py", "--cases", "7:1.0").stdout.splitlines()
     assert lines[0].split() == [

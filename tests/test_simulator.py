@@ -384,6 +384,37 @@ def test_params_validation():
         PropagationParams(prr_slope=0.0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PropagationParams(noise_std_db=math.nan),
+         "PropagationParams noise_std_db must be a finite number, got nan"),
+        (lambda: PropagationParams(path_loss_exponent=math.nan),
+         "PropagationParams path_loss_exponent must be a finite number, got nan"),
+        (lambda: PropagationParams(person_lambda_m=math.inf),
+         "PropagationParams person_lambda_m must be a finite number, got inf"),
+        (lambda: PropagationParams(sensitivity_dbm=-math.inf),
+         "PropagationParams sensitivity_dbm must be a finite number, got -inf"),
+        (lambda: PropagationParams(noise_std_db=True),
+         "PropagationParams noise_std_db must be a finite number, got True"),
+        (lambda: PropagationParams(fading_std_db="9"),
+         "PropagationParams fading_std_db must be a finite number, got '9'"),
+        (lambda: AntennaGainModel(g_max_db=math.nan),
+         "AntennaGainModel g_max_db must be a finite number, got nan"),
+        (lambda: AntennaGainModel(g_min_db=-math.inf),
+         "AntennaGainModel g_min_db must be a finite number, got -inf"),
+        (lambda: AntennaGainModel(directional=False, g_min_db=False),
+         "AntennaGainModel g_min_db must be a finite number, got False"),
+        (lambda: AntennaGainModel(g_max_db="7"),
+         "AntennaGainModel g_max_db must be a finite number, got '7'"),
+    ],
+)
+def test_params_reject_at_construction_what_their_json_rejects(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 # ------------------------------------------------------------ power budget
 
 

@@ -3,6 +3,7 @@ parse errors, and the reader's ingest checks."""
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import threading
@@ -353,6 +354,24 @@ def test_reader_accepts_the_writer_grammar(tmp_path):
     np.testing.assert_array_equal(trace.rssi, [[-50.0, np.nan], [-5e30, -52.5]])
 
 
+def test_reader_reads_rssi_in_exponent_form(tmp_path, monkeypatch):
+    # Blocks of a few dozen rows, so both reader paths meet the form.
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", 2048)
+    trace, _ = simulated_trace()
+    fixed = tmp_path / "fixed.csv"
+    write_trace_file(fixed, trace)
+    rows = [row.split(",") for row in fixed.read_text().splitlines()[1:]]
+    received = [i for i, row in enumerate(rows) if row[10]]
+    for i in received:
+        rows[i][10] = "%.17e" % float(rows[i][10])
+    rows = [",".join(row) for row in rows]
+    assert read_trace_file(write_rows(tmp_path, rows)).rssi.tobytes() == read_trace_file(fixed).rssi.tobytes()
+    bad = received[-10]
+    rows[bad] = rows[bad].rsplit(",", 1)[0] + ",1e5e5"
+    message = rejection(tmp_path, rows)
+    assert message.startswith(f"line {bad + 2}: ") and message.endswith("got '1e5e5'")
+
+
 def test_reader_matches_stream_fields_byte_for_byte(tmp_path):
     # A span one trailing NUL longer than a known one is a different span.
     rows = replaced(5, "1,0,1,directional,,1,2,0.0\0,1,true,-52.5")
@@ -471,25 +490,31 @@ def test_reader_peak_memory_stays_near_the_trace(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "grammar, pattern",
+    "routine, pattern, scalar",
     [
-        (traceio._INTEGER, r"-?[0-9]+"),
-        (traceio._DECIMAL, r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?"),
+        (traceio._integers, r"-?[0-9]{1,18}", traceio._INTEGER_TEXT),
+        (traceio._decimals, r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", traceio._DECIMAL_TEXT),
     ],
 )
-def test_grammar_automata_match_their_patterns(grammar, pattern):
+def test_field_checks_match_their_patterns(routine, pattern, scalar):
     rng = np.random.default_rng(11)
     alphabet = np.frombuffer(b"0123456789-+.eE _x\r", np.uint8)
     weights = np.r_[np.full(10, 6.0), np.ones(len(alphabet) - 10)]
     text = rng.choice(alphabet, size=(5000, 9), p=weights / weights.sum())
     sizes = rng.integers(0, 10, len(text))
     strings = [bytes(row[:n]).decode() for row, n in zip(text, sizes)]
-    expected = [re.fullmatch(pattern, s) is not None for s in strings]
+    matches = [re.fullmatch(pattern, s) is not None for s in strings]
+    expected = [m and math.isfinite(float(s)) for m, s in zip(matches, strings)]
     assert 500 < sum(expected) < 4500
-    assert traceio._accepted(grammar, text, sizes).tolist() == expected
+    # Each field after a comma, as in a row, with digits on both sides.
+    buf = np.frombuffer(b"9" * 24 + b"".join(b"," + bytes(row[:n]) for row, n in zip(text, sizes)) + b"9" * 64, np.uint8)
+    ends = 24 + np.cumsum(sizes + 1)
+    values, ok = routine(buf.copy(), ends - sizes, ends)
+    assert ok.tolist() == expected
+    read = int if routine is traceio._integers else float
+    assert values[ok].tolist() == [read(s) for s, good in zip(strings, expected) if good]
     # The scalar checks match the same pattern.
-    scalar = traceio._INTEGER_TEXT if grammar is traceio._INTEGER else traceio._DECIMAL_TEXT
-    assert [scalar.fullmatch(s) is not None for s in strings] == expected
+    assert [scalar.fullmatch(s) is not None for s in strings] == matches
 
 
 def test_truth_round_trip(tmp_path):

@@ -27,7 +27,6 @@ class SelectionResult:
     selection-preference order."""
 
     method: str
-    params: dict
     links: tuple[Link, ...]
     pairs: np.ndarray
 
@@ -118,20 +117,17 @@ def select_for_layout(
     """Apply one selection method to every link of a layout."""
     links = tuple(layout.links)
     if method == "all":
-        params = {}
         pairs = np.tile(np.arange(len(PATTERN_PAIRS)), (len(links), 1))
     elif method == "location":
-        params = {"n_transmitter": n_transmitter, "n_receiver": n_receiver}
         pairs = _location_pairs(layout, n_transmitter, n_receiver)
     elif method in ("fadelevel", "prr"):
         if trace is None or window is None:
             raise ValueError(f"{method} selection needs a calibration trace and window")
-        params = {"k": k}
         pairs = _top_levels(pair_levels(trace, method, window, links), links, k)
     else:
         raise ValueError(f"unknown selection method {method!r}")
     pairs.flags.writeable = False
-    return SelectionResult(method=method, params=params, links=links, pairs=pairs)
+    return SelectionResult(method=method, links=links, pairs=pairs)
 
 
 # ------------------------------------------------------------ file format

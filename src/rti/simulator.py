@@ -99,41 +99,14 @@ def _number(value, name: str, error=ScenarioError):
 
 def _check_fields(config, section: str, error) -> None:
     """Int fields hold ints and float fields finite numbers, as in a JSON
-    file; the first field that does not is an `error` naming it."""
+    file, and a ``float | None`` field None or a finite number; the first
+    field that does not is an `error` naming it."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "int" and not _is_int(value):
             raise error(f"{section} {f.name} must be an integer, got {value!r}")
-        if f.type == "float":
+        if f.type == "float" or (f.type == "float | None" and value is not None):
             _number(value, f"{section} {f.name}", error)
-
-
-@dataclass(frozen=True)
-class AntennaGainModel:
-    """Raised-cosine directional gain between g_max (boresight) and g_min."""
-
-    directional: bool = True
-    g_max_db: float = 7.0
-    g_min_db: float = -4.0
-
-    def __post_init__(self) -> None:
-        _check_fields(self, "AntennaGainModel", ValueError)
-        if self.directional and self.g_max_db < self.g_min_db:
-            raise ValueError("g_max_db must be >= g_min_db")
-
-    def gain(self, angle: float) -> float:
-        if not self.directional:
-            return 0.0
-        half = (1.0 + math.cos(angle)) / 2.0
-        return self.g_min_db + (self.g_max_db - self.g_min_db) * half
-
-    def directivity(self, g_tx: float, g_rx: float) -> float:
-        """Combined directivity normalised to [0, 1]; 0 for omni."""
-        if not self.directional or self.g_max_db == self.g_min_db:
-            return 0.0
-        return (g_tx + g_rx - 2.0 * self.g_min_db) / (
-            2.0 * (self.g_max_db - self.g_min_db)
-        )
 
 
 @dataclass(frozen=True)
@@ -158,7 +131,8 @@ class PropagationParams:
     drift_std_db: float = 0.0
     drift_corr: float = 0.97  # per-tick AR(1) memory of the drift
     wall_shadow_factor: float = 1.0  # person mean-shadow scaling per wall crossed
-    gain_model: AntennaGainModel = AntennaGainModel()
+    g_max_db: float = 7.0  # directional antenna gain at boresight
+    g_min_db: float = -4.0  # and behind it, raised-cosine in between
 
     def __post_init__(self) -> None:
         _check_fields(self, "PropagationParams", ValueError)
@@ -181,6 +155,21 @@ class PropagationParams:
             raise ValueError("ellipse excess widths must be >= 0")
         if self.agitation_directivity_gain < 0:
             raise ValueError("agitation_directivity_gain must be >= 0")
+        if self.g_max_db < self.g_min_db:
+            raise ValueError("g_max_db must be >= g_min_db")
+
+    def gain(self, angle: float) -> float:
+        """Directional antenna gain at ``angle`` from boresight."""
+        half = (1.0 + math.cos(angle)) / 2.0
+        return self.g_min_db + (self.g_max_db - self.g_min_db) * half
+
+    def directivity(self, g_tx: float, g_rx: float) -> float:
+        """Combined directivity of a pattern pair's gains, in [0, 1]; 0 if flat."""
+        if self.g_max_db == self.g_min_db:
+            return 0.0
+        return (g_tx + g_rx - 2.0 * self.g_min_db) / (
+            2.0 * (self.g_max_db - self.g_min_db)
+        )
 
 
 @dataclass(frozen=True)
@@ -192,6 +181,9 @@ class Wall:
     x2: float
     y2: float
     loss_db: float | None = None  # None -> PropagationParams.wall_loss_db
+
+    def __post_init__(self) -> None:
+        _check_fields(self, "Wall", ValueError)
 
     @property
     def p1(self) -> tuple[float, float]:
@@ -210,6 +202,7 @@ class Trajectory:
     speed: float  # metres per tick
 
     def __post_init__(self) -> None:
+        _check_fields(self, "Trajectory", ValueError)
         if not self.waypoints:
             raise ValueError("trajectory needs at least one waypoint")
         if self.speed < 0:
@@ -432,7 +425,6 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         truth = np.empty((0, 2))
 
     directional = scenario.mode == "directional"
-    model = params.gain_model if directional else AntennaGainModel(directional=False)
     kinds = stream_kinds(scenario.mode, scenario.channels)
     num_kinds = len(kinds)
     num_links = layout.num_links
@@ -469,8 +461,8 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         # less than a clear link's, yet their motion still agitates it.
         shadow_scale[link] = params.wall_shadow_factor ** walls_crossed
         if directional:
-            tx_gains = [model.gain(angle_to_link(tx, dn, rx)) for dn in directions]
-            rx_gains = [model.gain(angle_to_link(rx, dn, tx)) for dn in directions]
+            tx_gains = [params.gain(angle_to_link(tx, dn, rx)) for dn in directions]
+            rx_gains = [params.gain(angle_to_link(rx, dn, tx)) for dn in directions]
             g_tx[link] = [tx_gains[tx_dir - 1] for _, tx_dir, _ in kinds]
             g_rx[link] = [rx_gains[rx_dir - 1] for _, _, rx_dir in kinds]
 
@@ -497,7 +489,7 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         # Stream constants as (links, kinds) arrays, with the float
         # operations of a one-stream loop.
         gt, gr = g_tx[lo:hi], g_rx[lo:hi]
-        directivity = model.directivity(gt, gr)
+        directivity = params.directivity(gt, gr) if directional else 0.0
         sigma_eff = params.fading_std_db * (1.0 - rho * directivity)
         fade = draws[:, 0].reshape(hi - lo, num_kinds) * sigma_eff
         response = 1.0 / (1.0 - rho * directivity)

@@ -25,7 +25,7 @@ from rti.geometry import (
     segments_intersect,
 )
 from rti.linkstats import RssTrace
-from rti.simulator import AntennaGainModel, Trajectory, reception_probability
+from rti.simulator import Trajectory, reception_probability
 
 
 def generate_trajectory(
@@ -130,11 +130,6 @@ def simulate(scenario, params):
         positions = None
         truth = np.empty((0, 2))
 
-    model = (
-        params.gain_model
-        if scenario.mode == "directional"
-        else AntennaGainModel(directional=False)
-    )
     in_person = np.zeros((total, layout.num_links), dtype=bool)
     in_wide = np.zeros((total, layout.num_links), dtype=bool)
     if positions is not None:
@@ -159,11 +154,11 @@ def simulate(scenario, params):
         for kind in stream_kinds(scenario):
             channel, pair = kind
             if pair is not None:
-                g_tx = model.gain(angle_to_link(tx, pair.tx_direction, rx))
-                g_rx = model.gain(angle_to_link(rx, pair.rx_direction, tx))
+                g_tx = params.gain(angle_to_link(tx, pair.tx_direction, rx))
+                g_rx = params.gain(angle_to_link(rx, pair.rx_direction, tx))
+                directivity = params.directivity(g_tx, g_rx)
             else:
-                g_tx = g_rx = 0.0
-            directivity = model.directivity(g_tx, g_rx)
+                g_tx = g_rx = directivity = 0.0
             sigma_eff = params.fading_std_db * (1.0 - rho * directivity)
             rng = stream_rng(scenario.seed, tx_id, rx_id, kind)
             fade = rng.normal(0.0, 1.0) * sigma_eff

@@ -120,3 +120,15 @@ def test_probe_build_prints_one_line_per_part():
     for row in rows:
         seconds, peak, rss = map(float, row[6:])
         assert seconds >= 0.0 and peak > 0.0 and rss > peak
+
+
+def test_probe_import_prints_the_import_and_each_module():
+    lines = run_script("probe_import.py", "--repeats", "1").stdout.splitlines()
+    assert lines[0].split() == ["repeats", "min_ms", "median_ms"]
+    repeats, low, median = lines[1].split()
+    assert repeats == "1" and 0.0 < float(low) == float(median)
+    assert lines[2].split() == ["module", "median_self_ms"]
+    rows = dict(line.split() for line in lines[3:])
+    assert {"rti", "rti.experiment", "rti.simulator", "rti.traceio", "rti.tracking"} <= set(rows)
+    assert all(name == "rti" or name.startswith("rti.") for name in rows)
+    assert all(float(ms) >= 0.0 for ms in rows.values())

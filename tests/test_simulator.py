@@ -27,7 +27,6 @@ from rti.geometry import NetworkLayout, NodeSpec, PatternPair, build_grid, ellip
 from rti.linkstats import stream_columns, stream_kinds
 from rti.presets import los_7node, nlos_2node, nlos_7node, ring_layout
 from rti.simulator import (
-    AntennaGainModel,
     PropagationParams,
     Scenario,
     ScenarioError,
@@ -118,37 +117,32 @@ def column(trace, tx, rx, channel=None, pair=None):
 
 
 def test_gain_trivia():
-    model = AntennaGainModel()
-    assert model.gain(0.0) == pytest.approx(7.0)
-    assert model.gain(math.pi) == pytest.approx(-4.0)
-    assert model.gain(math.pi / 2) == pytest.approx(1.5)
-    omni = AntennaGainModel(directional=False)
-    for angle in (0.0, 0.3, math.pi):
-        assert omni.gain(angle) == 0.0
+    params = PropagationParams()
+    assert params.gain(0.0) == pytest.approx(7.0)
+    assert params.gain(math.pi) == pytest.approx(-4.0)
+    assert params.gain(math.pi / 2) == pytest.approx(1.5)
 
 
 @given(st.floats(0.0, math.pi))
 def test_gain_bounds_and_symmetry(angle):
-    model = AntennaGainModel()
-    g = model.gain(angle)
+    params = PropagationParams()
+    g = params.gain(angle)
     assert -4.0 - 1e-12 <= g <= 7.0 + 1e-12
-    assert model.gain(-angle) == pytest.approx(g)
+    assert params.gain(-angle) == pytest.approx(g)
 
 
 def test_gain_monotone_boresight_to_back():
-    model = AntennaGainModel()
+    params = PropagationParams()
     angles = np.linspace(0.0, math.pi, 50)
-    gains = [model.gain(a) for a in angles]
+    gains = [params.gain(a) for a in angles]
     assert all(a >= b for a, b in zip(gains, gains[1:]))
 
 
 def test_directivity_extremes():
-    model = AntennaGainModel()
-    assert model.directivity(7.0, 7.0) == pytest.approx(1.0)
-    assert model.directivity(-4.0, -4.0) == pytest.approx(0.0)
-    assert model.directivity(7.0, -4.0) == pytest.approx(0.5)
-    omni = AntennaGainModel(directional=False)
-    assert omni.directivity(0.0, 0.0) == 0.0
+    params = PropagationParams()
+    assert params.directivity(7.0, 7.0) == pytest.approx(1.0)
+    assert params.directivity(-4.0, -4.0) == pytest.approx(0.0)
+    assert params.directivity(7.0, -4.0) == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------ trajectory
@@ -399,14 +393,23 @@ def test_params_validation():
          "PropagationParams noise_std_db must be a finite number, got True"),
         (lambda: PropagationParams(fading_std_db="9"),
          "PropagationParams fading_std_db must be a finite number, got '9'"),
-        (lambda: AntennaGainModel(g_max_db=math.nan),
-         "AntennaGainModel g_max_db must be a finite number, got nan"),
-        (lambda: AntennaGainModel(g_min_db=-math.inf),
-         "AntennaGainModel g_min_db must be a finite number, got -inf"),
-        (lambda: AntennaGainModel(directional=False, g_min_db=False),
-         "AntennaGainModel g_min_db must be a finite number, got False"),
-        (lambda: AntennaGainModel(g_max_db="7"),
-         "AntennaGainModel g_max_db must be a finite number, got '7'"),
+        (lambda: PropagationParams(g_max_db=math.nan),
+         "PropagationParams g_max_db must be a finite number, got nan"),
+        (lambda: PropagationParams(g_min_db=-math.inf),
+         "PropagationParams g_min_db must be a finite number, got -inf"),
+        (lambda: PropagationParams(g_min_db=False),
+         "PropagationParams g_min_db must be a finite number, got False"),
+        (lambda: PropagationParams(g_max_db="7"),
+         "PropagationParams g_max_db must be a finite number, got '7'"),
+        (lambda: PropagationParams(g_max_db=-5.0), "g_max_db must be >= g_min_db"),
+        (lambda: Wall(0.0, 0.0, 1.0, 1.0, loss_db=math.nan),
+         "Wall loss_db must be a finite number, got nan"),
+        (lambda: Wall(0.0, math.inf, 1.0, 1.0), "Wall y1 must be a finite number, got inf"),
+        (lambda: Wall(0.0, 0.0, "1", 1.0), "Wall x2 must be a finite number, got '1'"),
+        (lambda: Trajectory(((0.5, 0.5),), math.nan),
+         "Trajectory speed must be a finite number, got nan"),
+        (lambda: Trajectory(((0.5, 0.5),), "1"), "Trajectory speed must be a finite number, got '1'"),
+        (lambda: Trajectory(((0.5, 0.5),), True), "Trajectory speed must be a finite number, got True"),
     ],
 )
 def test_params_reject_at_construction_what_their_json_rejects(make, message):
@@ -628,7 +631,6 @@ def test_fading_spread_shrinks_with_directivity():
     )
     params = PropagationParams(noise_std_db=0.0)
     trace, _ = simulate(scenario, params)
-    model = params.gain_model
     fades: list[float] = []
     dirs: list[float] = []
     from rti.geometry import angle_to_link
@@ -638,12 +640,12 @@ def test_fading_spread_shrinks_with_directivity():
             continue
         tx = layout.node(tx_id)
         rx = layout.node(rx_id)
-        g_tx = model.gain(angle_to_link(tx, tx_dir, rx))
-        g_rx = model.gain(angle_to_link(rx, rx_dir, tx))
+        g_tx = params.gain(angle_to_link(tx, tx_dir, rx))
+        g_rx = params.gain(angle_to_link(rx, rx_dir, tx))
         d = layout.link_distance(tx_id, rx_id)
         loss = params.reference_loss_db + 20.0 * math.log10(d)
         fades.append(rssi - g_tx - g_rx + loss)
-        dirs.append(model.directivity(g_tx, g_rx))
+        dirs.append(params.directivity(g_tx, g_rx))
     fades_arr = np.array(fades)
     dirs_arr = np.array(dirs)
     edges = [0.0, 0.25, 0.5, 0.75, 1.0 + 1e-9]
@@ -741,9 +743,8 @@ def test_aligned_pairs_flutter_with_directivity_gain():
     trace, _ = simulate(scenario, params)
     series = {pair: column(trace, 0, 1, pair=pair)[1:] for pair in ((1, 1), (4, 4))}
     rho = params.fading_directivity_coupling
-    model = params.gain_model
     aligned = np.std(np.array(series[(1, 1)]))
-    response = 1.0 / (1.0 - rho * model.directivity(model.gain(0.0), model.gain(0.0)))
+    response = 1.0 / (1.0 - rho * params.directivity(params.gain(0.0), params.gain(0.0)))
     assert aligned == pytest.approx(2.0 * 0.5 * (response - 1.0), rel=0.15)
     assert np.std(np.array(series[(4, 4)])) < 0.05
 
@@ -947,10 +948,9 @@ def no_fading(seed):
 
 
 def flat_gain(seed):
-    """A directional model with g_max_db == g_min_db has zero directivity."""
+    """A directional pattern with g_max_db == g_min_db has zero directivity."""
     scenario, params = los_7node(seed)
-    flat = AntennaGainModel(g_max_db=2.0, g_min_db=2.0)
-    return replace(scenario, rounds=20), replace(params, gain_model=flat)
+    return replace(scenario, rounds=20), replace(params, g_max_db=2.0, g_min_db=2.0)
 
 
 GROUP_ORACLE_RUNS = [
@@ -1033,6 +1033,22 @@ def test_scenario_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_scenario_file_records_the_antenna_gains(tmp_path):
+    scenario, params = flat_gain(3)
+    path = tmp_path / "scenario.json"
+    write_scenario_file(path, scenario, params)
+    loaded, loaded_params = read_scenario_file(path)
+    assert loaded_params == params
+    assert_same_trace(simulate(loaded, loaded_params), simulate(scenario, params))
+
+
+def test_scenario_file_without_gains_reads_the_defaults():
+    data = scenario_to_dict(*los_7node(0))
+    del data["params"]["g_max_db"], data["params"]["g_min_db"]
+    _, params = scenario_from_dict(data)
+    assert (params.g_max_db, params.g_min_db) == (7.0, -4.0)
+
+
 def test_scenario_dict_missing_field_raises():
     data = scenario_to_dict(
         Scenario(two_node_layout(), UNIT_GRID, "omni"), PropagationParams()
@@ -1084,6 +1100,7 @@ BAD_SCENARIO_FIELDS = [
     (("params", "drift_std_db"), float("nan"), "params.drift_std_db must be a finite number, got nan"),
     (("params", "sensitivity_dbm"), 10**400, "params.sensitivity_dbm must be a finite number, got " + repr(10**400)),
     (("params", "gain_model"), {}, "params has unknown field 'gain_model'"),
+    (("params", "g_max_db"), -5.0, "params: g_max_db must be >= g_min_db"),
     (("params", "noise_std"), 0.5, "params has unknown field 'noise_std'"),
     (("params", "noise_std_db"), -1, "params: noise scales must be >= 0"),
 ]

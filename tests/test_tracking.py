@@ -195,7 +195,9 @@ def test_params_validation():
         KalmanParams(r=0.0)
 
 
-@pytest.mark.parametrize("field, value", [("q", math.nan), ("q", math.inf), ("r", math.nan)])
+@pytest.mark.parametrize(
+    "field, value", [("q", math.nan), ("q", math.inf), ("r", math.nan), ("q", True), ("q", "1")]
+)
 def test_params_must_be_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value!r}$"):
         KalmanParams(**{field: value})

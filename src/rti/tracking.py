@@ -28,7 +28,7 @@ class KalmanParams:
         for name, value in (("q", self.q), ("r", self.r)):
             # As in a JSON file: a finite int or float, but not a bool.
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and abs(value) <= np.finfo(float).max):
+            if not (number and abs(value) <= float(np.finfo(float).max)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.q < 0 or self.r <= 0:
             raise ValueError("need q >= 0, r > 0")

@@ -196,7 +196,8 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("q", math.nan), ("q", math.inf), ("r", math.nan), ("q", True), ("q", "1")]
+    "field, value",
+    [("q", math.nan), ("q", math.inf), ("r", math.nan), ("q", True), ("q", "1"), ("r", 10**400)],
 )
 def test_params_must_be_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value!r}$"):

@@ -6,7 +6,7 @@ dRTI-var under each selector, at the comparison settings, in a temporary
 directory; dRTI-mean with fade-level selection also writes its images. Prints
 one `sha256  preset/seed/config/file` line per file, and one
 `sha256  preset/seed/config/trace.csv (read)` line per run for the trace
-`read_trace_file` returns (its mode, tx power and streams, then its RSSI
+`read_trace_file` returns (its mode, tx power and stream keys, then its RSSI
 bytes), sorted by path, so two trees that should give byte-identical runs,
 and read them back alike, can be compared with `diff`.
 
@@ -20,9 +20,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from rti.experiment import run_experiment
+from rti.linkstats import VALID_CHANNELS, stream_kinds
 from rti.presets import PRESETS, comparison_configs
 from rti.simulator import write_scenario_file
 from rti.traceio import read_trace_file
+
+
+def stream_keys(trace) -> tuple:
+    """Each stream as a (tx_id, rx_id, channel, tx_dir, rx_dir) tuple, with
+    None in the slots its kind does not use."""
+    kinds = stream_kinds(trace.mode, VALID_CHANNELS)
+    return tuple((tx, rx, *kinds[code]) for (tx, rx), code in zip(trace.links.tolist(), trace.kinds.tolist()))
 
 
 def main() -> None:
@@ -49,7 +57,7 @@ def main() -> None:
                 digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         for path in root.rglob("trace.csv"):
             trace = read_trace_file(path)
-            read = repr((trace.mode, trace.tx_power_dbm, trace.streams)).encode() + trace.rssi.tobytes()
+            read = repr((trace.mode, trace.tx_power_dbm, stream_keys(trace))).encode() + trace.rssi.tobytes()
             digests[f"{path.relative_to(root).as_posix()} (read)"] = hashlib.sha256(read).hexdigest()
     for name in sorted(digests):
         print(f"{digests[name]}  {name}")

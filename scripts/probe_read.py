@@ -48,11 +48,14 @@ def forms(path: Path) -> dict[str, bytes]:
 
 
 def check(read, trace, form: str) -> None:
-    column = {key: i for i, key in enumerate(read.streams)}
+    # Each read stream's column in the simulated trace, matched by (tx, rx, kind code).
+    keys = [np.column_stack((t.links, t.kinds)) for t in (read, trace)]
+    order = [np.lexsort(k.T) for k in keys]
     same = (
         (read.mode, read.tx_power_dbm) == (trace.mode, trace.tx_power_dbm)
-        and sorted(column) == sorted(trace.streams)
-        and np.array_equal(read.rssi[:, [column[key] for key in trace.streams]], trace.rssi, equal_nan=True)
+        and keys[0].shape == keys[1].shape
+        and np.array_equal(keys[0][order[0]], keys[1][order[1]])
+        and np.array_equal(read.rssi[:, order[0]], trace.rssi[:, order[1]], equal_nan=True)
     )
     if not same:
         raise SystemExit(f"{form}: the trace read differs from the trace written")

@@ -29,6 +29,7 @@ from .imaging import (
     reconstruct_images,
 )
 from .linkstats import (
+    VALID_CHANNELS,
     _window_sum,
     calibration_deviation,
     first_heard,
@@ -233,7 +234,7 @@ def streams_for_method(
     columns = np.take_along_axis(table, index, axis=1)
     missing = np.argwhere(columns < 0)
     if missing.size:
-        named = [format_stream((*links[i], *kinds[index[i, j]])) for i, j in missing[:10]]
+        named = [format_stream(links[i], kinds[index[i, j]]) for i, j in missing[:10]]
         more = len(missing) - len(named)
         raise PhaseError(
             "statistics: trace has no records for streams " + ", ".join(named)
@@ -403,11 +404,11 @@ def check_trace(method: str, scenario: Scenario, trace, truth) -> np.ndarray:
     table = stream_columns(
         trace, tuple(scenario.layout.links), stream_kinds(mode, scenario.channels)
     )
-    if np.count_nonzero(table >= 0) < len(trace.streams):
-        placed = np.zeros(len(trace.streams), dtype=bool)
-        placed[table[table >= 0]] = True
-        stray = trace.streams[int(np.argmin(placed))]
-        raise PhaseError(f"trace: stream {format_stream(stray)} is not a stream of the scenario")
+    placed = np.isin(np.arange(len(trace.kinds)), table)
+    if not placed.all():
+        s = int(np.argmin(placed))
+        name = format_stream(trace.links[s], stream_kinds(mode, VALID_CHANNELS)[trace.kinds[s]])
+        raise PhaseError(f"trace: stream {name} is not a stream of the scenario")
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (scenario.rounds, 2):
         raise PhaseError(f"truth: expected shape {(scenario.rounds, 2)}, got {truth.shape}")

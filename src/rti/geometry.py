@@ -136,7 +136,7 @@ class NetworkLayout:
 
     Links are every ordered pair of distinct nodes, enumerated in node order:
     (n0->n1, n0->n2, ..., n1->n0, n1->n2, ...). Weight groups and link
-    statistic vectors follow this order.
+    statistic vectors follow this order. Equal node lists make equal layouts.
     """
 
     def __init__(self, nodes: Sequence[NodeSpec]):
@@ -157,6 +157,14 @@ class NetworkLayout:
             (a.id, b.id) for a in nodes for b in nodes if a.id != b.id
         ]
         self._link_index = {link: i for i, link in enumerate(self.links)}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NetworkLayout):
+            return NotImplemented
+        return self.nodes == other.nodes
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.nodes))
 
     @property
     def num_links(self) -> int:

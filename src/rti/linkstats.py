@@ -6,8 +6,11 @@ Streams
 A stream is one RSS time series: an (ordered link, channel-or-pattern)
 combination. Omni traffic has one stream per link, multichannel traffic one
 per (link, channel), directional traffic one per (link, pattern pair).
-Stream keys are tuples (tx_id, rx_id, channel, tx_dir, rx_dir) with None in
-the unused slots: a link followed by one of its mode's `stream_kinds`.
+
+A trace holds its streams as two int arrays: `links`, each stream's
+(tx_id, rx_id), and `kinds`, each stream's kind code, its index in the
+mode's table `stream_kinds(mode, VALID_CHANNELS)`. A directional code is
+the pair's `PATTERN_PAIRS` index, as `selection` keeps it.
 
 Traces
 ------
@@ -15,7 +18,7 @@ A trace is columnar: one RSS column per stream and one row per tick, with
 NaN where a packet was lost. Every stream attempts one packet per tick, so
 the array has no holes other than lost packets.
 
-A trace's RSS array is read-only, so the arrays derived from it are computed
+A trace's arrays are read-only, so the arrays derived from them are computed
 once per trace and kept on it, shared by every config evaluated on it. They
 are (ticks, streams) like the trace: column s of each is stream s.
 """
@@ -26,14 +29,11 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS, PatternPair
-
-StreamKey = tuple  # (tx_id, rx_id, channel | None, tx_dir | None, rx_dir | None)
+from .geometry import PATTERN_PAIRS
 
 MODES = ("omni", "multichannel", "directional")
 VALID_CHANNELS = (11, 15, 18, 21, 26)
@@ -54,36 +54,11 @@ def stream_kinds(mode: str, channels: Sequence[int] = ()) -> tuple[tuple, ...]:
     return tuple((None, pair.tx_direction, pair.rx_direction) for pair in PATTERN_PAIRS)
 
 
-def check_stream(key: StreamKey, mode: str) -> None:
-    """Raise ValueError unless ``key`` is a well-formed stream of a ``mode`` trace."""
-    _tx, _rx, channel, tx_dir, rx_dir = key
-    has_pattern = tx_dir is not None or rx_dir is not None
-    if channel is not None and has_pattern:
-        raise ValueError("a stream cannot carry both channel and pattern fields")
-    if channel is not None and channel not in VALID_CHANNELS:
-        raise ValueError(f"channel {channel} outside supported set {VALID_CHANNELS}")
-    if has_pattern and (tx_dir is None or rx_dir is None):
-        raise ValueError("pattern streams need both tx_dir and rx_dir")
-    if has_pattern and not (1 <= tx_dir <= NUM_DIRECTIONS and 1 <= rx_dir <= NUM_DIRECTIONS):
-        raise ValueError(f"pattern directions must be in [1, {NUM_DIRECTIONS}]")
-    own = "multichannel" if channel is not None else "directional" if has_pattern else "omni"
-    if own != mode:
-        raise ValueError(f"{format_stream(key)} is not a stream of mode {mode!r}")
-
-
-def omni_stream(link: tuple[int, int]) -> StreamKey:
-    return (link[0], link[1], None, None, None)
-
-def channel_stream(link: tuple[int, int], channel: int) -> StreamKey:
-    return (link[0], link[1], channel, None, None)
-
-def pattern_stream(link: tuple[int, int], pair: PatternPair) -> StreamKey:
-    return (link[0], link[1], None, pair.tx_direction, pair.rx_direction)
-
-
-def format_stream(stream: StreamKey) -> str:
-    tx, rx, channel, tx_dir, rx_dir = stream
-    tag = f"{tx}->{rx}"
+def format_stream(link, kind) -> str:
+    """The text of the stream of a link and (channel, tx_dir, rx_dir) kind
+    in messages, such as `0->1 omni`, `0->1 channel 11` or `0->1 pair (1,2)`."""
+    channel, tx_dir, rx_dir = kind
+    tag = f"{link[0]}->{link[1]}"
     if channel is not None:
         return f"{tag} channel {channel}"
     if tx_dir is not None:
@@ -91,18 +66,29 @@ def format_stream(stream: StreamKey) -> str:
     return f"{tag} omni"
 
 
+def _link_keys(links: np.ndarray, num_kinds: int) -> np.ndarray:
+    """An int64 per row of a (rows, 2) link array, equal iff the links are
+    and a multiple of ``num_kinds``, so that adding a kind code keys a
+    stream. Node ids enter by rank, so any int64 id fits."""
+    ids, rank = np.unique(links, return_inverse=True)
+    rank = rank.reshape(-1, 2)
+    return (rank[:, 0] * len(ids) + rank[:, 1]) * num_kinds
+
+
 @dataclass(frozen=True, eq=False)
 class RssTrace:
     """Every reception attempt of a run, as one (ticks, streams) RSS array.
 
-    ``rssi[t, s]`` is the RSS of ``streams[s]`` at tick t, NaN for a lost
-    packet. All streams share one mode and one transmit power. The array is
-    made read-only in place, so the arrays derived from it stay valid.
+    ``rssi[t, s]`` is the RSS at tick t of the stream of link ``links[s]``
+    and kind code ``kinds[s]``, NaN for a lost packet. All streams share
+    one mode and one transmit power. The arrays are made read-only, so the
+    arrays derived from them stay valid.
     """
 
     mode: str
     tx_power_dbm: float
-    streams: tuple[StreamKey, ...]
+    links: np.ndarray
+    kinds: np.ndarray
     rssi: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -120,40 +106,43 @@ class RssTrace:
             power = math.inf
         if not math.isfinite(power):
             raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm!r}")
-        streams = tuple(tuple(key) for key in self.streams)
-        for key in streams:
-            check_stream(key, self.mode)
-        if len(set(streams)) != len(streams):
-            raise ValueError("duplicate streams in trace")
+        # Copies; an array that does not cast safely to int64 raises TypeError.
+        links = np.asarray(self.links).astype(np.int64, casting="safe")
+        kinds = np.asarray(self.kinds).astype(np.int64, casting="safe")
         rssi = np.ascontiguousarray(self.rssi, dtype=float)
-        if rssi.ndim != 2 or rssi.shape[1] != len(streams):
+        if kinds.ndim != 1 or links.shape != (len(kinds), 2) or rssi.ndim != 2 or rssi.shape[1] != len(kinds):
             raise ValueError(
-                f"rssi must be shaped (ticks, {len(streams)}), got {rssi.shape}"
+                "links, kinds and rssi must be shaped (streams, 2), (streams,) and (ticks, "
+                f"streams), got {links.shape}, {kinds.shape} and {rssi.shape}"
             )
-        bad = np.argwhere(np.isinf(rssi))
+        table = stream_kinds(self.mode, VALID_CHANNELS)
+        bad = np.flatnonzero((kinds < 0) | (kinds >= len(table)))
         if bad.size:
-            tick, col = bad[0]
+            s = bad[0]
             raise ValueError(
-                f"{format_stream(streams[col])} tick {tick}: non-finite rssi"
+                f"stream {s} ({links[s, 0]}->{links[s, 1]}): kind code {kinds[s]} "
+                f"outside [0, {len(table)}) for mode {self.mode!r}"
             )
-        rssi.flags.writeable = False
+        _, first = np.unique(_link_keys(links, len(table)) + kinds, return_index=True)
+        if len(first) < len(kinds):
+            s = np.setdiff1d(np.arange(len(kinds)), first)[0]  # the first repeat
+            raise ValueError(f"duplicate stream {format_stream(links[s], table[kinds[s]])} in trace")
+        bad = np.flatnonzero(np.isinf(rssi))
+        if bad.size:
+            tick, s = divmod(int(bad[0]), len(kinds))
+            raise ValueError(f"{format_stream(links[s], table[kinds[s]])} tick {tick}: non-finite rssi")
+        for name, array in (("links", links), ("kinds", kinds), ("rssi", rssi)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "tx_power_dbm", power)
-        object.__setattr__(self, "streams", streams)
-        object.__setattr__(self, "rssi", rssi)
 
     @property
     def num_ticks(self) -> int:
         return self.rssi.shape[0]
 
-    @cached_property
-    def column(self) -> dict[StreamKey, int]:
-        """Column index of each stream."""
-        return {key: i for i, key in enumerate(self.streams)}
-
     def window(self, t1: int, t2: int) -> np.ndarray:
         """Rows of ticks t1..t2 (inclusive) that lie inside the trace."""
         return self.rssi[max(t1, 0) : max(t2 + 1, 0)]
-
 
 
 def per_trace(fn):
@@ -217,17 +206,19 @@ def window_variance(trace: RssTrace, window: int) -> np.ndarray:
 
 @per_trace
 def stream_columns(trace: RssTrace, links: tuple, kinds: tuple) -> np.ndarray:
-    """Trace column of each link's stream of each kind, shaped (links,
-    kinds); -1 where the trace has no such stream."""
-    # One pass over the streams: lookups in `RssTrace.column` raised dRTI peak RSS.
-    row = {link: i for i, link in enumerate(links)}
-    at = {kind: j for j, kind in enumerate(kinds)}
-    table = np.full((len(links), len(kinds)), -1)
-    for col, (tx, rx, *kind) in enumerate(trace.streams):
-        i, j = row.get((tx, rx)), at.get(tuple(kind))
-        if i is not None and j is not None:
-            table[i, j] = col
-    return table
+    """Trace column of each link's stream of each (channel, tx_dir, rx_dir)
+    kind, shaped (links, kinds); -1 where the trace has no such stream. One
+    `np.searchsorted` finds the keys among the trace's sorted stream keys."""
+    table = stream_kinds(trace.mode, VALID_CHANNELS)
+    codes = np.array([table.index(kind) if kind in table else -1 for kind in kinds], np.int64)
+    num_streams = len(trace.kinds)
+    link_keys = _link_keys(np.concatenate((trace.links, np.reshape(links, (-1, 2)))), len(table))
+    have, keys = link_keys[:num_streams] + trace.kinds, link_keys[num_streams:, None] + codes
+    if not num_streams:
+        return np.full(keys.shape, -1)
+    order = np.argsort(have)
+    found = order[np.minimum(np.searchsorted(have, keys, sorter=order), num_streams - 1)]
+    return np.where((have[found] == keys) & (codes >= 0), found, -1)
 
 
 # ------------------------------------------------------------ detection

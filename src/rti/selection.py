@@ -82,7 +82,7 @@ def pair_levels(
     block = trace.window(t1, t2)
     heard = np.count_nonzero(~np.isnan(block), axis=0)
     if method == "fadelevel":
-        if not len(block) or not trace.streams or trace.mode != "directional":
+        if not len(block) or not trace.kinds.size or trace.mode != "directional":
             raise ValueError("no directional records in fade-level window")
         level = np.where(heard > 0, sum_over_ticks(block - trace.tx_power_dbm), np.nan)
     else:

@@ -66,7 +66,7 @@ DEFAULT_CHANNELS = (11, 15, 18, 21)
 GROUP_STREAMS = 256
 
 # Scenario seeds and node ids are 32-bit: each is one word of a stream's
-# SeedSequence entropy (seed, tx, rx, kind code).
+# SeedSequence entropy (seed, tx, rx, kind words).
 SEED_LIMIT = 2**32
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -290,23 +290,15 @@ def reception_probability(p_rx_dbm, params: PropagationParams):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -700.0, 700.0)))
 
 
-def _kind_code(kind) -> tuple[int, int, int]:
-    channel, tx_dir, rx_dir = kind
-    if channel is not None:
-        return (1, channel, 0)
-    if tx_dir is not None:
-        return (2, tx_dir, rx_dir)
-    return (0, 0, 0)
-
-
-def _seed_words(seed: int, links, kinds) -> np.ndarray:
-    """The (streams, 6) uint32 entropy words (seed, tx, rx, kind code) of
-    every stream, in trace order: by link, then kind."""
-    words = np.empty((len(links), len(kinds), 6), dtype=np.uint32)
-    words[..., 0] = seed
-    words[..., 1:3] = np.array(links, dtype=np.uint32).reshape(-1, 1, 2)
-    words[..., 3:] = np.array([_kind_code(kind) for kind in kinds], dtype=np.uint32)
-    return words.reshape(-1, 6)
+def _seed_words(seed: int, mode: str, links: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The (streams, 6) uint32 entropy words (seed, tx, rx, kind words) of
+    the streams of a ``mode`` trace, given their links and kind codes. The
+    kind words are (0, 0, 0), (1, channel, 0) or (2, tx_dir, rx_dir)."""
+    kinds = np.array([
+        (1, channel, 0) if channel is not None else (2, tx_dir, rx_dir) if tx_dir is not None else (0, 0, 0)
+        for channel, tx_dir, rx_dir in stream_kinds(mode, VALID_CHANNELS)
+    ])
+    return np.column_stack((np.full(len(codes), seed), links, kinds[codes])).astype(np.uint32)
 
 
 def _seed_states(words: np.ndarray) -> np.ndarray:
@@ -405,7 +397,7 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
     ordered by link, then by the mode's `stream_kinds`.
 
     Each stream draws from its own generator, seeded by (seed, tx, rx, kind
-    code), so its values do not depend on which other streams are simulated.
+    words), so its values do not depend on which other streams are simulated.
     The static fading draw of a stream depends only on (seed, stream), so
     calibration and tracking see the same propagation environment.
 
@@ -467,9 +459,11 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
             g_rx[link] = [rx_gains[rx_dir - 1] for _, _, rx_dir in kinds]
 
     rho = params.fading_directivity_coupling
-    streams = tuple((*link, *kind) for link in layout.links for kind in kinds)
+    table = stream_kinds(scenario.mode, VALID_CHANNELS)
+    stream_links = np.repeat(np.reshape(layout.links, (-1, 2)), num_kinds, axis=0)
+    stream_codes = np.tile([table.index(kind) for kind in kinds], num_links)
     rssi = np.empty((total, num_links * num_kinds))
-    states = _seed_states(_seed_words(scenario.seed, layout.links, kinds))
+    states = _seed_states(_seed_words(scenario.seed, scenario.mode, stream_links, stream_codes))
     generator = _stream_generators()
     per_group = max(1, GROUP_STREAMS // num_kinds)
     for lo in range(0, num_links, per_group):
@@ -515,7 +509,7 @@ def simulate(scenario: Scenario, params: PropagationParams) -> tuple[RssTrace, n
         received = uniforms.T < reception_probability(p_rx, params)
         rssi[:, lo * num_kinds:hi * num_kinds] = np.where(received, p_rx, np.nan)
 
-    return RssTrace(scenario.mode, params.tx_power_dbm, streams, rssi), truth
+    return RssTrace(scenario.mode, params.tx_power_dbm, stream_links, stream_codes, rssi), truth
 
 
 def obstructed_mask(

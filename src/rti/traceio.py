@@ -96,7 +96,8 @@ from stat import S_ISREG
 
 import numpy as np
 
-from .linkstats import MODES, RssTrace, StreamKey, check_stream, format_stream
+from .geometry import NUM_DIRECTIONS, PATTERN_PAIRS
+from .linkstats import MODES, VALID_CHANNELS, RssTrace, format_stream, stream_kinds
 
 TRACE_HEADER = [
     "tick",
@@ -177,10 +178,6 @@ def _split(line: bytes) -> list[str]:
     """Fields of one line without its line end; none for a blank line."""
     line = line.removesuffix(b"\n").removesuffix(b"\r")
     return line.decode(errors="replace").split(",") if line else []
-
-
-def _opt(value) -> str:
-    return "" if value is None else str(value)
 
 
 # Lines a writer assembles at a time (two ticks of a 7-node directional
@@ -419,9 +416,11 @@ def write_grid(fh, grid: np.ndarray, fields, first_tick: int = 0) -> None:
 
 def write_trace_file(path, trace: RssTrace) -> None:
     # Every field is a number or a mode name, so none needs quoting.
+    kinds = stream_kinds(trace.mode, VALID_CHANNELS)
+    texts = [",".join("" if field is None else str(field) for field in kind) for kind in kinds]
     streams = text_table(
-        f"{tx},{rx},{trace.mode},{_opt(ch)},{_opt(td)},{_opt(rd)},{trace.tx_power_dbm!r},"
-        for tx, rx, ch, td, rd in trace.streams
+        f"{tx},{rx},{trace.mode},{texts[code]},{trace.tx_power_dbm!r},"
+        for (tx, rx), code in zip(trace.links.tolist(), trace.kinds.tolist())
     )
     with open(path, "wb") as fh:
         fh.write(",".join(TRACE_HEADER).encode() + b"\r\n")
@@ -429,30 +428,35 @@ def write_trace_file(path, trace: RssTrace) -> None:
         write_grid(fh, trace.rssi, fields)
 
 
-def _parse_stream(fields: list[str]) -> tuple[str, float, StreamKey]:
-    """Mode, transmit power and stream key of a row's seven fields from
-    tx_id to tx_power_dbm."""
-
-    def opt_int(text: str, what: str) -> int | None:
-        return None if text == "" else _integer(text, what)
-
-    tx, rx, mode, channel, tx_dir, rx_dir, power = fields
+def _parse_stream(fields: list[str]) -> tuple[str, float, tuple[int, int, int]]:
+    """Mode, transmit power and (tx_id, rx_id, kind code) of a row's seven
+    fields from tx_id to tx_power_dbm; the kind must be one of the mode's."""
+    tx, rx, mode, *kind, power = fields
     power = _finite(power, "tx power")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    key = (
-        _integer(tx, "tx_id"),
-        _integer(rx, "rx_id"),
-        opt_int(channel, "channel"),
-        opt_int(tx_dir, "tx_dir"),
-        opt_int(rx_dir, "rx_dir"),
+    link = (_integer(tx, "tx_id"), _integer(rx, "rx_id"))
+    kind = channel, tx_dir, rx_dir = tuple(
+        None if text == "" else _integer(text, what) for text, what in zip(kind, TRACE_HEADER[4:7])
     )
-    check_stream(key, mode)
-    return mode, power, key
+    has_pattern = tx_dir is not None or rx_dir is not None
+    if channel is not None and has_pattern:
+        raise ValueError("a stream cannot carry both channel and pattern fields")
+    if channel is not None and channel not in VALID_CHANNELS:
+        raise ValueError(f"channel {channel} outside supported set {VALID_CHANNELS}")
+    if has_pattern and (tx_dir is None or rx_dir is None):
+        raise ValueError("pattern streams need both tx_dir and rx_dir")
+    if has_pattern and not (1 <= tx_dir <= NUM_DIRECTIONS and 1 <= rx_dir <= NUM_DIRECTIONS):
+        raise ValueError(f"pattern directions must be in [1, {NUM_DIRECTIONS}]")
+    own = "multichannel" if channel is not None else "directional" if has_pattern else "omni"
+    if own != mode:
+        raise ValueError(f"{format_stream(link, kind)} is not a stream of mode {mode!r}")
+    code = PATTERN_PAIRS.index(kind[1:]) if has_pattern else stream_kinds(mode, VALID_CHANNELS).index(kind)
+    return mode, power, (*link, code)
 
 
-def _where(key: StreamKey | None, tick: int | None) -> str:
-    parts = [format_stream(key)] if key is not None else []
+def _where(stream: str | None, tick: int | None) -> str:
+    parts = [stream] if stream is not None else []
     if tick is not None:
         parts.append(f"tick {tick}")
     return " ".join(parts) + ": " if parts else ""
@@ -474,20 +478,20 @@ def _words(texts: list[bytes]) -> np.ndarray:
 
 
 class _Streams:
-    """The streams met so far: a column per stream key, by the raw bytes of
-    each distinct tx_id..tx_power_dbm span, and the cell (tick * streams +
-    column) that the next row is expected at once a block was read in exact
-    stream order."""
+    """The streams met so far: a column per (tx_id, rx_id, kind code), by
+    the raw bytes of each distinct tx_id..tx_power_dbm span, and the cell
+    (tick * streams + column) that the next row is expected at once a block
+    was read in exact stream order."""
 
     def __init__(self) -> None:
-        self.columns: dict[StreamKey, int] = {}
+        self.columns: dict[tuple[int, int, int], int] = {}
         self.known: dict[bytes, int] = {}
         self.spans: list[bytes] = []  # each column's first span, with its comma
         self.first: tuple[str, float] | None = None  # the first row's mode and tx power
         self.next: int | None = None  # the cell the next block is expected at
         self.table = None  # `_words` of `spans`, made when next needed
 
-    def add(self, span: bytes, mode: str, power: float, key: StreamKey) -> int:
+    def add(self, span: bytes, mode: str, power: float, key: tuple[int, int, int]) -> int:
         if self.first is None:
             self.first = (mode, power)
         elif (mode, power) != self.first:
@@ -500,6 +504,10 @@ class _Streams:
             self.table = None
         self.known[span] = column = self.columns.setdefault(key, len(self.columns))
         return column
+
+    def name(self, column: int) -> str:
+        key = list(self.columns)[column]
+        return format_stream(key, stream_kinds(self.first[0], VALID_CHANNELS)[key[2]])
 
     def expected(self, buf: np.ndarray, starts, ends):
         """Tick, column and RSSI of rows buf[starts:ends] that continue the
@@ -577,15 +585,12 @@ class _Streams:
         row = _split(line)
         if len(row) != len(TRACE_HEADER):
             return f"expected {len(TRACE_HEADER)} fields, got {len(row)}"
-        key = tick = None
+        stream = tick = None
         try:
             tick = _integer(row[0], "tick")
-            span = ",".join(row[1:8]).encode()
-            column = self.known.get(span)
-            if column is None:
-                mode, power, key = _parse_stream(row[1:8])
-                column = self.add(span, mode, power, key)
-            key = list(self.columns)[column]
+            mode, power, key = _parse_stream(row[1:8])
+            stream = format_stream(key, stream_kinds(mode, VALID_CHANNELS)[key[2]])
+            self.add(",".join(row[1:8]).encode(), mode, power, key)
             if tick < 0:
                 raise ValueError("negative tick")
             if row[9] not in ("true", "false"):
@@ -599,7 +604,7 @@ class _Streams:
             if _integer(row[8], "seq") != tick:
                 raise ValueError(f"seq {row[8]} differs from the tick")
         except ValueError as exc:
-            return f"{_where(key, tick)}{exc}"
+            return f"{_where(stream, tick)}{exc}"
         raise AssertionError(f"row {line!r} was flagged but breaks no rule")
 
 
@@ -878,10 +883,10 @@ class _Cells:
             new[: self.ticks, : old.shape[1]] = old[: self.ticks]
             setattr(self, name, new)
 
-    def trace(self, keys: list[StreamKey], path: Path) -> np.ndarray:
+    def trace(self, streams: _Streams, path: Path) -> np.ndarray:
         """The (ticks, streams) RSSI array, once every cell is known to
         appear exactly once."""
-        num_streams = len(keys)
+        num_streams = len(streams.columns)
         if self.rssi is None:
             self._allocate(num_streams)
         tick = column = line = np.empty(0, np.int64)
@@ -898,7 +903,7 @@ class _Cells:
                     self.duplicate = (int(line[i]), int(line[j]), int(column[i]), int(tick[i]))
         if self.duplicate is not None:
             at, earlier, col, t = self.duplicate
-            raise TraceParseError(f"line {at}: {_where(keys[col], t)}duplicate of line {earlier}")
+            raise TraceParseError(f"line {at}: {_where(streams.name(col), t)}duplicate of line {earlier}")
         # The first missing cell is the first unseen one of the placed ticks,
         # or else the first cell past them that the rows set aside skip.
         unseen = (self.first[: self.ticks] < 0).reshape(-1)
@@ -909,7 +914,7 @@ class _Cells:
             missing = int(cell[gaps[0]]) if gaps.size else int(cell[-1]) + 1
         if missing is not None:
             t, col = divmod(missing, num_streams)
-            raise TraceParseError(f"{path}: no row for {format_stream(keys[col])} tick {t}")
+            raise TraceParseError(f"{path}: no row for {streams.name(col)} tick {t}")
         self.first = None
         self.rssi.resize((self.ticks, num_streams), refcheck=False)
         return self.rssi
@@ -955,11 +960,10 @@ def _read_trace(fh, path: Path) -> RssTrace:
         if kept > _LINE_BYTES:
             raise TraceParseError(f"line {line}: {_LONG_LINE}")
         buf[:kept] = buf[cut:end].copy()
-    keys = list(streams.columns)
-    if not keys:
+    if not streams.columns:
         raise TraceParseError(f"{path}: trace file has no rows")
-    rssi = cells.trace(keys, path)
-    return RssTrace(streams.first[0], streams.first[1], tuple(keys), rssi)
+    keys = np.array(list(streams.columns), np.int64)
+    return RssTrace(*streams.first, keys[:, :2], keys[:, 2], cells.trace(streams, path))
 
 
 def write_truth_file(path, truth: np.ndarray, first_tick: int = 0) -> None:

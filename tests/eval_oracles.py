@@ -19,15 +19,18 @@ import numpy as np
 from rti.experiment import PhaseError, _is_variance
 from rti.geometry import VoxelGrid
 from rti.imaging import ImageFrame, reconstruct
-from rti.linkstats import (
+from rti.tracking import _H, KalmanParams
+from stat_oracles import (
     StreamKey,
+    batch_window_variance,
+    calibrate,
     channel_stream,
-    format_stream,
+    format_key,
+    forward_fill,
+    key_columns,
     omni_stream,
     pattern_stream,
 )
-from rti.tracking import _H, KalmanParams
-from stat_oracles import batch_window_variance, calibrate, forward_fill
 
 
 def streams_for_method(
@@ -75,11 +78,12 @@ def compute_stat_matrix(
     ordered = list(
         dict.fromkeys(key for link in layout.links for key in streams_by_link[link])
     )
-    missing = [k for k in ordered if k not in trace.column]
+    column = key_columns(trace)
+    missing = [k for k in ordered if k not in column]
     if missing:
         raise PhaseError(
             "statistics: trace has no records for streams "
-            + ", ".join(format_stream(k) for k in missing)
+            + ", ".join(format_key(k) for k in missing)
         )
     if trace.num_ticks < first_tick + num_ticks:
         raise PhaseError(
@@ -87,7 +91,7 @@ def compute_stat_matrix(
             f"{first_tick + num_ticks}"
         )
     variance = _is_variance(method)
-    raw = np.ascontiguousarray(trace.rssi[:, [trace.column[k] for k in ordered]].T)
+    raw = np.ascontiguousarray(trace.rssi[:, [column[k] for k in ordered]].T)
     # The statistic at tick t needs a reception by tick t - lag. A stream
     # whose statistic is undefined over the whole calibration region has no
     # baseline to measure change against; leave it out the way a deployment

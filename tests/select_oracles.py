@@ -15,6 +15,7 @@ import numpy as np
 
 from rti.geometry import NUM_DIRECTIONS, NetworkLayout, PatternPair, angle_to_link
 from rti.linkstats import RssTrace, sum_over_ticks
+from stat_oracles import stream_keys
 
 Link = tuple[int, int]
 
@@ -92,7 +93,7 @@ def _pattern_columns(trace: RssTrace) -> list[tuple[Link, PatternPair, int]]:
     """(link, pair, column) of each of the trace's pattern streams."""
     return [
         ((tx, rx), PatternPair(tx_dir, rx_dir), col)
-        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
+        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(stream_keys(trace))
         if tx_dir is not None
     ]
 

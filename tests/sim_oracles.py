@@ -24,8 +24,8 @@ from rti.geometry import (
     ellipse_contains,
     segments_intersect,
 )
-from rti.linkstats import RssTrace
 from rti.simulator import Trajectory, reception_probability
+from stat_oracles import trace_from_keys
 
 
 def generate_trajectory(
@@ -188,4 +188,4 @@ def simulate(scenario, params):
             columns.append(np.where(received, p_rx, np.nan))
 
     rssi = np.stack(columns, axis=1)
-    return RssTrace(scenario.mode, params.tx_power_dbm, tuple(streams), rssi), truth
+    return trace_from_keys(scenario.mode, params.tx_power_dbm, streams, rssi), truth

@@ -10,7 +10,13 @@ calibration means. `forward_fill` and `batch_window_variance` are the
 `rti.linkstats` replaced with tick-major ones; the shipped functions must
 match them bit for bit on the transposed arrays. `fn_fp_sweep_broadcast` is the sweep that compared
 every threshold with every observation, before the counts came from sorted
-observations.
+observations. `stream_columns_loop` is the dict pass over stream keys that
+`stream_columns` replaced with a search over encoded keys.
+
+A trace holds its streams as link and kind-code arrays. The key helpers
+give each stream as the (tx_id, rx_id, channel, tx_dir, rx_dir) tuple the
+oracles and tests name streams by, with None in the unused slots, and build
+a trace from such keys.
 """
 
 from __future__ import annotations
@@ -22,14 +28,74 @@ import numpy as np
 
 from rti.geometry import PatternPair
 from rti.linkstats import (
+    VALID_CHANNELS,
     InsufficientWindowError,
     RssTrace,
-    StreamKey,
-    channel_stream,
     format_stream,
-    pattern_stream,
+    per_trace,
+    stream_kinds,
     sum_over_ticks,
 )
+
+StreamKey = tuple  # (tx_id, rx_id, channel | None, tx_dir | None, rx_dir | None)
+
+
+def omni_stream(link: tuple[int, int]) -> StreamKey:
+    return (link[0], link[1], None, None, None)
+
+
+def channel_stream(link: tuple[int, int], channel: int) -> StreamKey:
+    return (link[0], link[1], channel, None, None)
+
+
+def pattern_stream(link: tuple[int, int], pair: PatternPair) -> StreamKey:
+    return (link[0], link[1], None, pair.tx_direction, pair.rx_direction)
+
+
+def kind_mode(kind) -> str:
+    """The mode whose streams are of this (channel, tx_dir, rx_dir) kind."""
+    return "multichannel" if kind[0] is not None else "directional" if kind[1] is not None else "omni"
+
+
+def format_key(key: StreamKey) -> str:
+    return format_stream(key, key[2:])
+
+
+@per_trace
+def stream_keys(trace: RssTrace) -> tuple[StreamKey, ...]:
+    """Each stream of the trace as a key, in column order."""
+    kinds = stream_kinds(trace.mode, VALID_CHANNELS)
+    return tuple(
+        (tx, rx, *kinds[code]) for (tx, rx), code in zip(trace.links.tolist(), trace.kinds.tolist())
+    )
+
+
+@per_trace
+def key_columns(trace: RssTrace) -> dict[StreamKey, int]:
+    """Column of each stream key of the trace."""
+    return {key: i for i, key in enumerate(stream_keys(trace))}
+
+
+def trace_from_keys(mode: str, power, keys, rssi) -> RssTrace:
+    """The trace whose streams are ``keys``, in order. Each key's kind must
+    be one of the mode's."""
+    kinds = stream_kinds(mode, VALID_CHANNELS)
+    keys = [tuple(key) for key in keys]
+    links = np.array([key[:2] for key in keys], np.int64).reshape(-1, 2)
+    codes = np.array([kinds.index(key[2:]) for key in keys], np.int64)
+    return RssTrace(mode, power, links, codes, rssi)
+
+
+def stream_columns_loop(trace: RssTrace, links, kinds) -> np.ndarray:
+    """`stream_columns` by one dict pass over the trace's stream keys."""
+    row = {link: i for i, link in enumerate(links)}
+    at = {kind: j for j, kind in enumerate(kinds)}
+    table = np.full((len(links), len(kinds)), -1)
+    for col, (tx, rx, *kind) in enumerate(stream_keys(trace)):
+        i, j = row.get((tx, rx)), at.get(tuple(kind))
+        if i is not None and j is not None:
+            table[i, j] = col
+    return table
 
 
 class MissingCalibrationError(KeyError):
@@ -48,7 +114,7 @@ class CalibrationTable:
             return self.means[stream]
         except KeyError:
             raise MissingCalibrationError(
-                f"no calibration mean for stream {format_stream(stream)}"
+                f"no calibration mean for stream {format_key(stream)}"
             ) from None
 
 
@@ -67,17 +133,17 @@ def calibrate(
     if t2 < t1:
         raise ValueError(f"empty calibration window ({t1}, {t2})")
     block = trace.window(t1, t2)
-    wanted = list(trace.streams if streams is None else streams)
+    wanted = list(stream_keys(trace) if streams is None else streams)
     if not wanted or not len(block):
         raise ValueError(f"no streams in calibration window ({t1}, {t2})")
     counts = np.count_nonzero(~np.isnan(block), axis=0)
     sums = sum_over_ticks(block)
-    column = trace.column
+    column = key_columns(trace)
     missing = [s for s in wanted if s not in column or counts[column[s]] == 0]
     if missing:
         raise MissingCalibrationError(
             "streams with zero received packets in calibration window: "
-            + ", ".join(format_stream(s) for s in missing)
+            + ", ".join(format_key(s) for s in missing)
         )
     means = {s: float(sums[column[s]] / counts[column[s]]) for s in wanted}
     return CalibrationTable(window=(t1, t2), means=means)

@@ -29,14 +29,7 @@ from rti.geometry import (
     build_weight_matrix,
 )
 from rti.imaging import build_reconstructor
-from rti.linkstats import (
-    RssTrace,
-    batch_window_variance,
-    channel_stream,
-    forward_fill,
-    omni_stream,
-    pattern_stream,
-)
+from rti.linkstats import batch_window_variance, forward_fill
 from rti.presets import (
     COMPARISON_IMAGING,
     COMPARISON_TRACKING,
@@ -49,11 +42,16 @@ from rti.simulator import obstructed_mask, simulate, write_scenario_file
 from rti.tracking import KalmanParams, KalmanTracker, error_cdf, rmse
 from stat_oracles import (
     CalibrationTable,
+    channel_stream,
     crti_mean_stat,
     crti_var_stat,
     drti_mean_stat,
     drti_var_stat,
+    key_columns,
     mrti_stat,
+    omni_stream,
+    pattern_stream,
+    trace_from_keys,
     vrti_stat,
 )
 
@@ -215,8 +213,8 @@ def test_criterion_03_single_stream_statistics_collapse_to_omni():
         rssi[rng.random(rssi.shape) < 0.1] = np.nan
         results = []
         for mode, key, methods in readings:
-            trace = RssTrace(mode, 0.0, tuple(key(lk) for lk in layout.links), rssi)
-            columns = np.array([[trace.column[key(lk)]] for lk in layout.links])
+            trace = trace_from_keys(mode, 0.0, [key(lk) for lk in layout.links], rssi)
+            columns = np.array([[key_columns(trace)[key(lk)]] for lk in layout.links])
             results.append([
                 compute_stat_matrix(
                     trace, layout, method, columns, window, first_tick, num_ticks
@@ -252,7 +250,7 @@ def test_criterion_04_directional_variance_response_outgrows_omni():
             trace, truth = simulate(scn, params)
             mask = obstructed_mask(scenario.layout, truth, params.person_lambda_m)
             obstructed = mask[:, scenario.layout.links.index((0, 1))]
-            cols = [i for i, key in enumerate(trace.streams) if key[:2] == (0, 1)]
+            cols = np.flatnonzero((trace.links == (0, 1)).all(axis=1))
             var = batch_window_variance(forward_fill(trace.rssi[:, cols]), 10)
             tracking = var[scenario.calibration_rounds :]
             per_mode[mode] = float(np.nanmean(tracking[obstructed]))

@@ -23,7 +23,7 @@ from rti.presets import COMPARISON_IMAGING, comparison_configs, los_7node, nlos_
 from rti.simulator import obstructed_mask
 import eval_oracles
 import select_oracles
-from stat_oracles import fn_fp_sweep_broadcast
+from stat_oracles import fn_fp_sweep_broadcast, key_columns
 
 PRESETS = {"los_7node": los_7node, "nlos_7node": nlos_7node}
 CONFIGS = list(comparison_configs().values())
@@ -84,7 +84,7 @@ def test_statistics_and_selection_match_the_per_config_oracle(evaluated):
             trace, scenario.layout, config.method, scenario.channels, ev.selection
         )
         assert columns.tolist() == [
-            [trace.column[key] for key in streams[link]] for link in scenario.layout.links
+            [key_columns(trace)[key] for key in streams[link]] for link in scenario.layout.links
         ], label
         stats, baseline = eval_oracles.compute_stat_matrix(
             trace, scenario.layout, config.method, streams, config.window, cal,

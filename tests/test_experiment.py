@@ -45,11 +45,8 @@ from rti.presets import (
 from rti.linkstats import (
     RssTrace,
     calibration_deviation,
-    channel_stream,
     first_heard,
     fn_fp_sweep,
-    omni_stream,
-    pattern_stream,
     window_variance,
 )
 from rti.selection import select_for_layout
@@ -60,6 +57,8 @@ from rti.simulator import (
     Wall,
     obstructed_mask,
     read_scenario_file,
+    scenario_from_dict,
+    scenario_to_dict,
     simulate,
     write_scenario_file,
 )
@@ -67,6 +66,14 @@ from rti.traceio import read_trace_file, read_truth_file
 
 import eval_oracles
 import trace_oracles
+from stat_oracles import (
+    channel_stream,
+    key_columns,
+    omni_stream,
+    pattern_stream,
+    stream_keys,
+    trace_from_keys,
+)
 
 QUIET = PropagationParams(
     fading_std_db=0.0, noise_std_db=0.0, agitation_std_db=0.0
@@ -557,8 +564,8 @@ def test_missing_streams_past_the_first_ten_are_counted():
         f"and {layout.num_links * 36 - 10} more"
     )
     full = random_trace(layout, "multichannel", 10, seed=3)
-    keep = [i for i, key in enumerate(full.streams) if key[2] != 15 or key[:2] == (3, 0)]
-    trace = RssTrace("multichannel", 0.0, tuple(full.streams[i] for i in keep), full.rssi[:, keep])
+    keep = [i for i, key in enumerate(stream_keys(full)) if key[2] != 15 or key[:2] == (3, 0)]
+    trace = RssTrace("multichannel", 0.0, full.links[keep], full.kinds[keep], full.rssi[:, keep])
     with pytest.raises(PhaseError) as info:
         streams_for_method(trace, layout, "cRTI-mean", (11, 15), None)
     links = [link for link in layout.links if link != (3, 0)]
@@ -744,7 +751,7 @@ def test_stream_first_heard_late_in_calibration_is_left_out(selector):
 
     late = (5, 0, None, 3, 5)
     cal = scenario.calibration_rounds
-    first = np.flatnonzero(~np.isnan(trace.rssi[:, trace.column[late]]))[0]
+    first = np.flatnonzero(~np.isnan(trace.rssi[:, key_columns(trace)[late]]))[0]
     assert cal - 10 < first < cal
     streams = eval_oracles.streams_for_method(scenario.layout, "dRTI-var", (), ev.selection)
     assert late in streams[(5, 0)]
@@ -772,7 +779,7 @@ def random_trace(layout, mode, ticks, seed, channels=(11, 15, 18, 21)):
     rssi[: rng.integers(1, ticks), late] = np.nan
     rssi[:, rng.random(len(streams)) < 0.05] = np.nan
     rssi[:, [s[:2] == (0, 1) for s in streams]] = np.nan
-    return RssTrace(mode, 0.0, tuple(streams), rssi)
+    return trace_from_keys(mode, 0.0, streams, rssi)
 
 
 STAT_CASES = [
@@ -824,8 +831,8 @@ def test_stat_matrix_matches_the_per_link_oracle(method, selector, first_tick, n
 def test_missing_stream_is_a_phase_error_naming_it(mode, method, missing, named):
     layout = square_layout()
     full = random_trace(layout, mode, 10, seed=3)
-    keep = [i for i, key in enumerate(full.streams) if key not in missing]
-    trace = RssTrace(mode, 0.0, tuple(full.streams[i] for i in keep), full.rssi[:, keep])
+    keep = [i for i, key in enumerate(stream_keys(full)) if key not in missing]
+    trace = RssTrace(mode, 0.0, full.links[keep], full.kinds[keep], full.rssi[:, keep])
     selection = select_for_layout(layout, "all") if mode == "directional" else None
     message = f"statistics: trace has no records for streams {named}"
     with pytest.raises(PhaseError) as info:
@@ -848,7 +855,7 @@ def test_stat_matrix_peak_memory_stays_near_the_gathered_block(method):
     first_tick, num_ticks, window = 20, 100, 10
     trace = random_trace(layout, "directional", first_tick + num_ticks, seed=9)
     trace = RssTrace(  # no silent link: fade-level selection needs every link heard
-        "directional", 0.0, trace.streams,
+        "directional", 0.0, trace.links, trace.kinds,
         np.where(np.isnan(trace.rssi).all(axis=0), -70.0, trace.rssi),
     )
     selection = select_for_layout(layout, "fadelevel", trace=trace, window=(0, first_tick - 1))
@@ -979,6 +986,23 @@ def test_compare_computes_the_truth_mask_once_per_truth(monkeypatch):
         ]
 
 
+def test_truth_mask_is_built_once_per_compare_and_found_for_an_equal_layout():
+    # `_truth_mask` is cached by layout, truth and lambda. Layouts compare by
+    # their nodes, so a layout read back from its scenario dict finds the
+    # mask the first compare built.
+    scenario = square_scenario(mode="omni", rounds=4, cal=12, seed=7)
+    configs = [in_memory(m) for m in ("mRTI", "vRTI", "cRTI-mean", "dRTI-mean", "dRTI-var")]
+    experiment._truth_mask.cache_clear()
+    compare(scenario, QUIET, configs)
+    info = experiment._truth_mask.cache_info()
+    assert (info.misses, info.hits) == (1, len(configs) - 1)
+    again, params = scenario_from_dict(scenario_to_dict(scenario, QUIET))
+    assert again.layout is not scenario.layout and again == scenario
+    compare(again, params, configs[:1])
+    info = experiment._truth_mask.cache_info()
+    assert (info.misses, info.hits) == (1, len(configs))
+
+
 def test_compare_checks_every_window_before_simulating(count_simulations):
     scenario, params = nlos_2node()
     scenario = replace(scenario, calibration_rounds=8)
@@ -1101,7 +1125,8 @@ def test_a_trace_with_streams_on_links_the_layout_lacks_is_rejected(monkeypatch)
     extra = RssTrace(
         mode=trace.mode,
         tx_power_dbm=trace.tx_power_dbm,
-        streams=(*trace.streams, omni_stream((0, 7)), omni_stream((7, 0))),
+        links=np.concatenate((trace.links, [(0, 7), (7, 0)])),
+        kinds=np.concatenate((trace.kinds, [0, 0])),
         rssi=np.column_stack([trace.rssi, trace.rssi[:, :2]]),
     )
 
@@ -1184,7 +1209,7 @@ def test_non_finite_link_statistics_fail_loudly(tick, message):
     trace, truth = simulate(scenario, params)
     rssi = trace.rssi.copy()
     rssi[tick, 0] = 1e160
-    trace = RssTrace(trace.mode, trace.tx_power_dbm, trace.streams, rssi)
+    trace = RssTrace(trace.mode, trace.tx_power_dbm, trace.links, trace.kinds, rssi)
     with pytest.raises(PhaseError) as info:
         evaluate_method(in_memory("dRTI-var"), scenario, params, trace, truth)
     assert str(info.value) == message

@@ -111,6 +111,18 @@ def test_layout_rejects_duplicate_ids():
         NetworkLayout([NodeSpec(3, 0.0, 0.0), NodeSpec(3, 1.0, 0.0)])
 
 
+def test_layouts_are_equal_by_their_nodes():
+    nodes = [NodeSpec(0, 0.0, 0.0), NodeSpec(1, 1.0, 0.0, 0.5), NodeSpec(2, 0.0, 1.0)]
+    layout = NetworkLayout(nodes)
+    same = NetworkLayout([NodeSpec(n.id, n.x, n.y, n.antenna_zero_bearing) for n in nodes])
+    assert layout == same and hash(layout) == hash(same)
+    assert {layout: 1}[same] == 1
+    assert layout != NetworkLayout(nodes[::-1])  # the order fixes the links
+    assert layout != NetworkLayout([*nodes[:2], NodeSpec(2, 0.0, 1.0, 0.1)])
+    assert layout != NetworkLayout(nodes[:2])
+    assert layout != nodes
+
+
 def test_layout_link_enumeration():
     layout = NetworkLayout(
         [NodeSpec(0, 0.0, 0.0), NodeSpec(1, 1.0, 0.0), NodeSpec(2, 0.0, 1.0)]

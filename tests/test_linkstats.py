@@ -11,27 +11,28 @@ from hypothesis import strategies as st
 import stat_oracles
 from rti.geometry import PATTERN_PAIRS, PatternPair
 from rti.linkstats import (
+    MODES,
+    VALID_CHANNELS,
     InsufficientWindowError,
     RssTrace,
     batch_window_variance,
     calibration_deviation,
     carry_forward,
-    channel_stream,
     first_heard,
     fn_fp_sweep,
     forward_fill,
-    omni_stream,
-    pattern_stream,
     stream_columns,
     stream_kinds,
     window_variance,
 )
 from rti.presets import los_7node, nlos_7node, ring_layout
 from rti.simulator import simulate
+from rti.traceio import _parse_stream
 from stat_oracles import (
     CalibrationTable,
     MissingCalibrationError,
     calibrate,
+    channel_stream,
     classify_link_attenuation,
     fn_fp_sweep_broadcast,
     fn_fp_sweep_loop,
@@ -40,6 +41,11 @@ from stat_oracles import (
     drti_mean_stat,
     drti_var_stat,
     mrti_stat,
+    omni_stream,
+    pattern_stream,
+    stream_columns_loop,
+    stream_keys,
+    trace_from_keys,
     vrti_stat,
 )
 
@@ -50,7 +56,15 @@ def omni_trace(rows, links=((0, 1),)):
     rssi = np.array(
         [[np.nan if v is None else v for v in row] for row in rows], dtype=float
     ).reshape(len(rows), len(links))
-    return RssTrace("omni", 0.0, tuple(omni_stream(link) for link in links), rssi)
+    return trace_from_keys("omni", 0.0, [omni_stream(link) for link in links], rssi)
+
+
+def stream_code(key, mode: str) -> int:
+    """The kind code the trace reader gives a stream key's fields in a row
+    of a ``mode`` file; the reader's ValueError if they are not a stream of
+    that mode."""
+    fields = ["" if value is None else str(value) for value in key]
+    return _parse_stream([*fields[:2], mode, *fields[2:], "0.0"])[2][2]
 
 
 def two_pass_variance(values):
@@ -64,27 +78,94 @@ def two_pass_variance(values):
 
 def test_record_rejects_channel_and_pattern_together():
     with pytest.raises(ValueError, match="both channel and pattern"):
-        RssTrace("directional", 0.0, ((0, 1, 11, 1, 1),), np.full((1, 1), -50.0))
+        stream_code((0, 1, 11, 1, 1), "directional")
 
 
 def test_trace_rejects_infinite_rssi_and_names_the_cell():
     rssi = np.array([[-50.0, -51.0], [-50.0, -np.inf]])
     with pytest.raises(ValueError, match=r"1->0 omni tick 1: non-finite"):
-        RssTrace("omni", 0.0, (omni_stream((0, 1)), omni_stream((1, 0))), rssi)
+        trace_from_keys("omni", 0.0, (omni_stream((0, 1)), omni_stream((1, 0))), rssi)
+
+
+SHAPES = "links, kinds and rssi must be shaped (streams, 2), (streams,) and (ticks, streams)"
 
 
 def test_trace_rejects_malformed_columns():
-    streams = (omni_stream((0, 1)),)
-    with pytest.raises(ValueError, match="shaped"):
-        RssTrace("omni", 0.0, streams, np.zeros((3, 2)))
+    links, kinds = np.array([[0, 1]]), np.array([0])
+    with pytest.raises(ValueError) as info:
+        RssTrace("omni", 0.0, links, kinds, np.zeros((3, 2)))
+    assert str(info.value) == f"{SHAPES}, got (1, 2), (1,) and (3, 2)"
+    with pytest.raises(ValueError) as info:
+        RssTrace("omni", 0.0, links, kinds, np.zeros(3))
+    assert str(info.value) == f"{SHAPES}, got (1, 2), (1,) and (3,)"
     with pytest.raises(ValueError, match="both tx_dir and rx_dir"):
-        RssTrace("directional", 0.0, ((0, 1, None, 1, None),), np.zeros((3, 1)))
-    with pytest.raises(ValueError, match="duplicate streams"):
-        RssTrace("omni", 0.0, streams * 2, np.zeros((3, 2)))
+        stream_code((0, 1, None, 1, None), "directional")
+    with pytest.raises(ValueError) as info:
+        RssTrace("omni", 0.0, np.array([[0, 1], [1, 0], [0, 1]]), np.zeros(3, int), np.zeros((3, 3)))
+    assert str(info.value) == "duplicate stream 0->1 omni in trace"
     with pytest.raises(ValueError, match="mode"):
-        RssTrace("radar", 0.0, streams, np.zeros((3, 1)))
+        RssTrace("radar", 0.0, links, kinds, np.zeros((3, 1)))
     with pytest.raises(ValueError, match="tx_power_dbm"):
-        RssTrace("omni", math.nan, streams, np.zeros((3, 1)))
+        RssTrace("omni", math.nan, links, kinds, np.zeros((3, 1)))
+
+
+def test_trace_names_the_first_repeated_stream():
+    # Stream 2 repeats stream 1 and stream 3 stream 0: stream 2 is named.
+    a, b = pattern_stream((0, 1), PatternPair(1, 2)), pattern_stream((5, 0), PatternPair(6, 6))
+    with pytest.raises(ValueError) as info:
+        trace_from_keys("directional", 0.0, [a, b, b, a], np.zeros((1, 4)))
+    assert str(info.value) == "duplicate stream 5->0 pair (6,6) in trace"
+    big = np.array([[2**62, -(2**62)], [-(2**62), 2**62], [2**62, -(2**62)]])
+    with pytest.raises(ValueError, match=r"^duplicate stream 4611686018427387904->-4611686018427387904 omni"):
+        RssTrace("omni", 0.0, big, np.zeros(3, int), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize(
+    "mode, links, kinds, message",
+    [
+        ("omni", [[0, 1], [1, 0]], [0, 1], "stream 1 (1->0): kind code 1 outside [0, 1) for mode 'omni'"),
+        ("multichannel", [[0, 1]], [5], "stream 0 (0->1): kind code 5 outside [0, 5) for mode 'multichannel'"),
+        ("directional", [[0, 1]], [-1], "stream 0 (0->1): kind code -1 outside [0, 36) for mode 'directional'"),
+        ("omni", [[0, 1]], [[0]], f"{SHAPES}, got (1, 2), (1, 1) and (2, 1)"),
+        ("omni", [0, 1], [0], f"{SHAPES}, got (2,), (1,) and (2, 1)"),
+        ("omni", [[0, 1, 2]], [0], f"{SHAPES}, got (1, 3), (1,) and (2, 1)"),
+    ],
+)
+def test_trace_rejects_stream_arrays_that_are_not_streams_of_its_mode(mode, links, kinds, message):
+    with pytest.raises(ValueError) as info:
+        RssTrace(mode, 0.0, links, kinds, np.zeros((2, len(kinds))))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "links, kinds",
+    [([[0, 1]], [0.0]), ([[0.0, 1.0]], [0]), (np.array([[0, 1]], np.uint64), [0]), ([[0, 1]], ())],
+)
+def test_trace_refuses_stream_arrays_that_are_not_integers(links, kinds):
+    with pytest.raises(TypeError, match="according to the rule 'safe'"):
+        RssTrace("omni", 0.0, links, kinds, np.zeros((2, 1)))
+
+
+def test_trace_keeps_read_only_copies_of_its_stream_arrays():
+    links, kinds = np.array([[0, 1], [1, 0]], np.int32), np.array([0, 0], np.int8)
+    trace = RssTrace("omni", 0.0, links, kinds, np.zeros((2, 2)))
+    links[0, 0] = kinds[0] = 5
+    assert trace.links.tolist() == [[0, 1], [1, 0]] and trace.kinds.tolist() == [0, 0]
+    assert trace.links.dtype == trace.kinds.dtype == np.int64
+    assert not trace.links.flags.writeable and not trace.kinds.flags.writeable
+    empty = RssTrace("omni", 0.0, np.empty((0, 2), int), np.empty(0, int), np.zeros((3, 0)))
+    assert empty.links.shape == (0, 2) and empty.kinds.shape == (0,)
+    assert np.array_equal(stream_columns(empty, ((0, 1),), stream_kinds("omni")), [[-1]])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_kind_codes_index_the_modes_kind_table(mode):
+    # A directional code is the pair's `PATTERN_PAIRS` index, the index
+    # selection keeps for a pair.
+    table = stream_kinds(mode, VALID_CHANNELS)
+    assert [stream_code((0, 1, *kind), mode) for kind in table] == list(range(len(table)))
+    if mode == "directional":
+        assert [stream_code(pattern_stream((0, 1), pair), mode) for pair in PATTERN_PAIRS] == list(range(36))
 
 
 @pytest.mark.parametrize(
@@ -92,7 +173,7 @@ def test_trace_rejects_malformed_columns():
     [(0, 0.0), (np.float64(-7.25), -7.25), (np.int64(3), 3.0), (np.float32(0.5), 0.5)],
 )
 def test_trace_keeps_its_tx_power_as_a_python_float(power, kept):
-    trace = RssTrace("omni", power, (omni_stream((0, 1)),), np.zeros((2, 1)))
+    trace = RssTrace("omni", power, [[0, 1]], [0], np.zeros((2, 1)))
     assert type(trace.tx_power_dbm) is float and trace.tx_power_dbm == kept
 
 
@@ -109,21 +190,21 @@ def test_trace_keeps_its_tx_power_as_a_python_float(power, kept):
 )
 def test_trace_rejects_a_tx_power_that_is_not_a_finite_real(power, message):
     with pytest.raises(ValueError, match=r"^tx_power_dbm " + re.escape(message)):
-        RssTrace("omni", power, (omni_stream((0, 1)),), np.zeros((2, 1)))
+        RssTrace("omni", power, [[0, 1]], [0], np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("channel", [99, -5, 12])
 def test_trace_rejects_channels_outside_the_supported_set(channel):
-    streams = ((0, 1, 11, None, None), (0, 1, channel, None, None))
+    assert stream_code((0, 1, 11, None, None), "multichannel") == 0
     with pytest.raises(ValueError) as info:
-        RssTrace("multichannel", 0.0, streams, np.zeros((3, 2)))
+        stream_code((0, 1, channel, None, None), "multichannel")
     assert str(info.value) == f"channel {channel} outside supported set (11, 15, 18, 21, 26)"
 
 
 def test_trace_rejects_pattern_directions_outside_the_antenna():
     for key in ((0, 1, None, 7, 1), (0, 1, None, 1, 0)):
         with pytest.raises(ValueError, match=r"^pattern directions must be in \[1, 6\]$"):
-            RssTrace("directional", 0.0, (key,), np.zeros((3, 1)))
+            stream_code(key, "directional")
 
 
 def test_stream_columns_place_each_stream_by_link_and_kind():
@@ -133,7 +214,7 @@ def test_stream_columns_place_each_stream_by_link_and_kind():
         pattern_stream((5, 5), PatternPair(1, 1)),  # a link outside the list
         pattern_stream((0, 2), PatternPair(3, 1)),
     )
-    trace = RssTrace("directional", 0.0, streams, np.zeros((2, len(streams))))
+    trace = trace_from_keys("directional", 0.0, streams, np.zeros((2, len(streams))))
     links = ((0, 2), (2, 0), (0, 9))
     kinds = stream_kinds("directional")
     table = stream_columns(trace, links, kinds)
@@ -145,7 +226,7 @@ def test_stream_columns_place_each_stream_by_link_and_kind():
     assert channels == ((11, None, None), (15, None, None))
     assert np.array_equal(stream_columns(trace, links, channels), np.full((3, 2), -1))
     with pytest.raises(ValueError, match=r"^0->2 omni is not a stream of mode 'directional'$"):
-        RssTrace("directional", 0.0, streams + (omni_stream((0, 2)),), np.zeros((2, 5)))
+        stream_code(omni_stream((0, 2)), "directional")
 
 
 @pytest.mark.parametrize(
@@ -159,8 +240,53 @@ def test_stream_columns_place_each_stream_by_link_and_kind():
 )
 def test_trace_rejects_a_stream_of_another_mode(mode, key, message):
     with pytest.raises(ValueError) as info:
-        RssTrace(mode, 0.0, (key,), np.zeros((2, 1)))
+        stream_code(key, mode)
     assert str(info.value) == message
+
+
+@st.composite
+def traces_and_queries(draw):
+    """A trace of any mode with some streams of a few nodes, in any order,
+    and a query: distinct links in and out of the trace, and the kinds of a
+    mode, the trace's or another (channels a subset of `VALID_CHANNELS`)."""
+    mode = draw(st.sampled_from(MODES))
+    table = stream_kinds(mode, VALID_CHANNELS)
+    nodes = draw(st.lists(st.integers(-3, 2**40), min_size=2, max_size=4, unique=True))
+    every = [(tx, rx, code) for tx in nodes for rx in nodes if tx != rx for code in range(len(table))]
+    keys = draw(st.lists(st.sampled_from(every), unique=True, max_size=40).map(tuple))
+    keys = draw(st.permutations(keys))
+    links = draw(
+        st.lists(st.sampled_from([(tx, rx) for tx in nodes + [7] for rx in nodes if tx != rx]), unique=True, max_size=8)
+    )
+    channels = draw(st.lists(st.sampled_from(VALID_CHANNELS), unique=True, min_size=1))
+    kinds = stream_kinds(draw(st.sampled_from(MODES)), channels)
+    keys = np.array(keys, np.int64).reshape(-1, 3)
+    trace = RssTrace(mode, 0.0, keys[:, :2], keys[:, 2], np.zeros((1, len(keys))))
+    return trace, tuple(links), kinds
+
+
+@given(traces_and_queries())
+def test_stream_columns_match_the_dict_loop(case):
+    trace, links, kinds = case
+    assert np.array_equal(stream_columns(trace, links, kinds), stream_columns_loop(trace, links, kinds))
+
+
+@pytest.mark.parametrize("name", ["los_7node", "nlos_7node"])
+@pytest.mark.parametrize("mode", MODES)
+def test_stream_columns_match_the_dict_loop_on_shuffled_simulated_streams(name, mode):
+    scenario, params = {"los_7node": los_7node, "nlos_7node": nlos_7node}[name](3)
+    scenario = replace(scenario, mode=mode, channels=(26, 11, 18), rounds=2, calibration_rounds=1)
+    trace, _ = simulate(scenario, params)
+    order = np.random.default_rng(5).permutation(len(trace.kinds))
+    shuffled = RssTrace(mode, 0.0, trace.links[order], trace.kinds[order], trace.rssi[:, order])
+    links = tuple(scenario.layout.links[::2]) + ((0, 9), (9, 0))
+    for kinds in (stream_kinds(mode, scenario.channels), stream_kinds(mode, (15, 21)), stream_kinds("omni")):
+        table = stream_columns(shuffled, links, kinds)
+        assert np.array_equal(table, stream_columns_loop(shuffled, links, kinds))
+        placed = table >= 0
+        assert [stream_keys(shuffled)[c][:2] for c in table[placed]] == [
+            link for link, row in zip(links, placed) for hit in row if hit
+        ]
 
 
 # ----------------------------------------------------------- calibrate
@@ -504,9 +630,10 @@ def test_stream_series_window_needs_room():
 
 def test_trace_columns_group_by_stream():
     trace = omni_trace([[-50.0, -70.0], [-51.0, None]], links=((0, 1), (1, 0)))
-    assert trace.column == {omni_stream((0, 1)): 0, omni_stream((1, 0)): 1}
-    assert trace.rssi[1, trace.column[omni_stream((0, 1))]] == -51.0
-    assert math.isnan(trace.rssi[1, trace.column[omni_stream((1, 0))]])
+    assert trace.links.tolist() == [[0, 1], [1, 0]] and trace.kinds.tolist() == [0, 0]
+    assert stream_keys(trace) == (omni_stream((0, 1)), omni_stream((1, 0)))
+    assert trace.rssi[1, 0] == -51.0
+    assert math.isnan(trace.rssi[1, 1])
 
 
 def test_batch_window_variance_columns_stand_alone():
@@ -590,7 +717,7 @@ def test_carry_forward_peak_memory_stays_near_the_trace():
     # index-array fill peaked near 3x.
     layout = ring_layout(12, 2.9, (3.0, 3.0))
     streams = tuple(pattern_stream(link, pair) for link in layout.links for pair in PATTERN_PAIRS)
-    trace = RssTrace("directional", 0.0, streams, ring12_directional_rssi(7))
+    trace = trace_from_keys("directional", 0.0, streams, ring12_directional_rssi(7))
     forward_fill(trace.rssi[:2])
     tracemalloc.start()
     try:
@@ -642,7 +769,7 @@ def test_trace_derived_arrays_match_the_per_stream_definitions():
     rssi[rng.random(rssi.shape) < 0.3] = np.nan
     rssi[:12, 2] = np.nan  # first heard late
     rssi[:, 3] = np.nan  # never heard
-    trace = RssTrace("omni", 0.0, tuple(omni_stream(lk) for lk in links), rssi.copy())
+    trace = trace_from_keys("omni", 0.0, [omni_stream(lk) for lk in links], rssi.copy())
 
     for col in range(len(links)):
         np.testing.assert_array_equal(carry_forward(trace)[:, col], forward_fill(rssi[:, col]))
@@ -650,7 +777,7 @@ def test_trace_derived_arrays_match_the_per_stream_definitions():
         assert first_heard(trace)[col] == (heard[0] if heard.size else 30)
     for first_tick in (10, 20):
         deviation = calibration_deviation(trace, first_tick)
-        for col, key in enumerate(trace.streams[:2]):
+        for col, key in enumerate(stream_keys(trace)[:2]):
             mean = calibrate(trace, (0, first_tick - 1), streams=[key]).mean(key)
             expected = np.abs(forward_fill(rssi[:, col]) - mean)
             np.testing.assert_array_equal(deviation[:, col], expected)
@@ -672,5 +799,5 @@ def test_trace_derived_arrays_are_computed_once_per_argument():
     assert calibration_deviation(trace, 4)[0, 0] == abs(-50.0 - (-50.0 - 52.0 - 49.0) / 3)
     assert window_variance(trace, 2) is window_variance(trace, 2)
     assert window_variance(trace, 2) is not window_variance(trace, 3)
-    fresh = RssTrace(trace.mode, trace.tx_power_dbm, trace.streams, trace.rssi)
+    fresh = RssTrace(trace.mode, trace.tx_power_dbm, trace.links, trace.kinds, trace.rssi)
     assert calibration_deviation(fresh, 2) is not calibration_deviation(trace, 2)

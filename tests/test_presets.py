@@ -4,7 +4,7 @@ import pytest
 
 from rti.experiment import SelectionConfig
 from rti.presets import PRESETS, comparison_config, comparison_configs, ring_layout
-from rti.simulator import read_scenario_file, scenario_to_dict
+from rti.simulator import read_scenario_file
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -30,7 +30,7 @@ def test_preset_builds_and_trajectory_stays_inside(name):
 def test_checked_in_scenario_files_match_presets(name):
     scenario, params = PRESETS[name](seed=0)
     from_file = read_scenario_file(SCENARIO_DIR / f"{name}.json")
-    assert scenario_to_dict(*from_file) == scenario_to_dict(scenario, params)
+    assert from_file == (scenario, params)
 
 
 def test_comparison_configs_are_the_twelve_labelled_configs():

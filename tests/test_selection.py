@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from rti.geometry import PATTERN_PAIRS, NetworkLayout, NodeSpec, PatternPair
-from rti.linkstats import RssTrace, pattern_stream
+from rti.linkstats import RssTrace
 from rti.presets import los_7node, nlos_7node
 from rti.simulator import simulate
 from rti.selection import _top_levels, format_selection, pair_levels, select_for_layout
 from api_oracles import parse_selection, select_prr
 import select_oracles
+from stat_oracles import pattern_stream, stream_keys, trace_from_keys
 
 
 def facing_pair_layout(d=3.0):
@@ -33,7 +34,7 @@ def pattern_trace(rows, tx_power=0.0):
         for (link, pair), value in row.items():
             if value is not None:
                 rssi[tick, column[pattern_stream(link, pair)]] = value
-    return RssTrace("directional", tx_power, tuple(streams), rssi)
+    return trace_from_keys("directional", tx_power, streams, rssi)
 
 
 def select_location(layout, link, n_transmitter, n_receiver):
@@ -256,7 +257,7 @@ def select_prr_per_link(trace, window, link, k):
     got = np.count_nonzero(~np.isnan(block), axis=0)
     eligible = {
         PatternPair(tx_dir, rx_dir): int(got[col]) / len(block)
-        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(trace.streams)
+        for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(stream_keys(trace))
         if tx_dir is not None and (tx, rx) == link and got[col]
     }
     if not eligible:
@@ -402,7 +403,7 @@ def test_window_errors_keep_their_messages(method):
         select_oracles.select_for_layout, layout, method, trace=trace, window=(10, 12)
     )
     assert oracle_outcome(select_for_layout, layout, method, trace=trace, window=(10, 12)) == beyond
-    omni = RssTrace("omni", 0.0, ((0, 5, None, None, None),), np.zeros((3, 1)))
+    omni = RssTrace("omni", 0.0, [(0, 5)], [0], np.zeros((3, 1)))
     assert oracle_outcome(select_for_layout, layout, method, trace=omni, window=(0, 2)) == (
         oracle_outcome(select_oracles.select_for_layout, layout, method, trace=omni, window=(0, 2))
     )

@@ -23,8 +23,9 @@ from hypothesis import given, strategies as st
 
 import rti.simulator
 import sim_oracles
-from rti.geometry import NetworkLayout, NodeSpec, PatternPair, build_grid, ellipse_contains
-from rti.linkstats import stream_columns, stream_kinds
+from stat_oracles import key_columns, kind_mode, stream_keys
+from rti.geometry import PATTERN_PAIRS, NetworkLayout, NodeSpec, PatternPair, build_grid, ellipse_contains
+from rti.linkstats import VALID_CHANNELS, stream_columns, stream_kinds
 from rti.presets import los_7node, nlos_2node, nlos_7node, ring_layout
 from rti.simulator import (
     PropagationParams,
@@ -110,7 +111,7 @@ UNIT_GRID = build_grid((0.0, 0.0), 1.0, 1.0, 0.2)
 def column(trace, tx, rx, channel=None, pair=None):
     """RSS series of one stream, NaN where the packet was lost."""
     key = (tx, rx, channel, *(pair or (None, None)))
-    return trace.rssi[:, trace.column[key]]
+    return trace.rssi[:, key_columns(trace)[key]]
 
 
 # ------------------------------------------------------------ antenna gain
@@ -270,7 +271,9 @@ def test_scenario_rejects_node_id_outside_32_bits(node_id):
 @pytest.mark.parametrize("tx, rx", [(0, 1), (6, 5), (2**32 - 1, 0)])
 @pytest.mark.parametrize("kind", [(None, None, None), (26, None, None), (None, 6, 1)])
 def test_stream_rng_matches_the_int_list_seeding(seed, tx, rx, kind):
-    states = _seed_states(_seed_words(seed, [(tx, rx)], [kind]))
+    mode = kind_mode(kind)
+    code = stream_kinds(mode, VALID_CHANNELS).index(kind)
+    states = _seed_states(_seed_words(seed, mode, np.array([[tx, rx]]), np.array([code])))
     assert states.shape == (1, 4)
     got = _stream_generators()(states[0])
     channel, tx_dir, rx_dir = kind
@@ -282,8 +285,9 @@ def test_stream_rng_matches_the_int_list_seeding(seed, tx, rx, kind):
 
 
 def test_seed_words_follow_the_trace_order():
-    kinds = [(None, 1, 2), (None, 6, 5)]
-    words = _seed_words(7, [(0, 1), (2**32 - 1, 3)], kinds)
+    codes = [PATTERN_PAIRS.index((1, 2)), PATTERN_PAIRS.index((6, 5))] * 2
+    links = [(0, 1), (0, 1), (2**32 - 1, 3), (2**32 - 1, 3)]
+    words = _seed_words(7, "directional", np.array(links), np.array(codes))
     assert words.dtype == np.uint32
     assert words.tolist() == [
         [7, 0, 1, 2, 1, 2],
@@ -291,8 +295,8 @@ def test_seed_words_follow_the_trace_order():
         [7, 2**32 - 1, 3, 2, 1, 2],
         [7, 2**32 - 1, 3, 2, 6, 5],
     ]
-    omni = _seed_words(0, [(4, 5)], [(None, None, None)])
-    channel = _seed_words(0, [(4, 5)], [(26, None, None)])
+    omni = _seed_words(0, "omni", np.array([(4, 5)]), np.array([0]))
+    channel = _seed_words(0, "multichannel", np.array([(4, 5)]), np.array([VALID_CHANNELS.index(26)]))
     assert omni.tolist() == [[0, 4, 5, 0, 0, 0]]
     assert channel.tolist() == [[0, 4, 5, 1, 26, 0]]
 
@@ -469,7 +473,7 @@ def test_boresight_pair_gains_fourteen_db_over_omni():
     mk = lambda mode: Scenario(layout, UNIT_GRID, mode, rounds=1, calibration_rounds=1)
     omni_trace, _ = simulate(mk("omni"), quiet_params())
     dir_trace, _ = simulate(mk("directional"), quiet_params())
-    for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(dir_trace.streams):
+    for col, (tx, rx, _channel, tx_dir, rx_dir) in enumerate(stream_keys(dir_trace)):
         base = column(omni_trace, tx, rx)[0]
         if (tx_dir, rx_dir) == (1, 1):
             assert dir_trace.rssi[0, col] == pytest.approx(base + 14.0)
@@ -532,7 +536,7 @@ def test_record_order_and_seq(tmp_path):
     trace, _ = simulate(scenario, quiet_params())
     assert trace.mode == "multichannel"
     assert trace.rssi.shape == (3, 2 * 2)
-    assert [key[:3] for key in trace.streams] == [
+    assert [key[:3] for key in stream_keys(trace)] == [
         (0, 1, 11), (0, 1, 15), (1, 0, 11), (1, 0, 15)
     ]
     path = tmp_path / "trace.csv"
@@ -554,7 +558,7 @@ def test_directional_emits_36_pairs_per_link():
         rounds=1, calibration_rounds=1,
     )
     trace, _ = simulate(scenario, PropagationParams())
-    pairs = {(key[3], key[4]) for key in trace.streams if key[:2] == (0, 1)}
+    pairs = {(key[3], key[4]) for key in stream_keys(trace) if key[:2] == (0, 1)}
     assert len(pairs) == 36
     assert pairs == {(t, x) for t in range(1, 7) for x in range(1, 7)}
 
@@ -570,7 +574,7 @@ def test_simulation_is_deterministic():
     )
     t1, truth1 = simulate(scenario, PropagationParams())
     t2, truth2 = simulate(scenario, PropagationParams())
-    assert t1.streams == t2.streams
+    assert stream_keys(t1) == stream_keys(t2)
     assert np.array_equal(t1.rssi, t2.rssi, equal_nan=True)
     np.testing.assert_array_equal(truth1, truth2)
 
@@ -595,7 +599,7 @@ def test_fading_is_static_over_time():
     )
     trace, _ = simulate(scenario, PropagationParams(noise_std_db=0.0))
     assert not np.isnan(trace.rssi).any()
-    assert len(trace.streams) == 20
+    assert len(trace.kinds) == 20
     for series in trace.rssi.T:
         assert len(set(series.tolist())) == 1
 
@@ -609,7 +613,7 @@ def test_channels_fade_independently():
     params = PropagationParams(noise_std_db=0.0)
     trace, _ = simulate(scenario, params)
     fades: dict[int, dict[tuple[int, int], float]] = {11: {}, 15: {}}
-    for (tx, rx, channel, _t, _r), rssi in zip(trace.streams, trace.rssi[0]):
+    for (tx, rx, channel, _t, _r), rssi in zip(stream_keys(trace), trace.rssi[0]):
         if np.isnan(rssi):
             continue
         d = layout.link_distance(tx, rx)
@@ -635,7 +639,7 @@ def test_fading_spread_shrinks_with_directivity():
     dirs: list[float] = []
     from rti.geometry import angle_to_link
 
-    for (tx_id, rx_id, _channel, tx_dir, rx_dir), rssi in zip(trace.streams, trace.rssi[0]):
+    for (tx_id, rx_id, _channel, tx_dir, rx_dir), rssi in zip(stream_keys(trace), trace.rssi[0]):
         if np.isnan(rssi):
             continue
         tx = layout.node(tx_id)
@@ -759,7 +763,7 @@ def test_deep_fade_streams_pick_up_motion_noise():
     trace0, _ = simulate(empty, params)
     def tick0_fade(trace):
         out = {}
-        for (tx, rx, *_kind), rssi in zip(trace.streams, trace.rssi[0]):
+        for (tx, rx, *_kind), rssi in zip(stream_keys(trace), trace.rssi[0]):
             d = layout.link_distance(tx, rx)
             out[(tx, rx)] = rssi + params.reference_loss_db + 20.0 * math.log10(d)
         return out
@@ -772,7 +776,7 @@ def test_deep_fade_streams_pick_up_motion_noise():
     )
     trace1, _ = simulate(busy, params)
     series = {}
-    for (tx, rx, *_kind), values in zip(trace1.streams, trace1.rssi[5:].T):
+    for (tx, rx, *_kind), values in zip(stream_keys(trace1), trace1.rssi[5:].T):
         heard = values[~np.isnan(values)]
         if heard.size:
             series[(tx, rx)] = heard
@@ -908,7 +912,7 @@ def assert_same_trace(got, want):
     (trace, truth), (ref_trace, ref_truth) = got, want
     assert trace.mode == ref_trace.mode
     assert trace.tx_power_dbm == ref_trace.tx_power_dbm
-    assert trace.streams == ref_trace.streams
+    assert stream_keys(trace) == stream_keys(ref_trace)
     assert np.array_equal(trace.rssi, ref_trace.rssi, equal_nan=True)
     assert np.array_equal(truth, ref_truth)
 
@@ -979,7 +983,7 @@ def test_simulated_streams_are_each_link_times_the_mode_kinds(mode):
     trace, _ = simulate(scenario, params)
     links = tuple(scenario.layout.links)
     kinds = stream_kinds(mode, scenario.channels)
-    assert trace.streams == tuple((*link, *kind) for link in links for kind in kinds)
+    assert stream_keys(trace) == tuple((*link, *kind) for link in links for kind in kinds)
     table = stream_columns(trace, links, kinds)
     assert np.array_equal(table, np.arange(len(links) * len(kinds)).reshape(len(links), -1))
 
@@ -996,7 +1000,7 @@ def test_simulate_peak_memory_stays_near_the_trace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(trace.streams) == 4752
+    assert len(trace.kinds) == 4752
     assert peak <= 2 * trace.rssi.nbytes
 
 
@@ -1136,8 +1140,7 @@ def test_scenario_dict_takes_json_ints_for_numbers():
     _set(data, ("params", "noise_std_db"), 1.0)
     got, got_params = scenario_from_dict(whole)
     want, want_params = scenario_from_dict(data)
-    assert got.layout.nodes == want.layout.nodes
-    assert got.walls == want.walls and got.trajectory == want.trajectory
+    assert got == want
     assert got_params == want_params
     assert_same_trace(simulate(got, got_params), simulate(want, want_params))
 
@@ -1184,6 +1187,15 @@ def test_scenario_dict_takes_null_trajectory_and_omitted_optional_fields():
     assert scenario.layout.nodes[0].antenna_zero_bearing == 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["los_7node", "nlos_2node", "nlos_7node"])
+def test_preset_scenario_dict_reads_back_equal(name, seed):
+    scenario, params = {"los_7node": los_7node, "nlos_2node": nlos_2node, "nlos_7node": nlos_7node}[name](seed)
+    loaded, loaded_params = scenario_from_dict(scenario_to_dict(scenario, params))
+    assert loaded == scenario and loaded_params == params
+    assert loaded.layout is not scenario.layout and hash(loaded) == hash(scenario)
+
+
 def round_trip_scenario(name):
     scenario, params = nlos_7node(3)
     walls = (scenario.walls[0], Wall(0.5, 0.5, 2.5, 0.5, loss_db=12.5))
@@ -1200,18 +1212,7 @@ def round_trip_scenario(name):
 def test_scenario_writer_output_reads_back(name):
     scenario, params = round_trip_scenario(name)
     data = json.loads(json.dumps(scenario_to_dict(scenario, params)))
-    loaded, loaded_params = scenario_from_dict(data)
-    assert loaded_params == params
-    assert loaded.grid == scenario.grid
-    assert (loaded.mode, loaded.channels, loaded.walls, loaded.trajectory) == (
-        scenario.mode, scenario.channels, scenario.walls, scenario.trajectory
-    )
-    assert (loaded.seed, loaded.rounds, loaded.calibration_rounds) == (
-        scenario.seed, scenario.rounds, scenario.calibration_rounds
-    )
-    for got, want in zip(loaded.layout.nodes, scenario.layout.nodes, strict=True):
-        assert (got.id, got.x, got.y) == (want.id, want.x, want.y)
-        assert got.antenna_zero_bearing == pytest.approx(want.antenna_zero_bearing, abs=1e-12)
+    assert scenario_from_dict(data) == (scenario, params)
 
 
 @pytest.mark.parametrize(

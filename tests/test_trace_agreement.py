@@ -22,6 +22,7 @@ from rti.linkstats import RssTrace
 from tests import trace_oracles
 from tests.trace_oracles import read_trace_file as oracle_read_trace_file
 from tests.trace_oracles import write_trace_file as oracle_write_trace_file
+from stat_oracles import stream_keys
 
 # Python's own wording of a bad number, which the oracle passes on and the
 # reader replaces with the field's name and grammar.
@@ -48,7 +49,7 @@ def assert_agrees(path):
             assert re.fullmatch(r"\w[\w ]* must be an? [^,]+, got " + re.escape(text), new[len(prefix) :]), (new, old)
         return old
     assert not isinstance(new, str), new
-    assert (new.mode, new.tx_power_dbm, new.streams) == (old.mode, old.tx_power_dbm, old.streams)
+    assert (new.mode, new.tx_power_dbm, stream_keys(new)) == (old.mode, old.tx_power_dbm, stream_keys(old))
     assert np.array_equal(new.rssi, old.rssi, equal_nan=True)
     return old
 
@@ -60,7 +61,7 @@ def written_lines(tmp_path, rounds=12, ticks=None) -> list[bytes]:
     path = tmp_path / "written.csv"
     write_trace_file(path, trace)
     lines = path.read_bytes().split(b"\r\n")[:-1]
-    return lines if ticks is None else lines[: 1 + ticks * len(trace.streams)]
+    return lines if ticks is None else lines[: 1 + ticks * len(trace.kinds)]
 
 
 @pytest.mark.parametrize(
@@ -73,7 +74,7 @@ def test_agrees_on_simulated_traces(tmp_path, mode, sensitivity_dbm):
     path = tmp_path / "trace.csv"
     write_trace_file(path, trace)
     loaded = assert_agrees(path)
-    assert loaded.streams == trace.streams
+    assert stream_keys(loaded) == stream_keys(trace)
     assert np.array_equal(loaded.rssi, trace.rssi, equal_nan=True)
 
 
@@ -420,7 +421,7 @@ def test_agrees_on_a_far_tick_in_a_small_file_without_sizing_by_it(tmp_path):
         tracemalloc.stop()
     assert message == assert_agrees(path)
     assert message.endswith(f"no row for 1->0 omni tick {trace.num_ticks - 1}")
-    assert peak < 10**6 * len(trace.streams)
+    assert peak < 10**6 * len(trace.kinds)
 
 
 def test_agrees_on_a_far_tick_just_past_complete_ticks(tmp_path):
@@ -468,7 +469,7 @@ def test_writer_writes_the_oracle_bytes_for_values_repr_writes_its_own_way(tmp_p
     rssi = trace.rssi.copy()
     cells = rng.choice(rssi.size, rssi.size // 4, replace=False)
     rssi.reshape(-1)[cells] = rng.choice(specials, len(cells))
-    trace = RssTrace(trace.mode, trace.tx_power_dbm, trace.streams, rssi)
+    trace = RssTrace(trace.mode, trace.tx_power_dbm, trace.links, trace.kinds, rssi)
     assert np.isnan(trace.rssi).any()
     for block_lines in (5, 2048):
         monkeypatch.setattr(traceio, "_BLOCK_LINES", block_lines)
@@ -481,7 +482,7 @@ def test_writer_writes_the_oracle_bytes_for_any_tx_power(tmp_path, power):
     # 3 and `-7.25` for np.float64(-7.25); a write, read and write is a
     # fixed point.
     trace, _ = simulated_trace("omni", -64.0)
-    trace = RssTrace(trace.mode, power, trace.streams, trace.rssi)
+    trace = RssTrace(trace.mode, power, trace.links, trace.kinds, trace.rssi)
     written = assert_writes_alike(tmp_path, trace)
     assert f",{float(power)!r},".encode() in written.split(b"\r\n")[1]
     write_trace_file(tmp_path / "again.csv", read_trace_file(tmp_path / "new.csv"))

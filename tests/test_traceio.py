@@ -14,7 +14,7 @@ import pytest
 
 from rti import traceio
 from rti.geometry import PATTERN_PAIRS, build_grid
-from rti.linkstats import RssTrace, pattern_stream
+from rti.linkstats import RssTrace
 from rti.presets import ring_layout
 from rti.simulator import PropagationParams, Scenario, Trajectory, simulate
 from rti.traceio import (
@@ -25,6 +25,7 @@ from rti.traceio import (
     write_trace_file,
     write_truth_file,
 )
+from stat_oracles import key_columns, pattern_stream, stream_keys, trace_from_keys
 from tests.test_simulator import two_node_layout
 
 
@@ -52,13 +53,13 @@ def test_trace_round_trip_exact(tmp_path):
     write_trace_file(path, trace)
     loaded = read_trace_file(path)
     assert (loaded.mode, loaded.tx_power_dbm) == (trace.mode, trace.tx_power_dbm)
-    assert loaded.streams == trace.streams
+    assert stream_keys(loaded) == stream_keys(trace)
     np.testing.assert_array_equal(loaded.rssi, trace.rssi)
     assert np.array_equal(loaded.rssi, trace.rssi, equal_nan=True)
 
 
 def test_trace_header_written(tmp_path):
-    trace = RssTrace("omni", 0.0, ((0, 1, None, None, None),), np.array([[-40.0]]))
+    trace = RssTrace("omni", 0.0, [(0, 1)], [0], np.array([[-40.0]]))
     path = tmp_path / "trace.csv"
     write_trace_file(path, trace)
     lines = path.read_text().splitlines()
@@ -67,14 +68,12 @@ def test_trace_header_written(tmp_path):
 
 
 def test_lost_packet_row_has_empty_rssi(tmp_path):
-    trace = RssTrace(
-        "multichannel", 0.0, ((1, 0, 15, None, None),), np.full((4, 1), np.nan)
-    )
+    trace = RssTrace("multichannel", 0.0, [(1, 0)], [1], np.full((4, 1), np.nan))
     path = tmp_path / "trace.csv"
     write_trace_file(path, trace)
     assert path.read_text().splitlines()[4] == "3,1,0,multichannel,15,,,0.0,3,false,"
     loaded = read_trace_file(path)
-    assert loaded.streams == trace.streams
+    assert stream_keys(loaded) == stream_keys(trace)
     assert np.isnan(loaded.rssi).all() and loaded.rssi.shape == (4, 1)
 
 
@@ -153,13 +152,13 @@ def replaced(line, row):
 def test_reader_builds_columns_in_any_row_order(tmp_path):
     trace = read_trace_file(write_rows(tmp_path, GOOD_ROWS))
     assert trace.mode == "directional" and trace.tx_power_dbm == 0.0
-    assert trace.streams == ((0, 1, None, 1, 1), (0, 1, None, 1, 2))
+    assert stream_keys(trace) == ((0, 1, None, 1, 1), (0, 1, None, 1, 2))
     np.testing.assert_array_equal(trace.rssi, [[-50.0, np.nan], [-51.0, -52.5]])
     shuffled = read_trace_file(write_rows(tmp_path, GOOD_ROWS[::-1]))
-    assert set(shuffled.streams) == set(trace.streams)
-    for key in trace.streams:
+    assert set(stream_keys(shuffled)) == set(stream_keys(trace))
+    for key in stream_keys(trace):
         np.testing.assert_array_equal(
-            shuffled.rssi[:, shuffled.column[key]], trace.rssi[:, trace.column[key]]
+            shuffled.rssi[:, key_columns(shuffled)[key]], trace.rssi[:, key_columns(trace)[key]]
         )
 
 
@@ -350,7 +349,7 @@ def test_reader_accepts_the_writer_grammar(tmp_path):
     header = ",".join(TRACE_HEADER)
     path.write_bytes(f"{header}\r\n\n{rows[0]}\n{rows[1]}\r\n\r\n{rows[2]}\n{rows[3]}".encode())
     trace = read_trace_file(path)
-    assert trace.streams == ((0, 1, None, 1, 1), (0, 1, None, 1, 2))
+    assert stream_keys(trace) == ((0, 1, None, 1, 1), (0, 1, None, 1, 2))
     np.testing.assert_array_equal(trace.rssi, [[-50.0, np.nan], [-5e30, -52.5]])
 
 
@@ -442,7 +441,7 @@ def test_reader_reads_a_pipe(tmp_path):
         loaded = read_trace_file(pipe)
     finally:
         writer.join()
-    assert loaded.streams == trace.streams
+    assert stream_keys(loaded) == stream_keys(trace)
     assert np.array_equal(loaded.rssi, trace.rssi, equal_nan=True)
 
 
@@ -454,7 +453,7 @@ def seven_node_directional_trace() -> RssTrace:
     rng = np.random.default_rng(18)
     shape = (160, len(streams))
     rssi = np.where(rng.random(shape) < 0.2, np.nan, rng.normal(-55.0, 4.0, shape))
-    return RssTrace("directional", 0.0, streams, rssi)
+    return trace_from_keys("directional", 0.0, streams, rssi)
 
 
 def test_writer_peak_memory_stays_below_half_the_trace(tmp_path):

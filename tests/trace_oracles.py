@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from rti.geometry import VoxelGrid
+from rti.geometry import NUM_DIRECTIONS, VoxelGrid
 from rti.imaging import ImageFrame
-from rti.linkstats import MODES, RssTrace, StreamKey, check_stream, format_stream
+from rti.linkstats import MODES, VALID_CHANNELS, RssTrace
 from rti.traceio import TRACE_HEADER, TRUTH_HEADER, TraceParseError
 from rti.tracking import TRAJECTORY_HEADER
+from stat_oracles import StreamKey, format_key, stream_keys, trace_from_keys
 
 
 def _opt(value) -> str:
@@ -37,7 +38,7 @@ def write_trace_file(path, trace: RssTrace) -> None:
     # the tick and `%r` for each received RSSI.
     streams = [
         f"{tx},{rx},{trace.mode},{_opt(ch)},{_opt(td)},{_opt(rd)},{trace.tx_power_dbm!r},"
-        for tx, rx, ch, td, rd in trace.streams
+        for tx, rx, ch, td, rd in stream_keys(trace)
     ]
     received = np.array([f"\0,{stream}\0,true,%r\r\n" for stream in streams], dtype=object)
     lost = np.array([f"\0,{stream}\0,false,\r\n" for stream in streams], dtype=object)
@@ -91,6 +92,23 @@ def frame_to_csv(frame: ImageFrame, grid: VoxelGrid) -> str:
     return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+def check_stream(key: StreamKey, mode: str) -> None:
+    """Raise ValueError unless ``key`` is a well-formed stream of a ``mode`` trace."""
+    _tx, _rx, channel, tx_dir, rx_dir = key
+    has_pattern = tx_dir is not None or rx_dir is not None
+    if channel is not None and has_pattern:
+        raise ValueError("a stream cannot carry both channel and pattern fields")
+    if channel is not None and channel not in VALID_CHANNELS:
+        raise ValueError(f"channel {channel} outside supported set {VALID_CHANNELS}")
+    if has_pattern and (tx_dir is None or rx_dir is None):
+        raise ValueError("pattern streams need both tx_dir and rx_dir")
+    if has_pattern and not (1 <= tx_dir <= NUM_DIRECTIONS and 1 <= rx_dir <= NUM_DIRECTIONS):
+        raise ValueError(f"pattern directions must be in [1, {NUM_DIRECTIONS}]")
+    own = "multichannel" if channel is not None else "directional" if has_pattern else "omni"
+    if own != mode:
+        raise ValueError(f"{format_key(key)} is not a stream of mode {mode!r}")
+
+
 def _parse_stream(row: list[str]) -> tuple[str, float, StreamKey]:
     """Mode, transmit power and stream key of one row."""
 
@@ -108,7 +126,7 @@ def _parse_stream(row: list[str]) -> tuple[str, float, StreamKey]:
 
 
 def _where(key: StreamKey | None, tick: int | None) -> str:
-    parts = [format_stream(key)] if key is not None else []
+    parts = [format_key(key)] if key is not None else []
     if tick is not None:
         parts.append(f"tick {tick}")
     return " ".join(parts) + ": " if parts else ""
@@ -202,7 +220,7 @@ def read_trace_file(path) -> RssTrace:
         seen = np.zeros(num_ticks * num_streams, dtype=bool)
         seen[cells] = True
         tick, col = divmod(int(np.argmin(seen)), num_streams)
-        raise TraceParseError(f"{path}: no row for {format_stream(keys[col])} tick {tick}")
+        raise TraceParseError(f"{path}: no row for {format_key(keys[col])} tick {tick}")
     rssi = np.empty(cells.size)
     rssi[cells] = values
-    return RssTrace(first[0], first[1], tuple(keys), rssi.reshape(num_ticks, num_streams))
+    return trace_from_keys(first[0], first[1], keys, rssi.reshape(num_ticks, num_streams))

@@ -9,9 +9,11 @@ Simulates the preset in directional mode and writes its trace three ways:
 - `exponent`: rows in stream order, every RSSI written as `%.17e`, a form
   the writer never produces.
 
-For each form it times `read_trace_file` `--repeats` times in this process
-and prints one `form rows min_ms median_ms` line. Every read must equal the
-simulated trace, stream by stream, or the script stops with an error.
+For each form it times `read_trace_file` `--repeats` times in this process,
+then reads it once more under tracemalloc, and prints one `form rows min_ms
+median_ms peak_mib` line: peak_mib is that read's traced peak in MiB. Every
+read must equal the simulated trace, stream by stream, or the script stops
+with an error.
 
     PYTHONPATH=src python scripts/probe_read.py --preset los_7node --seed 3 --repeats 7
 """
@@ -20,6 +22,7 @@ import argparse
 import statistics
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,7 +73,7 @@ def main() -> None:
 
     scenario, params = PRESETS[args.preset](args.seed)
     trace, _ = simulate(replace(scenario, mode="directional"), params)
-    print("form rows min_ms median_ms")
+    print("form rows min_ms median_ms peak_mib")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_file(path, trace)
@@ -82,7 +85,15 @@ def main() -> None:
                 read = read_trace_file(path)
                 times.append(1000 * (time.perf_counter() - start))
                 check(read, trace, form)
-            print(form, data.count(b"\n") - 1, f"{min(times):.1f}", f"{statistics.median(times):.1f}", flush=True)
+            tracemalloc.start()
+            try:
+                read = read_trace_file(path)
+                peak = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            check(read, trace, form)
+            low, median = min(times), statistics.median(times)
+            print(form, data.count(b"\n") - 1, f"{low:.1f}", f"{median:.1f}", f"{peak:.2f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -106,9 +106,13 @@ class RssTrace:
             power = math.inf
         if not math.isfinite(power):
             raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm!r}")
-        # Copies; an array that does not cast safely to int64 raises TypeError.
-        links = np.asarray(self.links).astype(np.int64, casting="safe")
-        kinds = np.asarray(self.kinds).astype(np.int64, casting="safe")
+        # Copies; an array that does not cast safely to int64 raises
+        # TypeError, and a bool one, which numpy casts safely, ValueError.
+        links, kinds = np.asarray(self.links), np.asarray(self.kinds)
+        for name, array in (("links", links), ("kinds", kinds)):
+            if array.dtype == bool:
+                raise ValueError(f"{name} must be integers, got a bool array")
+        links, kinds = links.astype(np.int64, casting="safe"), kinds.astype(np.int64, casting="safe")
         rssi = np.ascontiguousarray(self.rssi, dtype=float)
         if kinds.ndim != 1 or links.shape != (len(kinds), 2) or rssi.ndim != 2 or rssi.shape[1] != len(kinds):
             raise ValueError(

@@ -33,17 +33,24 @@ Reading in blocks
 256 KiB cut at line ends, and checks each block with array operations.
 Once a block's rows were in exact stream order (each the cell tick *
 streams + column after the one before), the next block's rows are expected
-to continue it, and their bytes are compared eight at a time with those
-cells' text: the tick, the column's known span, the tick as `seq`, then
-`true,` and a decimal or `false,`. A block with any row that differs goes
-whole to the general path, the only one that adds streams or raises:
-newline and comma positions give every field, and each distinct
-tx_id..tx_power_dbm span is parsed once (spans that parse to the same
-stream share a column). Tick and `seq` are `-?[0-9]{1,18}` when the digits
-inside the field, counted by byte class in the digit loop that values them,
-are all its bytes but a leading `-`. A line longer than the longest
-well-formed row is rejected once that many of its bytes are read. The first
-row in file order that breaks a rule is worded by one scalar row check.
+to continue it, and each is compared with its cell's text a word at a time:
+the 8 bytes at any offset of the buffer are one element of a uint64 view
+with a stride of one byte. The tick, `%d,` below 10**7, is one masked word
+at the row's start and again where `seq` starts; the column's known span is
+a few words taken by column from a table of every span's words and masks;
+then come `true,` and a decimal or `false,`. A block with any row that
+differs goes whole to the general path, the only one that adds streams or
+raises: newline and comma positions give every field. Tick and `seq` are
+`-?[0-9]{1,18}` when the digits inside the field, counted by byte class in
+the digit loop that values them, are all its bytes but a leading `-`. Each
+distinct tx_id..tx_power_dbm span is looked up once; the new ones are
+parsed as arrays, their ids, channel and directions by that digit loop,
+their power by the RSSI routine below, and their mode and kind code from
+small tables (spans that parse to the same stream share a column). Only if
+one is bad are they parsed one at a time, in file order, up to it. A line
+longer than the longest well-formed row is rejected once that many of its
+bytes are read. The first row in file order that breaks a rule is worded
+by one scalar row check.
 
 Both paths read the received field and its RSSI by one routine, which
 matches `true,` or `false,` as one little-endian word. An RSSI field
@@ -52,9 +59,13 @@ bytes that end where it ends, which also give its digits as one integer,
 eight digits a word by SWAR arithmetic: a few whole-array steps a block,
 where a loop over the digit columns cost more than the cast it would save.
 With that mantissa m at most 2**53, m / 10**k (k decimals) is float()'s
-value bit for bit (Clinger's fast path): about 72% of simulated RSSI. The
-rest, and every other form, are cast by numpy once byte classes pass them:
-a valid file makes no Python call per field.
+value bit for bit (Clinger's fast path): about 72% of simulated RSSI.
+Above 2**53 the quotient c is within two ulps of it, and exact int64
+arithmetic compares m - c * 10**k with half an ulp of c times 10**k (a
+quarter below a power of two) to step c to the nearest double, ties to
+even. Only other forms, such as exponents or more than 17 digits, are
+cast by numpy once byte classes pass them: a valid file makes no Python
+call per field.
 
 Each block's rows are then scattered straight into one (ticks, streams)
 RSSI array, beside an array of the line of each cell's first row. That
@@ -76,12 +87,13 @@ NULs. Floats come from `format_values`, which gives repr's text without a
 Python call per value. For a finite x with 1e-4 <= |x| < 1e16 it finds the
 shortest decimal that reads back as x with exact integer and double
 arithmetic: Dekker's TwoProduct for the 17-digit mantissa, and one
-correctly rounded division as the read-back test of each shorter one.
-Every other value, and each whose 16-digit rounding is an exact tie or an
-odd integer above 2**53, goes through repr: no simulated RSSI between -90
-and -10 dBm, and about 5.6% of values spread evenly over [1e-4, 1). On a
-160-tick, 1,512-stream trace the writer peaks at about 0.41x the RSSI array
-under tracemalloc, with two ticks a block.
+correctly rounded division as the read-back test of each shorter one, or
+the reader's exact test for a 16-digit candidate that is odd and above
+2**53, so no double. Every other value, and each whose 17- or 16-digit
+rounding is an exact tie, goes through repr: no simulated RSSI, and none
+of 10,000 values spread evenly over [1e-4, 1). On a 160-tick, 1,512-stream
+trace the writer peaks at about 0.41x the RSSI array under tracemalloc,
+with two ticks a block.
 """
 
 from __future__ import annotations
@@ -262,11 +274,11 @@ def _shortest(a: np.ndarray):
 
     a * 10**(16 - e10) is held exactly as m + r, m its 17-digit mantissa;
     the scale is at most 10**20, still an exact double. The candidate with j
-    digits fewer is m + r rounded at 10**j, and reads back as a iff it is a
-    double (at most 2**53, or even below 2**54) and its one correctly
-    rounded division by a power of ten gives a. A value is left unsettled
-    when m + r or its 16-digit rounding is an exact tie, or when that
-    rounding is odd and above 2**53.
+    digits fewer is m + r rounded at 10**j. If it is a double (at most
+    2**53, or even below 2**54), it reads back as a iff its one correctly
+    rounded division by a power of ten gives a; an odd 16-digit candidate
+    above 2**53 is tested by `_side`. A value is left unsettled when m + r
+    or its 16-digit rounding is an exact tie.
 
     A shorter candidate reads back only if every longer one does. From two
     digits fewer on, no test is needed: the interval that reads back as a is
@@ -283,9 +295,12 @@ def _shortest(a: np.ndarray):
 
     up = r > 0
     one, half = _round(m, up, 10)
-    # An odd integer above 2**53 is not a double.
-    one_unsure = (half & (r == 0)) | ((one > _TWO53) & (one % 2 == 1))
+    one_unsure = half & (r == 0)
     one_back = ~one_unsure & (one / (scale / 10) == a)
+    # An odd integer above 2**53 is not a double: `_side` tests it exactly.
+    odd = np.flatnonzero(~one_unsure & (one > _TWO53) & (one % 2 == 1))
+    if odd.size:
+        one_back[odd] = _side(one.take(odd), 15 - e10.take(odd), a.take(odd).view(np.int64)) == 0
     # A tie two digits shorter is 50 units from either candidate: it fails.
     two = _round(m, up, 100)[0]
     two_back = one_back & (e10 <= 14) & (two / (scale / 100) == a)
@@ -462,21 +477,6 @@ def _where(stream: str | None, tick: int | None) -> str:
     return " ".join(parts) + ": " if parts else ""
 
 
-def _words(texts: list[bytes]) -> np.ndarray:
-    """A (texts, 2, words + 1) uint64 table of texts without NUL: [:, 0,
-    :-1] holds each text as little-endian 8-byte words padded with NUL,
-    [:, 1, :-1] the masks of its bytes and [:, 0, -1] its size."""
-    table = np.array(texts, np.bytes_)
-    table = table.view(np.uint8).reshape(len(texts), table.itemsize)
-    table = np.pad(table, ((0, 0), (0, -table.shape[1] % 8)))
-    used = table != 0
-    words = np.zeros((len(texts), 2, table.shape[1] // 8 + 1), np.uint64)
-    words[:, 0, :-1] = table.view("<u8")
-    words[:, 1, :-1] = used.view("<u8") * np.uint64(0xFF)
-    words[:, 0, -1] = used.sum(axis=1)
-    return words
-
-
 class _Streams:
     """The streams met so far: a column per (tx_id, rx_id, kind code), by
     the raw bytes of each distinct tx_id..tx_power_dbm span, and the cell
@@ -489,7 +489,7 @@ class _Streams:
         self.spans: list[bytes] = []  # each column's first span, with its comma
         self.first: tuple[str, float] | None = None  # the first row's mode and tx power
         self.next: int | None = None  # the cell the next block is expected at
-        self.table = None  # `_words` of `spans`, made when next needed
+        self.table = None  # `_span_table` of `spans`, made when next needed
 
     def add(self, span: bytes, mode: str, power: float, key: tuple[int, int, int]) -> int:
         if self.first is None:
@@ -513,32 +513,35 @@ class _Streams:
         """Tick, column and RSSI of rows buf[starts:ends] that continue the
         expected stream order, each the text of its cell exactly: the tick,
         the column's known span, the tick as `seq`, then `true,` and a
-        decimal or `false,`. None if any row is not."""
+        decimal or `false,`. None if any row is not, or if a tick takes
+        more than one word."""
         if not 0 <= self.next < 2**62 - len(starts):  # cells that fit an int64
             return None
         tick, column = divmod(self.next + np.arange(len(starts)), len(self.columns))
         t0, t1 = int(tick[0]), int(tick[-1])
-        if t1 >= 10**_INT_DIGITS:
+        if t1 >= 10**7:  # `%d,` is longer than a word
             return None
         if self.table is None:
-            self.table = _words(self.spans)
-        # Each row's tick and span text, in cell order: ticks repeat, and
-        # spans cycle from the first row's column.
-        ticks = np.repeat(_words([b"%d," % t for t in range(t0, t1 + 1)]), np.bincount(tick - t0), axis=0)
-        spans = np.resize(np.roll(self.table, -int(column[0]), axis=0), (len(starts),) + self.table.shape[1:])
-        tick_sizes = ticks[:, 0, -1].astype(np.int64)
-        span_at = starts + tick_sizes
-        seq_at = span_at + spans[:, 0, -1].astype(np.int64)
-        received_at = seq_at + tick_sizes
-        # `false,` and nothing, or `true,` and a decimal: every gather below
+            self.table = _span_table(self.spans)
+        span_words, span_masks, span_sizes = self.table
+        # The text, mask and size of each row's tick, by its offset from t0.
+        texts = [b"%d," % t for t in range(t0, t1 + 1)]
+        offset = tick - t0
+        tick_word = np.array([int.from_bytes(t, "little") for t in texts], np.uint64).take(offset)
+        tick_mask = np.array([(1 << 8 * len(t)) - 1 for t in texts], np.uint64).take(offset)
+        tick_size = np.array([len(t) for t in texts]).take(offset)
+        span_at = starts + tick_size
+        seq_at = span_at + span_sizes.take(column)
+        received_at = seq_at + tick_size
+        # `false,` and nothing, or `true,` and a decimal: every word below
         # then ends within a span's width of the row.
         if not (ends - received_at >= 6).all():
             return None
-        ok = np.ones(len(starts), bool)
-        for at, texts in ((starts, ticks), (seq_at, ticks), (span_at, spans)):
-            found = _gather(buf, at, 8 * (texts.shape[2] - 1)).view("<u8") & texts[:, 1, :-1]
-            ok &= (found == texts[:, 0, :-1]).all(axis=1)
-        del ticks, spans, texts, found
+        words = _word_view(buf)
+        ok = (words[starts] & tick_mask) == tick_word
+        ok &= (words[seq_at] & tick_mask) == tick_word
+        for j in range(len(span_words)):
+            ok &= (words[span_at + 8 * j] & span_masks[j].take(column)) == span_words[j].take(column)
         if not ok.all():
             return None
         values, ok = _received(buf, received_at, ends)
@@ -547,14 +550,18 @@ class _Streams:
         self.next += len(starts)
         return tick, column.astype(np.int32), values
 
-    def columns_of(self, buf: np.ndarray, starts, ends) -> tuple[np.ndarray, int]:
-        """Column of each row's span buf[starts:ends], and the first row
-        whose span is bad (len(starts) if none); later rows get no column.
+    def columns_of(self, buf: np.ndarray, at) -> tuple[np.ndarray, int]:
+        """Column of each row's span, from after its first comma to its
+        eighth (its ten commas are a row of `at`), and the first row whose
+        span is bad (len(at) if none); later rows get no column.
 
         Spans are padded with commas to one width before `np.unique`: a
         span holds exactly six, so padded spans are equal only if the spans
         are. A known span ends in its tx power's last digit, so it is its
-        padded text without the trailing commas."""
+        padded text without the trailing commas. New spans are parsed as
+        arrays by `_parse_spans`; only if one is bad are they parsed one at
+        a time, in file order, up to the first bad one."""
+        starts, ends = at[:, 0] + 1, at[:, 7]
         sizes = ends - starts
         width = min(int(sizes.max()), _SPAN_CHARS + 1)
         text = np.where(np.arange(width) < sizes[:, None], _gather(buf, starts, width), _COMMA)
@@ -566,16 +573,57 @@ class _Streams:
             [self.known.get(padded[i : i + width].rstrip(b","), -1) for i in range(0, len(padded), width)],
             np.int32,
         )
+        new = np.flatnonzero(columns < 0)
+        new = new[np.argsort(first[new])]  # in file order
+        rows = first[new]
+        parsed = self._parse_spans(buf, at[rows]) if new.size else None
         stop = len(starts)
-        for k in sorted(np.flatnonzero(columns < 0), key=first.__getitem__):  # new spans, in file order
-            row = int(first[k])
+        for i, (k, row) in enumerate(zip(new.tolist(), rows.tolist())):
             span = buf[starts[row] : ends[row]].tobytes()
             try:
-                columns[k] = self.add(span, *_parse_stream(span.decode(errors="replace").split(",")))
+                if parsed:
+                    mode, power, keys = parsed
+                    columns[k] = self.add(span, mode, power, keys[i])
+                else:
+                    columns[k] = self.add(span, *_parse_stream(span.decode(errors="replace").split(",")))
             except ValueError:
                 stop = row
                 break
         return columns[inverse], stop
+
+    def _parse_spans(self, buf: np.ndarray, at):
+        """The mode, tx power and (tx_id, rx_id, kind code) keys that
+        `_parse_stream` gives the spans of the rows whose commas are `at`,
+        if every one is a stream of the mode and tx power of the file's
+        first row (or else of the first span); else None. Ids, channels and
+        directions are `_integers`, the power is `_decimals`, and each
+        kind's code is looked up in a table of the mode's kinds."""
+        mode, power = self.first or (buf[at[0, 2] + 1 : at[0, 3]].tobytes().decode(errors="replace"), None)
+        if mode not in MODES:
+            return None
+        fields = [0, 1, 3, 4, 5]  # tx_id, rx_id, channel, tx_dir, rx_dir
+        ints, ok = _integers(buf, (at[:, fields] + 1).T.ravel(), at[:, [f + 1 for f in fields]].T.ravel())
+        (tx, rx, *kind_fields), ok = ints.reshape(5, len(at)), ok.reshape(5, len(at))
+        powers, good = _decimals(buf, at[:, 6] + 1, at[:, 7])
+        power = powers[0] if power is None else power
+        name = np.frombuffer(mode.encode(), np.uint8)
+        good &= ok[0] & ok[1] & (powers == power) & (at[:, 3] - at[:, 2] - 1 == len(name))
+        good &= (_gather(buf, at[:, 2] + 1, len(name)) == name).all(axis=1)
+        # A kind field is slot 0 if empty, else its value + 1, or `top` if
+        # that is no field of any of the mode's kinds.
+        kinds = stream_kinds(mode, VALID_CHANNELS)
+        top = max(v or 0 for kind in kinds for v in kind) + 2
+        slots = []
+        for f, value, field_ok in zip(fields[2:], kind_fields, ok[2:]):
+            known = field_ok & (value >= 0) & (value < top - 1)
+            slots.append(np.where(at[:, f + 1] == at[:, f] + 1, 0, np.where(known, value + 1, top)))
+        codes = np.full((top + 1,) * 3, -1)
+        for code, kind in enumerate(kinds):
+            codes[tuple(0 if v is None else v + 1 for v in kind)] = code
+        codes = codes[tuple(slots)]
+        if not (good & (codes >= 0)).all():
+            return None
+        return mode, float(power), list(zip(tx.tolist(), rx.tolist(), codes.tolist()))
 
     def row_error(self, line: bytes) -> str:
         """The message for a flagged row, given without its `\\n`: the first
@@ -606,6 +654,24 @@ class _Streams:
         except ValueError as exc:
             return f"{_where(stream, tick)}{exc}"
         raise AssertionError(f"row {line!r} was flagged but breaks no rule")
+
+
+def _span_table(spans: list[bytes]):
+    """Each text of `spans`, none with a NUL, as little-endian 8-byte words
+    padded with NUL, the masks of their bytes, both as (words, texts) uint64
+    arrays, and the texts' sizes."""
+    table = np.array(spans, np.bytes_)
+    table = table.view(np.uint8).reshape(len(spans), table.itemsize)
+    table = np.pad(table, ((0, 0), (0, -table.shape[1] % 8)))
+    used = table != 0
+    words = table.view("<u8").T.copy()
+    masks = used.view("<u8").T * np.uint64(0xFF)
+    return words, masks, used.sum(axis=1)
+
+
+def _word_view(buf: np.ndarray) -> np.ndarray:
+    """The 8 bytes from each offset of buf as one little-endian uint64."""
+    return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
 
 
 def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -655,59 +721,109 @@ def _count(mask: np.ndarray) -> np.ndarray:
 
 def _short_decimals(buf, ends, sizes):
     """Values of the decimal fields of `sizes` bytes that end at `ends`;
-    whether each is `-?D+(\\.D+)?` of at most 17 digits; and whether it is
-    then valued exactly, its mantissa m being at most 2**53. The digits write
-    x, the point read as a 0, and the point's mask 10**k for k decimals; m is
-    x without the point, and m / 10**k, one correctly rounded division of
-    exact doubles, is float()'s value (Clinger's fast path)."""
+    whether each is `-?D+(\\.D+)?` of at most 17 digits, and then valued as
+    float() values it; and whether its mantissa m is at most 2**53. The
+    digits write x, the point read as a 0, and m is x without the point.
+    For m at most 2**53, m / 10**k for k decimals, one correctly rounded
+    division of exact doubles, is float()'s value (Clinger's fast path);
+    above it, `_nearest` corrects that quotient."""
     text = _gather(buf, np.maximum(ends - _WINDOW, 0), _WINDOW)
-    negative = text[np.arange(len(text)), _WINDOW - np.clip(sizes, 1, _WINDOW)] == _MINUS
-    field = _FIELD.take(np.clip(sizes, 0, _WINDOW), axis=0)
+    shown = np.minimum(sizes, _WINDOW)  # the field's bytes in its window
+    # Its first byte there, as an index into the flattened windows.
+    negative = text.reshape(-1).take(np.arange(_WINDOW, text.size + 1, _WINDOW) - np.maximum(shown, 1)) == _MINUS
+    field = _FIELD.take(shown, axis=0)
     point = (text == ord(".")) & field
     text -= np.uint8(ord("0"))
     digit = (text < 10) & field
     text *= digit
     digits, points = _count(digit), _count(point)
     del field, digit
-    x, scale = _number(text).astype(np.int64), _number(point.view(np.uint8)).astype(np.int64)
+    x = _number(text).astype(np.int64)
+    # A lone point k bytes before the end has the mask 2**(8 * (23 - k)),
+    # held exactly by a double across the three words.
+    mask = point.view("<u8").astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128])
+    k = _WINDOW - 1 - ((mask.view(np.int64) >> 52) - 1023 >> 3)
     del text, point
     simple = (
         (ends >= _WINDOW) & (digits >= 1) & (digits <= 17) & (digits + points + negative == sizes)
         # at most one point, with digits on both sides
-        & ((points == 0) | ((points == 1) & (scale >= 10) & (scale < _INT_POW10.take(np.minimum(digits, 18)))))
+        & ((points == 0) | ((points == 1) & (k >= 1) & (k < digits)))
     )
-    scale[~simple | (points == 0)] = 1
+    k[~simple | (points == 0)] = 0
+    scale = _INT_POW10.take(k)
     below = x % scale
-    mantissa = np.where(scale > 1, (x - below) // 10 + below, x)
+    mantissa = np.where(k > 0, (x - below) // 10 + below, x)
     values = mantissa / scale
+    clinger = mantissa <= _TWO53
+    big = np.flatnonzero(simple & ~clinger)
+    if big.size:
+        values[big] = _nearest(mantissa.take(big), k.take(big), values.take(big))
     np.negative(values, out=values, where=negative)
-    return values, simple, simple & (mantissa <= _TWO53)
+    return values, simple, simple & clinger
+
+
+def _nearest(m: np.ndarray, k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The double nearest each m / 10**k, ties to even, for 2**53 < m <
+    10**17 and k <= 16, given c = m / 10**k as numpy divides it: within two
+    ulps, so a step or two by `_side` reaches it."""
+    bits = c.view(np.int64)
+    step = _side(m, k, bits)
+    moved = np.flatnonzero(step)
+    step = step.take(moved)
+    while moved.size:
+        bits[moved] += step  # the next double up or down: c > 0
+        step = _side(m.take(moved), k.take(moved), bits.take(moved))
+        keep = np.flatnonzero(step)
+        moved, step = moved.take(keep), step.take(keep)
+    return c
+
+
+_FRACTION = (1 << 52) - 1
+
+
+def _side(m: np.ndarray, k: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Where each m / 10**k lies against the positive normal double c whose
+    bits are `bits`: 1 above the interval that rounds to c, -1 below it, 0
+    in it (a tie goes to the even double).
+
+    With c = f * 2**e, f of 53 bits, and t = e + k, the difference m - c *
+    10**k is m * 2**(4 - t) - f * 5**k * 16 in units of 2**(t - 4), and half
+    an ulp of c is 8 * 5**k of them, a quarter below a power of two. Those
+    are int64 arithmetic that wraps, so they are exact while t <= 4 and the
+    difference is below 2**62 units: both hold for a quotient within a few
+    ulps of c, k <= 19 and m < 2**57."""
+    fraction = bits & _FRACTION
+    p5 = (5 ** np.arange(20, dtype=np.int64)).take(k)
+    d = (m << (1079 - k - (bits >> 52))) - ((fraction | 1 << 52) * p5 << 4)
+    odd = bits & 1
+    half = p5 << 3
+    above = d + odd > half
+    below = d - odd < -(half >> (fraction == 0))
+    return above.view(np.int8) - below.view(np.int8)
 
 
 def _decimals(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     """Values of the RSSI fields buf[starts:ends], and whether each follows
     the grammar and is finite; values of fields that do not are meaningless.
-    Fields `_short_decimals` does not value exactly are cast by numpy, which
-    reads what float() reads. Byte classes first refuse what float() reads
-    but the grammar does not: a byte other than a digit, `.`, `e`, `E`, `+`
-    or `-` (so `_`, spaces, `inf` and `nan`), a leading `+`, and a point
-    without a digit on each side. Such a field is cast as "0", and the cast
-    raises on the rest, such as `1e`, `1e5e5` or `--1`; only then is each
-    field checked and read apart."""
+    Fields `_short_decimals` does not value, such as exponents or more than
+    17 digits, are cast by numpy, which reads what float() reads. Byte
+    classes first refuse what float() reads but the grammar does not: a byte
+    other than a digit, `.`, `e`, `E`, `+` or `-` (so `_`, spaces, `inf` and
+    `nan`), a leading `+`, and a point without a digit on each side. Such a
+    field is cast as "0", and the cast raises on the rest, such as `1e`,
+    `1e5e5` or `--1`; only then is each field checked and read apart."""
     sizes = ends - starts
-    values, simple, ok = _short_decimals(buf, ends, sizes)
+    values, ok, _ = _short_decimals(buf, ends, sizes)
     rest = np.flatnonzero(~ok)
     if rest.size:
         sizes = sizes[rest]
         text = _gather(buf, starts[rest], min(int(sizes.max()), _FLOAT_CHARS + 1))
         field = np.arange(text.shape[1]) < sizes[:, None]
-        good = simple[rest]
-        if not good.all():
-            digit = np.pad((text - np.uint8(ord("0")) < 10) & field, 1)[1:-1]
-            refused = (text == ord(".")) & ~(digit[:, :-2] & digit[:, 2:])  # a lone point
-            refused |= ~_DECIMAL_BYTE.take(text)
-            refused &= field
-            good = (sizes <= _FLOAT_CHARS) & (text[:, 0] != ord("+")) & ~refused.any(axis=1)
+        digit = np.pad((text - np.uint8(ord("0")) < 10) & field, 1)[1:-1]
+        refused = (text == ord(".")) & ~(digit[:, :-2] & digit[:, 2:])  # a lone point
+        refused |= ~_DECIMAL_BYTE.take(text)
+        refused &= field
+        good = (sizes <= _FLOAT_CHARS) & (text[:, 0] != ord("+")) & ~refused.any(axis=1)
         text = np.where(field & good[:, None], text, 0)
         text[~good, 0] = ord("0")
         texts = text.view(f"S{text.shape[1]}").ravel()
@@ -726,7 +842,7 @@ def _received(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     decimal or `false,` and nothing. The field's first eight bytes are read
     as one little-endian word, masked to the five of `true,` or the six of
     `false,`."""
-    word = _gather(buf, starts, 8).view("<u8")[:, 0]
+    word = _word_view(buf)[starts]
     received = (word & 0xFF_FFFF_FFFF) == _TRUE_COMMA
     ok = received | (((word & 0xFFFF_FFFF_FFFF) == _FALSE_COMMA) & (ends - starts == 6))
     got = np.flatnonzero(received)
@@ -782,7 +898,7 @@ def _read_rows(buf, starts, ends, at, streams: _Streams):
     seq, seq_ok = _integers(buf, at[:, 7] + 1, at[:, 8])
     values, received_ok = _received(buf, at[:, 8] + 1, ends)
     bad = ~ok | ~seq_ok | (tick < 0) | (seq != tick) | ~received_ok
-    columns, stop = streams.columns_of(buf, at[:, 0] + 1, at[:, 7])
+    columns, stop = streams.columns_of(buf, at)
     flagged = np.flatnonzero(bad[:stop])
     return tick, columns, values, int(flagged[0]) if flagged.size else stop
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -101,15 +102,14 @@ def test_matches_repr_below_one():
 
 
 def test_values_below_one_mostly_take_the_fast_path(monkeypatch):
-    # Only those whose 16-digit rounding is odd and above 2**53, a leading
-    # 9007 or more, and the ties go through repr.
+    # Only exact ties go through repr, and random doubles hold none; those
+    # whose 16-digit rounding is odd and above 2**53, a leading 9007 or
+    # more, are settled by the exact test.
     calls = []
     monkeypatch.setattr(traceio, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     values = np.random.default_rng(25).uniform(1e-4, 1.0, 10_000)
     assert_reprs(values)
-    assert 0 < len(calls) < 700
-    calls = np.array(calls)
-    assert (calls / 10.0 ** np.floor(np.log10(calls)) > 9.007).all()
+    assert calls == []
 
 
 def test_matches_repr_on_random_bit_patterns():
@@ -135,16 +135,15 @@ def test_matches_repr_on_any_finite_floats(values):
 
 
 def test_values_like_rss_rarely_go_through_repr(monkeypatch):
-    # Only values the exact tests cannot settle do. Between -90 and -10 dBm
-    # none; from -100 to -90.07 dBm, those whose 16-digit rounding is odd and
-    # above 2**53, about half.
+    # Only values the exact tests cannot settle do: none between -100 and
+    # -10 dBm, where from -100 to -90.07 dBm about half have a 16-digit
+    # rounding that is odd and above 2**53.
     calls = []
     monkeypatch.setattr(traceio, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     rng = np.random.default_rng(23)
     assert_reprs(rng.uniform(-90.0, -10.0, 10_000))
-    assert calls == []
     assert_reprs(rng.uniform(-100.0, -90.1, 10_000))
-    assert 4000 < len(calls) < 6000
+    assert calls == []
 
 
 def test_nan_gets_no_text_and_infinities_their_repr():
@@ -313,3 +312,98 @@ def test_decimals_read_every_simulated_rssi_as_float():
     assert ok.all() and simple.all()
     assert read.tobytes() == values.tobytes()
     assert 0.6 < exact.mean() < 0.85
+
+
+# The exact read of 17-digit decimals: `_short_decimals` values every
+# `-?D+(\\.D+)?` field of at most 17 digits, its mantissa above 2**53 or not,
+# so none of these reaches numpy's cast.
+
+
+def fixed17(value) -> str:
+    """A value of 1 or more, below 10**17, rounded to 17 significant digits
+    (ties to even) and written in fixed notation."""
+    value = Decimal(value)
+    return format(value.quantize(Decimal(1).scaleb(len(str(int(value))) - 17)), "f")
+
+
+def shifted(text: str, step: int) -> str:
+    """The decimal text with `step` added to its last digit, its point and
+    its digit count kept (clipped at 0 and at all nines)."""
+    digits = text.replace(".", "")
+    point = len(text) - text.index(".") - 1 if "." in text else 0
+    m = str(min(max(int(digits) + step, 0), 10 ** len(digits) - 1)).zfill(len(digits))
+    return m[: len(m) - point] + ("." + m[len(m) - point :] if point else "")
+
+
+def midpoint_texts(x: float) -> list[str]:
+    """17-digit texts at the midpoints of x and each neighbour, and one unit
+    off them in their last digit, in both signs."""
+    texts = []
+    for y in (np.nextafter(x, -math.inf), np.nextafter(x, math.inf)):
+        middle = fixed17((Decimal(x) + Decimal(float(y))) / 2)
+        texts += [shifted(middle, step) for step in (-1, 0, 1)]
+    return [sign + text for text in texts for sign in ("", "-")]
+
+
+def assert_read_exactly(fields: list[str]) -> None:
+    """Each field is valued by `_short_decimals`, bit for bit as float()."""
+    values, ok, (_, simple, _) = read_decimals(fields)
+    assert ok.all() and simple.all()
+    bad = [(f, v) for f, v in zip(fields, values.tolist()) if np.float64(v).tobytes() != np.float64(float(f)).tobytes()]
+    assert not bad, bad[:10]
+
+
+def test_decimals_read_17_digit_midpoints_exactly():
+    # Each text rounds at the edge between two doubles, so a quotient one
+    # ulp off reads wrong; all their mantissas lie above 2**53.
+    rng = np.random.default_rng(32)
+    values = np.concatenate((rng.uniform(10.0, 100.0, 2000), np.exp(rng.uniform(0.0, math.log(1e17), 2000))))
+    fields = [text for x in values.tolist() for text in midpoint_texts(x)]
+    assert all(len(f.strip("-").replace(".", "")) == 17 for f in fields)
+    assert_read_exactly(fields)
+
+
+def test_decimals_read_exactly_next_to_powers_of_two():
+    # Below a power of two the doubles are twice as dense, so the interval
+    # that rounds to it is narrower below than above.
+    fields = []
+    for k in (4, 5, 6, 7, 53, 54, 55, 56):
+        for y in (np.nextafter(2.0**k, 0.0), 2.0**k, np.nextafter(2.0**k, math.inf)):
+            fields += midpoint_texts(float(y)) + [fixed17(float(y)), "-" + fixed17(float(y))]
+    assert_read_exactly(fields)
+
+
+def test_decimals_read_exact_ties_to_even():
+    # Integers above 2**53 midway between two doubles, of 16 digits (also
+    # with a leading 0 or a trailing `.0`) and of 17: each rounds to the
+    # neighbour with an even mantissa, down for some and up for others.
+    ties = [2**53 + 1, 2**53 + 3, 2**54 + 2, 2**54 + 6, 2**55 + 4, 2**55 + 12, 10**16 + 1, 10**16 + 3]
+    ties += [2**56 + 8, 2**56 + 24, 99999999999999992, 99999999999999976]
+    for m in ties:
+        x = float(m)
+        assert abs(int(x) - m) * 2 == np.spacing(x)  # a tie
+    up = [m for m in ties if float(m) > m]
+    assert 0 < len(up) < len(ties)
+    fields = [text for m in ties for text in (str(m), f"-{m}")]
+    fields += [text for m in ties if m < 10**16 for text in (f"0{m}", f"{m}.0", f"-0{m}")]
+    assert_read_exactly(fields)
+
+
+def test_decimals_read_integers_above_2_53_exactly():
+    m = np.random.default_rng(33).integers(2**53 + 1, 10**17, 20_000)
+    assert_read_exactly([str(v) for v in m.tolist()] + [f"-{v}" for v in m[:2000].tolist()])
+
+
+# A 17-digit text near a double's, off by up to 60 units in its last digit.
+PERTURBED = st.builds(
+    lambda x, step, sign: sign + shifted(fixed17(x), step),
+    st.floats(min_value=1.0, max_value=9.9e16),
+    st.integers(-60, 60),
+    st.sampled_from(["", "-"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PERTURBED, min_size=1, max_size=40))
+def test_decimals_read_perturbed_17_digit_texts_exactly(fields):
+    assert_read_exactly(fields)

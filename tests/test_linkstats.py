@@ -146,6 +146,17 @@ def test_trace_refuses_stream_arrays_that_are_not_integers(links, kinds):
         RssTrace("omni", 0.0, links, kinds, np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize(
+    "links, kinds, name",
+    [([[True, False]], [True], "links"), ([[1, 0]], [True], "kinds"), (np.ones((1, 2), bool), [0], "links")],
+)
+def test_trace_refuses_bool_stream_arrays(links, kinds, name):
+    # numpy casts bool to int64 under casting="safe"; a trace refuses it,
+    # as it refuses a bool tx power.
+    with pytest.raises(ValueError, match=f"^{name} must be integers, got a bool array$"):
+        RssTrace("directional", 0.0, links, kinds, np.zeros((1, 1)))
+
+
 def test_trace_keeps_read_only_copies_of_its_stream_arrays():
     links, kinds = np.array([[0, 1], [1, 0]], np.int32), np.array([0, 0], np.int8)
     trace = RssTrace("omni", 0.0, links, kinds, np.zeros((2, 2)))

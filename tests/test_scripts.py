@@ -98,12 +98,12 @@ def test_digest_runs_is_reproducible():
 
 def test_probe_read_prints_one_line_per_form():
     lines = run_script("probe_read.py", "--preset", "nlos_2node", "--repeats", "1").stdout.splitlines()
-    assert lines[0].split() == ["form", "rows", "min_ms", "median_ms"]
+    assert lines[0].split() == ["form", "rows", "min_ms", "median_ms", "peak_mib"]
     rows = [line.split() for line in lines[1:]]
     assert [row[:2] for row in rows] == [[form, "5760"] for form in ("stream", "shuffled", "exponent")]
     for row in rows:
-        low, median = map(float, row[2:])
-        assert 0.0 < low <= median
+        low, median, peak = map(float, row[2:])
+        assert 0.0 < low <= median and peak > 0.0
 
 
 def test_probe_build_prints_one_line_per_part():

@@ -292,6 +292,93 @@ def test_reader_rejects_header_only_file(tmp_path):
     assert rejection(tmp_path, []).endswith("trace file has no rows")
 
 
+def pattern_rows(ticks: int = 2) -> list[str]:
+    """Rows of link 0->1 on all 36 pattern pairs, `ticks` ticks, in stream
+    order: every span is new in the first tick."""
+    return [
+        f"{t},0,1,directional,,{pair.tx_direction},{pair.rx_direction},0.0,{t},true,-{50 + t + i % 7}.25"
+        for t in range(ticks)
+        for i, pair in enumerate(PATTERN_PAIRS)
+    ]
+
+
+def test_first_block_spans_spelled_two_ways_share_a_column(tmp_path, monkeypatch):
+    # The first block's new spans are parsed as arrays, with no scalar parse
+    # of a span; `01` and `1` are one direction, so both spans get its column.
+    def scalar_parse(fields):
+        raise AssertionError("a valid span was parsed one at a time")
+
+    monkeypatch.setattr(traceio, "_parse_stream", scalar_parse)
+    rows = pattern_rows()
+    rows[40] = rows[40].replace(",,1,5,", ",,01,5,")
+    rows[3] = rows[3].replace(",,1,4,", ",,1,04,")
+    trace = read_trace_file(write_rows(tmp_path, rows))
+    assert stream_keys(trace) == tuple((0, 1, None, *pair) for pair in PATTERN_PAIRS)
+    assert trace.rssi.tolist() == [[-(50 + t + i % 7) - 0.25 for i in range(36)] for t in range(2)]
+
+
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (20, ",,4,1,", ",,7,1,", "line 20: tick 0: pattern directions must be in [1, 6]"),
+        (20, ",,4,1,", ",,4,,", "line 20: tick 0: pattern streams need both tx_dir and rx_dir"),
+        (20, ",,4,1,", ",11,4,1,", "line 20: tick 0: a stream cannot carry both channel and pattern fields"),
+        (20, "0,1,directional", "x,1,directional",
+         "line 20: tick 0: tx_id must be an integer of at most 18 digits, got 'x'"),
+        (20, "0,1,directional", "0,-1_,directional",
+         "line 20: tick 0: rx_id must be an integer of at most 18 digits, got '-1_'"),
+        (20, "directional,,4,1", "omni,,4,1", "line 20: tick 0: 0->1 pair (4,1) is not a stream of mode 'omni'"),
+        (20, "directional,,4,1", "directional,,,", "line 20: tick 0: 0->1 omni is not a stream of mode 'directional'"),
+        (20, "directional,,4,1", "Directional,,4,1",
+         "line 20: tick 0: mode must be one of ('omni', 'multichannel', 'directional'), got 'Directional'"),
+        (20, ",0.0,", ",0.5,",
+         "line 20: 0->1 pair (4,1) tick 0: mode 'directional' and tx power 0.5 differ "
+         "from the first row's 'directional' and 0.0"),
+        (20, ",0.0,", ",1e400,", "line 20: tick 0: non-finite tx power '1e400'"),
+        (2, ",0.0,", ",0.0.0,", "line 2: tick 0: tx power must be a decimal of at most 32 characters, got '0.0.0'"),
+        (37, ",,6,6,", ",,6,6,,", "line 37: expected 11 fields, got 12"),
+    ],
+)
+def test_first_block_names_the_first_bad_span_as_before(tmp_path, line, old, new, message):
+    # One bad span among 36 new ones, then the same after a span spelled
+    # another way: the first bad row in file order is named as the scalar
+    # parse names it, and an earlier good span does not hide it.
+    rows = pattern_rows()
+    assert old in rows[line - 2]
+    rows[line - 2] = rows[line - 2].replace(old, new, 1)
+    assert rejection(tmp_path, rows) == message
+    rows[1] = rows[1].replace(",,1,2,", ",,01,002,")
+    assert rejection(tmp_path, rows) == message
+    rows[line] = rows[line].replace(",,", ",,9", 1)  # a later bad span too
+    assert rejection(tmp_path, rows) == message
+
+
+@pytest.mark.parametrize("kind", ["shortest", "longest"])
+@pytest.mark.parametrize("block_bytes", [40, 64, 100])
+def test_word_reads_stay_in_the_buffer_at_block_edges(tmp_path, monkeypatch, kind, block_bytes):
+    # Every 8-byte word the reader takes lies in the buffer: numpy refuses
+    # an offset past the view's end, but a negative one would wrap silently.
+    from tests.test_trace_agreement import edge_rows  # which imports this module
+
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", block_bytes)
+    word_view, offsets = traceio._word_view, []
+
+    class CheckedWords:
+        def __init__(self, words):
+            self.words = words
+
+        def __getitem__(self, at):
+            offsets.append((int(at.min()), int(at.max()), len(self.words)))
+            return self.words[at]
+
+    monkeypatch.setattr(traceio, "_word_view", lambda buf: CheckedWords(word_view(buf)))
+    path = tmp_path / "trace.csv"
+    path.write_text("\r\n".join([",".join(TRACE_HEADER), *edge_rows(kind)]) + "\r\n")
+    read_trace_file(path)
+    assert len(offsets) > 10
+    assert all(0 <= low <= high < size for low, high, size in offsets)
+
+
 # ------------------------------------------------------------- grammar
 # The reader takes the writer's grammar only. Each form below got through
 # Python's int(), float() or the received flag's strip().lower() before,
